@@ -26,7 +26,7 @@ from .prompting import (DEFAULT_ANCHOR_COUNT, DEFAULT_HIDDEN, cluster_sample,
                         corpus_fingerprint, random_sample, retrieve_prompt, similarity,
                         soft_anchor_value, sps_sample)
 from .synth import SynthConfig, make_dataset
-from .training import TrainConfig, anchor_corpus, evaluate, train
+from .training import TrainConfig, anchor_corpus, derive_seed, evaluate, train
 
 GRADCHECK_THRESHOLD = 1e-4
 
@@ -135,7 +135,7 @@ def cmd_retrieve(args) -> int:
     if not 0 <= args.clip < len(clips):
         raise ConfigError(f"--clip {args.clip} out of range for {len(clips)} clips")
     domain = _parse_domains(args.domains)[0] if args.domains else "pe"
-    sample = derive_task(clips[args.clip], domain, args.seed or 0)
+    sample = derive_task(clips[args.clip], domain, derive_seed(args.seed or 0, args.clip, domain))
     prompt = retrieve_prompt(sample.query_input, anchors,
                              domain_filter=domain if args.domain_filter_retrieval else None)
     candidates = [a for a in anchors.anchors
@@ -159,7 +159,7 @@ def cmd_derive(args) -> int:
     reports = []
     for ci, clip in enumerate(clips):
         for domain in domains:
-            sample = derive_task(clip, domain, seed + ci)
+            sample = derive_task(clip, domain, derive_seed(seed, ci, domain))
             spec = DOMAINS[domain]
             masked_frames = ([] if sample.time_mask is None
                              else np.flatnonzero(sample.time_mask == 0.0).tolist())

@@ -1,12 +1,20 @@
 """Dense float64 arrays with a reverse-mode gradient tape.
 
 `NdBuffer` is an immutable dense array: float64, C-order, finite at
-construction. Operators live at module level (`add`, `matmul`, ...); each one
-returns a fresh buffer and, when a `Tape` is active, appends one record. A
-record holds the operation id, the input buffers, the output buffer, and a
-backward closure mapping the output gradient to per-input contributions.
+construction. Operators live at module level (`add`, `matmul`, `scan`, ...);
+each one returns a fresh buffer and, when a `Tape` is active, appends one
+record. A record holds the operation name, the input buffers, the output
+buffer, and a backward closure mapping the output gradient to per-input
+contributions. Error messages name an operation as `name#record_index`.
+
+`scan` runs a whole diagonal linear recurrence along one axis as a single
+record, with a reverse-scan backward. `matmul` with a 2-D right operand folds
+the left operand's leading dims into one GEMM, forward and backward.
+
 `Tape.grad` replays records in reverse, accumulating fan-out contributions
-additively, and is O(number of records).
+additively, and is O(number of records). It drops each output gradient once
+that record's backward has run (unless the buffer was asked for in `wrt`), so
+peak memory is the tape plus the live frontier of gradients.
 
 All computation bottoms out in numpy, so repeated runs on the same inputs are
 bitwise identical. `debug_checks()` turns on finiteness verification after
@@ -23,7 +31,6 @@ import numpy as np
 from .errors import DimensionError, NumericError
 
 _TAPES: list["Tape"] = []
-_OP_COUNTER = 0
 _DEBUG_CHECKS = False
 
 
@@ -37,12 +44,6 @@ def debug_checks():
         yield
     finally:
         _DEBUG_CHECKS = prev
-
-
-def _next_op_id(name: str) -> str:
-    global _OP_COUNTER
-    _OP_COUNTER += 1
-    return f"{name}:{_OP_COUNTER}"
 
 
 class NdBuffer:
@@ -68,10 +69,12 @@ class NdBuffer:
         self._array = arr
 
     @classmethod
-    def _wrap(cls, arr: np.ndarray, op_id: str = "wrap") -> "NdBuffer":
+    def _wrap(cls, arr: np.ndarray, name: str = "wrap") -> "NdBuffer":
         # Trusted path for operator outputs: no copy, finite check only in debug mode.
         if _DEBUG_CHECKS and not np.all(np.isfinite(arr)):
-            raise NumericError(f"non-finite value produced by {op_id}")
+            tape = _active_tape()
+            label = name if tape is None else f"{name}#{len(tape)}"
+            raise NumericError(f"non-finite value produced by {label}")
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
@@ -125,34 +128,55 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def _record(self, op_id, out, inputs, backward) -> None:
-        self._records.append((op_id, out, inputs, backward))
+    def _record(self, name, out, inputs, backward) -> None:
+        self._records.append((name, out, inputs, backward))
 
     def grad(self, output: NdBuffer, wrt: Sequence[NdBuffer]) -> list[np.ndarray]:
         """Gradients of a scalar output with respect to each buffer in wrt.
 
         Buffers that do not influence the output get zero gradients. Fan-out
-        (one buffer feeding several operators) accumulates additively.
+        (one buffer feeding several operators) accumulates additively. Returned
+        arrays are fresh and C-ordered: none is a view of tape state or of
+        another returned gradient.
         """
         if output.shape != ():
             raise DimensionError(f"grad needs a scalar output, got shape {output.shape}")
+        keep = {id(buf) for buf in wrt}
         grads: dict[int, np.ndarray] = {id(output): np.ones(())}
-        for op_id, out, inputs, backward in reversed(self._records):
-            g = grads.get(id(out))
+        # Ids whose gradient array this sweep allocated itself. Only those are
+        # summed into in place; any other may be a view of a gradient that is
+        # still live (add passes g through, reshape and transpose view it).
+        owned: set[int] = set()
+        records = self._records
+        for index in range(len(records) - 1, -1, -1):
+            name, out, _inputs, backward = records[index]
+            key = id(out)
+            g = grads.get(key) if key in keep else grads.pop(key, None)
             if g is None:
                 continue
             for buf, contrib in backward(g):
                 if contrib.shape != buf.shape:
                     raise DimensionError(
-                        f"backward of {op_id} produced gradient shape {contrib.shape} "
+                        f"backward of {name}#{index} produced gradient shape {contrib.shape} "
                         f"for input shape {buf.shape}"
                     )
-                prev = grads.get(id(buf))
-                grads[id(buf)] = contrib if prev is None else prev + contrib
+                key = id(buf)
+                prev = grads.get(key)
+                if prev is None:
+                    grads[key] = contrib
+                elif key in owned:
+                    prev += contrib
+                else:
+                    grads[key] = prev + contrib
+                    owned.add(key)
         out_list = []
         for buf in wrt:
             g = grads.get(id(buf))
-            out_list.append(np.zeros(buf.shape) if g is None else np.ascontiguousarray(g))
+            if g is None:
+                out_list.append(np.zeros(buf.shape))
+            else:
+                out_list.append(np.ascontiguousarray(g) if id(buf) in owned
+                                else np.array(g, order="C"))
         return out_list
 
 
@@ -161,11 +185,10 @@ def _active_tape() -> Tape | None:
 
 
 def _emit(name, out_arr, inputs, backward) -> NdBuffer:
-    op_id = _next_op_id(name)
-    out = NdBuffer._wrap(out_arr, op_id)
+    out = NdBuffer._wrap(out_arr, name)
     tape = _active_tape()
     if tape is not None:
-        tape._record(op_id, out, inputs, backward)
+        tape._record(name, out, inputs, backward)
     return out
 
 
@@ -239,20 +262,84 @@ def matmul(a: NdBuffer, b: NdBuffer) -> NdBuffer:
         raise DimensionError(f"matmul needs ndim >= 2, got shapes {np.shape(arr_a)} and {np.shape(arr_b)}")
     if arr_a.shape[-1] != arr_b.shape[-2]:
         raise DimensionError(f"matmul inner dimensions differ: {arr_a.shape} @ {arr_b.shape}")
-    try:
-        out = arr_a @ arr_b
-    except ValueError:
-        raise DimensionError(f"matmul batch dimensions do not broadcast: {arr_a.shape} @ {arr_b.shape}") from None
+    if arr_b.ndim == 2:
+        # (..., M, K) @ (K, N) is one (prod(...)*M, K) @ (K, N) GEMM; the
+        # weight gradient then needs no sum over batch axes.
+        flat_a = arr_a.reshape(-1, arr_a.shape[-1])
+        out = (flat_a @ arr_b).reshape(arr_a.shape[:-1] + arr_b.shape[-1:])
 
-    def backward(g):
-        contribs = []
-        if buf_a is not None:
-            contribs.append((buf_a, _unbroadcast(g @ np.swapaxes(arr_b, -1, -2), buf_a.shape)))
-        if buf_b is not None:
-            contribs.append((buf_b, _unbroadcast(np.swapaxes(arr_a, -1, -2) @ g, buf_b.shape)))
-        return contribs
+        def backward(g):
+            flat_g = g.reshape(-1, g.shape[-1])
+            contribs = []
+            if buf_a is not None:
+                contribs.append((buf_a, (flat_g @ arr_b.T).reshape(arr_a.shape)))
+            if buf_b is not None:
+                contribs.append((buf_b, flat_a.T @ flat_g))
+            return contribs
+    else:
+        try:
+            out = arr_a @ arr_b
+        except ValueError:
+            raise DimensionError(f"matmul batch dimensions do not broadcast: {arr_a.shape} @ {arr_b.shape}") from None
+
+        def backward(g):
+            contribs = []
+            if buf_a is not None:
+                contribs.append((buf_a, _unbroadcast(g @ np.swapaxes(arr_b, -1, -2), buf_a.shape)))
+            if buf_b is not None:
+                contribs.append((buf_b, _unbroadcast(np.swapaxes(arr_a, -1, -2) @ g, buf_b.shape)))
+            return contribs
 
     return _emit("matmul", out, tuple(x for x in (buf_a, buf_b) if x is not None), backward)
+
+
+def scan(a, b, u, axis: int) -> NdBuffer:
+    """Diagonal linear recurrence along `axis`: s_0 = b*u_0 and
+    s_t = a*s_{t-1} + b*u_t; returns every state s, shaped like u.
+
+    `a` and `b` broadcast against one step u_t (u with `axis` removed). The
+    backward pass is the reverse scan r_t = g_t + a*r_{t+1}, giving du = b*r,
+    db = sum_t r_t*u_t and da = sum_{t>=1} r_t*s_{t-1}.
+    """
+    arr_a, buf_a = _as_operand(a)
+    arr_b, buf_b = _as_operand(b)
+    arr_u, buf_u = _as_operand(u)
+    if arr_u.ndim < 1:
+        raise DimensionError("scan needs an input with at least one axis")
+    ax = axis % arr_u.ndim
+    step_shape = arr_u.shape[:ax] + arr_u.shape[ax + 1:]
+    try:
+        fits = np.broadcast_shapes(np.shape(arr_a), np.shape(arr_b), step_shape) == step_shape
+    except ValueError:
+        fits = False
+    if not fits:
+        raise DimensionError(f"scan coefficients {np.shape(arr_a)} and {np.shape(arr_b)} do not "
+                             f"broadcast to one step {step_shape} of input {arr_u.shape}")
+    # Work on views with the scan axis first; writes land in `out` directly.
+    u_t = np.moveaxis(arr_u, ax, 0)
+    drive = arr_b * u_t
+    out = np.empty(arr_u.shape)
+    s = np.moveaxis(out, ax, 0)
+    s[0] = drive[0]
+    for t in range(1, s.shape[0]):
+        s[t] = arr_a * s[t - 1] + drive[t]
+
+    def backward(g):
+        g_t = np.moveaxis(g, ax, 0)
+        r = np.empty(g_t.shape)
+        r[-1] = g_t[-1]
+        for t in range(r.shape[0] - 2, -1, -1):
+            r[t] = g_t[t] + arr_a * r[t + 1]
+        contribs = []
+        if buf_a is not None:
+            contribs.append((buf_a, _unbroadcast(r[1:] * s[:-1], buf_a.shape)))
+        if buf_b is not None:
+            contribs.append((buf_b, _unbroadcast(r * u_t, buf_b.shape)))
+        if buf_u is not None:
+            contribs.append((buf_u, np.moveaxis(arr_b * r, 0, ax)))
+        return contribs
+
+    return _emit("scan", out, tuple(x for x in (buf_a, buf_b, buf_u) if x is not None), backward)
 
 
 def transpose(a: NdBuffer, axes: Sequence[int]) -> NdBuffer:
@@ -397,9 +484,8 @@ def sqrt(a: NdBuffer) -> NdBuffer:
     """Elementwise square root. The backward pass takes the zero subgradient
     at exactly-zero entries (the symmetric-kink choice, which also matches
     central differences there); negative inputs are rejected."""
-    op_id = "sqrt"
     if np.any(a.array < 0.0):
-        raise NumericError(f"{op_id} of negative value (min {a.array.min()})")
+        raise NumericError(f"sqrt of negative value (min {a.array.min()})")
     out = np.sqrt(a.array)
 
     def backward(g):
@@ -407,7 +493,7 @@ def sqrt(a: NdBuffer) -> NdBuffer:
         denom = np.where(zero, 1.0, out)
         return [(a, np.where(zero, 0.0, g * 0.5 / denom))]
 
-    return _emit(op_id, out, (a,), backward)
+    return _emit("sqrt", out, (a,), backward)
 
 
 def exp(a: NdBuffer) -> NdBuffer:

@@ -97,9 +97,6 @@ class XFusionParams:
                                  f"got {np.shape(array)}")
         self.tensors[name] = NdBuffer._wrap(np.array(array, dtype=np.float64))
 
-    def as_arrays(self) -> dict[str, np.ndarray]:
-        return {k: v.array for k, v in self.tensors.items()}
-
     def copy(self) -> "XFusionParams":
         return XFusionParams(self.config, dict(self.tensors))
 
@@ -201,7 +198,8 @@ def aggregate_level(h: NdBuffer, level: str, view: str, weights: dict[str, NdBuf
     linear map; the default adjacency is the frame path graph in the temporal
     view and the skeleton tree in the spatial view. ssm: causal diagonal
     recurrence along T (projected input u_t; s_t = a*s_{t-1} + b*u_t,
-    y_t = c*s_t + d*u_t) with the transition bounded by tanh.
+    y_t = c*s_t + d*u_t) with the transition bounded by tanh; the whole
+    recurrence is one `nd.scan` record with a reverse-scan backward.
     """
     if view not in VIEWS:
         raise DomainError(f"unknown view {view!r}; expected one of {VIEWS}")
@@ -225,15 +223,7 @@ def aggregate_level(h: NdBuffer, level: str, view: str, weights: dict[str, NdBuf
         return nd.matmul(mixed, weights["w"])
     if level == "ssm":
         u = nd.add(nd.matmul(h, weights["w"]), weights["b"])
-        a_bar = nd.tanh(weights["a_raw"])
-        states = []
-        state = None
-        for step in range(t_len):
-            u_t = nd.take_axis(u, step, axis=u.ndim - 2)
-            drive = nd.mul(weights["b_gate"], u_t)
-            state = drive if state is None else nd.add(nd.mul(a_bar, state), drive)
-            states.append(state)
-        s = nd.stack(states, axis=u.ndim - 2)
+        s = nd.scan(nd.tanh(weights["a_raw"]), weights["b_gate"], u, axis=u.ndim - 2)
         return nd.add(nd.mul(weights["c"], s), nd.mul(weights["d"], u))
     raise DomainError(f"unknown aggregation level {level!r}; expected one of {LEVELS}")
 

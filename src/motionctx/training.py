@@ -37,7 +37,6 @@ class TrainConfig:
     domains: tuple[str, ...] = DOMAIN_ORDER
     mask_ratio: float = DEFAULT_MASK_RATIO
     max_steps: int | None = None
-    anchor_path: str | None = None
 
     def __post_init__(self):
         if self.learning_rate < 0.0:
@@ -131,8 +130,8 @@ class AdamWState:
 def _soft_factors(params: XFusionParams, anchors: AnchorSet, index: int):
     w1_key, w2_key = f"soft.{index}.w1", f"soft.{index}.w2"
     if w1_key in params.tensors:
-        return params.tensors[w1_key], params.tensors[w2_key], True
-    return NdBuffer(anchors.soft_w1[index]), NdBuffer(anchors.soft_w2[index]), False
+        return params.tensors[w1_key], params.tensors[w2_key]
+    return NdBuffer(anchors.soft_w1[index]), NdBuffer(anchors.soft_w2[index])
 
 
 def train_step(batch, params: XFusionParams, state: AdamWState, config: TrainConfig,
@@ -159,7 +158,7 @@ def train_step(batch, params: XFusionParams, state: AdamWState, config: TrainCon
     with Tape() as tape:
         for sample, prompt in batch:
             if anchors is not None:
-                w1, w2, _ = _soft_factors(params, anchors, prompt.index)
+                w1, w2 = _soft_factors(params, anchors, prompt.index)
             else:
                 w1_key = f"soft.{prompt.index}.w1"
                 if w1_key in params.tensors:
@@ -230,7 +229,7 @@ def evaluate(dataset: list[MotionClip], anchors: AnchorSet, params: XFusionParam
             if predict_fn is not None:
                 pred = np.asarray(predict_fn(sample, prompt), dtype=np.float64)
             else:
-                w1, w2, _ = _soft_factors(params, anchors, prompt.index)
+                w1, w2 = _soft_factors(params, anchors, prompt.index)
                 u = soft_anchor_value(w1, w2)
                 pred = forward(sample.query_input, prompt.hard_input, prompt.hard_target,
                                u, params).prediction.array

@@ -8,7 +8,10 @@ import pytest
 
 from motionctx.cli import main
 from motionctx.fileio import load_anchors, load_checkpoint, load_dataset
+from motionctx.motion import derive_task
 from motionctx.network import NetConfig, init_params
+from motionctx.prompting import retrieve_prompt
+from motionctx.training import derive_seed
 
 
 def run(capsys, *argv):
@@ -123,6 +126,33 @@ def test_derive_writes_report(pipeline, capsys):
     assert len(payload["reports"]) == 16 * 2
     masked = [r for r in payload["reports"] if r["domain"] == "mib_p"]
     assert all(len(r["masked_frames"]) == 3 for r in masked)  # floor(0.4*8)
+
+
+def test_derive_and_retrieve_use_the_library_seed(pipeline, capsys):
+    # derive and retrieve must report the tasks anchor_corpus and evaluate
+    # build: derive_task(clip, d, derive_seed(seed, i, d)).
+    tmp_path, data, anchors_path = pipeline
+    report = str(tmp_path / "seeded.json")
+    assert run(capsys, "derive", "--dataset", data, "--domains", "mib_p,jc_p",
+               "--seed", "7", "--out", report)[0] == 0
+    clips = load_dataset(data)
+    reports = json.load(open(report))["reports"]
+    assert len(reports) == len(clips) * 2
+    for i, clip in enumerate(clips):
+        for r in reports[2 * i:2 * i + 2]:
+            d = r["domain"]
+            sample = derive_task(clip, d, derive_seed(7, i, d))
+            frames = [] if sample.time_mask is None else np.flatnonzero(sample.time_mask == 0.0)
+            joints = [] if sample.joint_mask is None else np.flatnonzero(sample.joint_mask == 0.0)
+            assert r["masked_frames"] == list(frames) and r["masked_joints"] == list(joints)
+    anchors, _ = load_anchors(anchors_path)
+    sample = derive_task(clips[5], "mib_p", derive_seed(7, 5, "mib_p"))
+    expected = retrieve_prompt(sample.query_input, anchors)
+    code, out, _ = run(capsys, "retrieve", "--dataset", data, "--anchors", anchors_path,
+                       "--domains", "mib_p", "--clip", "5", "--seed", "7")
+    assert code == 0
+    assert f"best anchor {expected.index} " in out
+    assert f"similarity {expected.similarity:.6f}" in out
 
 
 def test_train_then_eval_pipeline(pipeline, capsys):

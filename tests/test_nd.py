@@ -200,3 +200,115 @@ def test_mean_and_sum_axis_variants():
     assert nd.reduce_sum(x, axis=(0, 2)).shape == (3,)
     assert nd.mean(x, axis=1, keepdims=True).shape == (2, 1, 4)
     assert nd.mean(x).item() == pytest.approx(11.5)
+
+
+def _scan_loop(a, b, u, axis):
+    # The per-step recurrence nd.scan replaces: reference for value and gradient.
+    states, state = [], None
+    for t in range(u.shape[axis]):
+        drive = nd.mul(b, nd.take_axis(u, t, axis=axis))
+        state = drive if state is None else nd.add(nd.mul(a, state), drive)
+        states.append(state)
+    return nd.stack(states, axis=axis)
+
+
+SCAN_CASES = [((5, 3), 0), ((1, 4), 0), ((3, 6, 4), 1), ((3, 1, 4), 1),
+              ((2, 3, 5, 4), 1), ((2, 3, 5, 4), 2), ((2, 5, 1, 4), 2)]
+
+
+@pytest.mark.parametrize("shape,axis", SCAN_CASES)
+def test_scan_forward_bitwise_equals_step_loop(shape, axis):
+    rng = np.random.default_rng(sum(shape) + axis)
+    a = NdBuffer(np.tanh(rng.normal(size=shape[-1:])))
+    b = NdBuffer(rng.normal(size=shape[-1:]))
+    u = NdBuffer(rng.normal(size=shape))
+    assert np.array_equal(nd.scan(a, b, u, axis).array, _scan_loop(a, b, u, axis).array)
+
+
+@pytest.mark.parametrize("shape,axis", SCAN_CASES)
+def test_scan_gradients_match_step_loop(shape, axis):
+    rng = np.random.default_rng(100 + sum(shape) + axis)
+    a = NdBuffer(np.tanh(rng.normal(size=shape[-1:])))
+    b = NdBuffer(rng.normal(size=shape[-1:]))
+    u = NdBuffer(rng.normal(size=shape))
+    weight = NdBuffer(rng.normal(size=shape))
+    grads = []
+    for fn in (nd.scan, _scan_loop):
+        with Tape() as tape:
+            loss = nd.reduce_sum(nd.mul(fn(a, b, u, axis), weight))
+        grads.append(tape.grad(loss, [a, b, u]))
+    for fast, ref in zip(*grads):
+        assert np.allclose(fast, ref, rtol=1e-10, atol=1e-12)
+
+
+def test_scan_grad_check_and_shape_errors():
+    rng = np.random.default_rng(5)
+    params = {"a": np.tanh(rng.normal(size=(3,))), "b": rng.normal(size=(1, 3)),
+              "u": rng.normal(size=(2, 4, 3))}
+    report = nd.grad_check(lambda p: nd.reduce_sum(nd.square(nd.scan(p["a"], p["b"], p["u"], 1))),
+                           params)
+    assert report.max_rel_err < 1e-4, repr(report)
+    with pytest.raises(DimensionError):
+        nd.scan(NdBuffer(np.ones(4)), 1.0, NdBuffer(np.ones((2, 3))), 0)
+
+
+@pytest.mark.parametrize("left", [(4, 5, 3), (2, 3, 5, 3)])
+def test_folded_matmul_matches_batched_reference(left):
+    rng = np.random.default_rng(len(left))
+    a_arr, b_arr = rng.normal(size=left), rng.normal(size=(3, 6))
+    g = rng.normal(size=left[:-1] + (6,))
+    a, b = NdBuffer(a_arr), NdBuffer(b_arr)
+    with Tape() as tape:
+        out = nd.matmul(a, b)
+        loss = nd.reduce_sum(nd.mul(out, NdBuffer(g)))
+    g_a, g_b = tape.grad(loss, [a, b])
+    assert np.allclose(out.array, a_arr @ b_arr, rtol=1e-10, atol=1e-12)
+    assert np.allclose(g_a, nd._unbroadcast(g @ b_arr.T, a.shape), rtol=1e-10, atol=1e-12)
+    assert np.allclose(g_b, nd._unbroadcast(np.swapaxes(a_arr, -1, -2) @ g, b.shape),
+                       rtol=1e-10, atol=1e-12)
+
+
+def test_grad_of_intermediate_buffer_in_wrt():
+    x = NdBuffer([1.0, 2.0, 3.0])
+    with Tape() as tape:
+        y = nd.mul(x, 2.0)
+        side = nd.reduce_sum(nd.mul(y, 5.0))
+        # y's first contribution is a view of r's gradient; the second must
+        # not be summed into that view, since r's gradient is returned too.
+        r = nd.reshape(y, (3, 1))
+        loss = nd.add(nd.reduce_sum(nd.square(r)), side)
+    g_r, g_y, g_x = tape.grad(loss, [r, y, x])
+    assert np.array_equal(g_r, [[4.0], [8.0], [12.0]])
+    assert np.array_equal(g_y, [9.0, 13.0, 17.0])
+    assert np.array_equal(g_x, [18.0, 26.0, 34.0])
+
+
+def test_fanout_into_three_ops_sums_every_contribution():
+    x = NdBuffer([2.0, -1.0])
+    with Tape() as tape:
+        # x feeds add (as both operands), reshape (a view-returning backward) and square.
+        parts = [nd.add(x, x), nd.reshape(x, (2,)), nd.square(x), nd.mul(x, 3.0)]
+        loss = nd.reduce_sum(nd.add(nd.add(parts[0], parts[1]), nd.add(parts[2], parts[3])))
+    (g,) = tape.grad(loss, [x])
+    assert np.array_equal(g, 2.0 + 1.0 + 2.0 * x.array + 3.0)
+
+
+def test_grad_twice_is_bitwise_equal_and_unaliased():
+    rng = np.random.default_rng(9)
+    leaves = {k: NdBuffer(rng.normal(size=s)) for k, s in
+              [("w1", (3, 4)), ("b1", (4,)), ("w2t", (2, 4)), ("b2", (2,))]}
+    with Tape() as tape:
+        # w1's gradient is a reshaped view of the gradient of its reshape;
+        # w2t's is a transposed one.
+        reshaped = nd.reshape(leaves["w1"], (3, 4))
+        loss = _mlp_loss(dict(leaves, w1=reshaped, w2=nd.swap_last2(leaves["w2t"])))
+    wrt = list(leaves.values()) + [reshaped]
+    first = tape.grad(loss, wrt)
+    second = tape.grad(loss, wrt)
+    for x, y in zip(first, second):
+        assert np.array_equal(x, y)
+        assert x.flags.c_contiguous
+    arrays = first + second
+    for i, x in enumerate(arrays):
+        for y in arrays[i + 1:]:
+            assert not np.shares_memory(x, y)
