@@ -22,8 +22,8 @@ from .errors import (ConfigError, DimensionError, DomainError, FormatError, Nume
                      StateError)
 from .motion import (DEFAULT_MASK_RATIO, DOMAIN_ORDER, DOMAINS, derive_task, parse_domain)
 from .network import LossWeights, NetConfig, XFusionParams, forward, init_params, loss
-from .prompting import (DEFAULT_ANCHOR_COUNT, DEFAULT_HIDDEN, cluster_sample,
-                        corpus_fingerprint, random_sample, retrieve_prompt, similarity,
+from .prompting import (DEFAULT_ANCHOR_COUNT, DEFAULT_HIDDEN, anchor_similarities,
+                        cluster_sample, corpus_fingerprint, random_sample, retrieve_prompt,
                         soft_anchor_value, sps_sample)
 from .synth import SynthConfig, make_dataset
 from .training import TrainConfig, anchor_corpus, derive_seed, evaluate, train
@@ -115,11 +115,10 @@ def cmd_sample_anchors(args) -> int:
     return 0
 
 
-def _check_fingerprint(anchors, meta, dataset_path):
+def _check_fingerprint(anchors, meta, clips):
     """Anchor files remember their corpus recipe; a mismatch warns, not fails."""
     if not meta or "domains" not in meta:
         return
-    clips = fileio.load_dataset(dataset_path)
     corpus = anchor_corpus(clips, domains=tuple(meta["domains"]), seed=meta["corpus_seed"],
                            mask_ratio=meta.get("mask_ratio", DEFAULT_MASK_RATIO))
     if corpus_fingerprint(corpus) != anchors.fingerprint:
@@ -130,19 +129,19 @@ def _check_fingerprint(anchors, meta, dataset_path):
 def cmd_retrieve(args) -> int:
     _require(args, "anchors", "dataset")
     anchors, meta = fileio.load_anchors(args.anchors)
-    _check_fingerprint(anchors, meta, args.dataset)
     clips = fileio.load_dataset(args.dataset)
+    _check_fingerprint(anchors, meta, clips)
     if not 0 <= args.clip < len(clips):
         raise ConfigError(f"--clip {args.clip} out of range for {len(clips)} clips")
     domain = _parse_domains(args.domains)[0] if args.domains else "pe"
     sample = derive_task(clips[args.clip], domain, derive_seed(args.seed or 0, args.clip, domain))
     prompt = retrieve_prompt(sample.query_input, anchors,
                              domain_filter=domain if args.domain_filter_retrieval else None)
-    candidates = [a for a in anchors.anchors
-                  if not args.domain_filter_retrieval or a.domain == domain]
-    sims = sorted((similarity(sample.query_input, a.input) for a in candidates),
-                  reverse=True)
-    margin = sims[0] - sims[1] if len(sims) > 1 else float("inf")
+    sims = anchor_similarities(sample.query_input, anchors)
+    if args.domain_filter_retrieval:
+        sims = sims[anchors.domain_indices(domain)]
+    top = np.sort(sims)[::-1]
+    margin = top[0] - top[1] if top.size > 1 else float("inf")
     best = anchors.anchors[prompt.index]
     print(f"query: clip {clips[args.clip].clip_id} domain {domain}")
     print(f"best anchor {prompt.index} (domain {best.domain}, source {best.source_index}): "

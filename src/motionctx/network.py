@@ -12,6 +12,10 @@ connection and layer normalization. After every layer the prompt features are
 summed into the query branch. Location-wise and pooled affine heads emit the
 predicted sequence and shape parameters.
 
+Every stage takes (F, J, .) inputs or (B, F, J, .) inputs with a leading
+batch axis, which run as one pass over the whole batch. `loss` scores a batch
+whose samples mix domains and native joint counts in one masked computation.
+
 The compression map starts at zero with equal biases, so every influence
 score is exactly 1/3 at initialization.
 """
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nd
-from .errors import ConfigError, DimensionError, DomainError
+from .errors import ConfigError, DimensionError, DomainError, StateError
 from .motion import CHANNELS, ROOT_JOINT, SHAPE_PARAMS, Modality, MotionSequence, TaskSample
 from .nd import NdBuffer
 
@@ -170,17 +174,23 @@ def encode_context(q_in, p_in, p_gt, u_star, params: XFusionParams) -> tuple[NdB
     """Per-location encoding of query and prompt with positional embeddings.
 
     The query branch sees [q_in, p_gt] plus the soft anchor; the prompt branch
-    sees [p_in, p_gt] and no soft anchor.
+    sees [p_in, p_gt] and no soft anchor. Inputs are (F, J, C) or (B, F, J, C)
+    and must agree on the batch axis; u_star is (..., F, J, H), or None for
+    no soft anchor.
     """
     cfg = params.config
-    shape = (cfg.frames, cfg.joints, CHANNELS)
-    q = _as_buffer(q_in, shape, "query input")
+    q = _as_buffer(q_in)
+    lead = q.shape[:1] if q.ndim == 4 else ()
+    shape = lead + (cfg.frames, cfg.joints, CHANNELS)
+    q = _as_buffer(q, shape, "query input")
     p = _as_buffer(p_in, shape, "prompt input")
     gt = _as_buffer(p_gt, shape, "prompt target")
-    u = _as_buffer(u_star, (cfg.frames, cfg.joints, cfg.hidden), "soft anchor")
+    if u_star is None:
+        u_star = NdBuffer._wrap(np.zeros(lead + (cfg.frames, cfg.joints, cfg.hidden)))
+    u = _as_buffer(u_star, lead + (cfg.frames, cfg.joints, cfg.hidden), "soft anchor")
 
     def encode(branch: str, first: NdBuffer) -> NdBuffer:
-        cat = nd.concat([first, gt], axis=2)
+        cat = nd.concat([first, gt], axis=-1)
         feat = nd.add(nd.matmul(cat, params[f"{branch}.w"]), params[f"{branch}.b"])
         feat = nd.add(feat, nd.reshape(params[f"{branch}.pos_t"], (cfg.frames, 1, cfg.hidden)))
         return nd.add(feat, params[f"{branch}.pos_s"])
@@ -265,12 +275,19 @@ def _layer_norm(h: NdBuffer, gamma: NdBuffer, beta: NdBuffer) -> NdBuffer:
     return nd.add(nd.mul(nd.mul(centered, inv), gamma), beta)
 
 
+def _swap_tracks(h: NdBuffer) -> NdBuffer:
+    # (..., F, J, H) <-> (..., J, F, H): the temporal view's per-joint tracks.
+    axes = list(range(h.ndim))
+    axes[-3], axes[-2] = axes[-2], axes[-3]
+    return nd.transpose(h, axes)
+
+
 def _view_pass(h: NdBuffer, params: XFusionParams, layer: int, branch: str,
                view: str) -> tuple[NdBuffer, np.ndarray]:
-    # h arrives as (F, J, H); tracks run over frames in the temporal view and
-    # over joints in the spatial view.
+    # h arrives as (..., F, J, H); tracks run over frames in the temporal view
+    # and over joints in the spatial view.
     base = f"layer{layer}.{branch}.{view}"
-    tracks = nd.transpose(h, (1, 0, 2)) if view == "temporal" else h
+    tracks = _swap_tracks(h) if view == "temporal" else h
     outs = []
     for level in LEVELS:
         if level == "attention":
@@ -286,7 +303,7 @@ def _view_pass(h: NdBuffer, params: XFusionParams, layer: int, branch: str,
                                       params[f"layer{layer}.compress.b"])
     wrapped = _layer_norm(nd.add(tracks, fused), params[f"{base}.ln.g"], params[f"{base}.ln.b"])
     if view == "temporal":
-        wrapped = nd.transpose(wrapped, (1, 0, 2))
+        wrapped = _swap_tracks(wrapped)
     return wrapped, alpha
 
 
@@ -295,7 +312,8 @@ class InfluenceScores:
     """Mean softmax level weights per position, plus the per-track arrays.
 
     temporal: (F, L) averaged over joint tracks; spatial: (J, L) averaged over
-    frames. raw_temporal is (J, F, L) and raw_spatial (F, J, L).
+    frames. raw_temporal is (J, F, L) and raw_spatial (F, J, L). A batched
+    pass keeps its leading batch axis on all four arrays.
     """
 
     temporal: np.ndarray
@@ -312,8 +330,8 @@ def xfusion_block(h: NdBuffer, params: XFusionParams, layer: int,
     for view in params.config.view_order:
         out, alphas[view] = _view_pass(out, params, layer, branch, view)
     return out, InfluenceScores(
-        temporal=alphas["temporal"].mean(axis=0),
-        spatial=alphas["spatial"].mean(axis=0),
+        temporal=alphas["temporal"].mean(axis=-3),
+        spatial=alphas["spatial"].mean(axis=-3),
         raw_temporal=alphas["temporal"],
         raw_spatial=alphas["spatial"],
     )
@@ -328,18 +346,16 @@ def context_inject(z_p: NdBuffer, z_q: NdBuffer) -> NdBuffer:
 
 @dataclass(frozen=True)
 class ForwardResult:
-    prediction: NdBuffer          # (F, J, C)
-    betas: NdBuffer               # (S,)
+    prediction: NdBuffer          # (..., F, J, C)
+    betas: NdBuffer               # (..., S)
     influence: tuple[dict[str, InfluenceScores], ...]  # per layer: branch -> scores
 
 
 def forward(q_in, p_in, p_gt, u_star, params: XFusionParams) -> ForwardResult:
     """Full network: encode, K dual-branch fusion layers with injection after
     every layer, then the location head and the pooled shape head on the
-    query branch."""
+    query branch. Inputs are (F, J, C) or carry a leading batch axis."""
     cfg = params.config
-    if u_star is None:
-        u_star = NdBuffer._wrap(np.zeros((cfg.frames, cfg.joints, cfg.hidden)))
     h_q, h_p = encode_context(q_in, p_in, p_gt, u_star, params)
     influence = []
     for k in range(cfg.layers):
@@ -349,10 +365,13 @@ def forward(q_in, p_in, p_gt, u_star, params: XFusionParams) -> ForwardResult:
         h_p = z_p
         influence.append({"q": s_q, "p": s_p})
     prediction = nd.add(nd.matmul(h_q, params["head.pos.w"]), params["head.pos.b"])
-    pooled = nd.mean(h_q, axis=(0, 1))
-    betas = nd.add(nd.matmul(nd.reshape(pooled, (1, cfg.hidden)), params["head.shape.w"]),
+    lead = h_q.shape[:-3]
+    pooled = nd.mean(h_q, axis=(-3, -2))
+    rows = int(np.prod(lead, dtype=np.int64))
+    betas = nd.add(nd.matmul(nd.reshape(pooled, (rows, cfg.hidden)), params["head.shape.w"]),
                    params["head.shape.b"])
-    return ForwardResult(prediction=prediction, betas=nd.reshape(betas, (cfg.shape_params,)),
+    return ForwardResult(prediction=prediction,
+                         betas=nd.reshape(betas, lead + (cfg.shape_params,)),
                          influence=tuple(influence))
 
 
@@ -368,41 +387,70 @@ class LossWeights:
                 raise DomainError(f"loss weight {name} must be >= 0, got {getattr(self, name)}")
 
 
-def loss(prediction: NdBuffer, betas_hat: NdBuffer, sample: TaskSample,
+def loss(prediction: NdBuffer, betas_hat: NdBuffer, samples,
          weights: LossWeights = LossWeights()) -> tuple[NdBuffer, dict[str, float]]:
     """Weighted position + velocity (+ shape for mesh outputs) objective.
 
-    Position: mean Euclidean error per frame and native joint. Velocity: the
-    same norm on frame-to-frame differences of the error. Shape: mean squared
-    beta error, only when the target modality carries betas. Virtual joints
-    never contribute (native joints are a leading block by construction).
+    `samples` is one TaskSample scored against an (F, J, C) prediction and
+    (S,) betas, or a sequence of B samples scored against (B, F, J, C) and
+    (B, S); one sample is the batch of one. Per sample, position is the mean
+    Euclidean error over frames and native joints, velocity the same norm on
+    frame-to-frame differences of the error, and shape the mean squared beta
+    error when the target modality carries betas (0 otherwise). The returned
+    total and components are batch means of the per-sample values.
+
+    Samples may differ in native joint count: the error is scaled by
+    1/(F * native) on native joints and by 0 on virtual ones before any norm,
+    so virtual joints never contribute and their gradient is exactly zero.
     """
-    target = sample.query_target
-    native = target.native_joint_count
-    f = target.frames
-    if prediction.shape != target.values.shape:
+    single = isinstance(samples, TaskSample)
+    batch = [samples] if single else list(samples)
+    if not batch:
+        raise StateError("loss needs at least one sample")
+    targets = [s.query_target for s in batch]
+    try:
+        target = np.stack([t.values.array for t in targets])
+    except ValueError:
+        raise DimensionError(f"loss targets disagree on shape: "
+                             f"{sorted({t.values.shape for t in targets})}") from None
+    expected = target.shape[1:] if single else target.shape
+    if prediction.shape != expected:
         raise DimensionError(f"prediction shape {prediction.shape} does not match "
-                             f"target {target.values.shape}")
-    err = nd.sub(nd.slice_axis(prediction, 1, 0, native),
-                 NdBuffer._wrap(np.ascontiguousarray(target.values.array[:, :native, :])))
-    position = nd.mean(nd.sqrt(nd.reduce_sum(nd.square(err), axis=-1)))
+                             f"target {expected}")
+    if single:
+        prediction = nd.reshape(prediction, target.shape)
+        betas_hat = nd.reshape(betas_hat, (1,) + betas_hat.shape)
+    b, f, j, _ = target.shape
+    native = np.array([t.native_joint_count for t in targets])
+    scale = np.where(np.arange(j) < native[:, None], 1.0 / (f * native[:, None]), 0.0)
+    err = nd.mul(nd.sub(prediction, NdBuffer._wrap(target)),
+                 NdBuffer._wrap(scale.reshape(b, 1, j, 1)))
+
+    def mean_norm(x: NdBuffer) -> NdBuffer:
+        # Batch mean of the per-sample sums of scaled per-location norms.
+        per_sample = nd.reduce_sum(nd.sqrt(nd.reduce_sum(nd.square(x), axis=-1)), axis=(1, 2))
+        return nd.mean(per_sample)
+
+    position = mean_norm(err)
     total = nd.mul(position, weights.position)
     components = {"position": position.item()}
 
     if f > 1:
-        vel_err = nd.sub(nd.slice_axis(err, 0, 1, f), nd.slice_axis(err, 0, 0, f - 1))
-        velocity = nd.mean(nd.sqrt(nd.reduce_sum(nd.square(vel_err), axis=-1)))
+        vel_err = nd.sub(nd.slice_axis(err, 1, 1, f), nd.slice_axis(err, 1, 0, f - 1))
+        velocity = nd.mul(mean_norm(vel_err), f / (f - 1))  # per-frame scale 1/(F-1)
     else:
         velocity = NdBuffer(0.0)
     total = nd.add(total, nd.mul(velocity, weights.velocity))
     components["velocity"] = velocity.item()
 
-    mesh_output = target.modality is Modality.MESH
-    if mesh_output:
-        if betas_hat.shape != sample.target_betas.shape:
+    mesh = np.array([t.modality is Modality.MESH for t in targets], dtype=np.float64)
+    if mesh.any():
+        target_betas = np.stack([s.target_betas for s in batch])
+        if betas_hat.shape != target_betas.shape:
             raise DimensionError(f"beta prediction shape {betas_hat.shape} does not match "
-                                 f"target {sample.target_betas.shape}")
-        shape_term = nd.mean(nd.square(nd.sub(betas_hat, NdBuffer(sample.target_betas))))
+                                 f"target {target_betas.shape}")
+        per_sample = nd.mean(nd.square(nd.sub(betas_hat, NdBuffer._wrap(target_betas))), axis=-1)
+        shape_term = nd.mean(nd.mul(per_sample, NdBuffer._wrap(mesh)))
         total = nd.add(total, nd.mul(shape_term, weights.shape))
         components["shape"] = shape_term.item()
     else:
@@ -411,15 +459,23 @@ def loss(prediction: NdBuffer, betas_hat: NdBuffer, sample: TaskSample,
     return total, components
 
 
+def _prediction_pair(prediction, target: MotionSequence) -> tuple[np.ndarray, np.ndarray]:
+    """Coerce a prediction (sequence, buffer or array) and check it against the target."""
+    if isinstance(prediction, MotionSequence):
+        prediction = prediction.values
+    pred = prediction.array if isinstance(prediction, NdBuffer) else np.asarray(
+        prediction, dtype=np.float64)
+    tgt = target.values.array
+    if pred.shape != tgt.shape:
+        raise DimensionError(f"prediction shape {pred.shape} does not match target {tgt.shape}")
+    return pred, tgt
+
+
 def mpjpe(prediction, target: MotionSequence) -> float:
     """Mean per-joint position error after root alignment, native joints only."""
     if target.modality is Modality.MESH:
         raise DomainError("mpjpe is defined for pose modalities, not mesh parameters")
-    pred = prediction.values.array if isinstance(prediction, MotionSequence) else (
-        prediction.array if isinstance(prediction, NdBuffer) else np.asarray(prediction, dtype=np.float64))
-    tgt = target.values.array
-    if pred.shape != tgt.shape:
-        raise DimensionError(f"prediction shape {pred.shape} does not match target {tgt.shape}")
+    pred, tgt = _prediction_pair(prediction, target)
     n = target.native_joint_count
     pred = pred[:, :n, :] - pred[:, ROOT_JOINT:ROOT_JOINT + 1, :]
     tgt = tgt[:, :n, :] - tgt[:, ROOT_JOINT:ROOT_JOINT + 1, :]
@@ -428,10 +484,6 @@ def mpjpe(prediction, target: MotionSequence) -> float:
 
 def mean_param_error(prediction, target: MotionSequence) -> float:
     """Mean per-joint L2 error in parameter space (mesh outputs), native only."""
-    pred = prediction.values.array if isinstance(prediction, MotionSequence) else (
-        prediction.array if isinstance(prediction, NdBuffer) else np.asarray(prediction, dtype=np.float64))
-    tgt = target.values.array
-    if pred.shape != tgt.shape:
-        raise DimensionError(f"prediction shape {pred.shape} does not match target {tgt.shape}")
+    pred, tgt = _prediction_pair(prediction, target)
     n = target.native_joint_count
     return float(np.sqrt(((pred[:, :n, :] - tgt[:, :n, :]) ** 2).sum(axis=-1)).mean())

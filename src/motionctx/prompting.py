@@ -116,7 +116,22 @@ class AnchorSet:
         return self.soft_w2.shape[-1]
 
     def stacked_inputs(self) -> np.ndarray:
-        return np.stack([a.input.values.array for a in self.anchors])
+        """Read-only (A, F, J, 3) stack of the anchor inputs, built on first use."""
+        stacked = self.__dict__.get("_stacked")
+        if stacked is None:
+            stacked = np.stack([a.input.values.array for a in self.anchors])
+            stacked.setflags(write=False)
+            object.__setattr__(self, "_stacked", stacked)
+        return stacked
+
+    def domain_indices(self, domain: str) -> np.ndarray:
+        """Ascending indices of the anchors of one task domain."""
+        by_domain = self.__dict__.get("_by_domain")
+        if by_domain is None:
+            domains = np.array([a.domain for a in self.anchors])
+            by_domain = {d: np.flatnonzero(domains == d) for d in set(domains.tolist())}
+            object.__setattr__(self, "_by_domain", by_domain)
+        return by_domain.get(domain, np.empty(0, dtype=np.intp))
 
 
 def corpus_fingerprint(corpus: list[CorpusEntry]) -> str:
@@ -180,20 +195,30 @@ def sps_sample(corpus: list[CorpusEntry], k: int, tie_break: str = "lowest-index
     if tie_break != "lowest-index":
         raise DomainError(f"unsupported tie-break policy {tie_break!r}")
     frames, joints = _check_corpus(corpus)
-    stacked = np.stack([c[0].values.array for c in corpus])
     tbody = canonical_tbody(frames, joints)
 
-    best = _sims_to_one(stacked, tbody.values.array)  # MaxSim against {T-body}
-    taken = np.zeros(len(corpus), dtype=bool)
+    # Only members not yet taken are scored. Their rows, indices and MaxSim
+    # values live compacted at the front of `rows`, `alive` and `best`, in
+    # corpus order, so argmin (first minimum) still breaks ties to the lowest
+    # corpus index.
+    rows = np.stack([c[0].values.array for c in corpus])
+    alive = np.arange(len(corpus))
+    best = _sims_to_one(rows, tbody.values.array)  # MaxSim against {T-body}
     picked: list[int] = []
     trace: list[float] = []
-    while len(picked) + 1 < k and not taken.all():
-        masked = np.where(taken, np.inf, best)
-        idx = int(np.argmin(masked))  # argmin returns the first minimum
+    n = len(corpus)
+    while len(picked) + 1 < k and n:
+        pos = int(np.argmin(best[:n]))
+        idx = int(alive[pos])
         picked.append(idx)
-        trace.append(float(best[idx]))
-        taken[idx] = True
-        best = np.maximum(best, _sims_to_one(stacked, stacked[idx]))
+        trace.append(float(best[pos]))
+        newest = rows[pos].copy()
+        # Close the gap left by the pick; numpy handles the overlapping copy.
+        for arr in (rows, alive, best):
+            arr[pos:n - 1] = arr[pos + 1:n]
+        n -= 1
+        if n:
+            best[:n] = np.maximum(best[:n], _sims_to_one(rows[:n], newest))
     return _build_set(corpus, picked, "sps", k, tie_break, hidden_dim, trace)
 
 
@@ -239,9 +264,18 @@ def cluster_sample(corpus: list[CorpusEntry], k: int, rng_seed: int,
     return _build_set(corpus, picked, "cluster", k, "lowest-index", hidden_dim)
 
 
+def anchor_similarities(x: MotionSequence, anchors: AnchorSet) -> np.ndarray:
+    """(A,) similarities of x to every anchor input, in one vectorized pass."""
+    if x.values.shape != anchors.anchors[0].input.values.shape:
+        raise DimensionError(
+            f"query shape {x.values.shape} does not match anchor shape "
+            f"{anchors.anchors[0].input.values.shape}")
+    return _sims_to_one(anchors.stacked_inputs(), x.values.array)
+
+
 def max_sim(x: MotionSequence, anchors: AnchorSet) -> tuple[float, int]:
     """Best similarity of x over the anchor list and the first index attaining it."""
-    sims = _sims_to_one(anchors.stacked_inputs(), x.values.array)
+    sims = anchor_similarities(x, anchors)
     idx = int(np.argmax(sims))
     return float(sims[idx]), idx
 
@@ -263,21 +297,18 @@ def retrieve_prompt(query_input: MotionSequence, anchors: AnchorSet,
     domain_filter restricts candidates to anchors of one task domain while
     preserving original indices; by default all anchors compete.
     """
-    if query_input.values.shape != anchors.anchors[0].input.values.shape:
-        raise DimensionError(
-            f"query shape {query_input.values.shape} does not match anchor shape "
-            f"{anchors.anchors[0].input.values.shape}")
-    candidates = range(len(anchors))
-    if domain_filter is not None:
-        candidates = [i for i, a in enumerate(anchors.anchors) if a.domain == domain_filter]
-        if not candidates:
+    sims = anchor_similarities(query_input, anchors)
+    if domain_filter is None:
+        best = int(np.argmax(sims))  # argmax returns the first maximum
+    else:
+        candidates = anchors.domain_indices(domain_filter)
+        if not candidates.size:
             raise StateError(f"no anchors of domain {domain_filter!r} in the set")
-    sims = _sims_to_one(anchors.stacked_inputs(), query_input.values.array)
-    best = max(candidates, key=lambda i: (sims[i], -i))
+        best = int(candidates[np.argmax(sims[candidates])])
     a = anchors.anchors[best]
     return RetrievedPrompt(hard_input=a.input, hard_target=a.target,
                            soft_w1=anchors.soft_w1[best], soft_w2=anchors.soft_w2[best],
-                           index=int(best), similarity=float(sims[best]))
+                           index=best, similarity=float(sims[best]))
 
 
 def soft_anchor_value(w1, w2) -> NdBuffer:
@@ -291,5 +322,4 @@ def coverage(queries: list[MotionSequence], anchors: AnchorSet) -> float:
     """Worst-case retrieval similarity: min over queries of max over anchors."""
     if not queries:
         raise StateError("coverage needs at least one query")
-    stacked = anchors.stacked_inputs()
-    return min(float(_sims_to_one(stacked, q.values.array).max()) for q in queries)
+    return min(float(anchor_similarities(q, anchors).max()) for q in queries)

@@ -2,7 +2,9 @@
 
 Each step samples (clip, domain) pairs uniformly, derives task samples,
 retrieves the most similar hard anchor per query, and backpropagates the mean
-batch loss through the network and the retrieved anchors' soft factors.
+batch loss through the network and the retrieved anchors' soft factors. The
+whole batch runs as one taped forward pass with a leading batch axis;
+evaluation runs untaped passes over chunks of EVAL_CHUNK samples.
 Updates use decoupled weight decay; parameters that did not participate in a
 step (soft factors of anchors nobody retrieved) are left untouched. Hard
 anchors are frozen data and never change. Given the same config, dataset,
@@ -20,8 +22,11 @@ from .errors import ConfigError, NumericError, StateError
 from .motion import (DEFAULT_MASK_RATIO, DOMAIN_ORDER, DOMAINS, Modality, MotionClip,
                      TaskSample, derive_task)
 from .nd import NdBuffer, Tape
-from .network import (LossWeights, XFusionParams, forward, loss, mean_param_error, mpjpe)
+from .network import (ForwardResult, LossWeights, XFusionParams, forward, loss,
+                      mean_param_error, mpjpe)
 from .prompting import AnchorSet, RetrievedPrompt, retrieve_prompt, soft_anchor_value
+
+EVAL_CHUNK = 32  # samples per untaped forward pass in `evaluate`; bounds its peak memory
 
 
 @dataclass(frozen=True)
@@ -127,21 +132,39 @@ class AdamWState:
             params.tensors[name] = NdBuffer._wrap(new)
 
 
-def _soft_factors(params: XFusionParams, anchors: AnchorSet, index: int):
-    w1_key, w2_key = f"soft.{index}.w1", f"soft.{index}.w2"
-    if w1_key in params.tensors:
-        return params.tensors[w1_key], params.tensors[w2_key]
-    return NdBuffer(anchors.soft_w1[index]), NdBuffer(anchors.soft_w2[index])
+def _soft_factors(params: XFusionParams, prompt: RetrievedPrompt) -> tuple[NdBuffer, NdBuffer]:
+    """The retrieved anchor's trainable soft factors when params carry them,
+    else the prompt's own."""
+    key = f"soft.{prompt.index}"
+    if f"{key}.w1" in params.tensors:
+        return params.tensors[f"{key}.w1"], params.tensors[f"{key}.w2"]
+    return NdBuffer(prompt.soft_w1), NdBuffer(prompt.soft_w2)
+
+
+def _batch_forward(batch, params: XFusionParams) -> ForwardResult:
+    """One forward pass over (sample, prompt) pairs stacked on a leading axis.
+
+    Soft factors are stacked as taped ops, so an anchor retrieved twice fans
+    out and its gradient sums over both uses."""
+    factors = [_soft_factors(params, prompt) for _, prompt in batch]
+    u = soft_anchor_value(nd.stack([w1 for w1, _ in factors], axis=0),
+                          nd.stack([w2 for _, w2 in factors], axis=0))
+
+    def stacked(seqs) -> NdBuffer:
+        return NdBuffer._wrap(np.stack([seq.values.array for seq in seqs]))
+
+    return forward(stacked(sample.query_input for sample, _ in batch),
+                   stacked(prompt.hard_input for _, prompt in batch),
+                   stacked(prompt.hard_target for _, prompt in batch), u, params)
 
 
 def train_step(batch, params: XFusionParams, state: AdamWState, config: TrainConfig,
-               lr: float | None = None, anchors: AnchorSet | None = None,
-               batch_id: str = "batch") -> dict[str, float]:
+               lr: float | None = None, batch_id: str = "batch") -> dict[str, float]:
     """One optimizer step on the mean batch loss; mutates params and state.
 
-    Network parameters always participate; soft factors participate only for
-    anchors retrieved in this batch. Hard anchors are inputs, not parameters,
-    so they cannot change.
+    The batch runs as one taped pass. Network parameters always participate;
+    soft factors participate only for anchors retrieved in this batch. Hard
+    anchors are inputs, not parameters, so they cannot change.
     """
     if lr is None:
         lr = config.learning_rate
@@ -153,31 +176,16 @@ def train_step(batch, params: XFusionParams, state: AdamWState, config: TrainCon
         if f"soft.{i}.w1" in params.tensors:
             keys.extend([f"soft.{i}.w1", f"soft.{i}.w2"])
 
-    totals = []
-    sums = {"position": 0.0, "velocity": 0.0, "shape": 0.0}
     with Tape() as tape:
-        for sample, prompt in batch:
-            if anchors is not None:
-                w1, w2 = _soft_factors(params, anchors, prompt.index)
-            else:
-                w1_key = f"soft.{prompt.index}.w1"
-                if w1_key in params.tensors:
-                    w1, w2 = params.tensors[w1_key], params.tensors[f"soft.{prompt.index}.w2"]
-                else:
-                    w1, w2 = NdBuffer(prompt.soft_w1), NdBuffer(prompt.soft_w2)
-            u = soft_anchor_value(w1, w2)
-            result = forward(sample.query_input, prompt.hard_input, prompt.hard_target, u, params)
-            total, comps = loss(result.prediction, result.betas, sample, config.weights)
-            totals.append(total)
-            for k in sums:
-                sums[k] += comps[k]
-        batch_loss = nd.mean(nd.stack(totals, axis=0)) if len(totals) > 1 else totals[0]
+        result = _batch_forward(batch, params)
+        batch_loss, comps = loss(result.prediction, result.betas,
+                                 [sample for sample, _ in batch], config.weights)
     value = batch_loss.item()
     if not np.isfinite(value):
         raise NumericError(f"non-finite loss in {batch_id}")
     grads = dict(zip(keys, tape.grad(batch_loss, [params.tensors[k] for k in keys])))
     state.update(params, grads, lr, config.weight_decay)
-    record = {k: v / len(batch) for k, v in sums.items()}
+    record = {k: comps[k] for k in ("position", "velocity", "shape")}
     record["loss"] = value
     return record
 
@@ -201,7 +209,7 @@ def train(dataset: list[MotionClip], anchors: AnchorSet, params: XFusionParams,
                 return log
             batch = build_batch(dataset, anchors, config.batch_size, rng,
                                 domains=config.domains, mask_ratio=config.mask_ratio)
-            record = train_step(batch, params, state, config, lr=lr, anchors=anchors,
+            record = train_step(batch, params, state, config, lr=lr,
                                 batch_id=f"epoch {epoch} step {step}")
             record.update({"epoch": epoch, "step": step, "global_step": done, "lr": lr})
             log.append(record)
@@ -215,7 +223,8 @@ def evaluate(dataset: list[MotionClip], anchors: AnchorSet, params: XFusionParam
     """Deterministic per-domain metric table on the given clips.
 
     Pose-output domains report root-aligned mean per-joint position error;
-    mesh-output domains report mean parameter-space error. predict_fn
+    mesh-output domains report mean parameter-space error. The network sees
+    each domain's clips in untaped batches of EVAL_CHUNK. predict_fn
     (sample, prompt) -> (F, J, 3) array overrides the network, for oracles.
     """
     if not dataset:
@@ -223,19 +232,19 @@ def evaluate(dataset: list[MotionClip], anchors: AnchorSet, params: XFusionParam
     table: dict[str, float] = {}
     for domain in domains:
         errors = []
-        for i, clip in enumerate(dataset):
-            sample = derive_task(clip, domain, derive_seed(seed, i, domain), mask_ratio)
-            prompt = retrieve_prompt(sample.query_input, anchors)
-            if predict_fn is not None:
-                pred = np.asarray(predict_fn(sample, prompt), dtype=np.float64)
+        for lo in range(0, len(dataset), EVAL_CHUNK):
+            pairs = []
+            for i in range(lo, min(lo + EVAL_CHUNK, len(dataset))):
+                sample = derive_task(dataset[i], domain, derive_seed(seed, i, domain), mask_ratio)
+                pairs.append((sample, retrieve_prompt(sample.query_input, anchors)))
+            if predict_fn is None:
+                preds = _batch_forward(pairs, params).prediction.array
             else:
-                w1, w2 = _soft_factors(params, anchors, prompt.index)
-                u = soft_anchor_value(w1, w2)
-                pred = forward(sample.query_input, prompt.hard_input, prompt.hard_target,
-                               u, params).prediction.array
-            if sample.query_target.modality is Modality.MESH:
-                errors.append(mean_param_error(pred, sample.query_target))
-            else:
-                errors.append(mpjpe(pred, sample.query_target))
+                preds = [np.asarray(predict_fn(sample, prompt), dtype=np.float64)
+                         for sample, prompt in pairs]
+            for (sample, _), pred in zip(pairs, preds):
+                target = sample.query_target
+                metric = mean_param_error if target.modality is Modality.MESH else mpjpe
+                errors.append(metric(pred, target))
         table[domain] = float(np.mean(errors))
     return table

@@ -1,0 +1,260 @@
+"""One taped pass per batch against the per-sample reference it replaced."""
+
+import numpy as np
+import pytest
+
+from helpers import make_clip
+from motionctx import nd, training
+from motionctx.errors import DimensionError
+from motionctx.motion import Modality, derive_task
+from motionctx.nd import NdBuffer, Tape
+from motionctx.network import (LEVELS, LossWeights, NetConfig, aggregate_level,
+                               context_inject, cross_level_update, encode_context, forward,
+                               init_params, loss, mean_param_error, mpjpe)
+from motionctx.prompting import retrieve_prompt, soft_anchor_value, sps_sample
+from motionctx.training import (AdamWState, TrainConfig, anchor_corpus, derive_seed, evaluate,
+                                train, train_step)
+
+HALF, JOINTS, HIDDEN = 4, 6, 8
+RTOL = 1e-10
+
+
+def mixed_setup(layers=2):
+    """Clips with 3, 4 and 5 native pose joints (mesh targets have all 6)."""
+    clips = [make_clip(half=HALF, joints=JOINTS, native_pose=3 + i % 3, seed=i,
+                       clip_id=f"c{i}") for i in range(6)]
+    corpus = anchor_corpus(clips, domains=("pe", "mr", "jc_m"), seed=0)
+    anchors = sps_sample(corpus, 6, hidden_dim=HIDDEN)
+    params = init_params(NetConfig(frames=HALF, joints=JOINTS, hidden=HIDDEN, layers=layers),
+                         1, anchors=anchors)
+    return clips, anchors, params
+
+
+def mixed_batch(clips, anchors, params):
+    """Pose and mesh domains, three native joint counts, one anchor retrieved
+    twice, and one anchor whose soft factors are not parameters."""
+    batch = []
+    for i, domain in enumerate(("pe", "mib_p", "mr", "jc_m", "fmr")):
+        sample = derive_task(clips[i], domain, derive_seed(0, i, domain))
+        batch.append((sample, retrieve_prompt(sample.query_input, anchors)))
+    sample = derive_task(clips[5], "mp_p", derive_seed(0, 5, "mp_p"))
+    batch.append((sample, batch[2][1]))
+    assert {s.query_target.native_joint_count for s, _ in batch} == {3, 4, 5, 6}
+    assert {s.query_target.modality for s, _ in batch} == {Modality.POSE3D, Modality.MESH}
+    frozen = batch[0][1].index
+    del params.tensors[f"soft.{frozen}.w1"], params.tensors[f"soft.{frozen}.w2"]
+    assert any(p.index != frozen and f"soft.{p.index}.w1" in params.tensors for _, p in batch)
+    return batch
+
+
+def reference_loss(prediction, betas, sample, weights):
+    """Per-sample objective on the leading native-joint block, as one sample
+    was scored before batches were masked."""
+    target = sample.query_target
+    native, f = target.native_joint_count, target.frames
+    err = nd.sub(nd.slice_axis(prediction, 1, 0, native),
+                 NdBuffer(target.values.array[:, :native, :]))
+    position = nd.mean(nd.sqrt(nd.reduce_sum(nd.square(err), axis=-1)))
+    vel_err = nd.sub(nd.slice_axis(err, 0, 1, f), nd.slice_axis(err, 0, 0, f - 1))
+    velocity = nd.mean(nd.sqrt(nd.reduce_sum(nd.square(vel_err), axis=-1)))
+    total = nd.add(nd.mul(position, weights.position), nd.mul(velocity, weights.velocity))
+    shape = 0.0
+    if target.modality is Modality.MESH:
+        term = nd.mean(nd.square(nd.sub(betas, NdBuffer(sample.target_betas))))
+        total = nd.add(total, nd.mul(term, weights.shape))
+        shape = term.item()
+    return total, {"position": position.item(), "velocity": velocity.item(), "shape": shape}
+
+
+def per_sample_reference(batch, params, weights):
+    """Mean loss, mean components and gradients from one taped pass per sample."""
+    keys = sorted(params.tensors)
+    totals, sums = [], {"position": 0.0, "velocity": 0.0, "shape": 0.0}
+    with Tape() as tape:
+        for sample, prompt in batch:
+            w1_key = f"soft.{prompt.index}.w1"
+            if w1_key in params.tensors:
+                u = soft_anchor_value(params.tensors[w1_key],
+                                      params.tensors[f"soft.{prompt.index}.w2"])
+            else:
+                u = soft_anchor_value(prompt.soft_w1, prompt.soft_w2)
+            result = forward(sample.query_input, prompt.hard_input, prompt.hard_target, u,
+                             params)
+            total, comps = reference_loss(result.prediction, result.betas, sample, weights)
+            totals.append(total)
+            for k in sums:
+                sums[k] += comps[k]
+        mean = nd.mean(nd.stack(totals, axis=0))
+    grads = dict(zip(keys, tape.grad(mean, [params.tensors[k] for k in keys])))
+    return mean.item(), {k: v / len(batch) for k, v in sums.items()}, grads
+
+
+class RecordingState(AdamWState):
+    def update(self, params, grads, lr, weight_decay):
+        self.grads = grads
+        super().update(params, grads, lr, weight_decay)
+
+
+def assert_close(got, want, what):
+    # rtol against the array's own scale, so entries that cancel to ~0 count too
+    scale = max(float(np.abs(want).max()), 1e-300)
+    err = float(np.abs(np.asarray(got) - want).max()) / scale
+    assert err <= RTOL, f"{what}: relative error {err:.2e}"
+
+
+def test_batched_step_matches_per_sample_reference():
+    clips, anchors, params = mixed_setup()
+    batch = mixed_batch(clips, anchors, params)
+    weights = LossWeights(position=0.7, velocity=0.4, shape=1.3)
+    want_loss, want_comps, want_grads = per_sample_reference(batch, params, weights)
+
+    state = RecordingState()
+    record = train_step(batch, params, state, TrainConfig(weights=weights))
+    assert record["loss"] == pytest.approx(want_loss, rel=RTOL, abs=0)
+    for k, v in want_comps.items():
+        assert record[k] == pytest.approx(v, rel=RTOL, abs=0), k
+    retrieved = {p.index for _, p in batch}
+    assert set(state.grads) == {k for k in want_grads if not k.startswith("soft.")
+                                or int(k.split(".")[1]) in retrieved}
+    for k, g in state.grads.items():
+        assert_close(g, want_grads[k], k)
+    assert np.abs(state.grads["head.shape.w"]).max() > 0.0  # mesh samples reach the shape head
+
+
+def test_single_sample_loss_is_the_batch_of_one():
+    clips, _, _ = mixed_setup(layers=1)
+    weights = LossWeights(position=0.7, velocity=0.4, shape=1.3)
+    for domain in ("pe", "mr"):
+        sample = derive_task(clips[0], domain, 3)
+        rng = np.random.default_rng(4)
+        pred = rng.normal(size=sample.query_target.values.shape)
+        betas = rng.normal(size=10)
+        one, one_comps = loss(NdBuffer(pred), NdBuffer(betas), sample, weights)
+        many, many_comps = loss(NdBuffer(pred[None]), NdBuffer(betas[None]), [sample], weights)
+        assert one.item() == many.item()
+        assert one_comps == many_comps
+        want, want_comps = reference_loss(NdBuffer(pred), NdBuffer(betas), sample, weights)
+        assert one.item() == pytest.approx(want.item(), rel=RTOL, abs=0)
+        for k, v in want_comps.items():
+            assert one_comps[k] == pytest.approx(v, rel=RTOL, abs=0), k
+
+
+def test_batched_loss_gives_virtual_joints_exactly_zero_gradient():
+    clips, _, _ = mixed_setup(layers=1)
+    samples = [derive_task(clips[i], "pe", i) for i in range(3)]
+    rng = np.random.default_rng(5)
+    pred = NdBuffer(rng.normal(size=(3, HALF, JOINTS, 3)))
+    with Tape() as tape:
+        total, comps = loss(pred, NdBuffer(rng.normal(size=(3, 10))), samples)
+    (g,) = tape.grad(total, [pred])
+    assert comps["shape"] == 0.0
+    for b, sample in enumerate(samples):
+        native = sample.query_target.native_joint_count
+        assert np.all(g[b, :, native:] == 0.0)
+        assert np.all(g[b, :, :native] != 0.0)
+
+
+def test_loss_rejects_mismatched_batch():
+    clips, _, _ = mixed_setup(layers=1)
+    samples = [derive_task(clips[i], "pe", i) for i in range(2)]
+    with pytest.raises(DimensionError):
+        loss(NdBuffer(np.zeros((3, HALF, JOINTS, 3))), NdBuffer(np.zeros((3, 10))), samples)
+
+
+def _forward_unbatched_layout(q, p, gt, u, params):
+    """The forward pass written for (F, J, .) inputs only, from public pieces."""
+    cfg = params.config
+    h_q, h_p = encode_context(q, p, gt, u, params)
+
+    def block(h, layer, branch):
+        for view in cfg.view_order:
+            base = f"layer{layer}.{branch}.{view}"
+            tracks = nd.transpose(h, (1, 0, 2)) if view == "temporal" else h
+            outs = []
+            for level in LEVELS:
+                prefix = {"attention": "attn"}.get(level, level)
+                w = {k.split(".")[-1]: v for k, v in params.tensors.items()
+                     if k.startswith(f"{base}.{prefix}.")}
+                outs.append(aggregate_level(tracks, level, view, w))
+            fused, _ = cross_level_update(outs, params[f"layer{layer}.compress.w"],
+                                          params[f"layer{layer}.compress.b"])
+            x = nd.add(tracks, fused)
+            mu = nd.mean(x, axis=-1, keepdims=True)
+            centered = nd.sub(x, mu)
+            var = nd.mean(nd.square(centered), axis=-1, keepdims=True)
+            inv = nd.div(1.0, nd.sqrt(nd.add(var, 1e-5)))
+            h = nd.add(nd.mul(nd.mul(centered, inv), params[f"{base}.ln.g"]),
+                       params[f"{base}.ln.b"])
+            if view == "temporal":
+                h = nd.transpose(h, (1, 0, 2))
+        return h
+
+    for k in range(cfg.layers):
+        z_q, z_p = block(h_q, k, "q"), block(h_p, k, "p")
+        h_q, h_p = context_inject(z_p, z_q), z_p
+    prediction = nd.add(nd.matmul(h_q, params["head.pos.w"]), params["head.pos.b"])
+    pooled = nd.reshape(nd.mean(h_q, axis=(0, 1)), (1, cfg.hidden))
+    betas = nd.add(nd.matmul(pooled, params["head.shape.w"]), params["head.shape.b"])
+    return prediction.array, nd.reshape(betas, (cfg.shape_params,)).array
+
+
+def test_unbatched_forward_is_bitwise_the_unbatched_layout():
+    _, _, params = mixed_setup()
+    rng = np.random.default_rng(6)
+    q, p, gt = (NdBuffer(rng.normal(size=(HALF, JOINTS, 3))) for _ in range(3))
+    u = NdBuffer(rng.normal(size=(HALF, JOINTS, HIDDEN)))
+    result = forward(q, p, gt, u, params)
+    pred, betas = _forward_unbatched_layout(q, p, gt, u, params)
+    assert np.array_equal(result.prediction.array, pred)
+    assert np.array_equal(result.betas.array, betas)
+
+
+def test_batched_forward_rows_match_unbatched_calls():
+    _, _, params = mixed_setup()
+    rng = np.random.default_rng(7)
+    q, p, gt = (rng.normal(size=(3, HALF, JOINTS, 3)) for _ in range(3))
+    u = rng.normal(size=(3, HALF, JOINTS, HIDDEN))
+    batched = forward(NdBuffer(q), NdBuffer(p), NdBuffer(gt), NdBuffer(u), params)
+    assert batched.prediction.shape == (3, HALF, JOINTS, 3)
+    assert batched.betas.shape == (3, 10)
+    for b in range(3):
+        one = forward(NdBuffer(q[b]), NdBuffer(p[b]), NdBuffer(gt[b]), NdBuffer(u[b]), params)
+        assert_close(batched.prediction.array[b], one.prediction.array, "prediction")
+        assert_close(batched.betas.array[b], one.betas.array, "betas")
+        for layer_b, layer_one in zip(batched.influence, one.influence):
+            for branch in ("q", "p"):
+                for field in ("temporal", "spatial", "raw_temporal", "raw_spatial"):
+                    assert_close(getattr(layer_b[branch], field)[b],
+                                 getattr(layer_one[branch], field), field)
+
+
+def test_batched_evaluate_matches_per_sample_loop(monkeypatch):
+    clips, anchors, params = mixed_setup()
+    monkeypatch.setattr(training, "EVAL_CHUNK", 4)  # 6 clips: a full and a partial chunk
+    domains = ("pe", "mr", "jc_m")
+    table = evaluate(clips, anchors, params, domains=domains, seed=2)
+    for domain in domains:
+        errors = []
+        for i, clip in enumerate(clips):
+            sample = derive_task(clip, domain, derive_seed(2, i, domain))
+            prompt = retrieve_prompt(sample.query_input, anchors)
+            u = soft_anchor_value(params.tensors[f"soft.{prompt.index}.w1"],
+                                  params.tensors[f"soft.{prompt.index}.w2"])
+            pred = forward(sample.query_input, prompt.hard_input, prompt.hard_target, u,
+                           params).prediction
+            metric = mean_param_error if sample.query_target.modality is Modality.MESH else mpjpe
+            errors.append(metric(pred, sample.query_target))
+        assert abs(table[domain] - float(np.mean(errors))) <= 1e-10, domain
+
+
+def test_mixed_domain_training_is_bitwise_reproducible():
+    runs = []
+    for _ in range(2):
+        clips, anchors, params = mixed_setup(layers=1)
+        log = train(clips, anchors, params,
+                    TrainConfig(epochs=2, steps_per_epoch=3, batch_size=5,
+                                domains=("pe", "mr", "jc_m", "mp_m"), seed=8))
+        runs.append((log, {k: v.array.copy() for k, v in params.tensors.items()}))
+    assert runs[0][0] == runs[1][0]
+    for k, v in runs[0][1].items():
+        assert np.array_equal(v, runs[1][1][k]), k

@@ -6,11 +6,12 @@ import re
 import numpy as np
 import pytest
 
+from motionctx import fileio
 from motionctx.cli import main
 from motionctx.fileio import load_anchors, load_checkpoint, load_dataset
 from motionctx.motion import derive_task
 from motionctx.network import NetConfig, init_params
-from motionctx.prompting import retrieve_prompt
+from motionctx.prompting import retrieve_prompt, similarity
 from motionctx.training import derive_seed
 
 
@@ -153,6 +154,39 @@ def test_derive_and_retrieve_use_the_library_seed(pipeline, capsys):
     assert code == 0
     assert f"best anchor {expected.index} " in out
     assert f"similarity {expected.similarity:.6f}" in out
+
+
+@pytest.mark.parametrize("filtered", [False, True])
+def test_retrieve_loads_the_dataset_once(pipeline, capsys, monkeypatch, filtered):
+    tmp_path, data, anchors_path = pipeline
+    clips = load_dataset(data)
+    anchors, _ = load_anchors(anchors_path)
+    # The report as a per-anchor similarity loop computes it.
+    sample = derive_task(clips[4], "mp_p", derive_seed(2, 4, "mp_p"))
+    prompt = retrieve_prompt(sample.query_input, anchors,
+                             domain_filter="mp_p" if filtered else None)
+    sims = sorted((similarity(sample.query_input, a.input) for a in anchors.anchors
+                   if not filtered or a.domain == "mp_p"), reverse=True)
+    best = anchors.anchors[prompt.index]
+    expected = (f"query: clip {clips[4].clip_id} domain mp_p\n"
+                f"best anchor {prompt.index} (domain {best.domain}, "
+                f"source {best.source_index}): similarity {prompt.similarity:.6f}\n"
+                f"runner-up margin {sims[0] - sims[1]:.6f}\n")
+
+    calls = []
+    inner = fileio.load_dataset
+
+    def counting(path):
+        calls.append(path)
+        return inner(path)
+
+    monkeypatch.setattr(fileio, "load_dataset", counting)
+    argv = ["retrieve", "--dataset", data, "--anchors", anchors_path, "--domains", "mp_p",
+            "--clip", "4", "--seed", "2"] + (["--domain-filter-retrieval"] if filtered else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert calls == [data]
+    assert out == expected
 
 
 def test_train_then_eval_pipeline(pipeline, capsys):

@@ -6,8 +6,8 @@ import pytest
 from motionctx.errors import DimensionError, DomainError, StateError
 from motionctx.motion import Modality, MotionSequence, canonical_tbody, unify_pose3d
 from motionctx.nd import NdBuffer
-from motionctx.prompting import (cluster_sample, corpus_fingerprint, coverage, max_sim,
-                                 random_sample, retrieve_prompt, similarity,
+from motionctx.prompting import (_sims_to_one, cluster_sample, corpus_fingerprint, coverage,
+                                 max_sim, random_sample, retrieve_prompt, similarity,
                                  soft_anchor_value, sps_sample)
 
 
@@ -122,6 +122,39 @@ def test_sps_matches_bruteforce_oracle():
         assert [a.source_index for a in got.anchors[1:]] == want
 
 
+def _full_update_sps(stacked, k):
+    """The max-min loop that rescored every member, taken or not, each step."""
+    frames, joints = stacked.shape[1:3]
+    best = _sims_to_one(stacked, canonical_tbody(frames, joints).values.array)
+    taken = np.zeros(len(stacked), dtype=bool)
+    picked, trace = [], []
+    while len(picked) + 1 < k and not taken.all():
+        idx = int(np.argmin(np.where(taken, np.inf, best)))
+        picked.append(idx)
+        trace.append(float(best[idx]))
+        taken[idx] = True
+        best = np.maximum(best, _sims_to_one(stacked, stacked[idx]))
+    return picked, trace
+
+
+def test_sps_alive_only_update_equals_full_update_bitwise():
+    for seed in range(30):
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(1, 40))
+        if seed % 3 == 0:  # integer grid: many exactly tied similarities
+            corpus = [entry(mesh_seq(rng.integers(-1, 2, size=(2, 3, 3)).astype(float)))
+                      for _ in range(n)]
+        else:
+            corpus = random_corpus(n, seed=400 + seed)
+        if seed % 4 == 0 and n > 2:
+            corpus[2] = corpus[0]  # duplicate members tie exactly
+        k = int(rng.integers(1, n + 5))  # k > corpus size exhausts the corpus
+        got = sps_sample(corpus, k, hidden_dim=4)
+        picked, trace = _full_update_sps(np.stack([c[0].values.array for c in corpus]), k)
+        assert [a.source_index for a in got.anchors[1:]] == picked
+        assert got.selection_trace == tuple(trace)
+
+
 def test_sps_maxmin_property_post_hoc():
     corpus = random_corpus(16, seed=77)
     anchors = sps_sample(corpus, k=6, hidden_dim=4)
@@ -212,6 +245,31 @@ def test_retrieve_prompt_domain_filter():
     assert only_mp.hard_input.values.array[0, 0, 0] == 6.0
     with pytest.raises(StateError):
         retrieve_prompt(q, anchors, domain_filter="jc_m")
+
+
+def test_retrieve_prompt_domain_filter_matches_filtered_linear_scan():
+    rng = np.random.default_rng(41)
+    domains = ("pe", "mp_p", "jc_m")
+    corpus = [entry(mesh_seq(rng.integers(-1, 2, size=(2, 3, 3)).astype(float)),
+                    domains[i % 3]) for i in range(30)]
+    anchors = sps_sample(corpus, k=20, hidden_dim=4)
+    for _ in range(200):
+        q = mesh_seq(rng.integers(-1, 2, size=(2, 3, 3)).astype(float))
+        for d in domains:
+            members = [i for i, a in enumerate(anchors.anchors) if a.domain == d]
+            assert anchors.domain_indices(d).tolist() == members
+            sims = [similarity(q, anchors.anchors[i].input) for i in members]
+            want = members[max(range(len(members)), key=lambda j: (sims[j], -j))]
+            assert retrieve_prompt(q, anchors, domain_filter=d).index == want
+    assert anchors.domain_indices("mr").size == 0
+
+
+def test_stacked_inputs_built_once_and_read_only():
+    anchors = sps_sample(random_corpus(6), k=4, hidden_dim=4)
+    stacked = anchors.stacked_inputs()
+    assert anchors.stacked_inputs() is stacked
+    assert not stacked.flags.writeable
+    assert np.array_equal(stacked, np.stack([a.input.values.array for a in anchors.anchors]))
 
 
 def test_retrieve_prompt_shape_mismatch():

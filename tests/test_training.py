@@ -140,7 +140,7 @@ def test_zero_learning_rate_step_leaves_params_bitwise_unchanged():
     before = {k: v.array.copy() for k, v in params.tensors.items()}
     cfg = TrainConfig(learning_rate=0.0, domains=("pe",), batch_size=3)
     batch = build_batch(dataset, anchors, 3, rng_seed=1, domains=("pe",))
-    record = train_step(batch, params, AdamWState(), cfg, anchors=anchors)
+    record = train_step(batch, params, AdamWState(), cfg)
     assert np.isfinite(record["loss"])
     for k, v in params.tensors.items():
         assert np.array_equal(v.array, before[k]), k
@@ -163,7 +163,7 @@ def test_single_sample_step_descends_in_most_seeds():
         cfg = TrainConfig(learning_rate=1e-4, domains=("pe",), batch_size=1)
         batch = build_batch(dataset, anchors, 1, rng_seed=seed, domains=("pe",))
         before = batch_loss(batch, params)
-        train_step(batch, params, AdamWState(), cfg, anchors=anchors)
+        train_step(batch, params, AdamWState(), cfg)
         after = batch_loss(batch, params)
         wins += after < before
     assert wins >= 18, wins
@@ -179,7 +179,7 @@ def test_only_retrieved_soft_anchors_update():
                              soft_w1=anchors.soft_w1[1], soft_w2=anchors.soft_w2[1],
                              index=1, similarity=0.0)
     cfg = TrainConfig(learning_rate=1e-3, domains=("pe",), batch_size=1)
-    train_step([(sample, prompt)], params, AdamWState(), cfg, anchors=anchors)
+    train_step([(sample, prompt)], params, AdamWState(), cfg)
     assert not np.array_equal(params.tensors["soft.1.w1"].array, before["soft.1.w1"])
     assert not np.array_equal(params.tensors["soft.1.w2"].array, before["soft.1.w2"])
     for i in range(len(anchors)):
@@ -208,7 +208,7 @@ def test_non_finite_loss_raises_numeric_error_naming_the_batch():
     cfg = TrainConfig(domains=("pe",), batch_size=1)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match="epoch 0 step 7"):
-            train_step([(huge, prompt)], params, AdamWState(), cfg, anchors=anchors,
+            train_step([(huge, prompt)], params, AdamWState(), cfg,
                        batch_id="epoch 0 step 7")
 
 
