@@ -11,6 +11,7 @@ failures (non-finite values, gradient-check rejection).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -21,10 +22,11 @@ from . import fileio, nd
 from .errors import (ConfigError, DimensionError, DomainError, FormatError, NumericError,
                      StateError)
 from .motion import (DEFAULT_MASK_RATIO, DOMAIN_ORDER, DOMAINS, derive_task, parse_domain)
-from .network import LossWeights, NetConfig, XFusionParams, forward, init_params, loss
-from .prompting import (DEFAULT_ANCHOR_COUNT, DEFAULT_HIDDEN, anchor_similarities,
-                        cluster_sample, corpus_fingerprint, random_sample, retrieve_prompt,
-                        soft_anchor_value, sps_sample)
+from .network import (DEFAULT_HIDDEN, LossWeights, NetConfig, XFusionParams, forward,
+                      init_params, loss)
+from .prompting import (DEFAULT_ANCHOR_COUNT, anchor_similarities, cluster_sample,
+                        corpus_fingerprint, random_sample, retrieve_prompt, soft_anchor_value,
+                        sps_sample)
 from .synth import SynthConfig, make_dataset
 from .training import TrainConfig, anchor_corpus, derive_seed, evaluate, train
 
@@ -38,11 +40,25 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _parse_domains(text: str) -> tuple[str, ...]:
-    names = tuple(parse_domain(part) for part in text.split(",") if part.strip())
+def _domains(value) -> tuple[str, ...]:
+    """Task ids from a comma string or a JSON list, each checked by `parse_domain`;
+    None means every domain."""
+    if value is None:
+        return DOMAIN_ORDER
+    parts = value.split(",") if isinstance(value, str) else value
+    if not isinstance(parts, (list, tuple)) or not all(isinstance(p, str) for p in parts):
+        raise ConfigError(f"domains must be a comma-separated string or a list of "
+                          f"task ids, got {value!r}")
+    names = tuple(parse_domain(part) for part in parts if part.strip())
     if not names:
-        raise ConfigError(f"no task domains in {text!r}")
+        raise ConfigError(f"no task domains in {value!r}")
     return names
+
+
+def _defaults(config_cls) -> dict:
+    """Field name -> default of a config dataclass; factory-built fields are left out."""
+    return {f.name: f.default for f in dataclasses.fields(config_cls)
+            if f.default is not dataclasses.MISSING}
 
 
 def _merge(defaults: dict, config_path: str | None, flags: dict) -> dict:
@@ -66,10 +82,7 @@ def _require(args, *names):
 
 
 def cmd_synth(args) -> int:
-    defaults = {"clips": 16, "frames": 8, "joints": 6, "native_pose_joints": 5,
-                "clusters": 2, "outliers": 0, "seed": 0, "amplitude": 0.1,
-                "cluster_spread": 0.05, "beta_scale": 0.2}
-    cfg = SynthConfig(**_merge(defaults, args.config, {"seed": args.seed}))
+    cfg = SynthConfig(**_merge(_defaults(SynthConfig), args.config, {"seed": args.seed}))
     _require(args, "out")
     clips = make_dataset(cfg)
     fileio.save_dataset(args.out, clips)
@@ -78,22 +91,16 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _sampling_meta(domains, seed, mask_ratio):
-    return {"domains": list(domains), "corpus_seed": seed, "mask_ratio": mask_ratio}
-
-
 def cmd_sample_anchors(args) -> int:
     _require(args, "dataset", "out")
     defaults = {"seed": 0, "k": DEFAULT_ANCHOR_COUNT, "method": "sps",
-                "hidden": DEFAULT_HIDDEN, "mask_ratio": DEFAULT_MASK_RATIO,
-                "domains": ",".join(DOMAIN_ORDER)}
+                "hidden": DEFAULT_HIDDEN, "mask_ratio": DEFAULT_MASK_RATIO, "domains": None}
     cfg = _merge(defaults, args.config,
                  {"seed": args.seed, "k": args.k, "method": args.method,
                   "domains": args.domains})
-    domains = cfg["domains"] if isinstance(cfg["domains"], (tuple, list)) \
-        else _parse_domains(cfg["domains"])
+    domains = _domains(cfg["domains"])
     clips = fileio.load_dataset(args.dataset)
-    corpus = anchor_corpus(clips, domains=tuple(domains), seed=cfg["seed"],
+    corpus = anchor_corpus(clips, domains=domains, seed=cfg["seed"],
                            mask_ratio=cfg["mask_ratio"])
     if cfg["method"] == "sps":
         anchors = sps_sample(corpus, cfg["k"], hidden_dim=cfg["hidden"])
@@ -108,8 +115,8 @@ def cmd_sample_anchors(args) -> int:
     else:
         raise ConfigError(f"unknown sampling method {cfg['method']!r}; "
                           f"choose sps, random, or cluster")
-    fileio.save_anchors(args.out, anchors,
-                        meta=_sampling_meta(domains, cfg["seed"], cfg["mask_ratio"]))
+    meta = {"domains": list(domains), "corpus_seed": cfg["seed"], "mask_ratio": cfg["mask_ratio"]}
+    fileio.save_anchors(args.out, anchors, meta=meta)
     print(f"wrote {len(anchors)} anchors (method {anchors.method}, K={anchors.k_requested}) "
           f"to {args.out}")
     return 0
@@ -133,7 +140,7 @@ def cmd_retrieve(args) -> int:
     _check_fingerprint(anchors, meta, clips)
     if not 0 <= args.clip < len(clips):
         raise ConfigError(f"--clip {args.clip} out of range for {len(clips)} clips")
-    domain = _parse_domains(args.domains)[0] if args.domains else "pe"
+    domain = _domains(args.domains or "pe")[0]
     sample = derive_task(clips[args.clip], domain, derive_seed(args.seed or 0, args.clip, domain))
     prompt = retrieve_prompt(sample.query_input, anchors,
                              domain_filter=domain if args.domain_filter_retrieval else None)
@@ -153,7 +160,7 @@ def cmd_retrieve(args) -> int:
 def cmd_derive(args) -> int:
     _require(args, "dataset")
     clips = fileio.load_dataset(args.dataset)
-    domains = _parse_domains(args.domains) if args.domains else DOMAIN_ORDER
+    domains = _domains(args.domains)
     seed = args.seed or 0
     reports = []
     for ci, clip in enumerate(clips):
@@ -186,36 +193,27 @@ def cmd_derive(args) -> int:
 
 def cmd_train(args) -> int:
     _require(args, "dataset", "anchors", "out")
-    defaults = {"seed": 0, "hidden": None, "layers": 2, "learning_rate": 2e-4,
-                "lr_decay": 0.99, "epochs": 1, "steps_per_epoch": None, "batch_size": 8,
-                "weight_decay": 0.01, "mask_ratio": DEFAULT_MASK_RATIO, "max_steps": None,
-                "position_weight": 1.0, "velocity_weight": 1.0, "shape_weight": 1.0,
-                "domains": ",".join(DOMAIN_ORDER)}
+    # Loss weights are flat `<term>_weight` keys; `hidden` defaults to the anchor file's.
+    weight_defaults = {f"{name}_weight": value for name, value in _defaults(LossWeights).items()}
+    defaults = {**_defaults(TrainConfig), **weight_defaults, "hidden": None, "layers": 2}
     cfg = _merge(defaults, args.config, {"seed": args.seed, "domains": args.domains})
-    domains = cfg["domains"] if isinstance(cfg["domains"], (tuple, list)) \
-        else _parse_domains(cfg["domains"])
+    cfg["domains"] = _domains(cfg["domains"])
     clips = fileio.load_dataset(args.dataset)
     anchors, _ = fileio.load_anchors(args.anchors)
-    hidden = cfg["hidden"] if cfg["hidden"] is not None else anchors.hidden
-    if hidden != anchors.hidden:
+    hidden, layers = cfg.pop("hidden"), cfg.pop("layers")
+    if hidden not in (None, anchors.hidden):
         raise ConfigError(f"config hidden={hidden} but the anchor file stores "
                           f"soft factors of width {anchors.hidden}")
     if not clips:
         raise StateError("dataset holds no clips")
     net = NetConfig(frames=clips[0].window, joints=clips[0].joints,
-                    hidden=hidden, layers=cfg["layers"])
+                    hidden=anchors.hidden, layers=layers)
     if anchors.frames != net.frames or anchors.joints != net.joints:
         raise DimensionError(f"anchor shape ({anchors.frames}, {anchors.joints}) does not "
                              f"match dataset window ({net.frames}, {net.joints})")
     params = init_params(net, cfg["seed"], anchors=anchors)
-    weights = LossWeights(position=cfg["position_weight"], velocity=cfg["velocity_weight"],
-                          shape=cfg["shape_weight"])
-    tc = TrainConfig(learning_rate=cfg["learning_rate"], lr_decay=cfg["lr_decay"],
-                     epochs=cfg["epochs"], steps_per_epoch=cfg["steps_per_epoch"],
-                     batch_size=cfg["batch_size"], weights=weights,
-                     weight_decay=cfg["weight_decay"], seed=cfg["seed"],
-                     domains=tuple(domains), mask_ratio=cfg["mask_ratio"],
-                     max_steps=cfg["max_steps"])
+    weights = LossWeights(**{name: cfg.pop(f"{name}_weight") for name in _defaults(LossWeights)})
+    tc = TrainConfig(**cfg, weights=weights)
     log = train(clips, anchors, params, tc)
     for rec in log:
         print(f"epoch {rec['epoch']} step {rec['step']} lr {rec['lr']:.6e} "
@@ -233,7 +231,7 @@ def cmd_eval(args) -> int:
     clips = fileio.load_dataset(args.dataset)
     anchors, _ = fileio.load_anchors(args.anchors)
     params, _ = fileio.load_checkpoint(args.checkpoint)
-    domains = _parse_domains(args.domains) if args.domains else DOMAIN_ORDER
+    domains = _domains(args.domains)
     table = evaluate(clips, anchors, params, domains=domains, seed=args.seed or 0)
     for domain in domains:
         label = "param error" if DOMAINS[domain].mesh_output else "position error"
@@ -244,9 +242,8 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     defaults = {"seed": 0, "frames": 4, "joints": 5, "hidden": 8, "layers": 2}
     cfg = _merge(defaults, args.config, {"seed": args.seed})
-    net = NetConfig(frames=cfg["frames"], joints=cfg["joints"], hidden=cfg["hidden"],
-                    layers=cfg["layers"])
-    report = run_gradient_check(net, cfg["seed"])
+    seed = cfg.pop("seed")
+    report = run_gradient_check(NetConfig(**cfg), seed)
     status = "PASS" if report.max_rel_err < GRADCHECK_THRESHOLD else "FAIL"
     print(f"max relative error {report.max_rel_err:.3e} "
           f"(worst parameter {report.worst_param!r} index {report.worst_index}): {status}")
@@ -260,8 +257,7 @@ def cmd_gradcheck(args) -> int:
 def run_gradient_check(net: NetConfig, seed: int) -> "nd.GradCheckReport":
     """Full forward+loss analytic-vs-numeric comparison over every parameter."""
     synth = SynthConfig(clips=2, frames=net.frames, joints=net.joints,
-                        native_pose_joints=max(1, net.joints - 1), clusters=2,
-                        seed=seed)
+                        native_pose_joints=max(1, net.joints - 1), seed=seed)
     sample = derive_task(make_dataset(synth)[0], "pe", rng_seed=seed)
     rng = np.random.default_rng(seed + 1)
     p_in = nd.NdBuffer(rng.normal(size=(net.frames, net.joints, 3)))

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError, FormatError, NumericError
 from .motion import SHAPE_PARAMS, Modality, MotionClip, MotionSequence
 from .nd import NdBuffer
-from .network import NetConfig, XFusionParams
+from .network import VIEWS, NetConfig, XFusionParams
 from .prompting import Anchor, AnchorSet
 
 MAGIC = b"HICM"
@@ -30,13 +30,9 @@ VERSION = 1
 _HEADER = struct.Struct("<4sHI")  # magic, version, manifest byte length
 
 
-def _canonical_manifest(manifest: dict) -> bytes:
-    return json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 def write_file(path: str, manifest: dict, payload: bytes) -> None:
     """Atomic header + manifest + payload write (temp file, then rename)."""
-    blob = _canonical_manifest(manifest)
+    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".tmp")
     try:
@@ -80,6 +76,28 @@ def _expect_kind(manifest: dict, kind: str) -> None:
     found = manifest.get("kind")
     if found != kind:
         raise FormatError(f"expected a {kind!r} file, manifest says kind={found!r}")
+
+
+def _positive(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _field(mapping, key: str, kind: type, where: str = "manifest"):
+    """mapping[key], checked for presence and type. Kind int means a positive
+    integer (an extent or a count); kind tuple a list of them (a tensor shape)."""
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise FormatError(f"{where} lacks the {key!r} field")
+    value = mapping[key]
+    if kind is int:
+        ok, want = _positive(value), "positive integer"
+    elif kind is tuple:
+        ok = isinstance(value, list) and all(map(_positive, value))
+        want = "list of positive integers"
+    else:
+        ok, want = isinstance(value, kind), kind.__name__
+    if not ok:
+        raise FormatError(f"{where} field {key!r} must be a {want}, got {value!r}")
+    return tuple(value) if kind is tuple else value
 
 
 def _check_payload(payload: bytes, expected: int, offset: int) -> None:
@@ -152,8 +170,8 @@ def save_dataset(path: str, clips: list[MotionClip]) -> None:
 def load_dataset(path: str) -> list[MotionClip]:
     manifest, payload, offset = read_file(path)
     _expect_kind(manifest, "dataset")
-    half, joints, n = manifest["frames"], manifest["joints"], manifest["clips"]
-    meta = manifest["clip_meta"]
+    half, joints, n = (_field(manifest, k, int) for k in ("frames", "joints", "clips"))
+    meta = _field(manifest, "clip_meta", list)
     if len(meta) != n:
         raise FormatError(f"manifest lists {len(meta)} clip entries, clips={n}")
     block = 2 * half * joints * 3
@@ -210,8 +228,8 @@ def save_anchors(path: str, anchors: AnchorSet, meta: dict | None = None) -> Non
 def load_anchors(path: str) -> tuple[AnchorSet, dict]:
     manifest, payload, offset = read_file(path)
     _expect_kind(manifest, "anchors")
-    a, f, j, h = (manifest[k] for k in ("count", "frames", "joints", "hidden"))
-    meta = manifest["anchors"]
+    a, f, j, h = (_field(manifest, k, int) for k in ("count", "frames", "joints", "hidden"))
+    meta = _field(manifest, "anchors", list)
     if len(meta) != a:
         raise FormatError(f"manifest lists {len(meta)} anchor entries, count={a}")
     seq = f * j * 3
@@ -229,11 +247,12 @@ def load_anchors(path: str) -> tuple[AnchorSet, dict]:
                _load_sequence(targets[i], m["target"], target_betas[i]),
                m["domain"], m["source_index"])
         for i, m in enumerate(meta))
-    loaded = AnchorSet(anchors=hard, k_requested=manifest["k_requested"], soft_w1=w1, soft_w2=w2,
-                       tie_break=manifest["tie_break"], fingerprint=manifest["fingerprint"],
-                       method=manifest["method"],
-                       selection_trace=tuple(manifest["selection_trace"]))
-    return loaded, manifest["meta"]
+    loaded = AnchorSet(anchors=hard, k_requested=_field(manifest, "k_requested", int),
+                       soft_w1=w1, soft_w2=w2, tie_break=_field(manifest, "tie_break", str),
+                       fingerprint=_field(manifest, "fingerprint", str),
+                       method=_field(manifest, "method", str),
+                       selection_trace=tuple(_field(manifest, "selection_trace", list)))
+    return loaded, _field(manifest, "meta", dict)
 
 
 def save_checkpoint(path: str, params: XFusionParams, meta: dict | None = None) -> None:
@@ -243,8 +262,7 @@ def save_checkpoint(path: str, params: XFusionParams, meta: dict | None = None) 
     manifest = {
         "kind": "checkpoint",
         "config": {"frames": cfg.frames, "joints": cfg.joints, "hidden": cfg.hidden,
-                   "layers": cfg.layers, "shape_params": cfg.shape_params,
-                   "view_order": list(cfg.view_order)},
+                   "layers": cfg.layers},
         "tensors": [{"name": n, "shape": list(params.tensors[n].shape)} for n in names],
         "meta": meta or {},
     }
@@ -255,17 +273,21 @@ def save_checkpoint(path: str, params: XFusionParams, meta: dict | None = None) 
 def load_checkpoint(path: str) -> tuple[XFusionParams, dict]:
     manifest, payload, offset = read_file(path)
     _expect_kind(manifest, "checkpoint")
-    c = manifest["config"]
-    cfg = NetConfig(frames=c["frames"], joints=c["joints"], hidden=c["hidden"],
-                    layers=c["layers"], shape_params=c["shape_params"],
-                    view_order=tuple(c["view_order"]))
-    entries = manifest["tensors"]
-    expected = sum(int(np.prod(e["shape"], dtype=np.int64)) if e["shape"] else 1
-                   for e in entries) * 8
+    c = _field(manifest, "config", dict)
+    cfg = NetConfig(**{k: _field(c, k, int, "checkpoint config")
+                       for k in ("frames", "joints", "hidden", "layers")})
+    # Older checkpoints also record these two fixed design choices.
+    for key, fixed in (("shape_params", SHAPE_PARAMS), ("view_order", list(VIEWS))):
+        if c.get(key, fixed) != fixed:
+            raise FormatError(f"checkpoint config {key}={c[key]!r}; only {fixed!r} is supported")
+    entries = [(_field(e, "name", str, f"tensor entry {i}"),
+                _field(e, "shape", tuple, f"tensor entry {i}"))
+               for i, e in enumerate(_field(manifest, "tensors", list))]
+    expected = sum(int(np.prod(shape, dtype=np.int64)) for _, shape in entries) * 8
     _check_payload(payload, expected, offset)
     cursor = _Cursor(payload, offset)
-    tensors = {e["name"]: NdBuffer(cursor.take(tuple(e["shape"]), "<f8")) for e in entries}
-    return XFusionParams(cfg, tensors), manifest["meta"]
+    tensors = {name: NdBuffer(cursor.take(shape, "<f8")) for name, shape in entries}
+    return XFusionParams(cfg, tensors), _field(manifest, "meta", dict)
 
 
 def load_config(path: str) -> dict:

@@ -24,6 +24,7 @@ every operator (off by default; construction is always checked).
 from __future__ import annotations
 
 import contextlib
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,6 +33,7 @@ from .errors import DimensionError, NumericError
 
 _TAPES: list["Tape"] = []
 _DEBUG_CHECKS = False
+GRAD_CHECK_STEP = 1e-5  # central-difference half-width used by `grad_check`
 
 
 @contextlib.contextmanager
@@ -112,15 +114,12 @@ class Tape:
 
     def __init__(self):
         self._records: list[tuple[str, NdBuffer, tuple[NdBuffer, ...], Callable]] = []
-        self._open = False
 
     def __enter__(self) -> "Tape":
         _TAPES.append(self)
-        self._open = True
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        self._open = False
         popped = _TAPES.pop()
         assert popped is self
         return False
@@ -249,10 +248,6 @@ def mul(a, b) -> NdBuffer:
 def div(a, b) -> NdBuffer:
     return _elementwise_pair("div", a, b, lambda x, y: x / y,
                              lambda g, x, y, o: g / y, lambda g, x, y, o: -g * o / y)
-
-
-def neg(a) -> NdBuffer:
-    return mul(a, -1.0)
 
 
 def matmul(a: NdBuffer, b: NdBuffer) -> NdBuffer:
@@ -522,12 +517,11 @@ def softmax_lastdim(a: NdBuffer) -> NdBuffer:
 
 
 def grad_check(f: Callable[[dict[str, NdBuffer]], NdBuffer],
-               params: dict[str, np.ndarray],
-               step: float = 1e-5) -> "GradCheckReport":
+               params: dict[str, np.ndarray]) -> "GradCheckReport":
     """Compare tape gradients of a scalar function against central differences.
 
     `f` maps a name->NdBuffer dict to a scalar NdBuffer. Every coordinate of
-    every parameter is perturbed by +/- step; the relative error is
+    every parameter is perturbed by +/- GRAD_CHECK_STEP; the relative error is
     |analytic - cd| / max(1, |cd|). The analytic pass runs with per-operation
     finiteness checks enabled.
     """
@@ -554,12 +548,12 @@ def grad_check(f: Callable[[dict[str, NdBuffer]], NdBuffer],
         worst_here = 0.0
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + GRAD_CHECK_STEP
             hi = eval_at(base)
-            flat[i] = orig - step
+            flat[i] = orig - GRAD_CHECK_STEP
             lo = eval_at(base)
             flat[i] = orig
-            cd = (hi - lo) / (2.0 * step)
+            cd = (hi - lo) / (2.0 * GRAD_CHECK_STEP)
             rel = abs(grads[i] - cd) / max(1.0, abs(cd))
             if rel > worst_here:
                 worst_here = rel
@@ -571,17 +565,16 @@ def grad_check(f: Callable[[dict[str, NdBuffer]], NdBuffer],
                            per_param=per_param)
 
 
+@dataclass(frozen=True, repr=False)
 class GradCheckReport:
     """Result of grad_check: the worst coordinate and per-parameter maxima."""
 
-    def __init__(self, max_rel_err, worst_param, worst_index, analytic_at_worst,
-                 numeric_at_worst, per_param):
-        self.max_rel_err = max_rel_err
-        self.worst_param = worst_param
-        self.worst_index = worst_index
-        self.analytic_at_worst = analytic_at_worst
-        self.numeric_at_worst = numeric_at_worst
-        self.per_param = per_param
+    max_rel_err: float
+    worst_param: str
+    worst_index: int
+    analytic_at_worst: float
+    numeric_at_worst: float
+    per_param: dict[str, float]
 
     def __repr__(self) -> str:
         return (f"GradCheckReport(max_rel_err={self.max_rel_err:.3e}, "

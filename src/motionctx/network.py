@@ -34,6 +34,7 @@ from .nd import NdBuffer
 LEVELS = ("attention", "graph", "ssm")
 VIEWS = ("temporal", "spatial")
 LN_EPS = 1e-5
+DEFAULT_HIDDEN = 128  # feature width H; soft-anchor factors share it
 
 # Parent of each joint in the 24-joint SMPL kinematic tree (root is -1).
 SMPL_PARENTS = (-1, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 9, 9, 12, 13, 14, 16, 17, 18, 19, 20, 21)
@@ -68,16 +69,12 @@ def path_adjacency(length: int) -> np.ndarray:
 class NetConfig:
     frames: int = 16
     joints: int = 24
-    hidden: int = 128
+    hidden: int = DEFAULT_HIDDEN
     layers: int = 8
-    shape_params: int = SHAPE_PARAMS
-    view_order: tuple[str, ...] = VIEWS
 
     def __post_init__(self):
         if min(self.frames, self.joints, self.hidden, self.layers) < 1:
             raise ConfigError(f"network extents must be positive: {self}")
-        if sorted(self.view_order) != sorted(VIEWS):
-            raise ConfigError(f"view_order must arrange {VIEWS}, got {self.view_order}")
 
 
 @dataclass
@@ -151,8 +148,8 @@ def init_params(cfg: NetConfig, rng_seed: int, anchors=None) -> XFusionParams:
         t[f"layer{k}.compress.b"] = np.zeros(len(LEVELS))
     t["head.pos.w"] = normal((h, CHANNELS), 1.0 / np.sqrt(h))
     t["head.pos.b"] = np.zeros(CHANNELS)
-    t["head.shape.w"] = normal((h, cfg.shape_params), 1.0 / np.sqrt(h))
-    t["head.shape.b"] = np.zeros(cfg.shape_params)
+    t["head.shape.w"] = normal((h, SHAPE_PARAMS), 1.0 / np.sqrt(h))
+    t["head.shape.b"] = np.zeros(SHAPE_PARAMS)
     if anchors is not None:
         for i in range(len(anchors)):
             t[f"soft.{i}.w1"] = np.array(anchors.soft_w1[i])
@@ -324,10 +321,10 @@ class InfluenceScores:
 
 def xfusion_block(h: NdBuffer, params: XFusionParams, layer: int,
                   branch: str) -> tuple[NdBuffer, InfluenceScores]:
-    """One fusion block: both views in configured order, shared compression."""
+    """One fusion block: the temporal view, then the spatial view, shared compression."""
     alphas: dict[str, np.ndarray] = {}
     out = h
-    for view in params.config.view_order:
+    for view in VIEWS:
         out, alphas[view] = _view_pass(out, params, layer, branch, view)
     return out, InfluenceScores(
         temporal=alphas["temporal"].mean(axis=-3),
@@ -371,7 +368,7 @@ def forward(q_in, p_in, p_gt, u_star, params: XFusionParams) -> ForwardResult:
     betas = nd.add(nd.matmul(nd.reshape(pooled, (rows, cfg.hidden)), params["head.shape.w"]),
                    params["head.shape.b"])
     return ForwardResult(prediction=prediction,
-                         betas=nd.reshape(betas, lead + (cfg.shape_params,)),
+                         betas=nd.reshape(betas, lead + (SHAPE_PARAMS,)),
                          influence=tuple(influence))
 
 

@@ -22,9 +22,10 @@ from . import nd
 from .errors import DimensionError, DomainError, StateError
 from .motion import MotionSequence, canonical_tbody
 from .nd import NdBuffer
+from .network import DEFAULT_HIDDEN
 
 DEFAULT_ANCHOR_COUNT = 800
-DEFAULT_HIDDEN = 128
+TIE_BREAK = "lowest-index"  # the only policy: ties go to the lowest index
 TBODY_DOMAIN = "tbody"
 KMEANS_ITERATIONS = 50
 SOFT_INIT_SCALE = 0.02
@@ -36,11 +37,7 @@ def similarity(x: MotionSequence, y: MotionSequence) -> float:
     """Negated mean per-frame, per-joint Euclidean distance between x and y."""
     if x.values.shape != y.values.shape:
         raise DimensionError(f"similarity needs matching shapes, got {x.values.shape} and {y.values.shape}")
-    return _sim_arrays(x.values.array, y.values.array)
-
-
-def _sim_arrays(xv: np.ndarray, yv: np.ndarray) -> float:
-    dists = np.sqrt(((xv - yv) ** 2).sum(axis=-1))
+    dists = np.sqrt(((x.values.array - y.values.array) ** 2).sum(axis=-1))
     # 0.0 - m keeps identical pairs at +0.0 rather than -0.0
     return float(0.0 - dists.mean())
 
@@ -166,7 +163,7 @@ def _soft_init(count: int, frames: int, joints: int, hidden: int,
     return w1, w2
 
 
-def _build_set(corpus, picked, method, k_requested, tie_break, hidden, trace=()):
+def _build_set(corpus, picked, method, k_requested, hidden, trace=()):
     frames, joints = _check_corpus(corpus)
     tbody = canonical_tbody(frames, joints)
     anchors = [Anchor(tbody, tbody, TBODY_DOMAIN, -1)]
@@ -176,12 +173,11 @@ def _build_set(corpus, picked, method, k_requested, tie_break, hidden, trace=())
     fp = corpus_fingerprint(corpus)
     w1, w2 = _soft_init(len(anchors), frames, joints, hidden, fp, method)
     return AnchorSet(anchors=tuple(anchors), k_requested=k_requested, soft_w1=w1, soft_w2=w2,
-                     tie_break=tie_break, fingerprint=fp, method=method,
+                     tie_break=TIE_BREAK, fingerprint=fp, method=method,
                      selection_trace=tuple(float(t) for t in trace))
 
 
-def sps_sample(corpus: list[CorpusEntry], k: int, tie_break: str = "lowest-index",
-               hidden_dim: int = DEFAULT_HIDDEN) -> AnchorSet:
+def sps_sample(corpus: list[CorpusEntry], k: int, hidden_dim: int = DEFAULT_HIDDEN) -> AnchorSet:
     """Max-min similarity sampling.
 
     Starts from the rest pose, then repeatedly adds the unsampled member whose
@@ -192,8 +188,6 @@ def sps_sample(corpus: list[CorpusEntry], k: int, tie_break: str = "lowest-index
     """
     if k < 1:
         raise DomainError(f"anchor count must be >= 1, got {k}")
-    if tie_break != "lowest-index":
-        raise DomainError(f"unsupported tie-break policy {tie_break!r}")
     frames, joints = _check_corpus(corpus)
     tbody = canonical_tbody(frames, joints)
 
@@ -219,7 +213,7 @@ def sps_sample(corpus: list[CorpusEntry], k: int, tie_break: str = "lowest-index
         n -= 1
         if n:
             best[:n] = np.maximum(best[:n], _sims_to_one(rows[:n], newest))
-    return _build_set(corpus, picked, "sps", k, tie_break, hidden_dim, trace)
+    return _build_set(corpus, picked, "sps", k, hidden_dim, trace)
 
 
 def random_sample(corpus: list[CorpusEntry], k: int, rng_seed: int,
@@ -231,7 +225,7 @@ def random_sample(corpus: list[CorpusEntry], k: int, rng_seed: int,
         raise DomainError(f"anchor count {k} exceeds corpus size {len(corpus)}")
     rng = np.random.default_rng(rng_seed)
     picked = [int(i) for i in rng.choice(len(corpus), size=k, replace=False)]
-    return _build_set(corpus, picked, "random", k, "lowest-index", hidden_dim)
+    return _build_set(corpus, picked, "random", k, hidden_dim)
 
 
 def cluster_sample(corpus: list[CorpusEntry], k: int, rng_seed: int,
@@ -261,7 +255,7 @@ def cluster_sample(corpus: list[CorpusEntry], k: int, rng_seed: int,
         idx = next(int(i) for i in order if not used[i])
         picked.append(idx)
         used[idx] = True
-    return _build_set(corpus, picked, "cluster", k, "lowest-index", hidden_dim)
+    return _build_set(corpus, picked, "cluster", k, hidden_dim)
 
 
 def anchor_similarities(x: MotionSequence, anchors: AnchorSet) -> np.ndarray:

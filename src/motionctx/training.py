@@ -27,6 +27,7 @@ from .network import (ForwardResult, LossWeights, XFusionParams, forward, loss,
 from .prompting import AnchorSet, RetrievedPrompt, retrieve_prompt, soft_anchor_value
 
 EVAL_CHUNK = 32  # samples per untaped forward pass in `evaluate`; bounds its peak memory
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -88,8 +89,8 @@ def anchor_corpus(clips: list[MotionClip], domains=DOMAIN_ORDER, seed: int = 0,
 
 
 def build_batch(dataset: list[MotionClip], anchors: AnchorSet, batch_size: int, rng_seed,
-                domains=DOMAIN_ORDER, mask_ratio: float = DEFAULT_MASK_RATIO,
-                domain_filter: bool = False) -> list[tuple[TaskSample, RetrievedPrompt]]:
+                domains=DOMAIN_ORDER, mask_ratio: float = DEFAULT_MASK_RATIO
+                ) -> list[tuple[TaskSample, RetrievedPrompt]]:
     """Uniform (clip, domain) draws -> derived samples -> retrieved prompts."""
     if not dataset:
         raise StateError("build_batch needs a non-empty dataset")
@@ -99,19 +100,14 @@ def build_batch(dataset: list[MotionClip], anchors: AnchorSet, batch_size: int, 
         clip = dataset[int(rng.integers(len(dataset)))]
         domain = domains[int(rng.integers(len(domains)))]
         sample = derive_task(clip, domain, rng, mask_ratio)
-        prompt = retrieve_prompt(sample.query_input, anchors,
-                                 domain_filter=domain if domain_filter else None)
-        batch.append((sample, prompt))
+        batch.append((sample, retrieve_prompt(sample.query_input, anchors)))
     return batch
 
 
 class AdamWState:
     """Per-parameter first/second moments and step counts."""
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self):
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t: dict[str, int] = {}
@@ -124,11 +120,11 @@ class AdamWState:
             v = self.v.setdefault(name, np.zeros_like(p))
             t = self.t.get(name, 0) + 1
             self.t[name] = t
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * g
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            new = p - lr * weight_decay * p - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+            m_hat = m / (1.0 - ADAM_BETA1 ** t)
+            v_hat = v / (1.0 - ADAM_BETA2 ** t)
+            new = p - lr * weight_decay * p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             params.tensors[name] = NdBuffer._wrap(new)
 
 

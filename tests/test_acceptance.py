@@ -17,7 +17,7 @@ from motionctx.fileio import (load_anchors, load_checkpoint, load_dataset, read_
 from motionctx.motion import (MotionSequence, Modality, canonical_tbody, make_joint_mask,
                               make_time_mask, unify_pose3d)
 from motionctx.nd import NdBuffer
-from motionctx.network import (NetConfig, aggregate_level, encode_context, forward,
+from motionctx.network import (VIEWS, NetConfig, aggregate_level, encode_context, forward,
                                init_params, xfusion_block)
 from motionctx.cli import run_gradient_check
 from motionctx.prompting import (cluster_sample, coverage, random_sample, retrieve_prompt,
@@ -161,7 +161,7 @@ def test_criterion_05_fresh_parameters_weigh_levels_uniformly():
     max_dev = 0.0
     for branch, h in (("q", hq), ("p", hp)):
         cur = h.array
-        for view in cfg.view_order:
+        for view in VIEWS:
             base = f"layer0.{branch}.{view}"
             tracks = cur.transpose(1, 0, 2) if view == "temporal" else cur
             weights = {

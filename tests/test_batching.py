@@ -6,9 +6,9 @@ import pytest
 from helpers import make_clip
 from motionctx import nd, training
 from motionctx.errors import DimensionError
-from motionctx.motion import Modality, derive_task
+from motionctx.motion import SHAPE_PARAMS, Modality, derive_task
 from motionctx.nd import NdBuffer, Tape
-from motionctx.network import (LEVELS, LossWeights, NetConfig, aggregate_level,
+from motionctx.network import (LEVELS, VIEWS, LossWeights, NetConfig, aggregate_level,
                                context_inject, cross_level_update, encode_context, forward,
                                init_params, loss, mean_param_error, mpjpe)
 from motionctx.prompting import retrieve_prompt, soft_anchor_value, sps_sample
@@ -167,7 +167,7 @@ def _forward_unbatched_layout(q, p, gt, u, params):
     h_q, h_p = encode_context(q, p, gt, u, params)
 
     def block(h, layer, branch):
-        for view in cfg.view_order:
+        for view in VIEWS:
             base = f"layer{layer}.{branch}.{view}"
             tracks = nd.transpose(h, (1, 0, 2)) if view == "temporal" else h
             outs = []
@@ -195,7 +195,7 @@ def _forward_unbatched_layout(q, p, gt, u, params):
     prediction = nd.add(nd.matmul(h_q, params["head.pos.w"]), params["head.pos.b"])
     pooled = nd.reshape(nd.mean(h_q, axis=(0, 1)), (1, cfg.hidden))
     betas = nd.add(nd.matmul(pooled, params["head.shape.w"]), params["head.shape.b"])
-    return prediction.array, nd.reshape(betas, (cfg.shape_params,)).array
+    return prediction.array, nd.reshape(betas, (SHAPE_PARAMS,)).array
 
 
 def test_unbatched_forward_is_bitwise_the_unbatched_layout():

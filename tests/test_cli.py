@@ -6,13 +6,14 @@ import re
 import numpy as np
 import pytest
 
-from motionctx import fileio
+from motionctx import cli, fileio
 from motionctx.cli import main
 from motionctx.fileio import load_anchors, load_checkpoint, load_dataset
 from motionctx.motion import derive_task
-from motionctx.network import NetConfig, init_params
+from motionctx.network import LossWeights, NetConfig, init_params
 from motionctx.prompting import retrieve_prompt, similarity
-from motionctx.training import derive_seed
+from motionctx.synth import SynthConfig, make_dataset
+from motionctx.training import TrainConfig, derive_seed
 
 
 def run(capsys, *argv):
@@ -277,3 +278,56 @@ def test_numeric_class_failures_exit_3(tmp_path, capsys):
                        "--out", str(tmp_path / "h.bin"))
     assert code == 3
     assert "overflow" in err
+
+
+def test_cli_defaults_are_the_config_dataclass_defaults(pipeline, capsys, monkeypatch):
+    tmp_path, data, anchors = pipeline
+    ours, ref = str(tmp_path / "s5.bin"), str(tmp_path / "ref.bin")
+    assert run(capsys, "synth", "--seed", "5", "--out", ours)[0] == 0
+    fileio.save_dataset(ref, make_dataset(SynthConfig(seed=5)))
+    assert open(ours, "rb").read() == open(ref, "rb").read()
+
+    seen = []
+    monkeypatch.setattr(cli, "train", lambda clips, anchor_set, params, config:
+                        seen.append(config) or [])
+    ck = str(tmp_path / "ck.bin")
+    assert run(capsys, "train", "--dataset", data, "--anchors", anchors, "--seed", "3",
+               "--domains", "pe,mp_p", "--out", ck)[0] == 0
+    assert seen[-1] == TrainConfig(seed=3, domains=("pe", "mp_p"))
+    assert seen[-1].weights == LossWeights()
+    cfg = write_json(tmp_path / "list.json", {"domains": ["PE", "mp_p"]})
+    assert run(capsys, "train", "--dataset", data, "--anchors", anchors, "--config", cfg,
+               "--out", ck)[0] == 0
+    assert seen[-1] == TrainConfig(domains=("pe", "mp_p"))
+
+
+def _rewrite_manifest(src, dst, edit):
+    manifest, payload, _ = fileio.read_file(src)
+    edit(manifest)
+    fileio.write_file(dst, manifest, payload)
+    return dst
+
+
+@pytest.mark.parametrize("kind,key,edit", [
+    ("dataset", "frames", lambda m: m.pop("frames")),
+    ("dataset", "frames", lambda m: m.update(frames="a")),
+    ("dataset", "frames", lambda m: m.update(frames=-1)),
+    ("checkpoint", "view_order", lambda m: m["config"].update(view_order=["spatial", "temporal"])),
+    ("checkpoint", "shape_params", lambda m: m["config"].update(shape_params=12)),
+], ids=["dataset-no-frames", "dataset-frames-str", "dataset-frames-negative",
+        "checkpoint-view-order", "checkpoint-shape-params"])
+def test_bad_manifest_fields_exit_2(pipeline, capsys, kind, key, edit):
+    tmp_path, data, anchors = pipeline
+    bad = str(tmp_path / "bad.bin")
+    if kind == "dataset":
+        argv = ["derive", "--dataset", _rewrite_manifest(data, bad, edit)]
+    else:
+        ck = str(tmp_path / "ck.bin")
+        anchor_set, _ = load_anchors(anchors)
+        net = NetConfig(frames=anchor_set.frames, joints=anchor_set.joints, hidden=8, layers=1)
+        fileio.save_checkpoint(ck, init_params(net, 0, anchors=anchor_set))
+        argv = ["eval", "--dataset", data, "--anchors", anchors,
+                "--checkpoint", _rewrite_manifest(ck, bad, edit)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and key in err and "Traceback" not in err

@@ -122,6 +122,21 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
         assert np.array_equal(loaded.tensors[name].array, buf.array), name
 
 
+def test_checkpoint_with_fixed_design_keys_still_loads(tmp_path):
+    # Older checkpoints also store shape_params and view_order; both are constants now.
+    cfg = NetConfig(frames=4, joints=5, hidden=8, layers=1)
+    params = init_params(cfg, rng_seed=1)
+    path = str(tmp_path / "old.bin")
+    save_checkpoint(path, params)
+    manifest, payload, _ = read_file(path)
+    manifest["config"].update(shape_params=10, view_order=["temporal", "spatial"])
+    write_file(path, manifest, payload)
+    loaded, _ = load_checkpoint(path)
+    assert loaded.config == cfg
+    for name, buf in params.tensors.items():
+        assert np.array_equal(loaded.tensors[name].array, buf.array), name
+
+
 def test_corrupted_magic_rejected(tmp_path):
     path = str(tmp_path / "d.bin")
     save_dataset(path, small_dataset(clips=2))

@@ -6,12 +6,12 @@ import pytest
 from helpers import make_clip
 from motionctx import nd
 from motionctx.errors import ConfigError, DimensionError, DomainError
-from motionctx.motion import Modality, MotionSequence, derive_task, unify_pose3d
+from motionctx.motion import SHAPE_PARAMS, Modality, MotionSequence, derive_task, unify_pose3d
 from motionctx.nd import NdBuffer, Tape
-from motionctx.network import (LEVELS, LossWeights, NetConfig, aggregate_level, context_inject,
-                               cross_level_update, encode_context, forward, init_params, loss,
-                               mean_param_error, mpjpe, path_adjacency, skeleton_adjacency,
-                               xfusion_block)
+from motionctx.network import (LEVELS, VIEWS, LossWeights, NetConfig, aggregate_level,
+                               context_inject, cross_level_update, encode_context, forward,
+                               init_params, loss, mean_param_error, mpjpe, path_adjacency,
+                               skeleton_adjacency, xfusion_block)
 from motionctx.prompting import soft_anchor_value
 
 
@@ -37,8 +37,6 @@ def test_adjacency_structure():
 def test_config_validation():
     with pytest.raises(ConfigError):
         NetConfig(frames=0)
-    with pytest.raises(ConfigError):
-        NetConfig(view_order=("temporal", "temporal"))
 
 
 def test_encode_context_bias_broadcast_and_soft_add():
@@ -193,7 +191,7 @@ def test_block_shape_determinism_and_init_mean():
         return (x - mu) / np.sqrt(var + 1e-5) * g + b
 
     cur = h.array
-    for view in cfg.view_order:
+    for view in VIEWS:
         tracks = cur.transpose(1, 0, 2) if view == "temporal" else cur
         base = f"layer0.q.{view}"
         outs = []
@@ -239,7 +237,7 @@ def test_forward_shapes_and_uniform_influence_at_init():
     q, p, gt, u = _toy_inputs(cfg, seed=14)
     result = forward(q, p, gt, u, params)
     assert result.prediction.shape == (cfg.frames, cfg.joints, 3)
-    assert result.betas.shape == (cfg.shape_params,)
+    assert result.betas.shape == (SHAPE_PARAMS,)
     assert len(result.influence) == cfg.layers
     for layer in result.influence:
         for branch in ("q", "p"):

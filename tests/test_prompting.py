@@ -87,8 +87,6 @@ def test_sps_k1_and_corpus_exhaustion():
 def test_sps_rejects_bad_arguments():
     with pytest.raises(DomainError):
         sps_sample(scalar_corpus([1.0]), k=0)
-    with pytest.raises(DomainError):
-        sps_sample(scalar_corpus([1.0]), k=2, tie_break="random")
     with pytest.raises(StateError):
         sps_sample([], k=2)
 
