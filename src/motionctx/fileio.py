@@ -78,20 +78,22 @@ def _expect_kind(manifest: dict, kind: str) -> None:
         raise FormatError(f"expected a {kind!r} file, manifest says kind={found!r}")
 
 
-def _positive(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+def _integer(value, minimum: int = 1) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
 
 
-def _field(mapping, key: str, kind: type, where: str = "manifest"):
-    """mapping[key], checked for presence and type. Kind int means a positive
-    integer (an extent or a count); kind tuple a list of them (a tensor shape)."""
+def _field(mapping, key: str, kind: type, where: str = "manifest", minimum: int = 1):
+    """mapping[key], checked for presence and type. Kind int means an integer
+    of at least `minimum` (by default a positive extent or count); kind tuple
+    a list of positive integers (a tensor shape)."""
     if not isinstance(mapping, dict) or key not in mapping:
         raise FormatError(f"{where} lacks the {key!r} field")
     value = mapping[key]
     if kind is int:
-        ok, want = _positive(value), "positive integer"
+        ok = _integer(value, minimum)
+        want = "positive integer" if minimum == 1 else f"integer >= {minimum}"
     elif kind is tuple:
-        ok = isinstance(value, list) and all(map(_positive, value))
+        ok = isinstance(value, list) and all(map(_integer, value))
         want = "list of positive integers"
     else:
         ok, want = isinstance(value, kind), kind.__name__
@@ -182,13 +184,19 @@ def load_dataset(path: str) -> list[MotionClip]:
     betas = cursor.take((n, SHAPE_PARAMS), "<f4")
     clips = []
     for i, entry in enumerate(meta):
-        native = entry["native"]
-        clips.append(MotionClip(
-            MotionSequence(NdBuffer(raw[i]["pose2d"]), Modality.POSE2D, native["pose2d"]),
-            MotionSequence(NdBuffer(raw[i]["pose3d"]), Modality.POSE3D, native["pose3d"]),
-            MotionSequence(NdBuffer(raw[i]["mesh"]), Modality.MESH, native["mesh"],
-                           betas=betas[i]),
-            clip_id=entry["id"], source=entry["source"]))
+        where = f"clip entry {i}"
+        native = _field(entry, "native", dict, where)
+        count = {m: _field(native, m, int, f"{where} native") for m in _MODALITY_FIELDS}
+        clip_id, source = _field(entry, "id", str, where), _field(entry, "source", str, where)
+        try:
+            clips.append(MotionClip(
+                MotionSequence(NdBuffer(raw[i]["pose2d"]), Modality.POSE2D, count["pose2d"]),
+                MotionSequence(NdBuffer(raw[i]["pose3d"]), Modality.POSE3D, count["pose3d"]),
+                MotionSequence(NdBuffer(raw[i]["mesh"]), Modality.MESH, count["mesh"],
+                               betas=betas[i]),
+                clip_id=clip_id, source=source))
+        except DimensionError as exc:
+            raise FormatError(f"{where} does not match its payload: {exc}") from None
     return clips
 
 
@@ -196,9 +204,21 @@ def _sequence_meta(seq: MotionSequence) -> dict:
     return {"modality": seq.modality.value, "native": seq.native_joint_count}
 
 
-def _load_sequence(values: np.ndarray, meta: dict, betas: np.ndarray) -> MotionSequence:
-    return MotionSequence(NdBuffer(values), Modality(meta["modality"]), meta["native"],
-                          betas=betas)
+def _load_sequence(values: np.ndarray, entry: dict, key: str, betas: np.ndarray,
+                   where: str) -> MotionSequence:
+    meta = _field(entry, key, dict, where)
+    where = f"{where} {key}"
+    name = _field(meta, "modality", str, where)
+    try:
+        modality = Modality(name)
+    except ValueError:
+        raise FormatError(f"{where} field 'modality' must be one of "
+                          f"{[m.value for m in Modality]}, got {name!r}") from None
+    native = _field(meta, "native", int, where)
+    try:
+        return MotionSequence(NdBuffer(values), modality, native, betas=betas)
+    except DimensionError as exc:
+        raise FormatError(f"{where} does not match its payload: {exc}") from None
 
 
 def save_anchors(path: str, anchors: AnchorSet, meta: dict | None = None) -> None:
@@ -242,11 +262,15 @@ def load_anchors(path: str) -> tuple[AnchorSet, dict]:
     target_betas = cursor.take((a, SHAPE_PARAMS), "<f4")
     w1 = cursor.take((a, f, j, 1), "<f8")
     w2 = cursor.take((a, 1, 1, h), "<f8")
-    hard = tuple(
-        Anchor(_load_sequence(inputs[i], m["input"], input_betas[i]),
-               _load_sequence(targets[i], m["target"], target_betas[i]),
-               m["domain"], m["source_index"])
-        for i, m in enumerate(meta))
+
+    def anchor(i: int, entry) -> Anchor:
+        where = f"anchor entry {i}"
+        return Anchor(_load_sequence(inputs[i], entry, "input", input_betas[i], where),
+                      _load_sequence(targets[i], entry, "target", target_betas[i], where),
+                      _field(entry, "domain", str, where),
+                      _field(entry, "source_index", int, where, minimum=-1))
+
+    hard = tuple(anchor(i, m) for i, m in enumerate(meta))
     loaded = AnchorSet(anchors=hard, k_requested=_field(manifest, "k_requested", int),
                        soft_w1=w1, soft_w2=w2, tie_break=_field(manifest, "tie_break", str),
                        fingerprint=_field(manifest, "fingerprint", str),

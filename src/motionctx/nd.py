@@ -5,11 +5,17 @@ construction. Operators live at module level (`add`, `matmul`, `scan`, ...);
 each one returns a fresh buffer and, when a `Tape` is active, appends one
 record. A record holds the operation name, the input buffers, the output
 buffer, and a backward closure mapping the output gradient to per-input
-contributions. Error messages name an operation as `name#record_index`.
+contributions. Numbers and float64 arrays may stand as constant operands:
+records keep them but form no gradient for them. Error messages name an
+operation as `name#record_index`.
 
 `scan` runs a whole diagonal linear recurrence along one axis as a single
 record, with a reverse-scan backward. `matmul` with a 2-D right operand folds
 the left operand's leading dims into one GEMM, forward and backward.
+`layer_norm`, `attention` and `level_fusion` are one record each with an
+analytic backward; their forwards repeat, step for step, the arithmetic of
+the chains of elementwise records they stand for, so their values equal
+those chains' bitwise.
 
 `Tape.grad` replays records in reverse, accumulating fan-out contributions
 additively, and is O(number of records). It drops each output gradient once
@@ -34,6 +40,7 @@ from .errors import DimensionError, NumericError
 _TAPES: list["Tape"] = []
 _DEBUG_CHECKS = False
 GRAD_CHECK_STEP = 1e-5  # central-difference half-width used by `grad_check`
+LN_EPS = 1e-5  # variance floor of `layer_norm`
 
 
 @contextlib.contextmanager
@@ -192,12 +199,15 @@ def _emit(name, out_arr, inputs, backward) -> NdBuffer:
 
 
 def _as_operand(x) -> tuple[np.ndarray, NdBuffer | None]:
-    # NdBuffer participates in gradients; bare numbers are constants.
+    # NdBuffer participates in gradients; bare numbers and float64 arrays are constants.
     if isinstance(x, NdBuffer):
         return x.array, x
     if isinstance(x, (int, float)):
         return np.float64(x), None
-    raise DimensionError(f"operand must be NdBuffer or number, got {type(x).__name__}")
+    if isinstance(x, np.ndarray) and x.dtype == np.float64:
+        return x, None
+    raise DimensionError(f"operand must be NdBuffer, number or float64 array, "
+                         f"got {type(x).__name__}")
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -501,19 +511,145 @@ def tanh(a: NdBuffer) -> NdBuffer:
     return _emit("tanh", out, (a,), lambda g: [(a, g * (1.0 - out * out))])
 
 
+def _softmax(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_back(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # Gradient through p = softmax(x) given dL/dp = g.
+    return p * (g - (g * p).sum(axis=-1, keepdims=True))
+
+
 def softmax_lastdim(a: NdBuffer) -> NdBuffer:
     """Max-shifted softmax over the last axis; rows sum to one exactly in
     float64 up to rounding, stable for large inputs."""
-    x = a.array
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = _softmax(a.array)
+    return _emit("softmax_lastdim", out, (a,), lambda g: [(a, _softmax_back(out, g))])
+
+
+def layer_norm(x: NdBuffer, gamma, beta) -> NdBuffer:
+    """Normalize over the last axis: (x - mean) / sqrt(var + LN_EPS) * gamma + beta.
+
+    One record; gamma and beta have shape (H,) for x of shape (..., H). The
+    forward takes the mean, centers, squares, takes the mean again, adds
+    LN_EPS, takes the root and its reciprocal, then scales and shifts, in
+    that order. The backward (Ba et al. 2016) with x_hat the normalized input
+    and d = g * gamma is dx = inv * (d - mean(d) - x_hat * mean(d * x_hat)),
+    dgamma = sum g * x_hat and dbeta = sum g over the leading axes.
+    """
+    arr = x.array
+    arr_g, buf_g = _as_operand(gamma)
+    arr_b, buf_b = _as_operand(beta)
+    width = arr.shape[-1:]
+    if arr.ndim < 1 or np.shape(arr_g) != width or np.shape(arr_b) != width:
+        raise DimensionError(f"layer_norm of {arr.shape} needs gain and shift of shape "
+                             f"{width}, got {np.shape(arr_g)} and {np.shape(arr_b)}")
+    axes = (arr.ndim - 1,)
+    x_hat = arr - arr.mean(axis=axes, keepdims=True)
+    out = np.multiply(x_hat, x_hat)
+    inv = np.float64(1.0) / np.sqrt(out.mean(axis=axes, keepdims=True) + np.float64(LN_EPS))
+    x_hat *= inv
+    np.multiply(x_hat, arr_g, out=out)
+    out += arr_b
 
     def backward(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return [(a, out * (g - dot))]
+        g = np.ascontiguousarray(g).reshape(-1, width[0])
+        flat_hat = x_hat.reshape(g.shape)
+        gx = g * flat_hat
+        contribs = []
+        if buf_g is not None:
+            contribs.append((buf_g, gx.sum(axis=0)))
+        if buf_b is not None:
+            contribs.append((buf_b, g.sum(axis=0)))
+        # mean(d) and mean(d * x_hat) are matrix-vector products with gamma.
+        mean_d = (g @ arr_g)[:, None] / width[0]
+        mean_dx = (gx @ arr_g)[:, None] / width[0]
+        dx = g * arr_g
+        dx -= mean_d
+        dx -= np.multiply(flat_hat, mean_dx, out=gx)
+        dx *= inv.reshape(-1, 1)
+        return [(x, dx.reshape(arr.shape))] + contribs
 
-    return _emit("softmax_lastdim", out, (a,), backward)
+    return _emit("layer_norm", out, tuple(b for b in (x, buf_g, buf_b) if b is not None),
+                 backward)
+
+
+def attention(q: NdBuffer, k: NdBuffer, v: NdBuffer, scale: float) -> NdBuffer:
+    """softmax(q kᵀ * scale) v over tracks laid out as (..., T, D), as one record.
+
+    q is (..., T, D), k (..., S, D) and v (..., S, E) with equal leading axes.
+    The forward multiplies q by a contiguous copy of kᵀ, scales, takes the
+    max-shifted softmax and multiplies by v. The record keeps the (..., T, S)
+    probabilities p, not the scores; the backward is dv = pᵀ g, ds = p *
+    (g vᵀ - rowsum(p * g vᵀ)) * scale, dq = ds k and dk = dsᵀ q.
+    """
+    arr_q, arr_k, arr_v = q.array, k.array, v.array
+    lead = arr_q.shape[:-2]
+    if (arr_q.ndim < 2 or arr_k.shape[:-2] != lead or arr_v.shape[:-2] != lead
+            or arr_k.shape[-1] != arr_q.shape[-1] or arr_k.shape[-2] != arr_v.shape[-2]):
+        raise DimensionError(f"attention needs q (..., T, D), k (..., S, D) and v (..., S, E), "
+                             f"got {arr_q.shape}, {arr_k.shape} and {arr_v.shape}")
+    scale = np.float64(scale)
+    p = _softmax((arr_q @ np.ascontiguousarray(np.swapaxes(arr_k, -1, -2))) * scale)
+    out = p @ arr_v
+
+    def backward(g):
+        ds = _softmax_back(p, g @ np.swapaxes(arr_v, -1, -2))
+        ds *= scale
+        return [(q, ds @ arr_k), (k, np.swapaxes(ds, -1, -2) @ arr_q),
+                (v, np.swapaxes(p, -1, -2) @ g)]
+
+    return _emit("attention", out, (q, k, v), backward)
+
+
+def level_fusion(parts: Sequence[NdBuffer], w: NdBuffer,
+                 b: NdBuffer) -> tuple[NdBuffer, np.ndarray]:
+    """Mix L equal-shape parts (..., T, H) with softmax weights, as one record.
+
+    logits = concat(parts) @ wᵀ + b with w (L, L*H) and b (L,), alpha =
+    softmax(logits) and out = sum_l alpha[..., l:l+1] * parts[l], summed in
+    part order. Returns out and the read-only (..., T, L) array alpha. The
+    record keeps alpha but not the concatenation: every gradient is built
+    per part, with d_logits = softmax backward of d_alpha_l = rowsum(g *
+    part_l), dpart_l = alpha_l * g + d_logits w_l, dw_l = d_logitsᵀ part_l
+    and db = sum d_logits, w_l being the l-th column block of w.
+    """
+    if not parts:
+        raise DimensionError("level_fusion needs at least one part")
+    arrs = [p.array for p in parts]
+    shape = arrs[0].shape
+    if any(a.shape != shape for a in arrs):
+        raise DimensionError(f"level_fusion parts disagree on shape: {[a.shape for a in arrs]}")
+    n, width = len(parts), shape[-1]
+    if w.shape != (n, n * width) or b.shape != (n,):
+        raise DimensionError(f"level_fusion of {n} parts of width {width} needs w {(n, n * width)} "
+                             f"and b {(n,)}, got {w.shape} and {b.shape}")
+    arr_w = w.array
+    cat = np.concatenate(arrs, axis=-1).reshape(-1, n * width)
+    logits = (cat @ np.ascontiguousarray(arr_w.T)).reshape(shape[:-1] + (n,)) + b.array
+    alpha = _softmax(logits)
+    alpha.setflags(write=False)
+    out = alpha[..., 0:1] * arrs[0]
+    term = np.empty(shape)
+    for l in range(1, n):
+        out += np.multiply(alpha[..., l:l + 1], arrs[l], out=term)
+
+    def backward(g):
+        d_alpha = np.empty(alpha.shape)
+        for l, a in enumerate(arrs):
+            d_alpha[..., l] = np.einsum("...h,...h->...", g, a)
+        d_logits = _softmax_back(alpha, d_alpha).reshape(-1, n)
+        contribs, d_w, term = [], np.empty((n, n * width)), np.empty(shape)
+        for l, (p, a) in enumerate(zip(parts, arrs)):
+            block = slice(l * width, (l + 1) * width)
+            d_part = (d_logits @ arr_w[:, block]).reshape(shape)
+            d_part += np.multiply(alpha[..., l:l + 1], g, out=term)
+            contribs.append((p, d_part))
+            d_w[:, block] = d_logits.T @ a.reshape(-1, width)
+        return contribs + [(w, d_w), (b, d_logits.sum(axis=0))]
+
+    return _emit("level_fusion", out, tuple(parts) + (w, b), backward), alpha
 
 
 def grad_check(f: Callable[[dict[str, NdBuffer]], NdBuffer],

@@ -22,7 +22,8 @@ score is exactly 1/3 at initialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .nd import NdBuffer
 
 LEVELS = ("attention", "graph", "ssm")
 VIEWS = ("temporal", "spatial")
-LN_EPS = 1e-5
 DEFAULT_HIDDEN = 128  # feature width H; soft-anchor factors share it
 
 # Parent of each joint in the 24-joint SMPL kinematic tree (root is -1).
@@ -63,6 +63,14 @@ def path_adjacency(length: int) -> np.ndarray:
     a[idx, idx + 1] = 1.0
     a[idx + 1, idx] = 1.0
     return a / a.sum(axis=1, keepdims=True)
+
+
+@functools.lru_cache(maxsize=None)  # keys are the (view, T) pairs of the configs in use
+def _default_adjacency(view: str, length: int) -> np.ndarray:
+    # Read-only, since every caller shares the one array.
+    a = path_adjacency(length) if view == "temporal" else skeleton_adjacency(length)
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -201,9 +209,11 @@ def aggregate_level(h: NdBuffer, level: str, view: str, weights: dict[str, NdBuf
                     adjacency: np.ndarray | None = None) -> NdBuffer:
     """One aggregation level over tracks laid out as (..., T, H).
 
-    attention: single-head scaled dot-product over T. graph: adjacency-mixed
-    linear map; the default adjacency is the frame path graph in the temporal
-    view and the skeleton tree in the spatial view. ssm: causal diagonal
+    attention: single-head scaled dot-product over T, its core one
+    `nd.attention` record. graph: adjacency-mixed linear map; the default
+    adjacency is the frame path graph in the temporal view and the skeleton
+    tree in the spatial view, built once per (view, T). The adjacency is a
+    constant operand, so no gradient is formed for it. ssm: causal diagonal
     recurrence along T (projected input u_t; s_t = a*s_{t-1} + b*u_t,
     y_t = c*s_t + d*u_t) with the transition bounded by tanh; the whole
     recurrence is one `nd.scan` record with a reverse-scan backward.
@@ -217,17 +227,14 @@ def aggregate_level(h: NdBuffer, level: str, view: str, weights: dict[str, NdBuf
         q = nd.matmul(h, weights["wq"])
         k = nd.matmul(h, weights["wk"])
         v = nd.matmul(h, weights["wv"])
-        scale = 1.0 / np.sqrt(q.shape[-1])
-        scores = nd.mul(nd.matmul(q, nd.swap_last2(k)), scale)
-        ctx = nd.matmul(nd.softmax_lastdim(scores), v)
+        ctx = nd.attention(q, k, v, 1.0 / np.sqrt(q.shape[-1]))
         return nd.add(nd.matmul(ctx, weights["wo"]), weights["bo"])
     if level == "graph":
-        if adjacency is None:
-            adjacency = path_adjacency(t_len) if view == "temporal" else skeleton_adjacency(t_len)
+        adjacency = (_default_adjacency(view, t_len) if adjacency is None
+                     else NdBuffer(adjacency).array)
         if adjacency.shape != (t_len, t_len):
             raise DimensionError(f"adjacency {adjacency.shape} does not match T={t_len}")
-        mixed = nd.matmul(NdBuffer(adjacency), h)
-        return nd.matmul(mixed, weights["w"])
+        return nd.matmul(nd.matmul(adjacency, h), weights["w"])
     if level == "ssm":
         u = nd.add(nd.matmul(h, weights["w"]), weights["b"])
         s = nd.scan(nd.tanh(weights["a_raw"]), weights["b_gate"], u, axis=u.ndim - 2)
@@ -240,36 +247,11 @@ def cross_level_update(levels: list[NdBuffer], w_compress: NdBuffer,
     """Fuse level outputs with softmax influence scores.
 
     Per position: logits = w_compress @ concat(level features) + bias, scores
-    = softmax(logits), fused = sum_l score_l * level_l. Returns the fused
-    features and the score array (..., T, L).
+    = softmax(logits), fused = sum_l score_l * level_l, as one
+    `nd.level_fusion` record. Returns the fused features and the score array
+    (..., T, L).
     """
-    n = len(levels)
-    if n == 0:
-        raise DimensionError("cross_level_update needs at least one level")
-    shape = levels[0].shape
-    for y in levels:
-        if y.shape != shape:
-            raise DimensionError(f"level shapes disagree: {shape} vs {y.shape}")
-    width = shape[-1]
-    if w_compress.shape != (n, n * width):
-        raise DimensionError(f"compression map has shape {w_compress.shape}, "
-                             f"expected {(n, n * width)} for {n} levels of width {width}")
-    cat = nd.concat(levels, axis=-1)
-    logits = nd.add(nd.matmul(cat, nd.swap_last2(w_compress)), bias)
-    alpha = nd.softmax_lastdim(logits)
-    fused = None
-    for l, y in enumerate(levels):
-        piece = nd.mul(nd.slice_axis(alpha, alpha.ndim - 1, l, l + 1), y)
-        fused = piece if fused is None else nd.add(fused, piece)
-    return fused, alpha.array
-
-
-def _layer_norm(h: NdBuffer, gamma: NdBuffer, beta: NdBuffer) -> NdBuffer:
-    mu = nd.mean(h, axis=-1, keepdims=True)
-    centered = nd.sub(h, mu)
-    var = nd.mean(nd.square(centered), axis=-1, keepdims=True)
-    inv = nd.div(1.0, nd.sqrt(nd.add(var, LN_EPS)))
-    return nd.add(nd.mul(nd.mul(centered, inv), gamma), beta)
+    return nd.level_fusion(levels, w_compress, bias)
 
 
 def _swap_tracks(h: NdBuffer) -> NdBuffer:
@@ -298,7 +280,7 @@ def _view_pass(h: NdBuffer, params: XFusionParams, layer: int, branch: str,
         outs.append(aggregate_level(tracks, level, view, w))
     fused, alpha = cross_level_update(outs, params[f"layer{layer}.compress.w"],
                                       params[f"layer{layer}.compress.b"])
-    wrapped = _layer_norm(nd.add(tracks, fused), params[f"{base}.ln.g"], params[f"{base}.ln.b"])
+    wrapped = nd.layer_norm(nd.add(tracks, fused), params[f"{base}.ln.g"], params[f"{base}.ln.b"])
     if view == "temporal":
         wrapped = _swap_tracks(wrapped)
     return wrapped, alpha

@@ -228,6 +228,17 @@ def random_sample(corpus: list[CorpusEntry], k: int, rng_seed: int,
     return _build_set(corpus, picked, "random", k, hidden_dim)
 
 
+def _nearest_centroid(flat: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Index of the nearest centroid for each row, lowest index on ties.
+
+    Expands ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2: one (n, k) GEMM instead
+    of an (n, k, D) difference tensor. ||x||^2 is the same for every centroid
+    of a row, so it is left out of the comparison, which keeps its rounding
+    out of near ties.
+    """
+    return ((centroids * centroids).sum(axis=1) - 2.0 * (flat @ centroids.T)).argmin(axis=1)
+
+
 def cluster_sample(corpus: list[CorpusEntry], k: int, rng_seed: int,
                    hidden_dim: int = DEFAULT_HIDDEN) -> AnchorSet:
     """k-means in flattened value space; anchors are the members nearest each
@@ -242,8 +253,7 @@ def cluster_sample(corpus: list[CorpusEntry], k: int, rng_seed: int,
     rng = np.random.default_rng(rng_seed)
     centroids = flat[rng.choice(len(corpus), size=k, replace=False)].copy()
     for _ in range(KMEANS_ITERATIONS):
-        d2 = ((flat[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        assign = d2.argmin(axis=1)
+        assign = _nearest_centroid(flat, centroids)
         for c in range(k):
             members = flat[assign == c]
             if members.size:

@@ -116,8 +116,9 @@ class AdamWState:
                lr: float, weight_decay: float) -> None:
         for name, g in grads.items():
             p = params.tensors[name].array
-            m = self.m.setdefault(name, np.zeros_like(p))
-            v = self.v.setdefault(name, np.zeros_like(p))
+            if name not in self.m:
+                self.m[name], self.v[name] = np.zeros_like(p), np.zeros_like(p)
+            m, v = self.m[name], self.v[name]
             t = self.t.get(name, 0) + 1
             self.t[name] = t
             m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g

@@ -314,13 +314,27 @@ def _rewrite_manifest(src, dst, edit):
     ("dataset", "frames", lambda m: m.update(frames=-1)),
     ("checkpoint", "view_order", lambda m: m["config"].update(view_order=["spatial", "temporal"])),
     ("checkpoint", "shape_params", lambda m: m["config"].update(shape_params=12)),
+    ("dataset", "native", lambda m: m["clip_meta"][0].pop("native")),
+    ("dataset", "out of range", lambda m: m["clip_meta"][3]["native"].update(pose3d=99)),
+    ("dataset", "id", lambda m: m["clip_meta"][1].update(id=7)),
+    ("dataset", "virtual joints", lambda m: m["clip_meta"][2]["native"].update(pose3d=2)),
+    ("anchors", "native", lambda m: m["anchors"][1]["input"].update(native="x")),
+    ("anchors", "modality", lambda m: m["anchors"][2]["target"].update(modality="video")),
+    ("anchors", "source_index", lambda m: m["anchors"][1].update(source_index=-2)),
+    ("anchors", "domain", lambda m: m["anchors"][0].pop("domain")),
+    ("anchors", "virtual joints", lambda m: m["anchors"][1]["target"].update(native=1)),
 ], ids=["dataset-no-frames", "dataset-frames-str", "dataset-frames-negative",
-        "checkpoint-view-order", "checkpoint-shape-params"])
+        "checkpoint-view-order", "checkpoint-shape-params", "clip-no-native",
+        "clip-native-too-large", "clip-id-int", "clip-native-below-payload",
+        "anchor-native-str", "anchor-bad-modality", "anchor-source-index", "anchor-no-domain",
+        "anchor-native-below-payload"])
 def test_bad_manifest_fields_exit_2(pipeline, capsys, kind, key, edit):
     tmp_path, data, anchors = pipeline
     bad = str(tmp_path / "bad.bin")
     if kind == "dataset":
         argv = ["derive", "--dataset", _rewrite_manifest(data, bad, edit)]
+    elif kind == "anchors":
+        argv = ["retrieve", "--dataset", data, "--anchors", _rewrite_manifest(anchors, bad, edit)]
     else:
         ck = str(tmp_path / "ck.bin")
         anchor_set, _ = load_anchors(anchors)

@@ -312,3 +312,142 @@ def test_grad_twice_is_bitwise_equal_and_unaliased():
     for i, x in enumerate(arrays):
         for y in arrays[i + 1:]:
             assert not np.shares_memory(x, y)
+
+
+# Fused ops against the composite chains of primitive ops they replaced. The
+# forward must be bitwise equal and every gradient within rtol 1e-10.
+
+def composite_layer_norm(x, gamma, beta):
+    centered = nd.sub(x, nd.mean(x, axis=-1, keepdims=True))
+    var = nd.mean(nd.square(centered), axis=-1, keepdims=True)
+    inv = nd.div(1.0, nd.sqrt(nd.add(var, nd.LN_EPS)))
+    return nd.add(nd.mul(nd.mul(centered, inv), gamma), beta)
+
+
+def composite_attention(q, k, v, scale):
+    scores = nd.mul(nd.matmul(q, nd.swap_last2(k)), scale)
+    return nd.matmul(nd.softmax_lastdim(scores), v)
+
+
+def composite_level_fusion(parts, w, b):
+    alpha = nd.softmax_lastdim(nd.add(nd.matmul(nd.concat(parts, axis=-1), nd.swap_last2(w)), b))
+    out = None
+    for i, y in enumerate(parts):
+        piece = nd.mul(nd.slice_axis(alpha, alpha.ndim - 1, i, i + 1), y)
+        out = piece if out is None else nd.add(out, piece)
+    return out, alpha.array
+
+
+def assert_matches_composite(fused, composite, leaves, seed=0):
+    """Run both under a tape with the same random linear readout; the outputs
+    must be bitwise equal and every leaf gradient equal within rtol 1e-10.
+    Returns the fused tape's record count."""
+    results = []
+    for fn in (fused, composite):
+        with Tape() as tape:
+            out = fn(*leaves)
+            alpha = None
+            if isinstance(out, tuple):
+                out, alpha = out
+            readout = NdBuffer(np.random.default_rng(seed).normal(size=out.shape))
+            loss = nd.reduce_sum(nd.mul(out, readout))
+        flat = [x for leaf in leaves for x in (leaf if isinstance(leaf, list) else [leaf])
+                if isinstance(x, NdBuffer)]
+        results.append((out.array, alpha, tape.grad(loss, flat), len(tape)))
+    (out_f, alpha_f, grads_f, records), (out_c, alpha_c, grads_c, _) = results
+    assert np.array_equal(out_f, out_c)
+    if alpha_c is not None:
+        assert np.array_equal(alpha_f, alpha_c)
+        assert not alpha_f.flags.writeable
+    for g_f, g_c in zip(grads_f, grads_c):
+        assert np.allclose(g_f, g_c, rtol=1e-10, atol=1e-13 * max(1.0, np.abs(g_c).max()))
+    return records - 2  # minus the readout's mul and reduce_sum
+
+
+def _buffers(rng, *shapes, scale=1.0):
+    return [NdBuffer(rng.normal(scale=scale, size=s)) for s in shapes]
+
+
+@pytest.mark.parametrize("shape", [(6, 8), (5, 4, 8), (3, 5, 4, 8)])
+def test_layer_norm_matches_composite(shape):
+    rng = np.random.default_rng(len(shape))
+    x = rng.normal(loc=2.0, size=shape)
+    x[(0,) * (len(shape) - 1)] = 1.5  # a row with zero variance
+    leaves = [NdBuffer(x)] + _buffers(rng, shape[-1:], shape[-1:])
+    assert assert_matches_composite(nd.layer_norm, composite_layer_norm, leaves) == 1
+    out = nd.layer_norm(*leaves).array
+    assert np.array_equal(out[(0,) * (len(shape) - 1)], leaves[2].array)
+
+
+@pytest.mark.parametrize("lead,t_len", [((), 6), ((4,), 6), ((2, 4), 6), ((3,), 1), ((2, 3), 1)])
+def test_attention_matches_composite(lead, t_len):
+    rng = np.random.default_rng(t_len + len(lead))
+    leaves = _buffers(rng, lead + (t_len, 8), lead + (t_len, 8), lead + (t_len, 5)) + [0.35]
+    assert assert_matches_composite(nd.attention, composite_attention, leaves) == 1
+    if t_len == 1:  # one key: the output is the value itself
+        assert np.array_equal(nd.attention(*leaves).array, leaves[2].array)
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (5, 4, 8), (2, 5, 4, 8)])
+def test_level_fusion_matches_composite(shape):
+    rng = np.random.default_rng(len(shape) + 10)
+    parts = _buffers(rng, shape, shape, shape)
+    w, b = _buffers(rng, (3, 3 * shape[-1]), (3,), scale=0.3)
+    assert assert_matches_composite(nd.level_fusion, composite_level_fusion, [parts, w, b]) == 1
+
+
+def test_level_fusion_scores_are_a_third_at_zero_map():
+    rng = np.random.default_rng(3)
+    parts = _buffers(rng, (2, 3, 4), (2, 3, 4), (2, 3, 4))
+    out, alpha = nd.level_fusion(parts, NdBuffer(np.zeros((3, 12))), NdBuffer(np.full(3, 0.4)))
+    assert np.all(alpha == 1.0 / 3.0)
+    want = sum(((1.0 / 3.0) * p.array for p in parts[1:]), (1.0 / 3.0) * parts[0].array)
+    assert np.array_equal(out.array, want)
+
+
+def test_fused_ops_pass_grad_check():
+    rng = np.random.default_rng(12)
+    shapes = {"x": (2, 3, 4), "g": (4,), "b": (4,), "q": (2, 3, 4), "k": (2, 3, 4),
+              "v": (2, 3, 2), "y0": (3, 2), "y1": (3, 2), "y2": (3, 2), "w": (3, 6), "c": (3,)}
+    params = {k: rng.normal(size=s) for k, s in shapes.items()}
+    readouts = {name: rng.normal(size=s) for name, s in
+                [("ln", (2, 3, 4)), ("attn", (2, 3, 2)), ("mix", (3, 2))]}
+
+    def f(p):
+        terms = [nd.layer_norm(p["x"], p["g"], p["b"]), nd.attention(p["q"], p["k"], p["v"], 0.5),
+                 nd.level_fusion([p["y0"], p["y1"], p["y2"]], p["w"], p["c"])[0]]
+        total = None
+        for term, readout in zip(terms, readouts.values()):
+            part = nd.reduce_sum(nd.square(nd.mul(term, NdBuffer(readout))))
+            total = part if total is None else nd.add(total, part)
+        return total
+
+    report = nd.grad_check(f, params)
+    assert report.max_rel_err < 1e-4, repr(report)
+
+
+def test_fused_ops_reject_bad_shapes():
+    x = NdBuffer(np.ones((3, 4)))
+    with pytest.raises(DimensionError):
+        nd.layer_norm(x, NdBuffer(np.ones(3)), NdBuffer(np.zeros(4)))
+    with pytest.raises(DimensionError):
+        nd.attention(x, NdBuffer(np.ones((3, 5))), x, 1.0)
+    with pytest.raises(DimensionError):
+        nd.level_fusion([x, NdBuffer(np.ones((3, 5)))], NdBuffer(np.ones((2, 8))),
+                        NdBuffer(np.ones(2)))
+    with pytest.raises(DimensionError):
+        nd.level_fusion([x, x], NdBuffer(np.ones((2, 4))), NdBuffer(np.ones(2)))
+
+
+def test_array_operand_is_a_constant():
+    a = np.arange(6.0).reshape(2, 3)
+    x = NdBuffer(np.ones((3, 2)))
+    with Tape() as tape:
+        y = nd.matmul(a, x)
+        loss = nd.reduce_sum(y)
+    name, out, inputs, backward = tape._records[0]
+    assert inputs == (x,)
+    assert [buf for buf, _ in backward(np.ones(y.shape))] == [x]
+    assert np.array_equal(tape.grad(loss, [x])[0], np.repeat(a.sum(axis=0)[:, None], 2, axis=1))
+    with pytest.raises(DimensionError):
+        nd.add(x, np.ones((3, 2), dtype=np.int64))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import make_clip
-from motionctx import nd
+from motionctx import network, nd
 from motionctx.errors import ConfigError, DimensionError, DomainError
 from motionctx.motion import SHAPE_PARAMS, Modality, MotionSequence, derive_task, unify_pose3d
 from motionctx.nd import NdBuffer, Tape
@@ -12,7 +12,9 @@ from motionctx.network import (LEVELS, VIEWS, LossWeights, NetConfig, aggregate_
                                context_inject, cross_level_update, encode_context, forward,
                                init_params, loss, mean_param_error, mpjpe, path_adjacency,
                                skeleton_adjacency, xfusion_block)
-from motionctx.prompting import soft_anchor_value
+from motionctx.prompting import random_sample, soft_anchor_value
+from motionctx.synth import SynthConfig, make_dataset
+from motionctx.training import AdamWState, TrainConfig, anchor_corpus, build_batch, train_step
 
 
 def small_cfg(**kw):
@@ -100,6 +102,57 @@ def test_graph_identity_passthrough():
     w = {"w": NdBuffer(np.eye(6))}
     out = aggregate_level(h, "graph", "spatial", w, adjacency=np.eye(4))
     assert np.array_equal(out.array, h.array)
+
+
+@pytest.mark.parametrize("view,lead", [("temporal", ()), ("spatial", ()), ("spatial", (2, 3))])
+def test_graph_adjacency_is_a_constant(view, lead):
+    t_len, width = 5, 8
+    rng = np.random.default_rng(31)
+    h = NdBuffer(rng.normal(size=lead + (t_len, width)))
+    w = {"w": NdBuffer(rng.normal(size=(width, width)))}
+    with Tape() as tape:
+        out = aggregate_level(h, "graph", view, w)
+    fresh = path_adjacency(t_len) if view == "temporal" else skeleton_adjacency(t_len)
+    assert np.array_equal(out.array, nd.matmul(nd.matmul(NdBuffer(fresh), h), w["w"]).array)
+    # The adjacency is built once per (view, T), frozen, and never an input
+    # of a record, so no backward forms a gradient for it.
+    cached = network._default_adjacency(view, t_len)
+    assert cached is network._default_adjacency(view, t_len)
+    assert not cached.flags.writeable and np.array_equal(cached, fresh)
+    grads = []
+    for _, rec_out, inputs, backward in tape._records:
+        assert all(buf.shape != (t_len, t_len) for buf in inputs)
+        grads += [buf.shape for buf, _ in backward(np.ones(rec_out.shape))]
+    assert (t_len, t_len) not in grads and len(grads) == 3  # h, w, and the mixed tracks
+
+
+def _count_step_records(monkeypatch, net, batch_size, seed):
+    clips = make_dataset(SynthConfig(clips=8, frames=net.frames, joints=net.joints,
+                                     native_pose_joints=net.joints - 1, seed=1))
+    anchors = random_sample(anchor_corpus(clips, seed=0), 8, 0, hidden_dim=net.hidden)
+    params = init_params(net, 1, anchors=anchors)
+    batch = build_batch(clips, anchors, batch_size, seed)
+    assert any(s.query_target.modality is Modality.MESH for s, _ in batch)
+    lengths = []
+    grad = Tape.grad
+    monkeypatch.setattr(Tape, "grad", lambda self, *a: lengths.append(len(self)) or grad(self, *a))
+    train_step(batch, params, AdamWState(), TrainConfig(batch_size=batch_size))
+    return lengths
+
+
+def test_tape_records_per_pass(monkeypatch):
+    # Each view pass writes 25 records fewer than the composite chains did:
+    # one record each for attention, level fusion and layer norm.
+    toy = NetConfig(frames=8, joints=6, hidden=16, layers=1)
+    assert _count_step_records(monkeypatch, toy, 8, 1) == [126]
+    paper_layers = NetConfig(frames=4, joints=5, hidden=8, layers=8)
+    assert _count_step_records(monkeypatch, paper_layers, 4, 1) == [665]
+    gradcheck = NetConfig(frames=4, joints=5, hidden=8, layers=2)  # criterion 06's network
+    inputs = _toy_inputs(gradcheck)
+    params = init_params(gradcheck, 0)
+    with Tape() as tape:
+        forward(*inputs, params)
+    assert len(tape) == 174
 
 
 def test_ssm_degenerates_to_passthrough():

@@ -6,6 +6,7 @@ import pytest
 from motionctx.errors import DimensionError, DomainError, StateError
 from motionctx.motion import Modality, MotionSequence, canonical_tbody, unify_pose3d
 from motionctx.nd import NdBuffer
+from motionctx import prompting
 from motionctx.prompting import (_sims_to_one, cluster_sample, corpus_fingerprint, coverage,
                                  max_sim, random_sample, retrieve_prompt, similarity,
                                  soft_anchor_value, sps_sample)
@@ -311,6 +312,49 @@ def test_cluster_sample_hits_both_planted_clusters():
     assert signs == [-1.0, 1.0]
     again = cluster_sample(corpus, k=2, rng_seed=1, hidden_dim=4)
     assert [a.source_index for a in got.anchors] == [a.source_index for a in again.anchors]
+
+
+def _naive_assign(flat, centroids):
+    return ((flat[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+
+
+def kmeans_reference(corpus, k, seed, assign):
+    """The k-means loop of `cluster_sample` with a pluggable assignment;
+    returns every iteration's assignment and the picked corpus indices."""
+    flat = np.stack([c[0].values.array.reshape(-1) for c in corpus])
+    rng = np.random.default_rng(seed)
+    centroids = flat[rng.choice(len(corpus), size=k, replace=False)].copy()
+    history = []
+    for _ in range(prompting.KMEANS_ITERATIONS):
+        history.append(assign(flat, centroids))
+        for c in range(k):
+            members = flat[history[-1] == c]
+            if members.size:
+                centroids[c] = members.mean(axis=0)
+    picked, used = [], np.zeros(len(corpus), dtype=bool)
+    for c in range(k):
+        order = np.argsort(((flat - centroids[c]) ** 2).sum(axis=1), kind="stable")
+        picked.append(next(int(i) for i in order if not used[i]))
+        used[picked[-1]] = True
+    return history, picked
+
+
+def test_cluster_assignment_by_expansion_matches_difference_tensor():
+    for trial in range(30):
+        rng = np.random.default_rng(100 + trial)
+        n, k = int(rng.integers(4, 40)), int(rng.integers(1, 9))
+        k = min(k, n)
+        corpus = random_corpus(n, frames=int(rng.integers(1, 4)), joints=int(rng.integers(1, 5)),
+                               seed=trial)
+        if trial % 3 == 0:  # repeated members: tied distances and equal centroids
+            corpus = corpus + corpus[: n // 2]
+        naive, naive_picks = kmeans_reference(corpus, k, trial, _naive_assign)
+        fast, fast_picks = kmeans_reference(corpus, k, trial, prompting._nearest_centroid)
+        for a, b in zip(naive, fast):
+            assert np.array_equal(a, b)
+        assert fast_picks == naive_picks
+        got = cluster_sample(corpus, k, trial, hidden_dim=4)
+        assert [a.source_index for a in got.anchors[1:]] == naive_picks
 
 
 def test_coverage_values():
