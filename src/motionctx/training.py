@@ -121,11 +121,26 @@ class AdamWState:
             m, v = self.m[name], self.v[name]
             t = self.t.get(name, 0) + 1
             self.t[name] = t
-            m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-            v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-            m_hat = m / (1.0 - ADAM_BETA1 ** t)
-            v_hat = v / (1.0 - ADAM_BETA2 ** t)
-            new = p - lr * weight_decay * p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            # In place, in the order of m = B1*m + (1-B1)*g, v = B2*v + (1-B2)*g*g,
+            # p - lr*wd*p - lr*m_hat / (sqrt(v_hat) + eps), with two full-size
+            # temporaries. `new` is fresh: XFusionParams.copy() shares buffers,
+            # so p is never written.
+            tmp = np.multiply(g, 1.0 - ADAM_BETA1)
+            m *= ADAM_BETA1
+            m += tmp
+            np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+            tmp *= g
+            v *= ADAM_BETA2
+            v += tmp
+            np.divide(v, 1.0 - ADAM_BETA2 ** t, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += ADAM_EPS
+            new = np.divide(m, 1.0 - ADAM_BETA1 ** t)
+            new *= lr
+            np.divide(new, tmp, out=tmp)  # tmp is now the step
+            np.multiply(p, lr * weight_decay, out=new)
+            np.subtract(p, new, out=new)
+            new -= tmp
             params.tensors[name] = NdBuffer._wrap(new)
 
 

@@ -3,7 +3,11 @@
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from motionctx import fileio, nd, network, prompting, synth, training
+from motionctx.motion import Modality, MotionSequence
+from motionctx.nd import NdBuffer
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spans  # noqa: E402
@@ -21,3 +25,18 @@ def test_tracer_patches_existing_names_and_restores_them():
     for owner, old in zip(owners, before):
         after = vars(owner)
         assert all(after[name] is value for name, value in old.items()), owner.__name__
+
+
+def test_tracer_counts_one_similarity_call_per_sps_pick():
+    # spans.py derives sps_sample.sim_evals and useful_share from the rows of
+    # each _sims_to_one call: one call over the whole corpus, then one per pick
+    # over the members not yet taken.
+    rng = np.random.default_rng(0)
+    corpus = []
+    for _ in range(12):
+        seq = MotionSequence(NdBuffer(rng.normal(size=(2, 3, 3))), Modality.MESH, 3)
+        corpus.append((seq, seq, "mp_m"))
+    tracer = spans.Tracer("t")
+    with tracer.patched():
+        prompting.sps_sample(corpus, 12, hidden_dim=4)
+    assert tracer.sps_rows == list(range(12, 0, -1))

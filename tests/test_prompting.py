@@ -1,5 +1,7 @@
 """Similarity space, max-min sampling, baselines, and retrieval."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from motionctx import prompting
 from motionctx.prompting import (_sims_to_one, cluster_sample, corpus_fingerprint, coverage,
                                  max_sim, random_sample, retrieve_prompt, similarity,
                                  soft_anchor_value, sps_sample)
+from motionctx.synth import SynthConfig, make_dataset
+from motionctx.training import anchor_corpus
 
 
 def mesh_seq(values):
@@ -69,6 +73,68 @@ def test_similarity_shape_mismatch():
         similarity(mesh_seq(np.zeros((1, 2, 3))), mesh_seq(np.zeros((2, 2, 3))))
 
 
+def _plain_sims(stacked, one):
+    """The similarity kernel as the plain formula, one (n, F, J, 3) temporary."""
+    return 0.0 - np.sqrt(((stacked - one) ** 2).sum(axis=-1)).mean(axis=(1, 2))
+
+
+def assert_kernel_is_plain_formula(stacked, one):
+    got = _sims_to_one(stacked, one)
+    assert got.shape == (len(stacked),)
+    assert got.tobytes() == _plain_sims(stacked, one).tobytes()
+    return got
+
+
+def block_rows(frames, joints):
+    return prompting._SIM_BLOCK_BYTES // (frames * joints * 3 * 8)
+
+
+def test_sims_to_one_bitwise_equal_to_plain_formula_across_blocks():
+    rng = np.random.default_rng(11)
+    rows = block_rows(16, 24)
+    assert rows > 1
+    for n in (1, rows - 1, rows, rows + 1, 3 * rows + 5):
+        stacked = rng.normal(size=(n, 16, 24, 3))
+        assert_kernel_is_plain_formula(stacked, rng.normal(size=(16, 24, 3)))
+    for n in (1, 7, block_rows(1, 1) + 3):  # F = J = 1
+        assert_kernel_is_plain_formula(rng.normal(size=(n, 1, 1, 3)), rng.normal(size=(1, 1, 3)))
+
+
+def test_sims_to_one_bitwise_equal_over_magnitudes():
+    rng = np.random.default_rng(12)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(300, 1, 1, 1))
+    stacked = rng.normal(size=(300, 4, 5, 3)) * scale
+    for one in (np.zeros((4, 5, 3)), 1e-3 * rng.normal(size=(4, 5, 3)),
+                1e3 * rng.normal(size=(4, 5, 3))):
+        assert_kernel_is_plain_formula(stacked, one)
+
+
+def test_sims_to_one_leaves_a_read_only_stack_unwritten():
+    anchors = sps_sample(random_corpus(20, frames=3, joints=4, seed=5), k=12, hidden_dim=4)
+    stacked = anchors.stacked_inputs()
+    before = stacked.copy()
+    sims = assert_kernel_is_plain_formula(stacked, stacked[3])
+    assert not stacked.flags.writeable
+    assert np.array_equal(stacked, before)
+    # An identical row scores exactly +0.0, never -0.0.
+    assert sims[3] == 0.0 and not np.signbit(sims[3])
+    assert np.all(sims[np.arange(len(sims)) != 3] < 0.0)
+
+
+def test_sims_to_one_temporaries_stay_within_a_few_blocks():
+    n = 5000
+    stacked = np.random.default_rng(13).normal(size=(n, 16, 24, 3))
+    one = stacked[17].copy()
+    tracemalloc.start()
+    try:
+        sims = _sims_to_one(stacked, one)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sims.shape == (n,)
+    assert peak < 4 * prompting._SIM_BLOCK_BYTES + sims.nbytes, peak
+
+
 def test_sps_scalar_toy_trace():
     anchors = sps_sample(scalar_corpus([1.0, 2.0, 10.0]), k=4, hidden_dim=8)
     values = [a.input.values.array[0, 0, 0] for a in anchors.anchors]
@@ -100,14 +166,15 @@ def _oracle_sps(stacked, k):
 
     anchors = [np.zeros(stacked.shape[1:])]
     unsampled = list(range(len(stacked)))
-    order = []
+    order, trace = [], []
     while len(anchors) < k and unsampled:
         scored = [(max(sim(stacked[i], a) for a in anchors), i) for i in unsampled]
-        _, pick = min(scored)  # ties fall to the lowest index
+        score, pick = min(scored)  # ties fall to the lowest index
         order.append(pick)
+        trace.append(score)
         unsampled.remove(pick)
         anchors.append(stacked[pick])
-    return order
+    return order, trace
 
 
 def test_sps_matches_bruteforce_oracle():
@@ -117,8 +184,17 @@ def test_sps_matches_bruteforce_oracle():
         corpus = random_corpus(n, seed=200 + seed)
         k = int(rng.integers(1, n + 2))
         got = sps_sample(corpus, k, hidden_dim=4)
-        want = _oracle_sps(np.stack([c[0].values.array for c in corpus]), k)
+        want, _ = _oracle_sps(np.stack([c[0].values.array for c in corpus]), k)
         assert [a.source_index for a in got.anchors[1:]] == want
+
+
+def test_sps_matches_bruteforce_oracle_on_synth_corpus():
+    # Toy-size synth clips (F=8, J=6) derived for every domain.
+    corpus = anchor_corpus(make_dataset(SynthConfig(clips=8)), seed=3)
+    got = sps_sample(corpus, 24, hidden_dim=4)
+    want, trace = _oracle_sps(np.stack([c[0].values.array for c in corpus]), 24)
+    assert [a.source_index for a in got.anchors[1:]] == want
+    assert got.selection_trace == tuple(trace)
 
 
 def _full_update_sps(stacked, k):

@@ -12,8 +12,9 @@ from motionctx.network import LossWeights, NetConfig, forward, init_params, loss
 from motionctx.prompting import (RetrievedPrompt, retrieve_prompt, soft_anchor_value,
                                  sps_sample)
 from motionctx.synth import SynthConfig, make_dataset
-from motionctx.training import (AdamWState, TrainConfig, anchor_corpus, build_batch,
-                                derive_seed, evaluate, lr_at_epoch, train, train_step)
+from motionctx.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamWState, TrainConfig,
+                                anchor_corpus, build_batch, derive_seed, evaluate, lr_at_epoch,
+                                train, train_step)
 
 HALF, JOINTS, NATIVE, HIDDEN = 4, 6, 5, 8
 
@@ -154,6 +155,55 @@ def test_weight_decay_only_shrink_is_exact():
     lr, wd = 1e-3, 0.5
     state.update(params, {name: np.zeros_like(p)}, lr, wd)
     assert np.array_equal(params.tensors[name].array, p - lr * wd * p)
+
+
+class _ReferenceAdamW(AdamWState):
+    """AdamW written as whole-array expressions, one temporary per operation."""
+
+    def update(self, params, grads, lr, weight_decay):
+        b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+        for name, g in grads.items():
+            p = params.tensors[name].array
+            if name not in self.m:
+                self.m[name], self.v[name] = np.zeros_like(p), np.zeros_like(p)
+            m, v = self.m[name], self.v[name]
+            t = self.t.get(name, 0) + 1
+            self.t[name] = t
+            m[...] = b1 * m + (1.0 - b1) * g
+            v[...] = b2 * v + (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1 ** t)
+            v_hat = v / (1.0 - b2 ** t)
+            new = p - lr * weight_decay * p - lr * m_hat / (np.sqrt(v_hat) + eps)
+            params.tensors[name] = NdBuffer(new)
+
+
+def test_adamw_in_place_update_bitwise_equal_to_reference_formula():
+    dataset, anchors, params = build_setup(n_clips=3, k=4)
+    shared = {k: v.array for k, v in params.tensors.items()}
+    initial = {k: a.copy() for k, a in shared.items()}
+    ref_params = params.copy()  # shares every buffer with params
+    cfg = TrainConfig(learning_rate=1e-3, weight_decay=0.05, domains=("pe",), batch_size=2)
+    state, ref_state = AdamWState(), _ReferenceAdamW()
+    # soft.2 is retrieved at the second and fifth steps only, so its step count
+    # lags the network's.
+    for step, index in enumerate((1, 2, 1, 1, 2)):
+        a = anchors.anchors[index]
+        prompt = RetrievedPrompt(hard_input=a.input, hard_target=a.target,
+                                 soft_w1=anchors.soft_w1[index], soft_w2=anchors.soft_w2[index],
+                                 index=index, similarity=0.0)
+        batch = [(derive_task(dataset[c], "pe", rng_seed=step), prompt) for c in (0, 2)]
+        train_step(batch, params, state, cfg)
+        train_step(batch, ref_params, ref_state, cfg)
+    assert state.t["soft.2.w1"] == 2 and state.t["soft.1.w1"] == 3 and state.t["head.pos.w"] == 5
+    assert state.t == ref_state.t
+    for name, value in params.tensors.items():
+        assert value.array.tobytes() == ref_params.tensors[name].array.tobytes(), name
+    for name in state.m:
+        assert state.m[name].tobytes() == ref_state.m[name].tobytes(), name
+        assert state.v[name].tobytes() == ref_state.v[name].tobytes(), name
+    # Each update made fresh parameter arrays: the shared initial ones are untouched.
+    assert not np.array_equal(params.tensors["head.pos.w"].array, initial["head.pos.w"])
+    assert all(np.array_equal(shared[k], initial[k]) for k in shared)
 
 
 def test_single_sample_step_descends_in_most_seeds():
