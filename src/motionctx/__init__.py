@@ -9,7 +9,7 @@ loop, and binary persistence for datasets, anchors, and checkpoints.
 from .errors import (ConfigError, DimensionError, DomainError, FormatError,
                      MotionCtxError, NumericError, StateError)
 from .nd import NdBuffer, Tape, grad_check
-from .motion import (CHANNELS, DEFAULT_MASK_RATIO, DOMAIN_ORDER, DOMAINS, ROOT_JOINT,
+from .motion import (CHANNELS, DOMAIN_ORDER, DOMAINS, MASK_RATIO, ROOT_JOINT,
                      SHAPE_PARAMS, DomainSpec, Modality, MotionClip, MotionSequence,
                      TaskSample, canonical_tbody, derive_task, flatten_mesh_params,
                      make_joint_mask, make_time_mask, pad_virtual_joints, parse_domain,
@@ -33,7 +33,7 @@ __all__ = [
     "ConfigError", "DimensionError", "DomainError", "FormatError",
     "MotionCtxError", "NumericError", "StateError",
     "NdBuffer", "Tape", "grad_check",
-    "CHANNELS", "DEFAULT_MASK_RATIO", "DOMAIN_ORDER", "DOMAINS", "ROOT_JOINT",
+    "CHANNELS", "DOMAIN_ORDER", "DOMAINS", "MASK_RATIO", "ROOT_JOINT",
     "SHAPE_PARAMS", "DomainSpec", "Modality", "MotionClip", "MotionSequence",
     "TaskSample", "canonical_tbody", "derive_task", "flatten_mesh_params",
     "make_joint_mask", "make_time_mask", "pad_virtual_joints", "parse_domain",

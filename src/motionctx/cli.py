@@ -21,7 +21,7 @@ import numpy as np
 from . import fileio, nd
 from .errors import (ConfigError, DimensionError, DomainError, FormatError, NumericError,
                      StateError)
-from .motion import (DEFAULT_MASK_RATIO, DOMAIN_ORDER, DOMAINS, derive_task, parse_domain)
+from .motion import DOMAIN_ORDER, DOMAINS, derive_task, parse_domain
 from .network import (DEFAULT_HIDDEN, LossWeights, NetConfig, XFusionParams, forward,
                       init_params, loss)
 from .prompting import (DEFAULT_ANCHOR_COUNT, anchor_similarities, cluster_sample,
@@ -94,14 +94,13 @@ def cmd_synth(args) -> int:
 def cmd_sample_anchors(args) -> int:
     _require(args, "dataset", "out")
     defaults = {"seed": 0, "k": DEFAULT_ANCHOR_COUNT, "method": "sps",
-                "hidden": DEFAULT_HIDDEN, "mask_ratio": DEFAULT_MASK_RATIO, "domains": None}
+                "hidden": DEFAULT_HIDDEN, "domains": None}
     cfg = _merge(defaults, args.config,
                  {"seed": args.seed, "k": args.k, "method": args.method,
                   "domains": args.domains})
     domains = _domains(cfg["domains"])
     clips = fileio.load_dataset(args.dataset)
-    corpus = anchor_corpus(clips, domains=domains, seed=cfg["seed"],
-                           mask_ratio=cfg["mask_ratio"])
+    corpus = anchor_corpus(clips, domains=domains, seed=cfg["seed"])
     if cfg["method"] == "sps":
         anchors = sps_sample(corpus, cfg["k"], hidden_dim=cfg["hidden"])
         for step, value in enumerate(anchors.selection_trace, start=1):
@@ -115,7 +114,7 @@ def cmd_sample_anchors(args) -> int:
     else:
         raise ConfigError(f"unknown sampling method {cfg['method']!r}; "
                           f"choose sps, random, or cluster")
-    meta = {"domains": list(domains), "corpus_seed": cfg["seed"], "mask_ratio": cfg["mask_ratio"]}
+    meta = {"domains": list(domains), "corpus_seed": cfg["seed"]}
     fileio.save_anchors(args.out, anchors, meta=meta)
     print(f"wrote {len(anchors)} anchors (method {anchors.method}, K={anchors.k_requested}) "
           f"to {args.out}")
@@ -123,12 +122,21 @@ def cmd_sample_anchors(args) -> int:
 
 
 def _check_fingerprint(anchors, meta, clips):
-    """Anchor files remember their corpus recipe; a mismatch warns, not fails."""
-    if not meta or "domains" not in meta:
+    """Anchor files remember their corpus recipe (task ids and seed); a
+    mismatch warns, not fails. A malformed recipe is a format error."""
+    if "domains" not in meta:
         return
-    corpus = anchor_corpus(clips, domains=tuple(meta["domains"]), seed=meta["corpus_seed"],
-                           mask_ratio=meta.get("mask_ratio", DEFAULT_MASK_RATIO))
-    if corpus_fingerprint(corpus) != anchors.fingerprint:
+    where = "anchor file meta"
+    names = fileio._field(meta, "domains", list, where)
+    seed = fileio._field(meta, "corpus_seed", int, where, minimum=None)
+    if not names or not all(isinstance(name, str) for name in names):
+        raise FormatError(f"{where} field 'domains' must be a non-empty list of task ids, "
+                          f"got {names!r}")
+    try:
+        domains = tuple(map(parse_domain, names))
+    except DomainError as exc:
+        raise FormatError(f"{where} field 'domains': {exc}") from None
+    if corpus_fingerprint(anchor_corpus(clips, domains=domains, seed=seed)) != anchors.fingerprint:
         print("warning: anchor fingerprint does not match the dataset's corpus; "
               "retrieval proceeds on the stored anchors", file=sys.stderr)
 

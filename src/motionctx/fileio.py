@@ -7,19 +7,23 @@ stored as little-endian 32-bit floats; soft-anchor factors and checkpoint
 tensors as 64-bit floats. Writes go to a temporary file in the target
 directory and are renamed into place, so a crash never leaves a truncated
 file under the final name. Payload lengths are validated against the
-manifest before any array is interpreted.
+manifest before any array is interpreted, and a shape, value or state fault
+found while building objects from file contents is a FormatError naming the
+file part.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FormatError, NumericError
+from .errors import ConfigError, DimensionError, FormatError, NumericError, StateError
 from .motion import SHAPE_PARAMS, Modality, MotionClip, MotionSequence
 from .nd import NdBuffer
 from .network import VIEWS, NetConfig, XFusionParams
@@ -78,20 +82,22 @@ def _expect_kind(manifest: dict, kind: str) -> None:
         raise FormatError(f"expected a {kind!r} file, manifest says kind={found!r}")
 
 
-def _integer(value, minimum: int = 1) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+def _integer(value, minimum: int | None = 1) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and (minimum is None or value >= minimum))
 
 
-def _field(mapping, key: str, kind: type, where: str = "manifest", minimum: int = 1):
+def _field(mapping, key: str, kind: type, where: str = "manifest", minimum: int | None = 1):
     """mapping[key], checked for presence and type. Kind int means an integer
-    of at least `minimum` (by default a positive extent or count); kind tuple
-    a list of positive integers (a tensor shape)."""
+    of at least `minimum` (by default a positive extent or count; None allows
+    any integer); kind tuple a list of positive integers (a tensor shape)."""
     if not isinstance(mapping, dict) or key not in mapping:
         raise FormatError(f"{where} lacks the {key!r} field")
     value = mapping[key]
     if kind is int:
         ok = _integer(value, minimum)
-        want = "positive integer" if minimum == 1 else f"integer >= {minimum}"
+        want = ("integer" if minimum is None else
+                "positive integer" if minimum == 1 else f"integer >= {minimum}")
     elif kind is tuple:
         ok = isinstance(value, list) and all(map(_integer, value))
         want = "list of positive integers"
@@ -100,6 +106,16 @@ def _field(mapping, key: str, kind: type, where: str = "manifest", minimum: int 
     if not ok:
         raise FormatError(f"{where} field {key!r} must be a {want}, got {value!r}")
     return tuple(value) if kind is tuple else value
+
+
+@contextmanager
+def _built_from(where: str):
+    """A shape, value or state fault raised while building objects from file
+    contents is a format error naming the file part."""
+    try:
+        yield
+    except (DimensionError, NumericError, StateError) as exc:
+        raise FormatError(f"{where} is invalid: {exc}") from None
 
 
 def _check_payload(payload: bytes, expected: int, offset: int) -> None:
@@ -130,7 +146,7 @@ class _Cursor:
         self.pos = 0
 
     def take(self, shape: tuple[int, ...], dtype: str) -> np.ndarray:
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)
         width = np.dtype(dtype).itemsize
         end = self.pos + count * width
         if end > len(self.payload):
@@ -188,15 +204,13 @@ def load_dataset(path: str) -> list[MotionClip]:
         native = _field(entry, "native", dict, where)
         count = {m: _field(native, m, int, f"{where} native") for m in _MODALITY_FIELDS}
         clip_id, source = _field(entry, "id", str, where), _field(entry, "source", str, where)
-        try:
+        with _built_from(where):
             clips.append(MotionClip(
                 MotionSequence(NdBuffer(raw[i]["pose2d"]), Modality.POSE2D, count["pose2d"]),
                 MotionSequence(NdBuffer(raw[i]["pose3d"]), Modality.POSE3D, count["pose3d"]),
                 MotionSequence(NdBuffer(raw[i]["mesh"]), Modality.MESH, count["mesh"],
                                betas=betas[i]),
                 clip_id=clip_id, source=source))
-        except DimensionError as exc:
-            raise FormatError(f"{where} does not match its payload: {exc}") from None
     return clips
 
 
@@ -215,10 +229,8 @@ def _load_sequence(values: np.ndarray, entry: dict, key: str, betas: np.ndarray,
         raise FormatError(f"{where} field 'modality' must be one of "
                           f"{[m.value for m in Modality]}, got {name!r}") from None
     native = _field(meta, "native", int, where)
-    try:
+    with _built_from(where):
         return MotionSequence(NdBuffer(values), modality, native, betas=betas)
-    except DimensionError as exc:
-        raise FormatError(f"{where} does not match its payload: {exc}") from None
 
 
 def save_anchors(path: str, anchors: AnchorSet, meta: dict | None = None) -> None:
@@ -271,11 +283,12 @@ def load_anchors(path: str) -> tuple[AnchorSet, dict]:
                       _field(entry, "source_index", int, where, minimum=-1))
 
     hard = tuple(anchor(i, m) for i, m in enumerate(meta))
-    loaded = AnchorSet(anchors=hard, k_requested=_field(manifest, "k_requested", int),
-                       soft_w1=w1, soft_w2=w2, tie_break=_field(manifest, "tie_break", str),
-                       fingerprint=_field(manifest, "fingerprint", str),
-                       method=_field(manifest, "method", str),
-                       selection_trace=tuple(_field(manifest, "selection_trace", list)))
+    with _built_from("anchor set"):
+        loaded = AnchorSet(anchors=hard, k_requested=_field(manifest, "k_requested", int),
+                           soft_w1=w1, soft_w2=w2, tie_break=_field(manifest, "tie_break", str),
+                           fingerprint=_field(manifest, "fingerprint", str),
+                           method=_field(manifest, "method", str),
+                           selection_trace=tuple(_field(manifest, "selection_trace", list)))
     return loaded, _field(manifest, "meta", dict)
 
 
@@ -307,10 +320,13 @@ def load_checkpoint(path: str) -> tuple[XFusionParams, dict]:
     entries = [(_field(e, "name", str, f"tensor entry {i}"),
                 _field(e, "shape", tuple, f"tensor entry {i}"))
                for i, e in enumerate(_field(manifest, "tensors", list))]
-    expected = sum(int(np.prod(shape, dtype=np.int64)) for _, shape in entries) * 8
+    expected = sum(math.prod(shape) for _, shape in entries) * 8
     _check_payload(payload, expected, offset)
     cursor = _Cursor(payload, offset)
-    tensors = {name: NdBuffer(cursor.take(shape, "<f8")) for name, shape in entries}
+    tensors = {}
+    for name, shape in entries:
+        with _built_from(f"tensor {name!r}"):
+            tensors[name] = NdBuffer(cursor.take(shape, "<f8"))
     return XFusionParams(cfg, tensors), _field(manifest, "meta", dict)
 
 

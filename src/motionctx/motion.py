@@ -17,13 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, NumericError
 from .nd import NdBuffer
 
 CHANNELS = 3
 SHAPE_PARAMS = 10
 ROOT_JOINT = 0
-DEFAULT_MASK_RATIO = 0.4
+MASK_RATIO = 0.4  # share of frames (MIB) or joints (JC) a masked task hides
 
 
 class Modality(enum.Enum):
@@ -60,6 +60,8 @@ class MotionSequence:
         object.__setattr__(self, "betas", _frozen(self.betas))
         if self.betas.shape != (SHAPE_PARAMS,):
             raise DimensionError(f"betas must have shape ({SHAPE_PARAMS},), got {self.betas.shape}")
+        if not np.isfinite(self.betas).all():
+            raise NumericError("betas must be finite")
         f, j, _ = self.values.shape
         if not 1 <= self.native_joint_count <= j:
             raise DimensionError(f"native_joint_count {self.native_joint_count} out of range for J={j}")
@@ -259,16 +261,19 @@ class TaskSample:
     query_target: MotionSequence
     time_mask: np.ndarray | None
     joint_mask: np.ndarray | None
-    target_betas: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "target_betas", _frozen(self.target_betas))
         if self.time_mask is not None:
             object.__setattr__(self, "time_mask", _frozen(self.time_mask))
         if self.joint_mask is not None:
             object.__setattr__(self, "joint_mask", _frozen(self.joint_mask))
         if self.query_input.frames != self.query_target.frames:
             raise DimensionError("query input and target must span the same number of frames")
+
+    @property
+    def target_betas(self) -> np.ndarray:
+        """The target's shape parameters; pose targets carry zero betas."""
+        return self.query_target.betas
 
 
 def _window(seq: MotionSequence, half: int, future: bool) -> MotionSequence:
@@ -284,13 +289,11 @@ def _apply_mask(seq: MotionSequence, mask: np.ndarray, axis: int) -> MotionSeque
     return MotionSequence(NdBuffer(masked), seq.modality, seq.native_joint_count, betas=seq.betas)
 
 
-def derive_task(clip: MotionClip, domain: str, rng_seed,
-                mask_ratio: float = DEFAULT_MASK_RATIO) -> TaskSample:
+def derive_task(clip: MotionClip, domain: str, rng_seed) -> TaskSample:
     """Build the domain's (input, target) pair from a 2F-frame clip.
 
-    Masked domains draw a fresh mask from rng_seed and apply it to the input
-    by elementwise product. Mesh-output domains carry the clip's betas; pose
-    outputs carry zero betas.
+    Masked domains draw a fresh MASK_RATIO mask from rng_seed and apply it to
+    the input by elementwise product.
     """
     spec = DOMAINS.get(domain)
     if spec is None:
@@ -302,13 +305,12 @@ def derive_task(clip: MotionClip, domain: str, rng_seed,
 
     time_mask = joint_mask = None
     if spec.mask_kind == "time":
-        time_mask = make_time_mask(half, mask_ratio, rng)
+        time_mask = make_time_mask(half, MASK_RATIO, rng)
         query_input = _apply_mask(query_input, time_mask, axis=0)
     elif spec.mask_kind == "joint":
-        joint_mask = make_joint_mask(clip.joints, ROOT_JOINT, mask_ratio, rng,
+        joint_mask = make_joint_mask(clip.joints, ROOT_JOINT, MASK_RATIO, rng,
                                      native_joint_count=query_input.native_joint_count)
         query_input = _apply_mask(query_input, joint_mask, axis=1)
 
-    target_betas = query_target.betas if spec.mesh_output else np.zeros(SHAPE_PARAMS)
     return TaskSample(domain=spec.task_id, query_input=query_input, query_target=query_target,
-                      time_mask=time_mask, joint_mask=joint_mask, target_betas=target_betas)
+                      time_mask=time_mask, joint_mask=joint_mask)

@@ -205,12 +205,11 @@ def encode_context(q_in, p_in, p_gt, u_star, params: XFusionParams) -> tuple[NdB
     return h_q, h_p
 
 
-def aggregate_level(h: NdBuffer, level: str, view: str, weights: dict[str, NdBuffer],
-                    adjacency: np.ndarray | None = None) -> NdBuffer:
+def aggregate_level(h: NdBuffer, level: str, view: str, weights: dict[str, NdBuffer]) -> NdBuffer:
     """One aggregation level over tracks laid out as (..., T, H).
 
     attention: single-head scaled dot-product over T, its core one
-    `nd.attention` record. graph: adjacency-mixed linear map; the default
+    `nd.attention` record. graph: adjacency-mixed linear map; the
     adjacency is the frame path graph in the temporal view and the skeleton
     tree in the spatial view, built once per (view, T). The adjacency is a
     constant operand, so no gradient is formed for it. ssm: causal diagonal
@@ -230,11 +229,7 @@ def aggregate_level(h: NdBuffer, level: str, view: str, weights: dict[str, NdBuf
         ctx = nd.attention(q, k, v, 1.0 / np.sqrt(q.shape[-1]))
         return nd.add(nd.matmul(ctx, weights["wo"]), weights["bo"])
     if level == "graph":
-        adjacency = (_default_adjacency(view, t_len) if adjacency is None
-                     else NdBuffer(adjacency).array)
-        if adjacency.shape != (t_len, t_len):
-            raise DimensionError(f"adjacency {adjacency.shape} does not match T={t_len}")
-        return nd.matmul(nd.matmul(adjacency, h), weights["w"])
+        return nd.matmul(nd.matmul(_default_adjacency(view, t_len), h), weights["w"])
     if level == "ssm":
         u = nd.add(nd.matmul(h, weights["w"]), weights["b"])
         s = nd.scan(nd.tanh(weights["a_raw"]), weights["b_gate"], u, axis=u.ndim - 2)

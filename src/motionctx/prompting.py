@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nd
-from .errors import DimensionError, DomainError, StateError
+from .errors import DimensionError, DomainError, NumericError, StateError
 from .motion import MotionSequence, canonical_tbody
 from .nd import NdBuffer
 from .network import DEFAULT_HIDDEN
@@ -109,6 +109,8 @@ class AnchorSet:
             raise DimensionError(f"soft_w1 shape {w1.shape} does not match {n} anchors of {shape}")
         if w2.shape[:3] != (n, 1, 1):
             raise DimensionError(f"soft_w2 shape {w2.shape} must be (A, 1, 1, H)")
+        if not (np.all(np.isfinite(w1)) and np.all(np.isfinite(w2))):
+            raise NumericError("soft factors must be finite")
         w1.setflags(write=False)
         w2.setflags(write=False)
         object.__setattr__(self, "soft_w1", w1)

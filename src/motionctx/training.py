@@ -19,8 +19,7 @@ import numpy as np
 
 from . import nd
 from .errors import ConfigError, NumericError, StateError
-from .motion import (DEFAULT_MASK_RATIO, DOMAIN_ORDER, DOMAINS, Modality, MotionClip,
-                     TaskSample, derive_task)
+from .motion import DOMAIN_ORDER, DOMAINS, Modality, MotionClip, TaskSample, derive_task
 from .nd import NdBuffer, Tape
 from .network import (ForwardResult, LossWeights, XFusionParams, forward, loss,
                       mean_param_error, mpjpe)
@@ -41,8 +40,6 @@ class TrainConfig:
     weight_decay: float = 0.01
     seed: int = 0
     domains: tuple[str, ...] = DOMAIN_ORDER
-    mask_ratio: float = DEFAULT_MASK_RATIO
-    max_steps: int | None = None
 
     def __post_init__(self):
         if self.learning_rate < 0.0:
@@ -57,8 +54,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.weight_decay < 0.0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if not 0.0 <= self.mask_ratio <= 1.0:
-            raise ConfigError(f"mask_ratio must be in [0, 1], got {self.mask_ratio}")
         for d in self.domains:
             if d not in DOMAINS:
                 raise ConfigError(f"unknown domain {d!r} in config")
@@ -76,21 +71,19 @@ def derive_seed(base: int, clip_index: int, domain: str) -> int:
     return (base * 1_000_003 + clip_index * 8_191 + tag * 131) % (2 ** 63)
 
 
-def anchor_corpus(clips: list[MotionClip], domains=DOMAIN_ORDER, seed: int = 0,
-                  mask_ratio: float = DEFAULT_MASK_RATIO):
+def anchor_corpus(clips: list[MotionClip], domains=DOMAIN_ORDER, seed: int = 0):
     """Pooled sampling corpus: one derived (input, target, domain) entry per
     clip per domain, with deterministic per-entry derivation seeds."""
     corpus = []
     for d in domains:
         for i, clip in enumerate(clips):
-            sample = derive_task(clip, d, derive_seed(seed, i, d), mask_ratio)
+            sample = derive_task(clip, d, derive_seed(seed, i, d))
             corpus.append((sample.query_input, sample.query_target, sample.domain))
     return corpus
 
 
 def build_batch(dataset: list[MotionClip], anchors: AnchorSet, batch_size: int, rng_seed,
-                domains=DOMAIN_ORDER, mask_ratio: float = DEFAULT_MASK_RATIO
-                ) -> list[tuple[TaskSample, RetrievedPrompt]]:
+                domains=DOMAIN_ORDER) -> list[tuple[TaskSample, RetrievedPrompt]]:
     """Uniform (clip, domain) draws -> derived samples -> retrieved prompts."""
     if not dataset:
         raise StateError("build_batch needs a non-empty dataset")
@@ -99,7 +92,7 @@ def build_batch(dataset: list[MotionClip], anchors: AnchorSet, batch_size: int, 
     for _ in range(batch_size):
         clip = dataset[int(rng.integers(len(dataset)))]
         domain = domains[int(rng.integers(len(domains)))]
-        sample = derive_task(clip, domain, rng, mask_ratio)
+        sample = derive_task(clip, domain, rng)
         batch.append((sample, retrieve_prompt(sample.query_input, anchors)))
     return batch
 
@@ -213,25 +206,19 @@ def train(dataset: list[MotionClip], anchors: AnchorSet, params: XFusionParams,
     rng = np.random.default_rng(config.seed)
     state = AdamWState()
     log: list[dict[str, float]] = []
-    done = 0
     for epoch in range(config.epochs):
         lr = lr_at_epoch(config, epoch)
         for step in range(steps):
-            if config.max_steps is not None and done >= config.max_steps:
-                return log
-            batch = build_batch(dataset, anchors, config.batch_size, rng,
-                                domains=config.domains, mask_ratio=config.mask_ratio)
+            batch = build_batch(dataset, anchors, config.batch_size, rng, domains=config.domains)
             record = train_step(batch, params, state, config, lr=lr,
                                 batch_id=f"epoch {epoch} step {step}")
-            record.update({"epoch": epoch, "step": step, "global_step": done, "lr": lr})
+            record.update({"epoch": epoch, "step": step, "global_step": len(log), "lr": lr})
             log.append(record)
-            done += 1
     return log
 
 
 def evaluate(dataset: list[MotionClip], anchors: AnchorSet, params: XFusionParams,
-             domains=DOMAIN_ORDER, seed: int = 0, mask_ratio: float = DEFAULT_MASK_RATIO,
-             predict_fn=None) -> dict[str, float]:
+             domains=DOMAIN_ORDER, seed: int = 0, predict_fn=None) -> dict[str, float]:
     """Deterministic per-domain metric table on the given clips.
 
     Pose-output domains report root-aligned mean per-joint position error;
@@ -247,7 +234,7 @@ def evaluate(dataset: list[MotionClip], anchors: AnchorSet, params: XFusionParam
         for lo in range(0, len(dataset), EVAL_CHUNK):
             pairs = []
             for i in range(lo, min(lo + EVAL_CHUNK, len(dataset))):
-                sample = derive_task(dataset[i], domain, derive_seed(seed, i, domain), mask_ratio)
+                sample = derive_task(dataset[i], domain, derive_seed(seed, i, domain))
                 pairs.append((sample, retrieve_prompt(sample.query_input, anchors)))
             if predict_fn is None:
                 preds = _batch_forward(pairs, params).prediction.array

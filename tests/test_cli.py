@@ -2,6 +2,7 @@
 
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -323,11 +324,15 @@ def _rewrite_manifest(src, dst, edit):
     ("anchors", "source_index", lambda m: m["anchors"][1].update(source_index=-2)),
     ("anchors", "domain", lambda m: m["anchors"][0].pop("domain")),
     ("anchors", "virtual joints", lambda m: m["anchors"][1]["target"].update(native=1)),
+    ("anchors", "corpus_seed", lambda m: m["meta"].pop("corpus_seed")),
+    ("anchors", "domains", lambda m: m["meta"].update(domains=[1])),
+    ("anchors", "domains", lambda m: m["meta"].update(domains="pe")),
 ], ids=["dataset-no-frames", "dataset-frames-str", "dataset-frames-negative",
         "checkpoint-view-order", "checkpoint-shape-params", "clip-no-native",
         "clip-native-too-large", "clip-id-int", "clip-native-below-payload",
         "anchor-native-str", "anchor-bad-modality", "anchor-source-index", "anchor-no-domain",
-        "anchor-native-below-payload"])
+        "anchor-native-below-payload", "anchor-meta-no-corpus-seed", "anchor-meta-domain-int",
+        "anchor-meta-domains-str"])
 def test_bad_manifest_fields_exit_2(pipeline, capsys, kind, key, edit):
     tmp_path, data, anchors = pipeline
     bad = str(tmp_path / "bad.bin")
@@ -345,3 +350,67 @@ def test_bad_manifest_fields_exit_2(pipeline, capsys, kind, key, edit):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and key in err and "Traceback" not in err
+
+
+def test_retrieve_ignores_a_stored_mask_ratio(pipeline, capsys):
+    # Older anchor files also store the (then configurable) mask ratio in meta.
+    tmp_path, data, anchors = pipeline
+    old = _rewrite_manifest(anchors, str(tmp_path / "old.bin"),
+                            lambda m: m["meta"].update(mask_ratio=0.4))
+    code, out, err = run(capsys, "retrieve", "--dataset", data, "--anchors", old)
+    assert code == 0 and err == "" and "best anchor" in out
+
+
+def _poke_payload(src, dst, offset, fmt, value):
+    """Copy src to dst with one little-endian value packed at a payload offset."""
+    manifest, payload, _ = fileio.read_file(src)
+    raw = bytearray(payload)
+    struct.pack_into(fmt, raw, offset, value)
+    fileio.write_file(dst, manifest, bytes(raw))
+    return dst
+
+
+@pytest.mark.parametrize("kind", ["dataset-nan", "dataset-beta-inf", "checkpoint-nan",
+                                  "anchor-rest-pose-moved", "anchor-soft-factor-inf"])
+def test_bad_payload_values_exit_2(pipeline, capsys, kind):
+    tmp_path, data, anchors = pipeline
+    bad = str(tmp_path / "bad.bin")
+    anchor_set, _ = load_anchors(anchors)
+    if kind.startswith("dataset"):
+        # Dataset payload: three (2F, J, 3) float32 blocks per clip, then the betas.
+        clips = load_dataset(data)
+        offset, value = 0, float("nan")
+        if kind == "dataset-beta-inf":
+            offset, value = len(clips) * 3 * clips[0].pose3d.values.array.nbytes // 2, float("inf")
+        argv = ["derive", "--dataset", _poke_payload(data, bad, offset, "<f", value)]
+    elif kind == "checkpoint-nan":
+        ck = str(tmp_path / "ck.bin")
+        net = NetConfig(frames=anchor_set.frames, joints=anchor_set.joints, hidden=8, layers=1)
+        fileio.save_checkpoint(ck, init_params(net, 0, anchors=anchor_set))
+        argv = ["eval", "--dataset", data, "--anchors", anchors,
+                "--checkpoint", _poke_payload(ck, bad, 0, "<d", float("nan"))]
+    else:
+        # Anchor payload: inputs, targets, input betas, target betas (float32),
+        # then the soft factors (float64); anchor 0 leads each block.
+        a, f, j = len(anchor_set), anchor_set.frames, anchor_set.joints
+        offset, fmt, value = 0, "<f", 1.0
+        if kind == "anchor-soft-factor-inf":
+            offset, fmt, value = (2 * a * f * j * 3 + 2 * a * 10) * 4, "<d", float("inf")
+        argv = ["retrieve", "--dataset", data,
+                "--anchors", _poke_payload(anchors, bad, offset, fmt, value)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "invalid" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "sample-anchors"])
+@pytest.mark.parametrize("key,value", [("mask_ratio", 0.8), ("max_steps", 3)])
+def test_removed_config_keys_are_unknown(pipeline, capsys, command, key, value):
+    tmp_path, data, anchors = pipeline
+    cfg = write_json(tmp_path / "old.json", {key: value})
+    argv = [command, "--dataset", data, "--config", cfg, "--out", str(tmp_path / "o.bin")]
+    if command == "train":
+        argv += ["--anchors", anchors]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert f"unknown config key {key!r}" in err

@@ -97,13 +97,6 @@ def test_attention_single_token_is_value_then_output():
     assert np.allclose(out.array, want, atol=1e-12)
 
 
-def test_graph_identity_passthrough():
-    h = NdBuffer(np.random.default_rng(5).normal(size=(4, 6)))
-    w = {"w": NdBuffer(np.eye(6))}
-    out = aggregate_level(h, "graph", "spatial", w, adjacency=np.eye(4))
-    assert np.array_equal(out.array, h.array)
-
-
 @pytest.mark.parametrize("view,lead", [("temporal", ()), ("spatial", ()), ("spatial", (2, 3))])
 def test_graph_adjacency_is_a_constant(view, lead):
     t_len, width = 5, 8
