@@ -62,7 +62,8 @@ def _defaults(config_cls) -> dict:
 
 
 def _merge(defaults: dict, config_path: str | None, flags: dict) -> dict:
-    """defaults < config file < explicit flags; unknown file keys are rejected."""
+    """defaults < config file < explicit flags; unknown file keys are rejected.
+    The seed must be an integer; it is reduced mod 2^63, as in `derive_seed`."""
     merged = dict(defaults)
     if config_path is not None:
         for key, value in fileio.load_config(config_path).items():
@@ -72,6 +73,9 @@ def _merge(defaults: dict, config_path: str | None, flags: dict) -> dict:
     for key, value in flags.items():
         if value is not None:
             merged[key] = value
+    if type(merged["seed"]) is not int:  # excludes bool, an int subclass
+        raise ConfigError(f"seed must be an integer, got {merged['seed']!r}")
+    merged["seed"] %= 2 ** 63
     return merged
 
 
@@ -234,11 +238,29 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_pairing(params: XFusionParams, anchors) -> None:
+    """The checkpoint must hold the tensors `init_params` makes for its config
+    and this anchor file: another network tensor is a format error, soft
+    factors of other anchors a configuration error."""
+    want = {k: v.shape for k, v in init_params(params.config, 0, anchors=anchors).tensors.items()}
+    got = {k: v.shape for k, v in params.tensors.items()}
+    for name in sorted(got.keys() | want.keys()):
+        if not name.startswith("soft.") and got.get(name) != want.get(name):
+            raise FormatError(f"checkpoint tensor {name!r} does not match its network config: "
+                              f"shape {got.get(name)} stored, {want.get(name)} expected")
+    if got != want:
+        pairs = len({k.rsplit(".", 1)[0] for k in got if k.startswith("soft.")})
+        raise ConfigError(f"checkpoint holds soft factors for {pairs} anchors, but the anchor "
+                          f"file has {len(anchors)} anchors of F={anchors.frames} "
+                          f"J={anchors.joints} H={anchors.hidden}")
+
+
 def cmd_eval(args) -> int:
     _require(args, "dataset", "anchors", "checkpoint")
     clips = fileio.load_dataset(args.dataset)
     anchors, _ = fileio.load_anchors(args.anchors)
     params, _ = fileio.load_checkpoint(args.checkpoint)
+    _check_pairing(params, anchors)
     domains = _domains(args.domains)
     table = evaluate(clips, anchors, params, domains=domains, seed=args.seed or 0)
     for domain in domains:

@@ -27,7 +27,7 @@ from .errors import ConfigError, DimensionError, FormatError, NumericError, Stat
 from .motion import SHAPE_PARAMS, Modality, MotionClip, MotionSequence
 from .nd import NdBuffer
 from .network import VIEWS, NetConfig, XFusionParams
-from .prompting import Anchor, AnchorSet
+from .prompting import TIE_BREAK, Anchor, AnchorSet
 
 MAGIC = b"HICM"
 VERSION = 1
@@ -283,10 +283,11 @@ def load_anchors(path: str) -> tuple[AnchorSet, dict]:
                       _field(entry, "source_index", int, where, minimum=-1))
 
     hard = tuple(anchor(i, m) for i, m in enumerate(meta))
+    if _field(manifest, "tie_break", str) != TIE_BREAK:
+        raise FormatError(f"manifest tie_break {manifest['tie_break']!r} is not {TIE_BREAK!r}")
     with _built_from("anchor set"):
         loaded = AnchorSet(anchors=hard, k_requested=_field(manifest, "k_requested", int),
-                           soft_w1=w1, soft_w2=w2, tie_break=_field(manifest, "tie_break", str),
-                           fingerprint=_field(manifest, "fingerprint", str),
+                           soft_w1=w1, soft_w2=w2, fingerprint=_field(manifest, "fingerprint", str),
                            method=_field(manifest, "method", str),
                            selection_trace=tuple(_field(manifest, "selection_trace", list)))
     return loaded, _field(manifest, "meta", dict)

@@ -3,10 +3,10 @@
 `NdBuffer` is an immutable dense array: float64, C-order, finite at
 construction. Operators live at module level (`add`, `matmul`, `scan`, ...);
 each one returns a fresh buffer and, when a `Tape` is active, appends one
-record. A record holds the operation name, the input buffers, the output
-buffer, and a backward closure mapping the output gradient to per-input
-contributions. Numbers and float64 arrays may stand as constant operands:
-records keep them but form no gradient for them. Error messages name an
+record. A record holds the operation name, the output buffer, and a backward
+closure that holds the input buffers and maps the output gradient to
+per-input contributions. Numbers and float64 arrays may stand as constant
+operands: backward forms no gradient for them. Error messages name an
 operation as `name#record_index`.
 
 `scan` runs a whole diagonal linear recurrence along one axis as a single
@@ -120,7 +120,7 @@ class Tape:
     """Context manager recording operator applications for reverse replay."""
 
     def __init__(self):
-        self._records: list[tuple[str, NdBuffer, tuple[NdBuffer, ...], Callable]] = []
+        self._records: list[tuple[str, NdBuffer, Callable]] = []
 
     def __enter__(self) -> "Tape":
         _TAPES.append(self)
@@ -133,9 +133,6 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self._records)
-
-    def _record(self, name, out, inputs, backward) -> None:
-        self._records.append((name, out, inputs, backward))
 
     def grad(self, output: NdBuffer, wrt: Sequence[NdBuffer]) -> list[np.ndarray]:
         """Gradients of a scalar output with respect to each buffer in wrt.
@@ -155,7 +152,7 @@ class Tape:
         owned: set[int] = set()
         records = self._records
         for index in range(len(records) - 1, -1, -1):
-            name, out, _inputs, backward = records[index]
+            name, out, backward = records[index]
             key = id(out)
             g = grads.get(key) if key in keep else grads.pop(key, None)
             if g is None:
@@ -190,11 +187,11 @@ def _active_tape() -> Tape | None:
     return _TAPES[-1] if _TAPES else None
 
 
-def _emit(name, out_arr, inputs, backward) -> NdBuffer:
+def _emit(name, out_arr, backward) -> NdBuffer:
     out = NdBuffer._wrap(out_arr, name)
     tape = _active_tape()
     if tape is not None:
-        tape._record(name, out, inputs, backward)
+        tape._records.append((name, out, backward))
     return out
 
 
@@ -227,7 +224,6 @@ def _elementwise_pair(name, a, b, fwd, back_a, back_b) -> NdBuffer:
         out = fwd(arr_a, arr_b)
     except ValueError:
         raise DimensionError(f"{name}: shapes {np.shape(arr_a)} and {np.shape(arr_b)} do not broadcast") from None
-    inputs = tuple(x for x in (buf_a, buf_b) if x is not None)
 
     def backward(g):
         contribs = []
@@ -237,7 +233,7 @@ def _elementwise_pair(name, a, b, fwd, back_a, back_b) -> NdBuffer:
             contribs.append((buf_b, _unbroadcast(back_b(g, arr_a, arr_b, out), buf_b.shape)))
         return contribs
 
-    return _emit(name, out, inputs, backward)
+    return _emit(name, out, backward)
 
 
 def add(a, b) -> NdBuffer:
@@ -295,7 +291,7 @@ def matmul(a: NdBuffer, b: NdBuffer) -> NdBuffer:
                 contribs.append((buf_b, _unbroadcast(np.swapaxes(arr_a, -1, -2) @ g, buf_b.shape)))
             return contribs
 
-    return _emit("matmul", out, tuple(x for x in (buf_a, buf_b) if x is not None), backward)
+    return _emit("matmul", out, backward)
 
 
 def scan(a, b, u, axis: int) -> NdBuffer:
@@ -344,7 +340,7 @@ def scan(a, b, u, axis: int) -> NdBuffer:
             contribs.append((buf_u, np.moveaxis(arr_b * r, 0, ax)))
         return contribs
 
-    return _emit("scan", out, tuple(x for x in (buf_a, buf_b, buf_u) if x is not None), backward)
+    return _emit("scan", out, backward)
 
 
 def transpose(a: NdBuffer, axes: Sequence[int]) -> NdBuffer:
@@ -357,7 +353,7 @@ def transpose(a: NdBuffer, axes: Sequence[int]) -> NdBuffer:
     def backward(g):
         return [(a, np.transpose(g, inverse))]
 
-    return _emit("transpose", out, (a,), backward)
+    return _emit("transpose", out, backward)
 
 
 def swap_last2(a: NdBuffer) -> NdBuffer:
@@ -375,7 +371,7 @@ def reshape(a: NdBuffer, shape: Sequence[int]) -> NdBuffer:
     def backward(g):
         return [(a, g.reshape(a.shape))]
 
-    return _emit("reshape", out, (a,), backward)
+    return _emit("reshape", out, backward)
 
 
 def concat(parts: Sequence[NdBuffer], axis: int) -> NdBuffer:
@@ -397,7 +393,7 @@ def concat(parts: Sequence[NdBuffer], axis: int) -> NdBuffer:
             contribs.append((p, g[tuple(sl)]))
         return contribs
 
-    return _emit("concat", out, tuple(parts), backward)
+    return _emit("concat", out, backward)
 
 
 def stack(parts: Sequence[NdBuffer], axis: int) -> NdBuffer:
@@ -412,7 +408,7 @@ def stack(parts: Sequence[NdBuffer], axis: int) -> NdBuffer:
     def backward(g):
         return [(p, np.take(g, i, axis=ax)) for i, p in enumerate(parts)]
 
-    return _emit("stack", out, tuple(parts), backward)
+    return _emit("stack", out, backward)
 
 
 def take_axis(a: NdBuffer, index: int, axis: int) -> NdBuffer:
@@ -428,7 +424,7 @@ def take_axis(a: NdBuffer, index: int, axis: int) -> NdBuffer:
         z[tuple(sl)] = g
         return [(a, z)]
 
-    return _emit("take_axis", out, (a,), backward)
+    return _emit("take_axis", out, backward)
 
 
 def slice_axis(a: NdBuffer, axis: int, start: int, stop: int) -> NdBuffer:
@@ -444,7 +440,7 @@ def slice_axis(a: NdBuffer, axis: int, start: int, stop: int) -> NdBuffer:
         z[tuple(sl)] = g
         return [(a, z)]
 
-    return _emit("slice_axis", out, (a,), backward)
+    return _emit("slice_axis", out, backward)
 
 
 def _norm_axes(axis, ndim) -> tuple[int, ...]:
@@ -464,7 +460,7 @@ def reduce_sum(a: NdBuffer, axis=None, keepdims: bool = False) -> NdBuffer:
             g = np.expand_dims(g, axes)
         return [(a, np.broadcast_to(g, a.shape))]
 
-    return _emit("reduce_sum", out, (a,), backward)
+    return _emit("reduce_sum", out, backward)
 
 
 def mean(a: NdBuffer, axis=None, keepdims: bool = False) -> NdBuffer:
@@ -477,12 +473,12 @@ def mean(a: NdBuffer, axis=None, keepdims: bool = False) -> NdBuffer:
             g = np.expand_dims(g, axes)
         return [(a, np.broadcast_to(g / count, a.shape))]
 
-    return _emit("mean", out, (a,), backward)
+    return _emit("mean", out, backward)
 
 
 def square(a: NdBuffer) -> NdBuffer:
     arr = a.array
-    return _emit("square", arr * arr, (a,), lambda g: [(a, g * 2.0 * arr)])
+    return _emit("square", arr * arr, lambda g: [(a, g * 2.0 * arr)])
 
 
 def sqrt(a: NdBuffer) -> NdBuffer:
@@ -498,17 +494,17 @@ def sqrt(a: NdBuffer) -> NdBuffer:
         denom = np.where(zero, 1.0, out)
         return [(a, np.where(zero, 0.0, g * 0.5 / denom))]
 
-    return _emit("sqrt", out, (a,), backward)
+    return _emit("sqrt", out, backward)
 
 
 def exp(a: NdBuffer) -> NdBuffer:
     out = np.exp(a.array)
-    return _emit("exp", out, (a,), lambda g: [(a, g * out)])
+    return _emit("exp", out, lambda g: [(a, g * out)])
 
 
 def tanh(a: NdBuffer) -> NdBuffer:
     out = np.tanh(a.array)
-    return _emit("tanh", out, (a,), lambda g: [(a, g * (1.0 - out * out))])
+    return _emit("tanh", out, lambda g: [(a, g * (1.0 - out * out))])
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -525,7 +521,7 @@ def softmax_lastdim(a: NdBuffer) -> NdBuffer:
     """Max-shifted softmax over the last axis; rows sum to one exactly in
     float64 up to rounding, stable for large inputs."""
     out = _softmax(a.array)
-    return _emit("softmax_lastdim", out, (a,), lambda g: [(a, _softmax_back(out, g))])
+    return _emit("softmax_lastdim", out, lambda g: [(a, _softmax_back(out, g))])
 
 
 def layer_norm(x: NdBuffer, gamma, beta) -> NdBuffer:
@@ -571,8 +567,7 @@ def layer_norm(x: NdBuffer, gamma, beta) -> NdBuffer:
         dx *= inv.reshape(-1, 1)
         return [(x, dx.reshape(arr.shape))] + contribs
 
-    return _emit("layer_norm", out, tuple(b for b in (x, buf_g, buf_b) if b is not None),
-                 backward)
+    return _emit("layer_norm", out, backward)
 
 
 def attention(q: NdBuffer, k: NdBuffer, v: NdBuffer, scale: float) -> NdBuffer:
@@ -600,7 +595,7 @@ def attention(q: NdBuffer, k: NdBuffer, v: NdBuffer, scale: float) -> NdBuffer:
         return [(q, ds @ arr_k), (k, np.swapaxes(ds, -1, -2) @ arr_q),
                 (v, np.swapaxes(p, -1, -2) @ g)]
 
-    return _emit("attention", out, (q, k, v), backward)
+    return _emit("attention", out, backward)
 
 
 def level_fusion(parts: Sequence[NdBuffer], w: NdBuffer,
@@ -649,7 +644,7 @@ def level_fusion(parts: Sequence[NdBuffer], w: NdBuffer,
             d_w[:, block] = d_logits.T @ a.reshape(-1, width)
         return contribs + [(w, d_w), (b, d_logits.sum(axis=0))]
 
-    return _emit("level_fusion", out, tuple(parts) + (w, b), backward), alpha
+    return _emit("level_fusion", out, backward), alpha
 
 
 def grad_check(f: Callable[[dict[str, NdBuffer]], NdBuffer],

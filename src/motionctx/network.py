@@ -119,7 +119,7 @@ def init_params(cfg: NetConfig, rng_seed: int, anchors=None) -> XFusionParams:
     The compression map is zero with equal (zero) biases; layer norms start at
     identity; everything else draws small scaled normals. When an anchor set
     is given its soft-anchor factors are copied in under soft.{index}.{w1,w2}
-    so the optimizer can train them.
+    so the optimizer can train them; training and evaluation read them there.
     """
     rng = np.random.default_rng(rng_seed)
     h = cfg.hidden
@@ -180,8 +180,7 @@ def encode_context(q_in, p_in, p_gt, u_star, params: XFusionParams) -> tuple[NdB
 
     The query branch sees [q_in, p_gt] plus the soft anchor; the prompt branch
     sees [p_in, p_gt] and no soft anchor. Inputs are (F, J, C) or (B, F, J, C)
-    and must agree on the batch axis; u_star is (..., F, J, H), or None for
-    no soft anchor.
+    and must agree on the batch axis; u_star is (..., F, J, H).
     """
     cfg = params.config
     q = _as_buffer(q_in)
@@ -190,8 +189,6 @@ def encode_context(q_in, p_in, p_gt, u_star, params: XFusionParams) -> tuple[NdB
     q = _as_buffer(q, shape, "query input")
     p = _as_buffer(p_in, shape, "prompt input")
     gt = _as_buffer(p_gt, shape, "prompt target")
-    if u_star is None:
-        u_star = NdBuffer._wrap(np.zeros(lead + (cfg.frames, cfg.joints, cfg.hidden)))
     u = _as_buffer(u_star, lead + (cfg.frames, cfg.joints, cfg.hidden), "soft anchor")
 
     def encode(branch: str, first: NdBuffer) -> NdBuffer:

@@ -6,9 +6,9 @@ and its negation is a metric. Anchor sets are built three ways: max-min
 similarity sampling (seeded by the canonical rest pose, then repeatedly
 taking the corpus member least similar to everything already chosen), uniform
 random sampling, and k-means clustering with nearest-member centroids. Each
-anchor carries its task target and a per-anchor low-rank soft-anchor factor
-pair. Retrieval returns the anchor most similar to a query input; all ties
-break toward the lowest index so every path is deterministic.
+anchor carries its task target and the initial value of its low-rank soft
+factor pair. Retrieval returns the anchor most similar to a query input; all
+ties break toward the lowest index so every path is deterministic.
 """
 
 from __future__ import annotations
@@ -79,18 +79,18 @@ class Anchor:
 class AnchorSet:
     """Ordered anchors plus per-anchor soft factors and sampling metadata.
 
-    soft_w1 has shape (A, F, J, 1) and soft_w2 (A, 1, 1, H); their product is
-    the soft anchor injected into the query branch for the retrieved index.
+    soft_w1 (A, F, J, 1) and soft_w2 (A, 1, 1, H) are the initial values that
+    `init_params` copies into the trained parameters soft.{index}.w1/w2.
     """
 
     anchors: tuple[Anchor, ...]
     k_requested: int
     soft_w1: np.ndarray
     soft_w2: np.ndarray
-    tie_break: str
     fingerprint: str
     method: str
     selection_trace: tuple[float, ...] = field(default=())
+    tie_break = property(lambda self: TIE_BREAK)  # read-only, not a field: the one policy
 
     def __post_init__(self):
         if not self.anchors:
@@ -192,7 +192,7 @@ def _build_set(corpus, picked, method, k_requested, hidden, trace=()):
     fp = corpus_fingerprint(corpus)
     w1, w2 = _soft_init(len(anchors), frames, joints, hidden, fp, method)
     return AnchorSet(anchors=tuple(anchors), k_requested=k_requested, soft_w1=w1, soft_w2=w2,
-                     tie_break=TIE_BREAK, fingerprint=fp, method=method,
+                     fingerprint=fp, method=method,
                      selection_trace=tuple(float(t) for t in trace))
 
 
@@ -307,9 +307,7 @@ def max_sim(x: MotionSequence, anchors: AnchorSet) -> tuple[float, int]:
 class RetrievedPrompt:
     hard_input: MotionSequence
     hard_target: MotionSequence
-    soft_w1: np.ndarray  # (F, J, 1)
-    soft_w2: np.ndarray  # (1, 1, H)
-    index: int
+    index: int  # its soft factors are the parameters soft.{index}.w1 and .w2
     similarity: float
 
 
@@ -329,16 +327,13 @@ def retrieve_prompt(query_input: MotionSequence, anchors: AnchorSet,
             raise StateError(f"no anchors of domain {domain_filter!r} in the set")
         best = int(candidates[np.argmax(sims[candidates])])
     a = anchors.anchors[best]
-    return RetrievedPrompt(hard_input=a.input, hard_target=a.target,
-                           soft_w1=anchors.soft_w1[best], soft_w2=anchors.soft_w2[best],
-                           index=best, similarity=float(sims[best]))
+    return RetrievedPrompt(hard_input=a.input, hard_target=a.target, index=best,
+                           similarity=float(sims[best]))
 
 
 def soft_anchor_value(w1, w2) -> NdBuffer:
-    """Materialize a soft anchor U = W1 * W2 as an (F, J, H) buffer (taped)."""
-    b1 = w1 if isinstance(w1, NdBuffer) else NdBuffer(w1)
-    b2 = w2 if isinstance(w2, NdBuffer) else NdBuffer(w2)
-    return nd.mul(b1, b2)
+    """Soft anchor U = W1 * W2 as an (F, J, H) buffer; float64 arrays are constants."""
+    return nd.mul(w1, w2)
 
 
 def coverage(queries: list[MotionSequence], anchors: AnchorSet) -> float:

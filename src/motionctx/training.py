@@ -137,23 +137,15 @@ class AdamWState:
             params.tensors[name] = NdBuffer._wrap(new)
 
 
-def _soft_factors(params: XFusionParams, prompt: RetrievedPrompt) -> tuple[NdBuffer, NdBuffer]:
-    """The retrieved anchor's trainable soft factors when params carry them,
-    else the prompt's own."""
-    key = f"soft.{prompt.index}"
-    if f"{key}.w1" in params.tensors:
-        return params.tensors[f"{key}.w1"], params.tensors[f"{key}.w2"]
-    return NdBuffer(prompt.soft_w1), NdBuffer(prompt.soft_w2)
-
-
 def _batch_forward(batch, params: XFusionParams) -> ForwardResult:
     """One forward pass over (sample, prompt) pairs stacked on a leading axis.
 
-    Soft factors are stacked as taped ops, so an anchor retrieved twice fans
-    out and its gradient sums over both uses."""
-    factors = [_soft_factors(params, prompt) for _, prompt in batch]
-    u = soft_anchor_value(nd.stack([w1 for w1, _ in factors], axis=0),
-                          nd.stack([w2 for _, w2 in factors], axis=0))
+    Each prompt's soft factors are the parameters soft.{index}.w1 and .w2; a
+    missing one is a ConfigError. They are stacked as taped ops, so an anchor
+    retrieved twice fans out and its gradient sums over both uses."""
+    indices = [prompt.index for _, prompt in batch]
+    u = soft_anchor_value(nd.stack([params[f"soft.{i}.w1"] for i in indices], axis=0),
+                          nd.stack([params[f"soft.{i}.w2"] for i in indices], axis=0))
 
     def stacked(seqs) -> NdBuffer:
         return NdBuffer._wrap(np.stack([seq.values.array for seq in seqs]))
@@ -164,22 +156,19 @@ def _batch_forward(batch, params: XFusionParams) -> ForwardResult:
 
 
 def train_step(batch, params: XFusionParams, state: AdamWState, config: TrainConfig,
-               lr: float | None = None, batch_id: str = "batch") -> dict[str, float]:
-    """One optimizer step on the mean batch loss; mutates params and state.
+               lr: float, batch_id: str = "batch") -> dict[str, float]:
+    """One optimizer step at learning rate lr on the mean batch loss; mutates
+    params and state.
 
     The batch runs as one taped pass. Network parameters always participate;
     soft factors participate only for anchors retrieved in this batch. Hard
     anchors are inputs, not parameters, so they cannot change.
     """
-    if lr is None:
-        lr = config.learning_rate
     if not batch:
         raise StateError("train_step needs a non-empty batch")
-    retrieved = sorted({prompt.index for _, prompt in batch})
     keys = [k for k in params.tensors if not k.startswith("soft.")]
-    for i in retrieved:
-        if f"soft.{i}.w1" in params.tensors:
-            keys.extend([f"soft.{i}.w1", f"soft.{i}.w2"])
+    for i in sorted({prompt.index for _, prompt in batch}):
+        keys.extend([f"soft.{i}.w1", f"soft.{i}.w2"])
 
     with Tape() as tape:
         result = _batch_forward(batch, params)
@@ -218,13 +207,12 @@ def train(dataset: list[MotionClip], anchors: AnchorSet, params: XFusionParams,
 
 
 def evaluate(dataset: list[MotionClip], anchors: AnchorSet, params: XFusionParams,
-             domains=DOMAIN_ORDER, seed: int = 0, predict_fn=None) -> dict[str, float]:
+             domains=DOMAIN_ORDER, seed: int = 0) -> dict[str, float]:
     """Deterministic per-domain metric table on the given clips.
 
     Pose-output domains report root-aligned mean per-joint position error;
     mesh-output domains report mean parameter-space error. The network sees
-    each domain's clips in untaped batches of EVAL_CHUNK. predict_fn
-    (sample, prompt) -> (F, J, 3) array overrides the network, for oracles.
+    each domain's clips in untaped batches of EVAL_CHUNK.
     """
     if not dataset:
         raise StateError("evaluate needs a non-empty dataset")
@@ -236,11 +224,7 @@ def evaluate(dataset: list[MotionClip], anchors: AnchorSet, params: XFusionParam
             for i in range(lo, min(lo + EVAL_CHUNK, len(dataset))):
                 sample = derive_task(dataset[i], domain, derive_seed(seed, i, domain))
                 pairs.append((sample, retrieve_prompt(sample.query_input, anchors)))
-            if predict_fn is None:
-                preds = _batch_forward(pairs, params).prediction.array
-            else:
-                preds = [np.asarray(predict_fn(sample, prompt), dtype=np.float64)
-                         for sample, prompt in pairs]
+            preds = _batch_forward(pairs, params).prediction.array
             for (sample, _), pred in zip(pairs, preds):
                 target = sample.query_target
                 metric = mean_param_error if target.modality is Modality.MESH else mpjpe

@@ -148,7 +148,8 @@ def test_criterion_05_fresh_parameters_weigh_levels_uniformly():
     rng = np.random.default_rng(12)
     q, p, p_gt = (NdBuffer(rng.normal(size=(4, 6, 3))) for _ in range(3))
     third = 1.0 / 3.0
-    result = forward(q, p, p_gt, None, params)
+    u0 = NdBuffer(np.zeros((4, 6, 8)))
+    result = forward(q, p, p_gt, u0, params)
     scores_ok = True
     for layer_scores in result.influence:
         for s in layer_scores.values():
@@ -156,7 +157,6 @@ def test_criterion_05_fresh_parameters_weigh_levels_uniformly():
                               and np.all(s.temporal == third) and np.all(s.spatial == third))
 
     # fused output is the residual-wrapped mean of the three level outputs
-    u0 = NdBuffer(np.zeros((4, 6, 8)))
     hq, hp = encode_context(q, p, p_gt, u0, params)
     max_dev = 0.0
     for branch, h in (("q", hq), ("p", hp)):
@@ -292,17 +292,18 @@ def test_criterion_11_soft_anchor_trend():
         corpus = anchor_corpus(clips, domains=("pe", "mp_p"), seed=seed)
         anchors = sps_sample(corpus, 4, hidden_dim=8)
         net = NetConfig(frames=8, joints=6, hidden=8, layers=1)
-        if soft:
-            params = init_params(net, seed, anchors=anchors)
-        else:
-            # frozen-at-zero arm: zero factors and no trainable soft keys
+        if not soft:
+            # frozen-at-zero arm: zero is a fixed point of AdamW on w1 * w2
+            # (both gradients are exactly 0), so these factors never move
             anchors = dataclasses.replace(anchors,
                                           soft_w1=np.zeros_like(anchors.soft_w1),
                                           soft_w2=np.zeros_like(anchors.soft_w2))
-            params = init_params(net, seed)
+        params = init_params(net, seed, anchors=anchors)
         cfg = TrainConfig(epochs=3, steps_per_epoch=50, batch_size=8,
                           domains=("pe", "mp_p"), seed=seed)
         log = train(clips, anchors, params, cfg)
+        assert soft or not any(v.array.any() for k, v in params.tensors.items()
+                               if k.startswith("soft."))
         return float(np.mean([r["loss"] for r in log[-10:]]))
 
     softs = [final_loss(seed, True) for seed in range(5)]

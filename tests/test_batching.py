@@ -5,7 +5,7 @@ import pytest
 
 from helpers import make_clip
 from motionctx import nd, training
-from motionctx.errors import DimensionError
+from motionctx.errors import ConfigError, DimensionError
 from motionctx.motion import SHAPE_PARAMS, Modality, derive_task
 from motionctx.nd import NdBuffer, Tape
 from motionctx.network import (LEVELS, VIEWS, LossWeights, NetConfig, aggregate_level,
@@ -31,8 +31,8 @@ def mixed_setup(layers=2):
 
 
 def mixed_batch(clips, anchors, params):
-    """Pose and mesh domains, three native joint counts, one anchor retrieved
-    twice, and one anchor whose soft factors are not parameters."""
+    """Pose and mesh domains, three native joint counts and one anchor
+    retrieved twice."""
     batch = []
     for i, domain in enumerate(("pe", "mib_p", "mr", "jc_m", "fmr")):
         sample = derive_task(clips[i], domain, derive_seed(0, i, domain))
@@ -41,9 +41,6 @@ def mixed_batch(clips, anchors, params):
     batch.append((sample, batch[2][1]))
     assert {s.query_target.native_joint_count for s, _ in batch} == {3, 4, 5, 6}
     assert {s.query_target.modality for s, _ in batch} == {Modality.POSE3D, Modality.MESH}
-    frozen = batch[0][1].index
-    del params.tensors[f"soft.{frozen}.w1"], params.tensors[f"soft.{frozen}.w2"]
-    assert any(p.index != frozen and f"soft.{p.index}.w1" in params.tensors for _, p in batch)
     return batch
 
 
@@ -72,12 +69,8 @@ def per_sample_reference(batch, params, weights):
     totals, sums = [], {"position": 0.0, "velocity": 0.0, "shape": 0.0}
     with Tape() as tape:
         for sample, prompt in batch:
-            w1_key = f"soft.{prompt.index}.w1"
-            if w1_key in params.tensors:
-                u = soft_anchor_value(params.tensors[w1_key],
-                                      params.tensors[f"soft.{prompt.index}.w2"])
-            else:
-                u = soft_anchor_value(prompt.soft_w1, prompt.soft_w2)
+            u = soft_anchor_value(params[f"soft.{prompt.index}.w1"],
+                                  params[f"soft.{prompt.index}.w2"])
             result = forward(sample.query_input, prompt.hard_input, prompt.hard_target, u,
                              params)
             total, comps = reference_loss(result.prediction, result.betas, sample, weights)
@@ -109,7 +102,8 @@ def test_batched_step_matches_per_sample_reference():
     want_loss, want_comps, want_grads = per_sample_reference(batch, params, weights)
 
     state = RecordingState()
-    record = train_step(batch, params, state, TrainConfig(weights=weights))
+    cfg = TrainConfig(weights=weights)
+    record = train_step(batch, params, state, cfg, cfg.learning_rate)
     assert record["loss"] == pytest.approx(want_loss, rel=RTOL, abs=0)
     for k, v in want_comps.items():
         assert record[k] == pytest.approx(v, rel=RTOL, abs=0), k
@@ -119,6 +113,22 @@ def test_batched_step_matches_per_sample_reference():
     for k, g in state.grads.items():
         assert_close(g, want_grads[k], k)
     assert np.abs(state.grads["head.shape.w"]).max() > 0.0  # mesh samples reach the shape head
+
+
+def test_anchor_without_soft_parameters_is_a_config_error():
+    # Soft factors come only from the parameters: a retrieved anchor whose
+    # factors were never put into them stops the step before any update.
+    clips, anchors, params = mixed_setup(layers=1)
+    batch = mixed_batch(clips, anchors, params)
+    missing = batch[0][1].index
+    del params.tensors[f"soft.{missing}.w1"], params.tensors[f"soft.{missing}.w2"]
+    before = {k: v.array for k, v in params.tensors.items()}
+    cfg = TrainConfig()
+    with pytest.raises(ConfigError, match=f"missing parameter 'soft.{missing}.w1'"):
+        train_step(batch, params, AdamWState(), cfg, cfg.learning_rate)
+    assert all(params.tensors[k].array is v for k, v in before.items())
+    with pytest.raises(ConfigError, match="missing parameter"):
+        evaluate(clips, anchors, params, domains=("pe",))
 
 
 def test_single_sample_loss_is_the_batch_of_one():

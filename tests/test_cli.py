@@ -11,10 +11,11 @@ from motionctx import cli, fileio
 from motionctx.cli import main
 from motionctx.fileio import load_anchors, load_checkpoint, load_dataset
 from motionctx.motion import derive_task
+from motionctx.nd import NdBuffer
 from motionctx.network import LossWeights, NetConfig, init_params
-from motionctx.prompting import retrieve_prompt, similarity
+from motionctx.prompting import retrieve_prompt, similarity, sps_sample
 from motionctx.synth import SynthConfig, make_dataset
-from motionctx.training import TrainConfig, derive_seed
+from motionctx.training import TrainConfig, anchor_corpus, derive_seed
 
 
 def run(capsys, *argv):
@@ -302,6 +303,18 @@ def test_cli_defaults_are_the_config_dataclass_defaults(pipeline, capsys, monkey
     assert seen[-1] == TrainConfig(domains=("pe", "mp_p"))
 
 
+def _paired_checkpoint(tmp_path, anchors, edit=None):
+    """A checkpoint made for the anchor file at `anchors`, optionally edited."""
+    anchor_set, _ = load_anchors(anchors)
+    net = NetConfig(frames=anchor_set.frames, joints=anchor_set.joints, hidden=8, layers=1)
+    params = init_params(net, 0, anchors=anchor_set)
+    if edit is not None:
+        edit(params.tensors)
+    ck = str(tmp_path / "paired.bin")
+    fileio.save_checkpoint(ck, params)
+    return ck
+
+
 def _rewrite_manifest(src, dst, edit):
     manifest, payload, _ = fileio.read_file(src)
     edit(manifest)
@@ -341,12 +354,8 @@ def test_bad_manifest_fields_exit_2(pipeline, capsys, kind, key, edit):
     elif kind == "anchors":
         argv = ["retrieve", "--dataset", data, "--anchors", _rewrite_manifest(anchors, bad, edit)]
     else:
-        ck = str(tmp_path / "ck.bin")
-        anchor_set, _ = load_anchors(anchors)
-        net = NetConfig(frames=anchor_set.frames, joints=anchor_set.joints, hidden=8, layers=1)
-        fileio.save_checkpoint(ck, init_params(net, 0, anchors=anchor_set))
-        argv = ["eval", "--dataset", data, "--anchors", anchors,
-                "--checkpoint", _rewrite_manifest(ck, bad, edit)]
+        argv = ["eval", "--dataset", data, "--anchors", anchors, "--checkpoint",
+                _rewrite_manifest(_paired_checkpoint(tmp_path, anchors), bad, edit)]
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and key in err and "Traceback" not in err
@@ -384,11 +393,8 @@ def test_bad_payload_values_exit_2(pipeline, capsys, kind):
             offset, value = len(clips) * 3 * clips[0].pose3d.values.array.nbytes // 2, float("inf")
         argv = ["derive", "--dataset", _poke_payload(data, bad, offset, "<f", value)]
     elif kind == "checkpoint-nan":
-        ck = str(tmp_path / "ck.bin")
-        net = NetConfig(frames=anchor_set.frames, joints=anchor_set.joints, hidden=8, layers=1)
-        fileio.save_checkpoint(ck, init_params(net, 0, anchors=anchor_set))
-        argv = ["eval", "--dataset", data, "--anchors", anchors,
-                "--checkpoint", _poke_payload(ck, bad, 0, "<d", float("nan"))]
+        argv = ["eval", "--dataset", data, "--anchors", anchors, "--checkpoint",
+                _poke_payload(_paired_checkpoint(tmp_path, anchors), bad, 0, "<d", float("nan"))]
     else:
         # Anchor payload: inputs, targets, input betas, target betas (float32),
         # then the soft factors (float64); anchor 0 leads each block.
@@ -414,3 +420,88 @@ def test_removed_config_keys_are_unknown(pipeline, capsys, command, key, value):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert f"unknown config key {key!r}" in err
+
+
+# The five commands that seed numpy generators, each with a config that keeps it small.
+SEED_PATHS = {
+    "synth": {},
+    "train": {"hidden": 8, "layers": 1, "epochs": 1, "steps_per_epoch": 1, "batch_size": 2},
+    "gradcheck": {"frames": 2, "joints": 2, "hidden": 3, "layers": 1},
+    "random": {"k": 4, "hidden": 4},
+    "cluster": {"k": 4, "hidden": 4},
+}
+
+
+def _seed_argv(pipeline, path, config):
+    tmp_path, data, anchors = pipeline
+    cfg = write_json(tmp_path / f"{path}.json", {**SEED_PATHS[path], **config})
+    out = ["--config", cfg, "--out", str(tmp_path / f"{path}.bin")]
+    return {
+        "synth": ["synth"] + out,
+        "train": ["train", "--dataset", data, "--anchors", anchors] + out,
+        "gradcheck": ["gradcheck", "--config", cfg],
+        "random": ["sample-anchors", "--dataset", data, "--method", "random"] + out,
+        "cluster": ["sample-anchors", "--dataset", data, "--method", "cluster"] + out,
+    }[path]
+
+
+@pytest.mark.parametrize("path", sorted(SEED_PATHS))
+def test_seeds_are_integers_reduced_mod_2_63(pipeline, capsys, path):
+    code, _, err = run(capsys, *_seed_argv(pipeline, path, {}), "--seed", "-1")
+    assert code == 0, err
+    for bad in ("x", 1.5, True):
+        code, _, err = run(capsys, *_seed_argv(pipeline, path, {"seed": bad}))
+        assert code == 1
+        assert err == f"error: seed must be an integer, got {bad!r}\n"
+
+
+def test_negative_seed_is_taken_mod_2_63(pipeline, capsys):
+    tmp_path, data, _ = pipeline
+    ours, ref = str(tmp_path / "neg_synth.bin"), str(tmp_path / "ref_synth.bin")
+    assert run(capsys, "synth", "--seed", "-1", "--out", ours)[0] == 0
+    fileio.save_dataset(ref, make_dataset(SynthConfig(seed=2 ** 63 - 1)))
+    assert open(ours, "rb").read() == open(ref, "rb").read()
+    # The corpus was already derived mod 2^63, so sps picks are those of seed -1.
+    cfg = write_json(tmp_path / "neg.json", {"hidden": 4})
+    code, out, _ = run(capsys, "sample-anchors", "--dataset", data, "--k", "5", "--domains",
+                       "pe,mr", "--config", cfg, "--seed", "-1",
+                       "--out", str(tmp_path / "neg.bin"))
+    assert code == 0
+    want = sps_sample(anchor_corpus(load_dataset(data), domains=("pe", "mr"), seed=-1), 5,
+                      hidden_dim=4)
+    steps = [line for line in out.splitlines() if line.startswith("step ")]
+    assert steps == [f"step {i}: corpus index {a.source_index} (domain {a.domain}, "
+                     f"max-min {v:.6f})"
+                     for i, (a, v) in enumerate(zip(want.anchors[1:], want.selection_trace), 1)]
+
+
+@pytest.mark.parametrize("edit,name", [
+    (lambda t: t.update({"enc_p.bias": t.pop("enc_p.b")}), "enc_p.b"),
+    (lambda t: t.pop("layer0.q.spatial.ln.g"), "layer0.q.spatial.ln.g"),
+    (lambda t: t.update({"head.pos.b": NdBuffer(np.zeros(4))}), "head.pos.b"),
+    (lambda t: t.update({"layer1.compress.b": NdBuffer(np.zeros(3))}), "layer1.compress.b"),
+], ids=["renamed", "missing", "reshaped", "extra"])
+def test_eval_rejects_a_network_tensor_its_config_lacks(pipeline, capsys, edit, name):
+    tmp_path, data, anchors = pipeline
+    ck = _paired_checkpoint(tmp_path, anchors, edit)
+    code, _, err = run(capsys, "eval", "--dataset", data, "--anchors", anchors, "--checkpoint", ck)
+    assert code == 2
+    assert err.startswith(f"error: checkpoint tensor {name!r} does not match its network config")
+
+
+@pytest.mark.parametrize("k,hidden", [(12, 8), (4, 8), (6, 4)])
+def test_eval_rejects_soft_factors_of_another_anchor_file(pipeline, capsys, k, hidden):
+    # The checkpoint holds soft.0..5 for the 6-anchor pipeline file; a file
+    # with other anchors, or the same count at another width, does not pair.
+    tmp_path, data, anchors = pipeline
+    ck = _paired_checkpoint(tmp_path, anchors)
+    other = str(tmp_path / "other.bin")
+    cfg = write_json(tmp_path / "other.json", {"hidden": hidden})
+    assert main(["sample-anchors", "--dataset", data, "--k", str(k), "--domains", "pe,mp_p",
+                 "--config", cfg, "--out", other]) == 0
+    capsys.readouterr()
+    code, _, err = run(capsys, "eval", "--dataset", data, "--anchors", other, "--checkpoint", ck)
+    assert code == 1
+    assert err.startswith(f"error: checkpoint holds soft factors for 6 anchors, "
+                          f"but the anchor file has {k} anchors of F=")
+    assert f"H={hidden}" in err

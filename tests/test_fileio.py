@@ -12,7 +12,7 @@ from motionctx.fileio import (load_anchors, load_checkpoint, load_config, load_d
                               read_file, save_anchors, save_checkpoint, save_dataset,
                               write_file)
 from motionctx.network import NetConfig, init_params
-from motionctx.prompting import retrieve_prompt, sps_sample
+from motionctx.prompting import TIE_BREAK, retrieve_prompt, sps_sample
 from motionctx.synth import SynthConfig, make_dataset
 from motionctx.training import anchor_corpus
 
@@ -99,6 +99,22 @@ def test_anchor_round_trip(tmp_path):
                               oa.target.betas.astype(np.float32).astype(np.float64))
     save_anchors(p2, loaded, meta=meta)
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+@pytest.mark.parametrize("value", ["highest-index", "random", 0])
+def test_anchor_tie_break_is_the_one_policy(tmp_path, value):
+    anchors = build_anchors()
+    assert anchors.tie_break == TIE_BREAK == "lowest-index"
+    with pytest.raises(AttributeError):
+        anchors.tie_break = "highest-index"
+    path = str(tmp_path / "a.bin")
+    save_anchors(path, anchors)
+    manifest, payload, _ = read_file(path)
+    assert manifest["tie_break"] == TIE_BREAK
+    manifest["tie_break"] = value
+    write_file(path, manifest, payload)
+    with pytest.raises(FormatError, match="tie_break"):
+        load_anchors(path)
 
 
 def test_reloaded_anchors_self_retrieve(tmp_path):

@@ -445,8 +445,7 @@ def test_array_operand_is_a_constant():
     with Tape() as tape:
         y = nd.matmul(a, x)
         loss = nd.reduce_sum(y)
-    name, out, inputs, backward = tape._records[0]
-    assert inputs == (x,)
+    name, out, backward = tape._records[0]
     assert [buf for buf, _ in backward(np.ones(y.shape))] == [x]
     assert np.array_equal(tape.grad(loss, [x])[0], np.repeat(a.sum(axis=0)[:, None], 2, axis=1))
     with pytest.raises(DimensionError):

@@ -304,11 +304,12 @@ def test_retrieve_prompt_returns_paired_target_and_soft_params():
     got = retrieve_prompt(mesh_seq(np.full((1, 1, 3), 4.9)), anchors)
     assert got.index == 1
     assert got.hard_target.values.array[0, 0, 0] == 42.0
-    assert got.soft_w1.shape == (1, 1, 1)
-    assert got.soft_w2.shape == (1, 1, 6)
-    u = soft_anchor_value(got.soft_w1, got.soft_w2)
+    w1, w2 = anchors.soft_w1[got.index], anchors.soft_w2[got.index]
+    assert w1.shape == (1, 1, 1)
+    assert w2.shape == (1, 1, 6)
+    u = soft_anchor_value(w1, w2)
     assert u.shape == (1, 1, 6)
-    assert np.allclose(u.array, got.soft_w1 * got.soft_w2)
+    assert np.allclose(u.array, w1 * w2)
 
 
 def test_retrieve_prompt_domain_filter():
