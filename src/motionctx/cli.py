@@ -61,9 +61,16 @@ def _defaults(config_cls) -> dict:
             if f.default is not dataclasses.MISSING}
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
 def _merge(defaults: dict, config_path: str | None, flags: dict) -> dict:
     """defaults < config file < explicit flags; unknown file keys are rejected.
-    The seed must be an integer; it is reduced mod 2^63, as in `derive_seed`."""
+
+    Each value must have the type of its default: an int default takes no
+    bool, a float default takes an int (as a float). Keys whose default is
+    None, and the task ids under `domains`, are left to their own parsers.
+    The seed is reduced mod 2^63, as in `derive_seed`."""
     merged = dict(defaults)
     if config_path is not None:
         for key, value in fileio.load_config(config_path).items():
@@ -73,8 +80,17 @@ def _merge(defaults: dict, config_path: str | None, flags: dict) -> dict:
     for key, value in flags.items():
         if value is not None:
             merged[key] = value
-    if type(merged["seed"]) is not int:  # excludes bool, an int subclass
-        raise ConfigError(f"seed must be an integer, got {merged['seed']!r}")
+    for key, default in defaults.items():
+        value = merged[key]
+        if default is None or key == "domains":
+            continue
+        if type(default) is float and type(value) is int:
+            try:
+                value = merged[key] = float(value)
+            except OverflowError:
+                raise ConfigError(f"{key} is out of range, got {value!r}") from None
+        if type(value) is not type(default):
+            raise ConfigError(f"{key} must be {_TYPE_NAMES[type(default)]}, got {value!r}")
     merged["seed"] %= 2 ** 63
     return merged
 
@@ -313,9 +329,10 @@ def build_parser() -> _Parser:
                                  "reference fusion network at desk scale.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, out=False, dataset=False, anchors=False):
+    def common(p, *, config=True, out=False, dataset=False, anchors=False):
         p.add_argument("--seed", type=int, default=None, help="seed overriding the config")
-        p.add_argument("--config", default=None, help="flat JSON config file")
+        if config:
+            p.add_argument("--config", default=None, help="flat JSON config file")
         if dataset:
             p.add_argument("--dataset", default=None, help="dataset file path")
         if anchors:
@@ -337,7 +354,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_sample_anchors)
 
     p = sub.add_parser("retrieve", help="find the most similar anchor for one query")
-    common(p, dataset=True, anchors=True)
+    common(p, config=False, dataset=True, anchors=True)
     p.add_argument("--clip", type=int, default=0, help="query clip index")
     p.add_argument("--domains", default=None, help="task id deriving the query (first entry)")
     p.add_argument("--domain-filter-retrieval", action="store_true",
@@ -345,7 +362,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("derive", help="report task derivations over a dataset")
-    common(p, out=True, dataset=True)
+    common(p, config=False, out=True, dataset=True)
     p.add_argument("--domains", default=None, help="comma-separated task ids")
     p.set_defaults(func=cmd_derive)
 
@@ -355,7 +372,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="per-domain metric table for a checkpoint")
-    common(p, dataset=True, anchors=True)
+    common(p, config=False, dataset=True, anchors=True)
     p.add_argument("--checkpoint", default=None, help="checkpoint file path")
     p.add_argument("--domains", default=None, help="comma-separated task ids")
     p.set_defaults(func=cmd_eval)

@@ -427,6 +427,29 @@ def take_axis(a: NdBuffer, index: int, axis: int) -> NdBuffer:
     return _emit("take_axis", out, backward)
 
 
+def take_rows(a: NdBuffer, rows) -> NdBuffer:
+    """Rows of `a` along its leading axis, `a[rows]`, as one record; rows may
+    repeat. The backward scatter-adds each output row's gradient into a zero
+    gradient of `a`, so a row taken twice gets the sum of both."""
+    rows = np.asarray(rows)
+    if a.ndim < 1 or rows.ndim != 1 or rows.size == 0 or rows.dtype.kind not in "iu":
+        raise DimensionError(f"take_rows needs a non-empty 1-D integer index into the "
+                             f"leading axis, got {rows.dtype} {rows.shape} for shape {a.shape}")
+    if rows.min() < 0 or rows.max() >= a.shape[0]:
+        raise DimensionError(f"take_rows index out of range for leading axis of shape {a.shape}")
+    out = a.array[rows]
+
+    def backward(g):
+        # A loop over whole rows: np.add.at walks elements and ran 5-15x
+        # slower on batch-sized gathers.
+        z = np.zeros(a.shape)
+        for src, dst in enumerate(rows):
+            z[dst] += g[src]
+        return [(a, z)]
+
+    return _emit("take_rows", out, backward)
+
+
 def slice_axis(a: NdBuffer, axis: int, start: int, stop: int) -> NdBuffer:
     ax = axis % a.ndim
     if not 0 <= start < stop <= a.shape[ax]:

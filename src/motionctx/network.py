@@ -9,7 +9,8 @@ then a spatial view (per-frame tracks over joints). A per-layer compression
 map, shared between views and branches, produces softmax influence scores
 that fuse the level outputs; each fused view is wrapped in a residual
 connection and layer normalization. After every layer the prompt features are
-summed into the query branch. Location-wise and pooled affine heads emit the
+summed into the query branch; a batch runs the prompt branch once per distinct
+prompt. Location-wise and pooled affine heads emit the
 predicted sequence and shape parameters.
 
 Every stage takes (F, J, .) inputs or (B, F, J, .) inputs with a leading
@@ -322,18 +323,47 @@ class ForwardResult:
     influence: tuple[dict[str, InfluenceScores], ...]  # per layer: branch -> scores
 
 
+def _distinct_prompts(p_in: NdBuffer, p_gt: NdBuffer):
+    """Group batch rows by the bytes of their (prompt input, prompt target):
+    returns `first` (U,), the first row of each distinct prompt, and `rows`
+    (B,), each row's distinct prompt, in first-occurrence order; None when
+    the inputs are unbatched or every prompt is distinct."""
+    if p_in.ndim != 4:
+        return None
+    index: dict[tuple[bytes, bytes], int] = {}
+    rows = [index.setdefault((p.tobytes(), g.tobytes()), len(index))
+            for p, g in zip(p_in.array, p_gt.array)]
+    if len(index) == len(rows):
+        return None
+    return np.unique(rows, return_index=True)[1], np.array(rows)
+
+
 def forward(q_in, p_in, p_gt, u_star, params: XFusionParams) -> ForwardResult:
     """Full network: encode, K dual-branch fusion layers with injection after
     every layer, then the location head and the pooled shape head on the
-    query branch. Inputs are (F, J, C) or carry a leading batch axis."""
+    query branch. Inputs are (F, J, C) or carry a leading batch axis.
+
+    The prompt branch never sees the query, so a batch runs it once per
+    distinct prompt: it keeps the first row of each after encoding, and every
+    injection gathers the rows back per sample with `nd.take_rows`. Its
+    influence scores are gathered the same way. A batch of distinct prompts
+    takes no gather."""
     cfg = params.config
+    p_in, p_gt = _as_buffer(p_in), _as_buffer(p_gt)
     h_q, h_p = encode_context(q_in, p_in, p_gt, u_star, params)
+    distinct = _distinct_prompts(p_in, p_gt)
+    if distinct is not None:
+        first, rows = distinct
+        h_p = nd.take_rows(h_p, first)
     influence = []
     for k in range(cfg.layers):
         z_q, s_q = xfusion_block(h_q, params, k, "q")
-        z_p, s_p = xfusion_block(h_p, params, k, "p")
-        h_q = context_inject(z_p, z_q)
-        h_p = z_p
+        h_p, s_p = xfusion_block(h_p, params, k, "p")
+        if distinct is None:
+            h_q = context_inject(h_p, z_q)
+        else:
+            h_q = context_inject(nd.take_rows(h_p, rows), z_q)
+            s_p = InfluenceScores(**{name: a[rows] for name, a in vars(s_p).items()})
         influence.append({"q": s_q, "p": s_p})
     prediction = nd.add(nd.matmul(h_q, params["head.pos.w"]), params["head.pos.b"])
     lead = h_q.shape[:-3]

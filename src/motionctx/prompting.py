@@ -210,10 +210,10 @@ def sps_sample(corpus: list[CorpusEntry], k: int, hidden_dim: int = DEFAULT_HIDD
     frames, joints = _check_corpus(corpus)
     tbody = canonical_tbody(frames, joints)
 
-    # Only members not yet taken are scored. Their rows, indices and MaxSim
-    # values live compacted at the front of `rows`, `alive` and `best`, in
-    # corpus order, so argmin (first minimum) still breaks ties to the lowest
-    # corpus index.
+    # Only members not yet taken are scored. Their rows, corpus indices and
+    # MaxSim values live compacted at the front of `rows`, `alive` and `best`;
+    # a pick's slot takes the last alive member, so the order is not the
+    # corpus order and ties go to the smallest `alive` among exact minima.
     rows = np.stack([c[0].values.array for c in corpus])
     alive = np.arange(len(corpus))
     best = _sims_to_one(rows, tbody.values.array)  # MaxSim against {T-body}
@@ -221,15 +221,14 @@ def sps_sample(corpus: list[CorpusEntry], k: int, hidden_dim: int = DEFAULT_HIDD
     trace: list[float] = []
     n = len(corpus)
     while len(picked) + 1 < k and n:
-        pos = int(np.argmin(best[:n]))
+        ties = np.flatnonzero(best[:n] == best[:n].min())
+        pos = int(ties[np.argmin(alive[ties])])
         idx = int(alive[pos])
         picked.append(idx)
         trace.append(float(best[pos]))
         newest = rows[pos].copy()
-        # Close the gap left by the pick; numpy handles the overlapping copy.
-        for arr in (rows, alive, best):
-            arr[pos:n - 1] = arr[pos + 1:n]
         n -= 1
+        rows[pos], alive[pos], best[pos] = rows[n], alive[n], best[n]
         if n:
             best[:n] = np.maximum(best[:n], _sims_to_one(rows[:n], newest))
     return _build_set(corpus, picked, "sps", k, hidden_dim, trace)

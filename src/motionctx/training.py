@@ -48,8 +48,9 @@ class TrainConfig:
             raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.steps_per_epoch is not None and self.steps_per_epoch < 1:
-            raise ConfigError(f"steps_per_epoch must be >= 1, got {self.steps_per_epoch}")
+        steps = self.steps_per_epoch
+        if steps is not None and (not isinstance(steps, (int, np.integer)) or steps < 1):
+            raise ConfigError(f"steps_per_epoch must be an integer >= 1, got {steps!r}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.weight_decay < 0.0:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import make_clip
-from motionctx import nd, training
+from motionctx import network, nd, training
 from motionctx.errors import ConfigError, DimensionError
 from motionctx.motion import SHAPE_PARAMS, Modality, derive_task
 from motionctx.nd import NdBuffer, Tape
@@ -95,7 +95,16 @@ def assert_close(got, want, what):
     assert err <= RTOL, f"{what}: relative error {err:.2e}"
 
 
-def test_batched_step_matches_per_sample_reference():
+def branch_rows(monkeypatch):
+    """Record (branch, leading extent) of every `xfusion_block` call."""
+    seen = []
+    block = network.xfusion_block
+    monkeypatch.setattr(network, "xfusion_block", lambda h, params, layer, branch:
+                        seen.append((branch, h.shape[0])) or block(h, params, layer, branch))
+    return seen
+
+
+def test_batched_step_matches_per_sample_reference(monkeypatch):
     clips, anchors, params = mixed_setup()
     batch = mixed_batch(clips, anchors, params)
     weights = LossWeights(position=0.7, velocity=0.4, shape=1.3)
@@ -103,7 +112,11 @@ def test_batched_step_matches_per_sample_reference():
 
     state = RecordingState()
     cfg = TrainConfig(weights=weights)
+    seen = branch_rows(monkeypatch)
     record = train_step(batch, params, state, cfg, cfg.learning_rate)
+    # The repeated anchor's prompt rows ran once; its gathered gradients sum.
+    distinct = len({p.index for _, p in batch})
+    assert distinct < len(batch) and seen == [("q", len(batch)), ("p", distinct)] * 2
     assert record["loss"] == pytest.approx(want_loss, rel=RTOL, abs=0)
     for k, v in want_comps.items():
         assert record[k] == pytest.approx(v, rel=RTOL, abs=0), k
@@ -220,29 +233,61 @@ def test_unbatched_forward_is_bitwise_the_unbatched_layout():
 
 
 def test_batched_forward_rows_match_unbatched_calls():
+    # Distinct prompts, then a batch that repeats two of them.
     _, _, params = mixed_setup()
-    rng = np.random.default_rng(7)
-    q, p, gt = (rng.normal(size=(3, HALF, JOINTS, 3)) for _ in range(3))
-    u = rng.normal(size=(3, HALF, JOINTS, HIDDEN))
-    batched = forward(NdBuffer(q), NdBuffer(p), NdBuffer(gt), NdBuffer(u), params)
-    assert batched.prediction.shape == (3, HALF, JOINTS, 3)
-    assert batched.betas.shape == (3, 10)
-    for b in range(3):
-        one = forward(NdBuffer(q[b]), NdBuffer(p[b]), NdBuffer(gt[b]), NdBuffer(u[b]), params)
-        assert_close(batched.prediction.array[b], one.prediction.array, "prediction")
-        assert_close(batched.betas.array[b], one.betas.array, "betas")
-        for layer_b, layer_one in zip(batched.influence, one.influence):
-            for branch in ("q", "p"):
-                for field in ("temporal", "spatial", "raw_temporal", "raw_spatial"):
-                    assert_close(getattr(layer_b[branch], field)[b],
-                                 getattr(layer_one[branch], field), field)
+    for prompt_rows in ((0, 1, 2), (0, 1, 0, 2, 1)):
+        rng = np.random.default_rng(7)
+        batch = len(prompt_rows)
+        q = rng.normal(size=(batch, HALF, JOINTS, 3))
+        p, gt = (rng.normal(size=(3, HALF, JOINTS, 3))[list(prompt_rows)] for _ in range(2))
+        u = rng.normal(size=(batch, HALF, JOINTS, HIDDEN))
+        batched = forward(NdBuffer(q), NdBuffer(p), NdBuffer(gt), NdBuffer(u), params)
+        assert batched.prediction.shape == (batch, HALF, JOINTS, 3)
+        assert batched.betas.shape == (batch, 10)
+        for b in range(batch):
+            one = forward(NdBuffer(q[b]), NdBuffer(p[b]), NdBuffer(gt[b]), NdBuffer(u[b]),
+                          params)
+            assert_close(batched.prediction.array[b], one.prediction.array, "prediction")
+            assert_close(batched.betas.array[b], one.betas.array, "betas")
+            for layer_b, layer_one in zip(batched.influence, one.influence):
+                for branch in ("q", "p"):
+                    for field in ("temporal", "spatial", "raw_temporal", "raw_spatial"):
+                        assert_close(getattr(layer_b[branch], field)[b],
+                                     getattr(layer_one[branch], field), field)
+
+
+def test_prompt_branch_runs_once_per_distinct_prompt(monkeypatch):
+    _, _, params = mixed_setup()
+    rng = np.random.default_rng(8)
+    q, u = rng.normal(size=(5, HALF, JOINTS, 3)), rng.normal(size=(5, HALF, JOINTS, HIDDEN))
+    p, gt = (rng.normal(size=(3, HALF, JOINTS, 3)) for _ in range(2))
+    seen = branch_rows(monkeypatch)
+    for rows, distinct in [((0, 1, 0, 2, 1), 3), ((0, 1, 2, 2, 2), 3), ((0,) * 5, 1)]:
+        seen.clear()
+        with Tape() as tape:
+            forward(NdBuffer(q), NdBuffer(p[list(rows)]), NdBuffer(gt[list(rows)]),
+                    NdBuffer(u), params)
+        assert seen == [("q", 5), ("p", distinct)] * 2, rows
+        # One gather after encoding and one before each of the two injections.
+        assert [name for name, _, _ in tape._records].count("take_rows") == 3
+    # Equal prompt inputs with other targets are distinct prompts; a batch of
+    # distinct prompts takes no gather, so it runs the tape it ran before.
+    seen.clear()
+    with Tape() as tape:
+        forward(NdBuffer(q), NdBuffer(p[[0, 1, 0, 2, 1]]),
+                NdBuffer(rng.normal(size=(5, HALF, JOINTS, 3))), NdBuffer(u), params)
+    assert seen == [("q", 5), ("p", 5)] * 2
+    assert "take_rows" not in [name for name, _, _ in tape._records]
 
 
 def test_batched_evaluate_matches_per_sample_loop(monkeypatch):
     clips, anchors, params = mixed_setup()
     monkeypatch.setattr(training, "EVAL_CHUNK", 4)  # 6 clips: a full and a partial chunk
     domains = ("pe", "mr", "jc_m")
+    seen = branch_rows(monkeypatch)
     table = evaluate(clips, anchors, params, domains=domains, seed=2)
+    # Some chunk repeats an anchor, so its prompt branch ran on fewer rows.
+    assert any(p < q for (_, q), (_, p) in zip(seen[::2], seen[1::2]))
     for domain in domains:
         errors = []
         for i, clip in enumerate(clips):

@@ -505,3 +505,52 @@ def test_eval_rejects_soft_factors_of_another_anchor_file(pipeline, capsys, k, h
     assert err.startswith(f"error: checkpoint holds soft factors for 6 anchors, "
                           f"but the anchor file has {k} anchors of F=")
     assert f"H={hidden}" in err
+
+
+@pytest.mark.parametrize("command,config,message", [
+    ("sample-anchors", {"k": "x"}, "k must be an integer, got 'x'"),
+    ("synth", {"clips": 2.5}, "clips must be an integer, got 2.5"),
+    ("train", {"epochs": "2"}, "epochs must be an integer, got '2'"),
+    ("train", {"layers": True}, "layers must be an integer, got True"),
+    ("train", {"learning_rate": "0.1"}, "learning_rate must be a number, got '0.1'"),
+    ("train", {"steps_per_epoch": "2"}, "steps_per_epoch must be an integer >= 1, got '2'"),
+    ("sample-anchors", {"method": 1}, "method must be a string, got 1"),
+    ("synth", {"amplitude": 10 ** 400}, "amplitude is out of range"),
+], ids=["k", "clips", "epochs", "bool", "float", "steps", "method", "overflow"])
+def test_config_values_must_have_their_default_type(pipeline, capsys, command, config, message):
+    tmp_path, data, anchors = pipeline
+    cfg = write_json(tmp_path / "typed.json", config)
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "o.bin")]
+    if command != "synth":
+        argv += ["--dataset", data]
+    if command == "train":
+        argv += ["--anchors", anchors]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith(f"error: {message}")
+
+
+def test_float_config_value_takes_an_integer(pipeline, capsys, monkeypatch):
+    tmp_path, data, anchors = pipeline
+    seen = []
+    monkeypatch.setattr(cli, "train", lambda clips, anchor_set, params, config:
+                        seen.append(config) or [])
+    cfg = write_json(tmp_path / "int_rate.json", {"learning_rate": 1, "position_weight": 2})
+    assert run(capsys, "train", "--dataset", data, "--anchors", anchors, "--config", cfg,
+               "--out", str(tmp_path / "ck.bin"))[0] == 0
+    assert type(seen[-1].learning_rate) is float and seen[-1].learning_rate == 1.0
+    assert seen[-1].weights == LossWeights(position=2.0)
+
+
+@pytest.mark.parametrize("command", ["retrieve", "derive", "eval"])
+def test_commands_without_settings_reject_config(pipeline, capsys, command):
+    tmp_path, data, anchors = pipeline
+    cfg = write_json(tmp_path / "unused.json", {"seed": 1})
+    argv = [command, "--dataset", data, "--anchors", anchors, "--config", cfg]
+    if command == "eval":
+        argv += ["--checkpoint", _paired_checkpoint(tmp_path, anchors)]
+    elif command == "derive":
+        argv = argv[:3] + argv[5:]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: unrecognized arguments: --config")

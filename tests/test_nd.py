@@ -450,3 +450,33 @@ def test_array_operand_is_a_constant():
     assert np.array_equal(tape.grad(loss, [x])[0], np.repeat(a.sum(axis=0)[:, None], 2, axis=1))
     with pytest.raises(DimensionError):
         nd.add(x, np.ones((3, 2), dtype=np.int64))
+
+
+def test_take_rows_gathers_and_sums_repeated_rows():
+    rng = np.random.default_rng(21)
+    a = NdBuffer(rng.normal(size=(4, 3, 2)))
+    rows = np.array([2, 0, 2, 3, 2])
+    with Tape() as tape:
+        out = nd.take_rows(a, rows)
+    assert np.array_equal(out.array, a.array[rows])
+    assert [name for name, _, _ in tape._records] == ["take_rows"]
+    g = rng.normal(size=out.shape)
+    ((buf, grad),) = tape._records[0][2](g)
+    assert buf is a
+    # Row 1 is never taken; row 2 sums its three uses in index order.
+    want = np.zeros(a.shape)
+    want[0], want[2], want[3] = g[1], g[0] + g[2] + g[4], g[3]
+    assert np.array_equal(grad, want)
+
+
+def test_take_rows_passes_grad_check_and_rejects_bad_indices():
+    rng = np.random.default_rng(22)
+    readout = NdBuffer(rng.normal(size=(5, 2, 3)))
+    report = nd.grad_check(
+        lambda p: nd.reduce_sum(nd.square(nd.mul(nd.take_rows(p["a"], [1, 1, 0, 2, 1]), readout))),
+        {"a": rng.normal(size=(3, 2, 3))})
+    assert report.max_rel_err < 1e-4, repr(report)
+    a = NdBuffer(np.ones((3, 2)))
+    for bad in ([3], [-1], [], [[0]], [0.0]):
+        with pytest.raises(DimensionError):
+            nd.take_rows(a, bad)

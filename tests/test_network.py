@@ -135,9 +135,12 @@ def _count_step_records(monkeypatch, net, batch_size, seed):
 
 def test_tape_records_per_pass(monkeypatch):
     # Each view pass writes 25 records fewer than the composite chains did:
-    # one record each for attention, level fusion and layer norm.
+    # one record each for attention, level fusion and layer norm. The toy
+    # batch retrieves 5 distinct anchors for 8 samples, so its prompt branch
+    # adds one `take_rows` after encoding and one per layer (126 + 2); the
+    # paper-layered batch retrieves 4 distinct anchors and takes none.
     toy = NetConfig(frames=8, joints=6, hidden=16, layers=1)
-    assert _count_step_records(monkeypatch, toy, 8, 1) == [126]
+    assert _count_step_records(monkeypatch, toy, 8, 1) == [128]
     paper_layers = NetConfig(frames=4, joints=5, hidden=8, layers=8)
     assert _count_step_records(monkeypatch, paper_layers, 4, 1) == [665]
     gradcheck = NetConfig(frames=4, joints=5, hidden=8, layers=2)  # criterion 06's network
