@@ -25,8 +25,7 @@ from .motion import DOMAIN_ORDER, DOMAINS, derive_task, parse_domain
 from .network import (DEFAULT_HIDDEN, LossWeights, NetConfig, XFusionParams, forward,
                       init_params, loss)
 from .prompting import (DEFAULT_ANCHOR_COUNT, anchor_similarities, cluster_sample,
-                        corpus_fingerprint, random_sample, retrieve_prompt, soft_anchor_value,
-                        sps_sample)
+                        pick_anchors, random_sample, soft_anchor_value, sps_sample)
 from .synth import SynthConfig, make_dataset
 from .training import TrainConfig, anchor_corpus, derive_seed, evaluate, train
 
@@ -143,7 +142,13 @@ def cmd_sample_anchors(args) -> int:
 
 def _check_fingerprint(anchors, meta, clips):
     """Anchor files remember their corpus recipe (task ids and seed); a
-    mismatch warns, not fails. A malformed recipe is a format error."""
+    mismatch warns, not fails. A malformed recipe is a format error.
+
+    Only the stored anchors' own corpus entries are derived again: entry s of
+    the recipe's corpus is clip s % len(clips) in domain domains[s // len(clips)],
+    the order `anchor_corpus` builds, and each must equal its stored
+    (32-bit) input and target. The cost grows with the anchor count, not
+    with the dataset."""
     if "domains" not in meta:
         return
     where = "anchor file meta"
@@ -156,7 +161,20 @@ def _check_fingerprint(anchors, meta, clips):
         domains = tuple(map(parse_domain, names))
     except DomainError as exc:
         raise FormatError(f"{where} field 'domains': {exc}") from None
-    if corpus_fingerprint(anchor_corpus(clips, domains=domains, seed=seed)) != anchors.fingerprint:
+
+    def rederived(anchor) -> bool:
+        s = anchor.source_index
+        if not 0 <= s < len(clips) * len(domains):
+            return False
+        domain, i = domains[s // len(clips)], s % len(clips)
+        sample = derive_task(clips[i], domain, derive_seed(seed, i, domain))
+        return anchor.domain == domain and all(
+            np.array_equal(got.values.array.astype(np.float32), stored.values.array)
+            and np.array_equal(got.betas.astype(np.float32), stored.betas)
+            for got, stored in ((sample.query_input, anchor.input),
+                                (sample.query_target, anchor.target)))
+
+    if not all(map(rederived, anchors.anchors[1:])):  # anchors[0] is the rest pose
         print("warning: anchor fingerprint does not match the dataset's corpus; "
               "retrieval proceeds on the stored anchors", file=sys.stderr)
 
@@ -170,17 +188,17 @@ def cmd_retrieve(args) -> int:
         raise ConfigError(f"--clip {args.clip} out of range for {len(clips)} clips")
     domain = _domains(args.domains or "pe")[0]
     sample = derive_task(clips[args.clip], domain, derive_seed(args.seed or 0, args.clip, domain))
-    prompt = retrieve_prompt(sample.query_input, anchors,
-                             domain_filter=domain if args.domain_filter_retrieval else None)
+    # One similarity row gives the pick, its similarity and the runner-up margin.
+    domain_filter = domain if args.domain_filter_retrieval else None
     sims = anchor_similarities(sample.query_input, anchors)
-    if args.domain_filter_retrieval:
-        sims = sims[anchors.domain_indices(domain)]
-    top = np.sort(sims)[::-1]
+    index = int(pick_anchors(sims, anchors, domain_filter))
+    pool = sims if domain_filter is None else sims[anchors.domain_indices(domain)]
+    top = np.sort(pool)[::-1]
     margin = top[0] - top[1] if top.size > 1 else float("inf")
-    best = anchors.anchors[prompt.index]
+    best = anchors.anchors[index]
     print(f"query: clip {clips[args.clip].clip_id} domain {domain}")
-    print(f"best anchor {prompt.index} (domain {best.domain}, source {best.source_index}): "
-          f"similarity {prompt.similarity:.6f}")
+    print(f"best anchor {index} (domain {best.domain}, source {best.source_index}): "
+          f"similarity {sims[index]:.6f}")
     print(f"runner-up margin {margin:.6f}")
     return 0
 

@@ -73,6 +73,20 @@ class MotionSequence:
         if self.native_joint_count < j and np.any(arr[:, self.native_joint_count:, :] != 0.0):
             raise DimensionError(f"virtual joints {self.native_joint_count}..{j - 1} must be all zero")
 
+    @classmethod
+    def _trusted(cls, arr: np.ndarray, like: "MotionSequence") -> "MotionSequence":
+        # For frame slices of, and 0/1-mask products with, an already validated
+        # sequence `like`: both keep every invariant checked above (shape,
+        # finite values, zero z-channel, zero virtual joints, zero pose betas),
+        # so only `_window` and `_apply_mask` may skip the checks. `arr` is
+        # wrapped without a copy and its betas are shared, both read-only.
+        out = object.__new__(cls)
+        object.__setattr__(out, "values", NdBuffer._wrap(arr))
+        object.__setattr__(out, "modality", like.modality)
+        object.__setattr__(out, "native_joint_count", like.native_joint_count)
+        object.__setattr__(out, "betas", like.betas)
+        return out
+
     @property
     def frames(self) -> int:
         return self.values.shape[0]
@@ -110,8 +124,7 @@ class MotionClip:
         return self.pose2d.joints
 
     def sequence(self, modality: Modality) -> MotionSequence:
-        return {Modality.POSE2D: self.pose2d, Modality.POSE3D: self.pose3d,
-                Modality.MESH: self.mesh}[modality]
+        return getattr(self, modality.value)  # fields are named by modality value
 
 
 def unify_pose2d(values) -> MotionSequence:
@@ -278,37 +291,34 @@ class TaskSample:
 
 def _window(seq: MotionSequence, half: int, future: bool) -> MotionSequence:
     lo, hi = (half, 2 * half) if future else (0, half)
-    return MotionSequence(NdBuffer(seq.values.array[lo:hi]), seq.modality,
-                          seq.native_joint_count, betas=seq.betas)
+    return MotionSequence._trusted(seq.values.array[lo:hi], seq)  # a read-only view
 
 
 def _apply_mask(seq: MotionSequence, mask: np.ndarray, axis: int) -> MotionSequence:
     shape = [1, 1, 1]
     shape[axis] = mask.size
-    masked = seq.values.array * mask.reshape(shape)
-    return MotionSequence(NdBuffer(masked), seq.modality, seq.native_joint_count, betas=seq.betas)
+    return MotionSequence._trusted(seq.values.array * mask.reshape(shape), seq)
 
 
 def derive_task(clip: MotionClip, domain: str, rng_seed) -> TaskSample:
     """Build the domain's (input, target) pair from a 2F-frame clip.
 
     Masked domains draw a fresh MASK_RATIO mask from rng_seed and apply it to
-    the input by elementwise product.
+    the input by elementwise product; the others leave rng_seed unused.
     """
     spec = DOMAINS.get(domain)
     if spec is None:
         raise DomainError(f"unknown task domain {domain!r}; known: {', '.join(DOMAIN_ORDER)}")
     half = clip.window
-    rng = _as_rng(rng_seed)
     query_input = _window(clip.sequence(spec.input_modality), half, future=False)
     query_target = _window(clip.sequence(spec.target_modality), half, spec.target_future)
 
     time_mask = joint_mask = None
     if spec.mask_kind == "time":
-        time_mask = make_time_mask(half, MASK_RATIO, rng)
+        time_mask = make_time_mask(half, MASK_RATIO, rng_seed)
         query_input = _apply_mask(query_input, time_mask, axis=0)
     elif spec.mask_kind == "joint":
-        joint_mask = make_joint_mask(clip.joints, ROOT_JOINT, MASK_RATIO, rng,
+        joint_mask = make_joint_mask(clip.joints, ROOT_JOINT, MASK_RATIO, rng_seed,
                                      native_joint_count=query_input.native_joint_count)
         query_input = _apply_mask(query_input, joint_mask, axis=1)
 

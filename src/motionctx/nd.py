@@ -251,11 +251,6 @@ def mul(a, b) -> NdBuffer:
                              lambda g, x, y, o: g * y, lambda g, x, y, o: g * x)
 
 
-def div(a, b) -> NdBuffer:
-    return _elementwise_pair("div", a, b, lambda x, y: x / y,
-                             lambda g, x, y, o: g / y, lambda g, x, y, o: -g * o / y)
-
-
 def matmul(a: NdBuffer, b: NdBuffer) -> NdBuffer:
     arr_a, buf_a = _as_operand(a)
     arr_b, buf_b = _as_operand(b)
@@ -356,12 +351,6 @@ def transpose(a: NdBuffer, axes: Sequence[int]) -> NdBuffer:
     return _emit("transpose", out, backward)
 
 
-def swap_last2(a: NdBuffer) -> NdBuffer:
-    axes = list(range(a.ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return transpose(a, axes)
-
-
 def reshape(a: NdBuffer, shape: Sequence[int]) -> NdBuffer:
     shape = tuple(int(n) for n in shape)
     if int(np.prod(shape, dtype=np.int64)) != a.size:
@@ -409,22 +398,6 @@ def stack(parts: Sequence[NdBuffer], axis: int) -> NdBuffer:
         return [(p, np.take(g, i, axis=ax)) for i, p in enumerate(parts)]
 
     return _emit("stack", out, backward)
-
-
-def take_axis(a: NdBuffer, index: int, axis: int) -> NdBuffer:
-    ax = axis % a.ndim
-    if not 0 <= index < a.shape[ax]:
-        raise DimensionError(f"index {index} out of range for axis {ax} of shape {a.shape}")
-    out = np.take(a.array, index, axis=ax)
-
-    def backward(g):
-        z = np.zeros(a.shape)
-        sl = [slice(None)] * a.ndim
-        sl[ax] = index
-        z[tuple(sl)] = g
-        return [(a, z)]
-
-    return _emit("take_axis", out, backward)
 
 
 def take_rows(a: NdBuffer, rows) -> NdBuffer:
@@ -520,11 +493,6 @@ def sqrt(a: NdBuffer) -> NdBuffer:
     return _emit("sqrt", out, backward)
 
 
-def exp(a: NdBuffer) -> NdBuffer:
-    out = np.exp(a.array)
-    return _emit("exp", out, lambda g: [(a, g * out)])
-
-
 def tanh(a: NdBuffer) -> NdBuffer:
     out = np.tanh(a.array)
     return _emit("tanh", out, lambda g: [(a, g * (1.0 - out * out))])
@@ -538,13 +506,6 @@ def _softmax(x: np.ndarray) -> np.ndarray:
 def _softmax_back(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     # Gradient through p = softmax(x) given dL/dp = g.
     return p * (g - (g * p).sum(axis=-1, keepdims=True))
-
-
-def softmax_lastdim(a: NdBuffer) -> NdBuffer:
-    """Max-shifted softmax over the last axis; rows sum to one exactly in
-    float64 up to rounding, stable for large inputs."""
-    out = _softmax(a.array)
-    return _emit("softmax_lastdim", out, lambda g: [(a, _softmax_back(out, g))])
 
 
 def layer_norm(x: NdBuffer, gamma, beta) -> NdBuffer:

@@ -29,7 +29,7 @@ TIE_BREAK = "lowest-index"  # the only policy: ties go to the lowest index
 TBODY_DOMAIN = "tbody"
 KMEANS_ITERATIONS = 50
 SOFT_INIT_SCALE = 0.02
-_SIM_BLOCK_BYTES = 512 * 1024  # _sims_to_one scores rows in blocks of about this size
+_SIM_BLOCK_BYTES = 512 * 1024  # bytes of (query, anchor) pairs per _sims_to_many block
 
 CorpusEntry = tuple[MotionSequence, MotionSequence, str]
 
@@ -43,26 +43,46 @@ def similarity(x: MotionSequence, y: MotionSequence) -> float:
     return float(0.0 - dists.mean())
 
 
-def _sims_to_one(stacked: np.ndarray, one: np.ndarray) -> np.ndarray:
-    # (n, F, J, 3) against (F, J, 3) -> (n,) similarities, bitwise equal to
-    # 0.0 - sqrt(((stacked - one) ** 2).sum(-1)).mean((1, 2)). The coordinate
-    # sum adds strided views in the order sum(axis=-1) does, without numpy's
-    # slow length-3 reduction, and rows go in blocks of _SIM_BLOCK_BYTES so
-    # the temporaries stay O(block), not O(n).
-    n = stacked.shape[0]
-    rows = max(1, min(n, _SIM_BLOCK_BYTES // max(1, one.nbytes)))
-    sq = np.empty((rows,) + one.shape, dtype=np.result_type(stacked, one))
-    dist = np.empty(sq.shape[:-1], dtype=sq.dtype)
-    sims = np.empty(n, dtype=sq.dtype)
-    for start in range(0, n, rows):
-        s, d = sq[:n - start], dist[:n - start]
-        np.subtract(stacked[start:start + rows], one, out=s)
-        np.multiply(s, s, out=s)
-        np.add(s[..., 0], s[..., 1], out=d)
-        d += s[..., 2]
-        np.sqrt(d, out=d)
-        sims[start:start + len(d)] = 0.0 - d.mean(axis=(1, 2))
+def _sims_to_many(stacked: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    # (A, F, J, 3) against (Q, F, J, 3) -> (Q, A) similarities, each row
+    # bitwise equal to 0.0 - sqrt(((stacked - q) ** 2).sum(-1)).mean((1, 2)).
+    # The coordinate sum adds strided views in the order sum(axis=-1) does,
+    # without numpy's slow length-3 reduction, and the mean is the add.reduce
+    # and division ndarray.mean makes, without its Python wrapper. A block
+    # holds at most _SIM_BLOCK_BYTES of (query, anchor) pairs, so temporaries
+    # stay O(block), not O(Q * A): a run of anchors for one query when a
+    # query against every anchor does not fit, else several queries against
+    # all anchors. Either way a block's pairs are consecutive in (Q, A) order.
+    n_q, n_a = queries.shape[0], stacked.shape[0]
+    one = queries.shape[1:]
+    count = one[0] * one[1]
+    dtype = np.result_type(stacked, queries)
+    pairs = max(1, _SIM_BLOCK_BYTES // max(1, count * one[2] * dtype.itemsize))
+    a_rows = max(1, min(n_a, pairs))
+    q_rows = max(1, min(n_q, pairs // a_rows))
+    sq = np.empty((q_rows * a_rows,) + one, dtype=dtype)
+    dist = np.empty(sq.shape[:-1], dtype=dtype)
+    sims = np.empty((n_q, n_a), dtype=dtype)
+    flat = sims.reshape(-1)
+    for q0 in range(0, n_q, q_rows):
+        qs = queries[q0:q0 + q_rows, None]
+        for a0 in range(0, n_a, a_rows):
+            block = stacked[a0:a0 + a_rows]
+            n = len(qs) * len(block)
+            s, d = sq[:n], dist[:n]
+            np.subtract(block, qs, out=s.reshape((len(qs),) + block.shape))
+            np.multiply(s, s, out=s)
+            np.add(s[..., 0], s[..., 1], out=d)
+            d += s[..., 2]
+            np.sqrt(d, out=d)
+            start = q0 * n_a + a0
+            flat[start:start + n] = 0.0 - np.add.reduce(d, axis=(1, 2)) / count
     return sims
+
+
+def _sims_to_one(stacked: np.ndarray, one: np.ndarray) -> np.ndarray:
+    # (n, F, J, 3) against one (F, J, 3) query -> (n,): the Q = 1 case.
+    return _sims_to_many(stacked, one[None])[0]
 
 
 @dataclass(frozen=True)
@@ -286,13 +306,22 @@ def cluster_sample(corpus: list[CorpusEntry], k: int, rng_seed: int,
     return _build_set(corpus, picked, "cluster", k, hidden_dim)
 
 
+def _query_array(x: MotionSequence, anchors: AnchorSet) -> np.ndarray:
+    shape = anchors.anchors[0].input.values.shape
+    if x.values.shape != shape:
+        raise DimensionError(f"query shape {x.values.shape} does not match anchor shape {shape}")
+    return x.values.array
+
+
 def anchor_similarities(x: MotionSequence, anchors: AnchorSet) -> np.ndarray:
     """(A,) similarities of x to every anchor input, in one vectorized pass."""
-    if x.values.shape != anchors.anchors[0].input.values.shape:
-        raise DimensionError(
-            f"query shape {x.values.shape} does not match anchor shape "
-            f"{anchors.anchors[0].input.values.shape}")
-    return _sims_to_one(anchors.stacked_inputs(), x.values.array)
+    return _sims_to_one(anchors.stacked_inputs(), _query_array(x, anchors))
+
+
+def query_similarities(queries: list[MotionSequence], anchors: AnchorSet) -> np.ndarray:
+    """(Q, A) similarities of each query to every anchor input, in one blocked pass."""
+    return _sims_to_many(anchors.stacked_inputs(),
+                         np.stack([_query_array(x, anchors) for x in queries]))
 
 
 def max_sim(x: MotionSequence, anchors: AnchorSet) -> tuple[float, int]:
@@ -310,6 +339,25 @@ class RetrievedPrompt:
     similarity: float
 
 
+def pick_anchors(sims: np.ndarray, anchors: AnchorSet, domain_filter: str | None) -> np.ndarray:
+    """Index of the most similar anchor along the last axis of (A,) or (Q, A)
+    similarities, lowest on ties. domain_filter restricts candidates to
+    anchors of one task domain while keeping original indices; None lets
+    all anchors compete."""
+    if domain_filter is None:
+        return np.argmax(sims, axis=-1)  # argmax returns the first maximum
+    candidates = anchors.domain_indices(domain_filter)
+    if not candidates.size:
+        raise StateError(f"no anchors of domain {domain_filter!r} in the set")
+    return candidates[np.argmax(sims[..., candidates], axis=-1)]
+
+
+def _prompt(anchors: AnchorSet, best: int, sim) -> RetrievedPrompt:
+    a = anchors.anchors[best]
+    return RetrievedPrompt(hard_input=a.input, hard_target=a.target, index=best,
+                           similarity=float(sim))
+
+
 def retrieve_prompt(query_input: MotionSequence, anchors: AnchorSet,
                     domain_filter: str | None = None) -> RetrievedPrompt:
     """Most-similar anchor to the query input (lowest index on ties).
@@ -318,16 +366,15 @@ def retrieve_prompt(query_input: MotionSequence, anchors: AnchorSet,
     preserving original indices; by default all anchors compete.
     """
     sims = anchor_similarities(query_input, anchors)
-    if domain_filter is None:
-        best = int(np.argmax(sims))  # argmax returns the first maximum
-    else:
-        candidates = anchors.domain_indices(domain_filter)
-        if not candidates.size:
-            raise StateError(f"no anchors of domain {domain_filter!r} in the set")
-        best = int(candidates[np.argmax(sims[candidates])])
-    a = anchors.anchors[best]
-    return RetrievedPrompt(hard_input=a.input, hard_target=a.target, index=best,
-                           similarity=float(sims[best]))
+    best = int(pick_anchors(sims, anchors, domain_filter))
+    return _prompt(anchors, best, sims[best])
+
+
+def retrieve_prompts(queries: list[MotionSequence], anchors: AnchorSet) -> list[RetrievedPrompt]:
+    """`retrieve_prompt` over all anchors for each query, all scored in one pass."""
+    sims = query_similarities(queries, anchors)
+    return [_prompt(anchors, best, row[best])
+            for row, best in zip(sims, pick_anchors(sims, anchors, None).tolist())]
 
 
 def soft_anchor_value(w1, w2) -> NdBuffer:
@@ -339,4 +386,4 @@ def coverage(queries: list[MotionSequence], anchors: AnchorSet) -> float:
     """Worst-case retrieval similarity: min over queries of max over anchors."""
     if not queries:
         raise StateError("coverage needs at least one query")
-    return min(float(anchor_similarities(q, anchors).max()) for q in queries)
+    return float(query_similarities(queries, anchors).max(axis=1).min())

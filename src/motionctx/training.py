@@ -1,10 +1,11 @@
 """Toy-scale in-context training: batches, optimizer, loop, evaluation.
 
 Each step samples (clip, domain) pairs uniformly, derives task samples,
-retrieves the most similar hard anchor per query, and backpropagates the mean
-batch loss through the network and the retrieved anchors' soft factors. The
-whole batch runs as one taped forward pass with a leading batch axis;
-evaluation runs untaped passes over chunks of EVAL_CHUNK samples.
+retrieves the most similar hard anchor per query (scoring all queries of the
+batch in one pass), and backpropagates the mean batch loss through the
+network and the retrieved anchors' soft factors. The whole batch runs as one
+taped forward pass with a leading batch axis; evaluation runs untaped passes
+over chunks of EVAL_CHUNK samples.
 Updates use decoupled weight decay; parameters that did not participate in a
 step (soft factors of anchors nobody retrieved) are left untouched. Hard
 anchors are frozen data and never change. Given the same config, dataset,
@@ -23,7 +24,9 @@ from .motion import DOMAIN_ORDER, DOMAINS, Modality, MotionClip, TaskSample, der
 from .nd import NdBuffer, Tape
 from .network import (ForwardResult, LossWeights, XFusionParams, forward, loss,
                       mean_param_error, mpjpe)
-from .prompting import AnchorSet, RetrievedPrompt, retrieve_prompt, soft_anchor_value
+# retrieve_prompt is unused here but kept at this name: perfbench/spans.py wraps it.
+from .prompting import (AnchorSet, RetrievedPrompt, retrieve_prompt,  # noqa: F401
+                        retrieve_prompts, soft_anchor_value)
 
 EVAL_CHUNK = 32  # samples per untaped forward pass in `evaluate`; bounds its peak memory
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -89,13 +92,12 @@ def build_batch(dataset: list[MotionClip], anchors: AnchorSet, batch_size: int, 
     if not dataset:
         raise StateError("build_batch needs a non-empty dataset")
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    batch = []
+    samples = []
     for _ in range(batch_size):
         clip = dataset[int(rng.integers(len(dataset)))]
         domain = domains[int(rng.integers(len(domains)))]
-        sample = derive_task(clip, domain, rng)
-        batch.append((sample, retrieve_prompt(sample.query_input, anchors)))
-    return batch
+        samples.append(derive_task(clip, domain, rng))
+    return list(zip(samples, retrieve_prompts([s.query_input for s in samples], anchors)))
 
 
 class AdamWState:
@@ -221,10 +223,9 @@ def evaluate(dataset: list[MotionClip], anchors: AnchorSet, params: XFusionParam
     for domain in domains:
         errors = []
         for lo in range(0, len(dataset), EVAL_CHUNK):
-            pairs = []
-            for i in range(lo, min(lo + EVAL_CHUNK, len(dataset))):
-                sample = derive_task(dataset[i], domain, derive_seed(seed, i, domain))
-                pairs.append((sample, retrieve_prompt(sample.query_input, anchors)))
+            samples = [derive_task(dataset[i], domain, derive_seed(seed, i, domain))
+                       for i in range(lo, min(lo + EVAL_CHUNK, len(dataset)))]
+            pairs = list(zip(samples, retrieve_prompts([s.query_input for s in samples], anchors)))
             preds = _batch_forward(pairs, params).prediction.array
             for (sample, _), pred in zip(pairs, preds):
                 target = sample.query_target

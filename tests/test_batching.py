@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import make_clip
+from helpers import div, make_clip
 from motionctx import network, nd, training
 from motionctx.errors import ConfigError, DimensionError
 from motionctx.motion import SHAPE_PARAMS, Modality, derive_task
@@ -205,7 +205,7 @@ def _forward_unbatched_layout(q, p, gt, u, params):
             mu = nd.mean(x, axis=-1, keepdims=True)
             centered = nd.sub(x, mu)
             var = nd.mean(nd.square(centered), axis=-1, keepdims=True)
-            inv = nd.div(1.0, nd.sqrt(nd.add(var, 1e-5)))
+            inv = div(1.0, nd.sqrt(nd.add(var, 1e-5)))
             h = nd.add(nd.mul(nd.mul(centered, inv), params[f"{base}.ln.g"]),
                        params[f"{base}.ln.b"])
             if view == "temporal":

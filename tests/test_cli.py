@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from motionctx import cli, fileio
+from motionctx import cli, fileio, prompting, training
 from motionctx.cli import main
 from motionctx.fileio import load_anchors, load_checkpoint, load_dataset
 from motionctx.motion import derive_task
@@ -117,6 +117,58 @@ def test_fingerprint_mismatch_warns_but_succeeds(pipeline, capsys):
     assert code == 0
     assert "warning" in err and "fingerprint" in err
     assert "best anchor" in out
+
+
+def test_fingerprint_check_cost_does_not_grow_with_the_dataset(tmp_path, capsys, monkeypatch):
+    # One anchor file made from the first 16 of 64 clips: its corpus entries
+    # are the same clips in both datasets, so both checks pass, and each
+    # derives the stored anchors' entries plus the query, nothing more.
+    clips = make_dataset(SynthConfig(clips=64, seed=4))
+    small, large = str(tmp_path / "small.bin"), str(tmp_path / "large.bin")
+    fileio.save_dataset(small, clips[:16])
+    fileio.save_dataset(large, clips)
+    anchors = str(tmp_path / "anchors.bin")
+    cfg = write_json(tmp_path / "sa.json", {"hidden": 4})
+    assert main(["sample-anchors", "--dataset", small, "--k", "6", "--domains", "pe",
+                 "--config", cfg, "--out", anchors]) == 0
+    capsys.readouterr()
+    counts = []
+    for data in (small, large):
+        calls = []
+        counting = lambda *a, **k: calls.append(1) or derive_task(*a, **k)  # noqa: E731
+        monkeypatch.setattr(cli, "derive_task", counting)
+        monkeypatch.setattr(training, "derive_task", counting)
+        code, out, err = run(capsys, "retrieve", "--dataset", data, "--anchors", anchors)
+        assert code == 0 and err == "" and "best anchor" in out
+        counts.append(len(calls))
+    assert counts == [6, 6]  # 5 stored corpus entries and the query
+
+
+def test_fingerprint_warns_when_one_stored_anchor_input_is_edited(pipeline, capsys):
+    tmp_path, data, anchors = pipeline
+    code, _, err = run(capsys, "retrieve", "--dataset", data, "--anchors", anchors)
+    assert code == 0 and err == ""
+    anchor_set, _ = load_anchors(anchors)
+    # Anchor payload: inputs lead, anchor 0 first; move anchor 3's first x.
+    per_anchor = anchor_set.frames * anchor_set.joints * 3 * 4
+    value = float(anchor_set.anchors[3].input.values.array[0, 0, 0]) + 0.5
+    edited = _poke_payload(anchors, str(tmp_path / "edited.bin"), 3 * per_anchor, "<f", value)
+    code, out, err = run(capsys, "retrieve", "--dataset", data, "--anchors", edited)
+    assert code == 0 and "best anchor" in out
+    assert "warning" in err and "fingerprint" in err
+
+
+@pytest.mark.parametrize("flag", [[], ["--domain-filter-retrieval"]])
+def test_retrieve_scores_the_query_once(pipeline, capsys, monkeypatch, flag):
+    _, data, anchors = pipeline
+    rows = []
+    inner = prompting._sims_to_one
+    monkeypatch.setattr(prompting, "_sims_to_one",
+                        lambda stacked, one: rows.append(len(stacked)) or inner(stacked, one))
+    code, out, _ = run(capsys, "retrieve", "--dataset", data, "--anchors", anchors,
+                       "--domains", "mp_p", *flag)
+    assert code == 0 and "runner-up margin" in out
+    assert rows == [len(load_anchors(anchors)[0])]
 
 
 def test_derive_writes_report(pipeline, capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import div, exp, softmax_lastdim, swap_last2, take_axis
 from motionctx import nd
 from motionctx.errors import DimensionError, NumericError
 from motionctx.nd import NdBuffer, Tape
@@ -51,9 +52,9 @@ def test_matmul_shape_error_names_both_shapes():
 
 
 def test_softmax_frozen_values_and_overflow():
-    out = nd.softmax_lastdim(NdBuffer([math.log(3.0), 0.0]))
+    out = softmax_lastdim(NdBuffer([math.log(3.0), 0.0]))
     assert np.allclose(out.array, [0.75, 0.25], atol=1e-12)
-    big = nd.softmax_lastdim(NdBuffer([1000.0, 0.0]))
+    big = softmax_lastdim(NdBuffer([1000.0, 0.0]))
     assert np.all(np.isfinite(big.array))
     assert np.allclose(big.array, [1.0, 0.0], atol=1e-12)
 
@@ -61,7 +62,7 @@ def test_softmax_frozen_values_and_overflow():
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
     x = NdBuffer(rng.normal(size=(4, 5, 7)) * 10.0)
-    out = nd.softmax_lastdim(x)
+    out = softmax_lastdim(x)
     assert np.allclose(out.array.sum(axis=-1), 1.0, atol=1e-12)
 
 
@@ -118,7 +119,7 @@ def _mlp_loss(p: dict[str, NdBuffer]) -> NdBuffer:
     t = NdBuffer(np.linspace(0.0, 1.0, 10).reshape(5, 2))
     h = nd.tanh(nd.add(nd.matmul(x, p["w1"]), p["b1"]))
     y = nd.add(nd.matmul(h, p["w2"]), p["b2"])
-    probs = nd.softmax_lastdim(y)
+    probs = softmax_lastdim(y)
     return nd.mean(nd.square(nd.sub(probs, t)))
 
 
@@ -140,11 +141,11 @@ def _structural_loss(p: dict[str, NdBuffer]) -> NdBuffer:
     b = p["b"]                                    # (2, 3)
     cat = nd.concat([a, b], axis=1)               # (2, 6)
     st = nd.stack([a, b], axis=0)                 # (2, 2, 3)
-    first = nd.take_axis(st, 0, axis=0)           # (2, 3)
+    first = take_axis(st, 0, axis=0)              # (2, 3)
     mid = nd.slice_axis(cat, 1, 1, 4)             # (2, 3)
     tr = nd.transpose(nd.reshape(cat, (3, 4)), (1, 0))
     s1 = nd.reduce_sum(nd.sqrt(nd.add(nd.square(mid), 0.1)))
-    s2 = nd.mean(nd.div(nd.exp(nd.mul(first, 0.3)), nd.add(nd.square(b), 1.0)))
+    s2 = nd.mean(div(exp(nd.mul(first, 0.3)), nd.add(nd.square(b), 1.0)))
     s3 = nd.reduce_sum(nd.mul(tr, tr), axis=None)
     return nd.add(nd.add(s1, s2), nd.mul(s3, 0.25))
 
@@ -189,10 +190,10 @@ def test_sqrt_rejects_negative_input():
 
 
 def test_debug_checks_flag_nonfinite_results():
-    with nd.debug_checks(), np.errstate(divide="ignore"):
+    with nd.debug_checks(), np.errstate(over="ignore"):
         with pytest.raises(NumericError) as exc:
-            nd.div(NdBuffer([1.0]), NdBuffer([0.0]))
-    assert "div" in str(exc.value)
+            nd.mul(NdBuffer([1e200]), NdBuffer([1e200]))
+    assert "mul" in str(exc.value)
 
 
 def test_mean_and_sum_axis_variants():
@@ -206,7 +207,7 @@ def _scan_loop(a, b, u, axis):
     # The per-step recurrence nd.scan replaces: reference for value and gradient.
     states, state = [], None
     for t in range(u.shape[axis]):
-        drive = nd.mul(b, nd.take_axis(u, t, axis=axis))
+        drive = nd.mul(b, take_axis(u, t, axis=axis))
         state = drive if state is None else nd.add(nd.mul(a, state), drive)
         states.append(state)
     return nd.stack(states, axis=axis)
@@ -301,7 +302,7 @@ def test_grad_twice_is_bitwise_equal_and_unaliased():
         # w1's gradient is a reshaped view of the gradient of its reshape;
         # w2t's is a transposed one.
         reshaped = nd.reshape(leaves["w1"], (3, 4))
-        loss = _mlp_loss(dict(leaves, w1=reshaped, w2=nd.swap_last2(leaves["w2t"])))
+        loss = _mlp_loss(dict(leaves, w1=reshaped, w2=swap_last2(leaves["w2t"])))
     wrt = list(leaves.values()) + [reshaped]
     first = tape.grad(loss, wrt)
     second = tape.grad(loss, wrt)
@@ -320,17 +321,17 @@ def test_grad_twice_is_bitwise_equal_and_unaliased():
 def composite_layer_norm(x, gamma, beta):
     centered = nd.sub(x, nd.mean(x, axis=-1, keepdims=True))
     var = nd.mean(nd.square(centered), axis=-1, keepdims=True)
-    inv = nd.div(1.0, nd.sqrt(nd.add(var, nd.LN_EPS)))
+    inv = div(1.0, nd.sqrt(nd.add(var, nd.LN_EPS)))
     return nd.add(nd.mul(nd.mul(centered, inv), gamma), beta)
 
 
 def composite_attention(q, k, v, scale):
-    scores = nd.mul(nd.matmul(q, nd.swap_last2(k)), scale)
-    return nd.matmul(nd.softmax_lastdim(scores), v)
+    scores = nd.mul(nd.matmul(q, swap_last2(k)), scale)
+    return nd.matmul(softmax_lastdim(scores), v)
 
 
 def composite_level_fusion(parts, w, b):
-    alpha = nd.softmax_lastdim(nd.add(nd.matmul(nd.concat(parts, axis=-1), nd.swap_last2(w)), b))
+    alpha = softmax_lastdim(nd.add(nd.matmul(nd.concat(parts, axis=-1), swap_last2(w)), b))
     out = None
     for i, y in enumerate(parts):
         piece = nd.mul(nd.slice_axis(alpha, alpha.ndim - 1, i, i + 1), y)
