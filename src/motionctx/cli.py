@@ -27,7 +27,7 @@ from .network import (DEFAULT_HIDDEN, LossWeights, NetConfig, XFusionParams, for
 from .prompting import (DEFAULT_ANCHOR_COUNT, anchor_similarities, cluster_sample,
                         pick_anchors, random_sample, soft_anchor_value, sps_sample)
 from .synth import SynthConfig, make_dataset
-from .training import TrainConfig, anchor_corpus, derive_seed, evaluate, train
+from .training import TrainConfig, anchor_corpus, corpus_entry, derive_seed, evaluate, train
 
 GRADCHECK_THRESHOLD = 1e-4
 
@@ -144,11 +144,9 @@ def _check_fingerprint(anchors, meta, clips):
     """Anchor files remember their corpus recipe (task ids and seed); a
     mismatch warns, not fails. A malformed recipe is a format error.
 
-    Only the stored anchors' own corpus entries are derived again: entry s of
-    the recipe's corpus is clip s % len(clips) in domain domains[s // len(clips)],
-    the order `anchor_corpus` builds, and each must equal its stored
-    (32-bit) input and target. The cost grows with the anchor count, not
-    with the dataset."""
+    Only the stored anchors' own corpus entries are derived again, each by
+    `corpus_entry`, and each must equal its stored (32-bit) domain, input and
+    target. The cost grows with the anchor count, not with the dataset."""
     if "domains" not in meta:
         return
     where = "anchor file meta"
@@ -163,12 +161,10 @@ def _check_fingerprint(anchors, meta, clips):
         raise FormatError(f"{where} field 'domains': {exc}") from None
 
     def rederived(anchor) -> bool:
-        s = anchor.source_index
-        if not 0 <= s < len(clips) * len(domains):
+        if not 0 <= anchor.source_index < len(clips) * len(domains):
             return False
-        domain, i = domains[s // len(clips)], s % len(clips)
-        sample = derive_task(clips[i], domain, derive_seed(seed, i, domain))
-        return anchor.domain == domain and all(
+        sample = corpus_entry(clips, domains, seed, anchor.source_index)
+        return anchor.domain == sample.domain and all(
             np.array_equal(got.values.array.astype(np.float32), stored.values.array)
             and np.array_equal(got.betas.astype(np.float32), stored.betas)
             for got, stored in ((sample.query_input, anchor.input),
@@ -186,7 +182,10 @@ def cmd_retrieve(args) -> int:
     _check_fingerprint(anchors, meta, clips)
     if not 0 <= args.clip < len(clips):
         raise ConfigError(f"--clip {args.clip} out of range for {len(clips)} clips")
-    domain = _domains(args.domains or "pe")[0]
+    domains = _domains(args.domains or "pe")
+    if len(domains) != 1:
+        raise ConfigError(f"--domains takes one task id for retrieve, got {args.domains!r}")
+    domain = domains[0]
     sample = derive_task(clips[args.clip], domain, derive_seed(args.seed or 0, args.clip, domain))
     # One similarity row gives the pick, its similarity and the runner-up margin.
     domain_filter = domain if args.domain_filter_retrieval else None
@@ -239,21 +238,17 @@ def cmd_derive(args) -> int:
 
 def cmd_train(args) -> int:
     _require(args, "dataset", "anchors", "out")
-    # Loss weights are flat `<term>_weight` keys; `hidden` defaults to the anchor file's.
+    # Loss weights are flat `<term>_weight` keys; the anchor file sets the hidden width.
     weight_defaults = {f"{name}_weight": value for name, value in _defaults(LossWeights).items()}
-    defaults = {**_defaults(TrainConfig), **weight_defaults, "hidden": None, "layers": 2}
+    defaults = {**_defaults(TrainConfig), **weight_defaults, "layers": 2}
     cfg = _merge(defaults, args.config, {"seed": args.seed, "domains": args.domains})
     cfg["domains"] = _domains(cfg["domains"])
     clips = fileio.load_dataset(args.dataset)
     anchors, _ = fileio.load_anchors(args.anchors)
-    hidden, layers = cfg.pop("hidden"), cfg.pop("layers")
-    if hidden not in (None, anchors.hidden):
-        raise ConfigError(f"config hidden={hidden} but the anchor file stores "
-                          f"soft factors of width {anchors.hidden}")
     if not clips:
         raise StateError("dataset holds no clips")
     net = NetConfig(frames=clips[0].window, joints=clips[0].joints,
-                    hidden=anchors.hidden, layers=layers)
+                    hidden=anchors.hidden, layers=cfg.pop("layers"))
     if anchors.frames != net.frames or anchors.joints != net.joints:
         raise DimensionError(f"anchor shape ({anchors.frames}, {anchors.joints}) does not "
                              f"match dataset window ({net.frames}, {net.joints})")
@@ -374,7 +369,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("retrieve", help="find the most similar anchor for one query")
     common(p, config=False, dataset=True, anchors=True)
     p.add_argument("--clip", type=int, default=0, help="query clip index")
-    p.add_argument("--domains", default=None, help="task id deriving the query (first entry)")
+    p.add_argument("--domains", default=None, help="task id deriving the query")
     p.add_argument("--domain-filter-retrieval", action="store_true",
                    help="restrict candidates to anchors of the query domain")
     p.set_defaults(func=cmd_retrieve)

@@ -118,12 +118,6 @@ def _built_from(where: str):
         raise FormatError(f"{where} is invalid: {exc}") from None
 
 
-def _check_payload(payload: bytes, expected: int, offset: int) -> None:
-    if len(payload) != expected:
-        raise FormatError(f"payload at byte {offset} is {len(payload)} bytes, "
-                          f"expected exactly {expected}")
-
-
 def _f32_bytes(arr: np.ndarray) -> bytes:
     with np.errstate(over="ignore"):
         out = np.ascontiguousarray(arr, dtype="<f4")
@@ -137,52 +131,45 @@ def _f64_bytes(arr: np.ndarray) -> bytes:
     return np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
-class _Cursor:
-    """Sequential typed reads from a payload, tracking absolute byte offsets."""
-
-    def __init__(self, payload: bytes, base: int):
-        self.payload = payload
-        self.base = base
-        self.pos = 0
-
-    def take(self, shape: tuple[int, ...], dtype: str) -> np.ndarray:
-        count = math.prod(shape)
-        width = np.dtype(dtype).itemsize
-        end = self.pos + count * width
-        if end > len(self.payload):
-            raise FormatError(f"payload block at byte {self.base + self.pos} needs "
-                              f"{count * width} bytes, only {len(self.payload) - self.pos} left")
-        arr = np.frombuffer(self.payload, dtype=dtype, count=count, offset=self.pos)
-        self.pos = end
-        return arr.astype(np.float64).reshape(shape)
+def _read_blocks(payload: bytes, offset: int, blocks) -> list[np.ndarray]:
+    """The payload as consecutive (shape, dtype) blocks, each as a float64
+    array. The payload must be exactly the blocks' total size; this is the
+    one length check, made before any block is read."""
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in blocks]
+    if len(payload) != sum(sizes):
+        raise FormatError(f"payload at byte {offset} is {len(payload)} bytes, "
+                          f"expected exactly {sum(sizes)}")
+    arrays, pos = [], 0
+    for (shape, dtype), size in zip(blocks, sizes):
+        arrays.append(np.frombuffer(payload, dtype, math.prod(shape), pos)
+                      .astype(np.float64).reshape(shape))
+        pos += size
+    return arrays
 
 
 _MODALITY_FIELDS = ("pose2d", "pose3d", "mesh")
 
 
 def save_dataset(path: str, clips: list[MotionClip]) -> None:
-    """All three modality blocks per clip as 32-bit floats, then a beta block."""
+    """One (clips, modality, 2F, J, 3) motion block of 32-bit floats, then a beta block."""
     if not clips:
         raise DimensionError("cannot save an empty dataset")
     half, joints = clips[0].window, clips[0].joints
     meta = []
-    chunks = []
     for clip in clips:
         if clip.window != half or clip.joints != joints:
             raise DimensionError(f"clip {clip.clip_id!r} has window {clip.window} and "
                                  f"{clip.joints} joints, dataset uses {half} and {joints}")
-        native = {}
-        for field in _MODALITY_FIELDS:
-            seq: MotionSequence = getattr(clip, field)
-            native[field] = seq.native_joint_count
-            chunks.append(_f32_bytes(seq.values.array))
+        native = {field: getattr(clip, field).native_joint_count for field in _MODALITY_FIELDS}
         meta.append({"id": clip.clip_id, "source": clip.source, "native": native,
                      "modalities": list(_MODALITY_FIELDS)})
-    chunks.append(_f32_bytes(np.stack([c.mesh.betas for c in clips])))
+    motion = np.stack([[getattr(clip, field).values.array for field in _MODALITY_FIELDS]
+                       for clip in clips])
     manifest = {"kind": "dataset", "frames": half, "joints": joints, "channels": 3,
                 "clips": len(clips), "root_joint": 0, "shape_params": SHAPE_PARAMS,
                 "clip_meta": meta}
-    write_file(path, manifest, b"".join(chunks))
+    write_file(path, manifest, _f32_bytes(motion)
+               + _f32_bytes(np.stack([c.mesh.betas for c in clips])))
 
 
 def load_dataset(path: str) -> list[MotionClip]:
@@ -192,24 +179,20 @@ def load_dataset(path: str) -> list[MotionClip]:
     meta = _field(manifest, "clip_meta", list)
     if len(meta) != n:
         raise FormatError(f"manifest lists {len(meta)} clip entries, clips={n}")
-    block = 2 * half * joints * 3
-    _check_payload(payload, (n * 3 * block + n * SHAPE_PARAMS) * 4, offset)
-    cursor = _Cursor(payload, offset)
-    raw = [{field: cursor.take((2 * half, joints, 3), "<f4") for field in _MODALITY_FIELDS}
-           for _ in range(n)]
-    betas = cursor.take((n, SHAPE_PARAMS), "<f4")
+    motion, betas = _read_blocks(payload, offset, [((n, 3, 2 * half, joints, 3), "<f4"),
+                                                   ((n, SHAPE_PARAMS), "<f4")])
     clips = []
     for i, entry in enumerate(meta):
         where = f"clip entry {i}"
         native = _field(entry, "native", dict, where)
         count = {m: _field(native, m, int, f"{where} native") for m in _MODALITY_FIELDS}
         clip_id, source = _field(entry, "id", str, where), _field(entry, "source", str, where)
+        pose2d, pose3d, mesh = motion[i]
         with _built_from(where):
             clips.append(MotionClip(
-                MotionSequence(NdBuffer(raw[i]["pose2d"]), Modality.POSE2D, count["pose2d"]),
-                MotionSequence(NdBuffer(raw[i]["pose3d"]), Modality.POSE3D, count["pose3d"]),
-                MotionSequence(NdBuffer(raw[i]["mesh"]), Modality.MESH, count["mesh"],
-                               betas=betas[i]),
+                MotionSequence(NdBuffer(pose2d), Modality.POSE2D, count["pose2d"]),
+                MotionSequence(NdBuffer(pose3d), Modality.POSE3D, count["pose3d"]),
+                MotionSequence(NdBuffer(mesh), Modality.MESH, count["mesh"], betas=betas[i]),
                 clip_id=clip_id, source=source))
     return clips
 
@@ -264,16 +247,10 @@ def load_anchors(path: str) -> tuple[AnchorSet, dict]:
     meta = _field(manifest, "anchors", list)
     if len(meta) != a:
         raise FormatError(f"manifest lists {len(meta)} anchor entries, count={a}")
-    seq = f * j * 3
-    expected = (2 * a * seq + 2 * a * SHAPE_PARAMS) * 4 + (a * f * j + a * h) * 8
-    _check_payload(payload, expected, offset)
-    cursor = _Cursor(payload, offset)
-    inputs = cursor.take((a, f, j, 3), "<f4")
-    targets = cursor.take((a, f, j, 3), "<f4")
-    input_betas = cursor.take((a, SHAPE_PARAMS), "<f4")
-    target_betas = cursor.take((a, SHAPE_PARAMS), "<f4")
-    w1 = cursor.take((a, f, j, 1), "<f8")
-    w2 = cursor.take((a, 1, 1, h), "<f8")
+    inputs, targets, input_betas, target_betas, w1, w2 = _read_blocks(payload, offset, [
+        ((a, f, j, 3), "<f4"), ((a, f, j, 3), "<f4"),
+        ((a, SHAPE_PARAMS), "<f4"), ((a, SHAPE_PARAMS), "<f4"),
+        ((a, f, j, 1), "<f8"), ((a, 1, 1, h), "<f8")])
 
     def anchor(i: int, entry) -> Anchor:
         where = f"anchor entry {i}"
@@ -321,13 +298,11 @@ def load_checkpoint(path: str) -> tuple[XFusionParams, dict]:
     entries = [(_field(e, "name", str, f"tensor entry {i}"),
                 _field(e, "shape", tuple, f"tensor entry {i}"))
                for i, e in enumerate(_field(manifest, "tensors", list))]
-    expected = sum(math.prod(shape) for _, shape in entries) * 8
-    _check_payload(payload, expected, offset)
-    cursor = _Cursor(payload, offset)
+    arrays = _read_blocks(payload, offset, [(shape, "<f8") for _, shape in entries])
     tensors = {}
-    for name, shape in entries:
+    for (name, _), values in zip(entries, arrays):
         with _built_from(f"tensor {name!r}"):
-            tensors[name] = NdBuffer(cursor.take(shape, "<f8"))
+            tensors[name] = NdBuffer(values)
     return XFusionParams(cfg, tensors), _field(manifest, "meta", dict)
 
 

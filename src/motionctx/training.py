@@ -75,15 +75,18 @@ def derive_seed(base: int, clip_index: int, domain: str) -> int:
     return (base * 1_000_003 + clip_index * 8_191 + tag * 131) % (2 ** 63)
 
 
+def corpus_entry(clips: list[MotionClip], domains, seed: int, s: int) -> TaskSample:
+    """Entry s of the anchor corpus, derived alone. Entries run domain-major:
+    entry s is clip s % len(clips) in domain domains[s // len(clips)]."""
+    domain, i = domains[s // len(clips)], s % len(clips)
+    return derive_task(clips[i], domain, derive_seed(seed, i, domain))
+
+
 def anchor_corpus(clips: list[MotionClip], domains=DOMAIN_ORDER, seed: int = 0):
     """Pooled sampling corpus: one derived (input, target, domain) entry per
     clip per domain, with deterministic per-entry derivation seeds."""
-    corpus = []
-    for d in domains:
-        for i, clip in enumerate(clips):
-            sample = derive_task(clip, d, derive_seed(seed, i, d))
-            corpus.append((sample.query_input, sample.query_target, sample.domain))
-    return corpus
+    samples = (corpus_entry(clips, domains, seed, s) for s in range(len(clips) * len(domains)))
+    return [(x.query_input, x.query_target, x.domain) for x in samples]
 
 
 def build_batch(dataset: list[MotionClip], anchors: AnchorSet, batch_size: int, rng_seed,

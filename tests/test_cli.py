@@ -107,6 +107,15 @@ def test_retrieve_reports_margin_and_domain_filter(pipeline, capsys):
     assert best == "mp_p"
 
 
+def test_retrieve_takes_one_task_id(pipeline, capsys):
+    # One query is derived, so a second task id would be silently dropped.
+    _, data, anchors = pipeline
+    code, out, err = run(capsys, "retrieve", "--dataset", data, "--anchors", anchors,
+                         "--domains", "pe,mp_p")
+    assert code == 1 and out == ""
+    assert err == "error: --domains takes one task id for retrieve, got 'pe,mp_p'\n"
+
+
 def test_fingerprint_mismatch_warns_but_succeeds(pipeline, capsys):
     tmp_path, _, anchors = pipeline
     other = str(tmp_path / "other.bin")
@@ -247,7 +256,7 @@ def test_retrieve_loads_the_dataset_once(pipeline, capsys, monkeypatch, filtered
 def test_train_then_eval_pipeline(pipeline, capsys):
     tmp_path, data, anchors = pipeline
     ck = str(tmp_path / "ck.bin")
-    cfg = write_json(tmp_path / "t.json", {"hidden": 8, "layers": 1, "epochs": 1,
+    cfg = write_json(tmp_path / "t.json", {"layers": 1, "epochs": 1,
                                            "steps_per_epoch": 2, "batch_size": 2})
     code, out, _ = run(capsys, "train", "--dataset", data, "--anchors", anchors,
                        "--config", cfg, "--domains", "pe,mp_p", "--out", ck)
@@ -269,7 +278,7 @@ def test_train_then_eval_pipeline(pipeline, capsys):
 def test_train_lr_zero_checkpoint_equals_initialization(pipeline, capsys):
     tmp_path, data, anchors_path = pipeline
     ck = str(tmp_path / "ck0.bin")
-    cfg = write_json(tmp_path / "t0.json", {"hidden": 8, "layers": 1, "epochs": 1,
+    cfg = write_json(tmp_path / "t0.json", {"layers": 1, "epochs": 1,
                                             "steps_per_epoch": 2, "batch_size": 2,
                                             "learning_rate": 0.0})
     code, _, _ = run(capsys, "train", "--dataset", data, "--anchors", anchors_path,
@@ -307,10 +316,11 @@ def test_config_class_failures_exit_1(pipeline, capsys):
                "--clip", "99")[0] == 1
     # unknown verb
     assert run(capsys, "bogus")[0] == 1
-    # hidden width disagrees with the anchor file
+    # train takes no hidden width: the anchor file's soft factors set it
     cfg = write_json(tmp_path / "mismatch.json", {"hidden": 16, "layers": 1})
-    assert run(capsys, "train", "--dataset", data, "--anchors", anchors,
-               "--config", cfg, "--out", str(tmp_path / "ck.bin"))[0] == 1
+    code, _, err = run(capsys, "train", "--dataset", data, "--anchors", anchors,
+                       "--config", cfg, "--out", str(tmp_path / "ck.bin"))
+    assert code == 1 and "unknown config key 'hidden'" in err
 
 
 def test_io_class_failures_exit_2(pipeline, capsys):
@@ -477,7 +487,7 @@ def test_removed_config_keys_are_unknown(pipeline, capsys, command, key, value):
 # The five commands that seed numpy generators, each with a config that keeps it small.
 SEED_PATHS = {
     "synth": {},
-    "train": {"hidden": 8, "layers": 1, "epochs": 1, "steps_per_epoch": 1, "batch_size": 2},
+    "train": {"layers": 1, "epochs": 1, "steps_per_epoch": 1, "batch_size": 2},
     "gradcheck": {"frames": 2, "joints": 2, "hidden": 3, "layers": 1},
     "random": {"k": 4, "hidden": 4},
     "cluster": {"k": 4, "hidden": 4},

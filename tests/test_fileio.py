@@ -1,5 +1,6 @@
 """Container format: round trips, payload arithmetic, corruption diagnostics."""
 
+import hashlib
 import json
 import os
 import struct
@@ -180,6 +181,46 @@ def test_truncated_payload_rejected(tmp_path):
     open(path, "wb").write(raw[:-5])
     with pytest.raises(FormatError, match="expected exactly"):
         load_dataset(path)
+
+
+def write_each_kind(root) -> dict[str, str]:
+    """A dataset, anchor and checkpoint file (F=4, J=5, H=8, L=1); kind -> path."""
+    anchors = build_anchors()
+    params = init_params(NetConfig(frames=4, joints=5, hidden=8, layers=1), 0, anchors=anchors)
+    paths = {kind: str(root / f"{kind}.bin") for kind in ("dataset", "anchors", "checkpoint")}
+    save_dataset(paths["dataset"], small_dataset())
+    save_anchors(paths["anchors"], anchors, meta={"domains": ["pe", "mp_m"], "corpus_seed": 0})
+    save_checkpoint(paths["checkpoint"], params, meta={"steps": 0})
+    return paths
+
+
+LOADERS = {"dataset": load_dataset, "anchors": load_anchors, "checkpoint": load_checkpoint}
+
+
+@pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+@pytest.mark.parametrize("kind", list(LOADERS))
+def test_payload_of_the_wrong_length_rejected(tmp_path, kind, delta):
+    path = write_each_kind(tmp_path)[kind]
+    manifest, payload, offset = read_file(path)
+    write_file(path, manifest, payload[:-1] if delta < 0 else payload + b"\0")
+    with pytest.raises(FormatError, match=f"payload at byte {offset} is {len(payload) + delta} "
+                                          f"bytes, expected exactly {len(payload)}$"):
+        LOADERS[kind](path)
+
+
+# sha256 of each file kind at F=4, J=5, H=8, L=1: the dataset's stacked
+# (clip, modality) motion block must keep the byte order of per-clip chunks.
+FILE_SHA256 = {
+    "dataset": "1e73f14cd1d77ad513b85a05f4d3a84cb28f236c2d8b8349f25b2b612bcd3642",
+    "anchors": "bdae05d836715ceddb3acc032b27b1b5280f74d2806fd081a705cfc6db91f653",
+    "checkpoint": "a24c3f6625b7f73480bc37ea94815904f904d93372147071661010cd63637f13",
+}
+
+
+def test_written_files_keep_their_bytes(tmp_path):
+    paths = write_each_kind(tmp_path)
+    assert {kind: hashlib.sha256(open(path, "rb").read()).hexdigest()
+            for kind, path in paths.items()} == FILE_SHA256
 
 
 def test_overlong_manifest_length_rejected(tmp_path):
