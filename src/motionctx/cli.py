@@ -177,15 +177,15 @@ def _check_fingerprint(anchors, meta, clips):
 
 def cmd_retrieve(args) -> int:
     _require(args, "anchors", "dataset")
-    anchors, meta = fileio.load_anchors(args.anchors)
-    clips = fileio.load_dataset(args.dataset)
-    _check_fingerprint(anchors, meta, clips)
-    if not 0 <= args.clip < len(clips):
-        raise ConfigError(f"--clip {args.clip} out of range for {len(clips)} clips")
     domains = _domains(args.domains or "pe")
     if len(domains) != 1:
         raise ConfigError(f"--domains takes one task id for retrieve, got {args.domains!r}")
     domain = domains[0]
+    anchors, meta = fileio.load_anchors(args.anchors)
+    clips = fileio.load_dataset(args.dataset)
+    if not 0 <= args.clip < len(clips):
+        raise ConfigError(f"--clip {args.clip} out of range for {len(clips)} clips")
+    _check_fingerprint(anchors, meta, clips)
     sample = derive_task(clips[args.clip], domain, derive_seed(args.seed or 0, args.clip, domain))
     # One similarity row gives the pick, its similarity and the runner-up margin.
     domain_filter = domain if args.domain_filter_retrieval else None
@@ -204,8 +204,8 @@ def cmd_retrieve(args) -> int:
 
 def cmd_derive(args) -> int:
     _require(args, "dataset")
-    clips = fileio.load_dataset(args.dataset)
     domains = _domains(args.domains)
+    clips = fileio.load_dataset(args.dataset)
     seed = args.seed or 0
     reports = []
     for ci, clip in enumerate(clips):
@@ -286,11 +286,11 @@ def _check_pairing(params: XFusionParams, anchors) -> None:
 
 def cmd_eval(args) -> int:
     _require(args, "dataset", "anchors", "checkpoint")
+    domains = _domains(args.domains)
     clips = fileio.load_dataset(args.dataset)
     anchors, _ = fileio.load_anchors(args.anchors)
     params, _ = fileio.load_checkpoint(args.checkpoint)
     _check_pairing(params, anchors)
-    domains = _domains(args.domains)
     table = evaluate(clips, anchors, params, domains=domains, seed=args.seed or 0)
     for domain in domains:
         label = "param error" if DOMAINS[domain].mesh_output else "position error"

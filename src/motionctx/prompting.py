@@ -5,7 +5,10 @@ per-joint Euclidean distances: always <= 0, zero only for identical values,
 and its negation is a metric. Anchor sets are built three ways: max-min
 similarity sampling (seeded by the canonical rest pose, then repeatedly
 taking the corpus member least similar to everything already chosen), uniform
-random sampling, and k-means clustering with nearest-member centroids. Each
+random sampling, and k-means clustering with nearest-member centroids.
+Max-min sampling skips members whose triangle-inequality bound over a few
+pivot distances shows the newest anchor cannot raise their best similarity,
+which leaves the selection bitwise that of scoring every member. Each
 anchor carries its task target and the initial value of its low-rank soft
 factor pair. Retrieval returns the anchor most similar to a query input; all
 ties break toward the lowest index so every path is deterministic.
@@ -30,6 +33,16 @@ TBODY_DOMAIN = "tbody"
 KMEANS_ITERATIONS = 50
 SOFT_INIT_SCALE = 0.02
 _SIM_BLOCK_BYTES = 512 * 1024  # bytes of (query, anchor) pairs per _sims_to_many block
+PIVOTS = 16  # sps_sample keeps distances to the rest pose and its first PIVOTS picks
+# Relative margin of sps_sample's pivot bound. The kernel's distance d is
+# within about 30 ulp (4e-15 relative) of the true metric: subtraction,
+# squares, sqrt and a pairwise mean each round relatively. By the triangle
+# inequality the computed d(x, p) is then at least |d(x, v) - d(p, v)| less
+# about 1e-14 * (d(x, v) + d(p, v)), rounding of the bound included, so
+# subtracting SLACK times that sum keeps the bound at or below d(x, p) with
+# a margin of 1e5. The error is relative while mean distances exceed about
+# 1e-150; below that, squared per-joint distances underflow.
+SLACK = 1e-9
 
 CorpusEntry = tuple[MotionSequence, MotionSequence, str]
 
@@ -224,19 +237,28 @@ def sps_sample(corpus: list[CorpusEntry], k: int, hidden_dim: int = DEFAULT_HIDD
     incrementally against only the newest anchor. Stops when k anchors exist
     (the rest pose counts) or the corpus is exhausted. Deterministic; ties go
     to the lowest corpus index.
+
+    The rest pose and the first PIVOTS picks are pivots: each scores every
+    member and keeps its distances. A later pick scores only the members
+    whose pivot bound (see SLACK) is below their distance to the anchors;
+    the others could not gain, so the result is bitwise that of scoring all.
     """
     if k < 1:
         raise DomainError(f"anchor count must be >= 1, got {k}")
     frames, joints = _check_corpus(corpus)
     tbody = canonical_tbody(frames, joints)
 
-    # Only members not yet taken are scored. Their rows, corpus indices and
-    # MaxSim values live compacted at the front of `rows`, `alive` and `best`;
-    # a pick's slot takes the last alive member, so the order is not the
-    # corpus order and ties go to the smallest `alive` among exact minima.
+    # Only members not yet taken are scored. Their rows, corpus indices,
+    # MaxSim values and pivot distances live compacted at the front of
+    # `rows`, `alive`, `best` and each pivot's row of `piv`; a pick's slot
+    # takes the last alive member, so the order is not the corpus order and
+    # ties go to the smallest `alive` among exact minima.
     rows = np.stack([c[0].values.array for c in corpus])
     alive = np.arange(len(corpus))
     best = _sims_to_one(rows, tbody.values.array)  # MaxSim against {T-body}
+    piv = np.empty((PIVOTS + 1, len(corpus)))  # distances to the rest pose and the first picks
+    piv[0] = -best
+    pivots = 1
     picked: list[int] = []
     trace: list[float] = []
     n = len(corpus)
@@ -246,11 +268,25 @@ def sps_sample(corpus: list[CorpusEntry], k: int, hidden_dim: int = DEFAULT_HIDD
         idx = int(alive[pos])
         picked.append(idx)
         trace.append(float(best[pos]))
-        newest = rows[pos].copy()
+        newest, to_pivots = rows[pos].copy(), piv[:pivots, pos, None].copy()
         n -= 1
-        rows[pos], alive[pos], best[pos] = rows[n], alive[n], best[n]
-        if n:
-            best[:n] = np.maximum(best[:n], _sims_to_one(rows[:n], newest))
+        rows[pos], alive[pos], best[pos], piv[:, pos] = rows[n], alive[n], best[n], piv[:, n]
+        if not n:
+            break
+        if pivots <= PIVOTS:  # the newest pick becomes a pivot: score every member
+            sims = _sims_to_one(rows[:n], newest)
+            piv[pivots, :n] = -sims
+            pivots += 1
+            np.maximum(best[:n], sims, out=best[:n])
+            continue
+        # Triangle inequality over the pivots: lb <= -similarity(x, newest).
+        # Skipped members keep their best bitwise, as np.maximum would; NaN
+        # bounds (from overflowed distances) compare false and are scored.
+        d = piv[:, :n]
+        lb = (np.abs(d - to_pivots) - SLACK * (d + to_pivots)).max(axis=0)
+        score = np.flatnonzero(~(lb >= -best[:n]))
+        if score.size:
+            best[score] = np.maximum(best[score], _sims_to_one(rows[score], newest))
     return _build_set(corpus, picked, "sps", k, hidden_dim, trace)
 
 

@@ -336,6 +336,32 @@ def test_io_class_failures_exit_2(pipeline, capsys):
     assert "HICM" in err
 
 
+@pytest.mark.parametrize("command, files", [
+    ("retrieve", ["--dataset", "nope.bin", "--anchors", "nope2.bin"]),
+    ("derive", ["--dataset", "nope.bin"]),
+    ("eval", ["--dataset", "nope.bin", "--anchors", "nope2.bin", "--checkpoint", "nope3.bin"]),
+    ("train", ["--dataset", "nope.bin", "--anchors", "nope2.bin", "--out", "nope3.bin"]),
+])
+def test_bad_domains_exit_1_before_any_file_is_read(tmp_path, capsys, command, files):
+    files = [str(tmp_path / f) if f.endswith(".bin") else f for f in files]
+    code, _, err = run(capsys, command, *files, "--domains", "bogus")
+    assert code == 1 and "No such file" not in err
+
+
+def test_retrieve_checks_one_task_and_clip_range_before_the_files(pipeline, capsys):
+    tmp_path, data, anchors = pipeline
+    missing = str(tmp_path / "missing.bin")
+    code, _, err = run(capsys, "retrieve", "--dataset", missing, "--anchors", missing,
+                       "--domains", "pe,mp_p")
+    assert code == 1 and "one task id" in err
+    other = str(tmp_path / "other.bin")  # its corpus does not match the anchor file
+    assert main(["synth", "--seed", "2", "--out", other]) == 0
+    assert "warning" in run(capsys, "retrieve", "--dataset", other, "--anchors", anchors)[2]
+    code, _, err = run(capsys, "retrieve", "--dataset", other, "--anchors", anchors,
+                       "--clip", "99")
+    assert code == 1 and "out of range" in err and "warning" not in err
+
+
 def test_numeric_class_failures_exit_3(tmp_path, capsys):
     cfg = write_json(tmp_path / "h.json", {"amplitude": 1e150})
     code, _, err = run(capsys, "synth", "--config", cfg, "--seed", "0",

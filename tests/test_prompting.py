@@ -212,6 +212,13 @@ def _full_update_sps(stacked, k):
     return picked, trace
 
 
+def assert_sps_is_full_update(corpus, k):
+    got = sps_sample(corpus, k, hidden_dim=4)
+    picked, trace = _full_update_sps(np.stack([c[0].values.array for c in corpus]), k)
+    assert [a.source_index for a in got.anchors[1:]] == picked
+    assert got.selection_trace == tuple(trace)
+
+
 def test_sps_alive_only_update_equals_full_update_bitwise():
     for seed in range(30):
         rng = np.random.default_rng(300 + seed)
@@ -224,10 +231,68 @@ def test_sps_alive_only_update_equals_full_update_bitwise():
         if seed % 4 == 0 and n > 2:
             corpus[2] = corpus[0]  # duplicate members tie exactly
         k = int(rng.integers(1, n + 5))  # k > corpus size exhausts the corpus
-        got = sps_sample(corpus, k, hidden_dim=4)
-        picked, trace = _full_update_sps(np.stack([c[0].values.array for c in corpus]), k)
-        assert [a.source_index for a in got.anchors[1:]] == picked
-        assert got.selection_trace == tuple(trace)
+        assert_sps_is_full_update(corpus, k)
+
+
+def _pruning_corpus(rng, n, kind, scale):
+    if kind == "clustered":
+        centers = rng.normal(size=(int(rng.integers(2, 9)), 2, 3, 3))
+        values = centers[rng.integers(0, len(centers), size=n)] + 0.05 * rng.normal(
+            size=(n, 2, 3, 3))
+    elif kind == "grid":  # integer values: many exactly tied similarities
+        values = rng.integers(-2, 3, size=(n, 2, 3, 3)).astype(float)
+    else:
+        values = rng.normal(size=(n, 2, 3, 3))
+    if kind != "random":  # duplicate members tie exactly
+        values[rng.integers(0, n, size=n // 10)] = values[rng.integers(0, n, size=n // 10)]
+    return [entry(mesh_seq(v)) for v in scale * values]
+
+
+def test_sps_pivot_pruning_equals_full_update_bitwise():
+    # Corpora well beyond PIVOTS picks, so most picks run the pruned update.
+    assert prompting.PIVOTS < 50
+    rng = np.random.default_rng(500)
+    for case in range(24):
+        n = int(rng.integers(50, 401))
+        k = [1, prompting.PIVOTS + 1, prompting.PIVOTS + 2, n + 2][case % 4] if case < 8 \
+            else int(rng.integers(1, n + 3))
+        kind = ("clustered", "grid", "random")[case % 3]
+        scale = 10.0 ** rng.uniform(-3, 3) if case % 2 else (1e-3, 1.0, 1e3)[case % 3]
+        assert_sps_is_full_update(_pruning_corpus(rng, n, kind, scale), k)
+
+
+def test_sps_pivot_pruning_on_a_tight_triangle():
+    # Collinear scalars: |d(x, v) - d(p, v)| equals d(x, p) for a pivot v on
+    # the far side, so only SLACK keeps a bound rounded one ulp high from
+    # skipping a member whose similarity ties its best. Repeated values and
+    # an evenly spaced grid make the ties; steps of 0.1 and 0.7 round, and
+    # SLACK = 0 fails this test.
+    values = [float(v) for v in np.arange(-60, 61)] + [3.0, 3.0, -7.0, 0.5, 0.5, 59.5]
+    assert len(values) > prompting.PIVOTS
+    for k in (prompting.PIVOTS + 2, 40, len(values) + 2):
+        assert_sps_is_full_update(scalar_corpus(values), k)
+        for step in (0.1, 0.7):
+            assert_sps_is_full_update(scalar_corpus([v * step for v in values[::-1]]), k)
+            assert_sps_is_full_update(scalar_corpus([v * step for v in values]), k)
+
+
+def test_sps_pruning_skips_most_rows_and_scores_through_sims_to_one(monkeypatch):
+    # Toy bench shape: 64 clips, F=8, J=6, every domain, k=64.
+    corpus = anchor_corpus(make_dataset(SynthConfig(clips=64, clusters=4)), seed=1)
+    n, k = len(corpus), 64
+    want = sps_sample(corpus, k, hidden_dim=4)
+    rows, many_calls = [], []
+    one, many = prompting._sims_to_one, prompting._sims_to_many
+    monkeypatch.setattr(prompting, "_sims_to_one",
+                        lambda stacked, q: rows.append(len(stacked)) or one(stacked, q))
+    monkeypatch.setattr(prompting, "_sims_to_many",
+                        lambda stacked, qs: many_calls.append(1) or many(stacked, qs))
+    got = sps_sample(corpus, k, hidden_dim=4)
+    assert got.selection_trace == want.selection_trace
+    assert [a.source_index for a in got.anchors] == [a.source_index for a in want.anchors]
+    assert len(many_calls) == len(rows)  # no scoring call bypasses _sims_to_one
+    assert rows[:prompting.PIVOTS + 1] == [n - j for j in range(prompting.PIVOTS + 1)]
+    assert sum(rows) < sum(n - j for j in range(k)) / 2
 
 
 def test_sps_maxmin_property_post_hoc():
