@@ -19,7 +19,7 @@ def influence_summary(result):
     for layer, scores in enumerate(result.influence):
         for branch in ("q", "p"):
             s = scores[branch]
-            means = s.temporal.mean(axis=0)
+            means = s.raw_temporal.mean(axis=-3).mean(axis=0)
             print(f"  layer {layer} branch {branch}: mean temporal influence "
                   f"attention={means[0]:.3f} graph={means[1]:.3f} ssm={means[2]:.3f}")
 

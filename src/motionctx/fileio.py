@@ -18,6 +18,7 @@ import json
 import math
 import os
 import struct
+import sys
 import tempfile
 from contextlib import contextmanager
 
@@ -106,6 +107,17 @@ def _field(mapping, key: str, kind: type, where: str = "manifest", minimum: int 
     if not ok:
         raise FormatError(f"{where} field {key!r} must be a {want}, got {value!r}")
     return tuple(value) if kind is tuple else value
+
+
+def _finite_floats(mapping, key: str) -> tuple[float, ...]:
+    """mapping[key], checked to be a list of finite numbers (not bools), as floats."""
+    values = _field(mapping, key, list)
+    for i, value in enumerate(values):
+        # type() rules out bools; the bound rules out NaN, infinities and huge integers
+        if not (type(value) in (int, float) and abs(value) <= sys.float_info.max):
+            raise FormatError(f"manifest field {key!r} must hold finite numbers, "
+                              f"got {value!r} at index {i}")
+    return tuple(map(float, values))
 
 
 @contextmanager
@@ -266,7 +278,7 @@ def load_anchors(path: str) -> tuple[AnchorSet, dict]:
         loaded = AnchorSet(anchors=hard, k_requested=_field(manifest, "k_requested", int),
                            soft_w1=w1, soft_w2=w2, fingerprint=_field(manifest, "fingerprint", str),
                            method=_field(manifest, "method", str),
-                           selection_trace=tuple(_field(manifest, "selection_trace", list)))
+                           selection_trace=_finite_floats(manifest, "selection_trace"))
     return loaded, _field(manifest, "meta", dict)
 
 
@@ -298,6 +310,11 @@ def load_checkpoint(path: str) -> tuple[XFusionParams, dict]:
     entries = [(_field(e, "name", str, f"tensor entry {i}"),
                 _field(e, "shape", tuple, f"tensor entry {i}"))
                for i, e in enumerate(_field(manifest, "tensors", list))]
+    names = [name for name, _ in entries]
+    if len(set(names)) != len(names):
+        i = next(i for i, name in enumerate(names) if names.index(name) != i)
+        raise FormatError(f"tensor entry {i} repeats the name {names[i]!r} "
+                          f"of tensor entry {names.index(names[i])}")
     arrays = _read_blocks(payload, offset, [(shape, "<f8") for _, shape in entries])
     tensors = {}
     for (name, _), values in zip(entries, arrays):

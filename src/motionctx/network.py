@@ -8,10 +8,11 @@ state-space recurrence) in a temporal view (per-joint tracks over frames) and
 then a spatial view (per-frame tracks over joints). A per-layer compression
 map, shared between views and branches, produces softmax influence scores
 that fuse the level outputs; each fused view is wrapped in a residual
-connection and layer normalization. After every layer the prompt features are
-summed into the query branch; a batch runs the prompt branch once per distinct
-prompt. Location-wise and pooled affine heads emit the
-predicted sequence and shape parameters.
+connection and layer normalization. A block reports those scores as
+`InfluenceScores`: one per-track array per view, (J, F, L) and (F, J, L).
+After every layer the prompt features are summed into the query branch; a
+batch runs the prompt branch once per distinct prompt. Location-wise and
+pooled affine heads emit the predicted sequence and shape parameters.
 
 Every stage takes (F, J, .) inputs or (B, F, J, .) inputs with a leading
 batch axis, which run as one pass over the whole batch. `loss` scores a batch
@@ -281,15 +282,13 @@ def _view_pass(h: NdBuffer, params: XFusionParams, layer: int, branch: str,
 
 @dataclass(frozen=True)
 class InfluenceScores:
-    """Mean softmax level weights per position, plus the per-track arrays.
+    """Softmax level weights per track position, one array per view.
 
-    temporal: (F, L) averaged over joint tracks; spatial: (J, L) averaged over
-    frames. raw_temporal is (J, F, L) and raw_spatial (F, J, L). A batched
-    pass keeps its leading batch axis on all four arrays.
+    raw_temporal is (J, F, L): per joint track, over frames; raw_spatial is
+    (F, J, L): per frame track, over joints. A batched pass keeps its leading
+    batch axis on both. Per-position means are `raw_*.mean(axis=-3)`.
     """
 
-    temporal: np.ndarray
-    spatial: np.ndarray
     raw_temporal: np.ndarray
     raw_spatial: np.ndarray
 
@@ -301,12 +300,7 @@ def xfusion_block(h: NdBuffer, params: XFusionParams, layer: int,
     out = h
     for view in VIEWS:
         out, alphas[view] = _view_pass(out, params, layer, branch, view)
-    return out, InfluenceScores(
-        temporal=alphas["temporal"].mean(axis=-3),
-        spatial=alphas["spatial"].mean(axis=-3),
-        raw_temporal=alphas["temporal"],
-        raw_spatial=alphas["spatial"],
-    )
+    return out, InfluenceScores(raw_temporal=alphas["temporal"], raw_spatial=alphas["spatial"])
 
 
 def context_inject(z_p: NdBuffer, z_q: NdBuffer) -> NdBuffer:

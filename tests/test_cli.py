@@ -416,6 +416,7 @@ def _rewrite_manifest(src, dst, edit):
     ("dataset", "frames", lambda m: m.update(frames=-1)),
     ("checkpoint", "view_order", lambda m: m["config"].update(view_order=["spatial", "temporal"])),
     ("checkpoint", "shape_params", lambda m: m["config"].update(shape_params=12)),
+    ("checkpoint", "repeats the name", lambda m: m["tensors"].append(m["tensors"][0])),
     ("dataset", "native", lambda m: m["clip_meta"][0].pop("native")),
     ("dataset", "out of range", lambda m: m["clip_meta"][3]["native"].update(pose3d=99)),
     ("dataset", "id", lambda m: m["clip_meta"][1].update(id=7)),
@@ -428,12 +429,13 @@ def _rewrite_manifest(src, dst, edit):
     ("anchors", "corpus_seed", lambda m: m["meta"].pop("corpus_seed")),
     ("anchors", "domains", lambda m: m["meta"].update(domains=[1])),
     ("anchors", "domains", lambda m: m["meta"].update(domains="pe")),
+    ("anchors", "selection_trace", lambda m: m.update(selection_trace=[None])),
 ], ids=["dataset-no-frames", "dataset-frames-str", "dataset-frames-negative",
-        "checkpoint-view-order", "checkpoint-shape-params", "clip-no-native",
-        "clip-native-too-large", "clip-id-int", "clip-native-below-payload",
+        "checkpoint-view-order", "checkpoint-shape-params", "checkpoint-repeated-name",
+        "clip-no-native", "clip-native-too-large", "clip-id-int", "clip-native-below-payload",
         "anchor-native-str", "anchor-bad-modality", "anchor-source-index", "anchor-no-domain",
         "anchor-native-below-payload", "anchor-meta-no-corpus-seed", "anchor-meta-domain-int",
-        "anchor-meta-domains-str"])
+        "anchor-meta-domains-str", "anchor-trace-null"])
 def test_bad_manifest_fields_exit_2(pipeline, capsys, kind, key, edit):
     tmp_path, data, anchors = pipeline
     bad = str(tmp_path / "bad.bin")

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -152,6 +153,37 @@ def test_checkpoint_with_fixed_design_keys_still_loads(tmp_path):
     assert loaded.config == cfg
     for name, buf in params.tensors.items():
         assert np.array_equal(loaded.tensors[name].array, buf.array), name
+
+
+def test_checkpoint_with_a_repeated_tensor_name_rejected(tmp_path):
+    # The first tensor listed again last, with its block again at the end of
+    # the payload: read into a dict, the repeat would replace the first entry.
+    path = write_each_kind(tmp_path)["checkpoint"]
+    manifest, payload, _ = read_file(path)
+    first = manifest["tensors"][0]
+    manifest["tensors"].append(first)
+    write_file(path, manifest, payload + payload[:8 * int(np.prod(first["shape"]))])
+    last = len(manifest["tensors"]) - 1
+    with pytest.raises(FormatError, match=f"^tensor entry {last} repeats the name "
+                                          f"'{first['name']}' of tensor entry 0$"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("trace,bad", [
+    (["x", None], "'x' at index 0"),
+    ([float("nan")], "nan at index 0"),
+    ([{"a": 1}], "{'a': 1} at index 0"),
+    ([-2.0, True], "True at index 1"),
+], ids=["string", "nan", "object", "bool"])
+def test_anchor_selection_trace_must_hold_finite_numbers(tmp_path, trace, bad):
+    path = str(tmp_path / "a.bin")
+    save_anchors(path, build_anchors())
+    manifest, payload, _ = read_file(path)
+    manifest["selection_trace"] = trace
+    write_file(path, manifest, payload)
+    with pytest.raises(FormatError, match=f"^manifest field 'selection_trace' must hold finite "
+                                          f"numbers, got {re.escape(bad)}$"):
+        load_anchors(path)
 
 
 def test_corrupted_magic_rejected(tmp_path):

@@ -135,6 +135,57 @@ def test_grad_check_mlp_below_tolerance():
     assert report.max_rel_err < 1e-6, repr(report)
 
 
+def _bumped_identity(a: NdBuffer, indices, bump: float) -> NdBuffer:
+    """Identity whose backward is wrong by `bump` at the flat `indices`."""
+    def backward(g):
+        grad = np.array(g, dtype=np.float64)
+        grad.reshape(-1)[list(indices)] += bump
+        return [(a, grad)]
+    return nd._emit("bumped_identity", a.array.copy(), backward)
+
+
+def test_grad_check_names_the_coordinate_with_a_wrong_gradient():
+    rng = np.random.default_rng(5)
+    params = {"v": rng.normal(size=(3,)), "w": rng.normal(size=(2, 3))}
+
+    def f(p):
+        wrong = _bumped_identity(p["w"], [4], 10.0)
+        return nd.add(nd.reduce_sum(nd.square(p["v"])), nd.reduce_sum(nd.square(wrong)))
+
+    report = nd.grad_check(f, params)
+    assert (report.worst_param, report.worst_index) == ("w", 4), repr(report)
+    assert report.max_rel_err > 1.0
+
+
+@pytest.mark.parametrize("order,worst", [(("a", "b"), ("a", 1)), (("b", "a"), ("b", 0))])
+def test_grad_check_names_the_first_of_tied_coordinates(order, worst):
+    # f is the plain sum of zeros, so every central difference is exactly 1
+    # and the three wrong coordinates tie at relative error 0.5 bitwise.
+    bumps = {"a": [1, 2], "b": [0]}
+
+    def f(p):
+        return nd.add(*(nd.reduce_sum(_bumped_identity(p[k], bumps[k], 0.5)) for k in order))
+
+    report = nd.grad_check(f, {k: np.zeros(3) for k in order})
+    assert report.max_rel_err == 0.5
+    assert (report.worst_param, report.worst_index) == worst
+
+
+def test_grad_check_fails_a_non_finite_comparison():
+    # x**256 at x = 15.999999 is just below the float64 maximum; its gradient
+    # and the +step evaluation overflow, so the comparison is NaN.
+    def f(p):
+        y = p["x"]
+        for _ in range(8):
+            y = nd.square(y)
+        return nd.reduce_sum(y)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = nd.grad_check(f, {"x": np.array([0.5, 15.999999])})
+    assert report.max_rel_err == math.inf
+    assert (report.worst_param, report.worst_index) == ("x", 1)
+
+
 def _structural_loss(p: dict[str, NdBuffer]) -> NdBuffer:
     # Exercises concat/stack/slice/take/transpose/reshape/sqrt/div/exp backward paths.
     a = p["a"]                                    # (2, 3)

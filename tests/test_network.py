@@ -230,8 +230,8 @@ def test_block_shape_determinism_and_init_mean():
     assert np.array_equal(out1.array, out2.array)
     assert np.all(scores.raw_temporal == 1.0 / 3.0)
     assert np.all(scores.raw_spatial == 1.0 / 3.0)
-    assert scores.temporal.shape == (cfg.frames, 3)
-    assert scores.spatial.shape == (cfg.joints, 3)
+    assert scores.raw_temporal.mean(axis=-3).shape == (cfg.frames, 3)
+    assert scores.raw_spatial.mean(axis=-3).shape == (cfg.joints, 3)
 
     # at init the block is the residual-wrapped unweighted level mean, per view
     def ln(x, g, b):

@@ -5,7 +5,7 @@ import inspect
 
 import motionctx
 
-SETTABLE_VALUES = 86
+SETTABLE_VALUES = 84
 
 
 def settable_values() -> dict[str, int]:
