@@ -15,8 +15,8 @@ from .motion import (CHANNELS, DOMAIN_ORDER, DOMAINS, MASK_RATIO, ROOT_JOINT,
                      make_joint_mask, make_time_mask, pad_virtual_joints, parse_domain,
                      reorganize_mesh_params, unify_pose2d, unify_pose3d)
 from .prompting import (Anchor, AnchorSet, RetrievedPrompt, cluster_sample,
-                        corpus_fingerprint, coverage, max_sim, random_sample,
-                        retrieve_prompt, similarity, soft_anchor_value, sps_sample)
+                        corpus_fingerprint, coverage, random_sample, retrieve_prompt,
+                        similarity, soft_anchor_value, sps_sample)
 from .network import (LEVELS, SMPL_PARENTS, VIEWS, ForwardResult, InfluenceScores,
                       LossWeights, NetConfig, XFusionParams, aggregate_level,
                       context_inject, cross_level_update, encode_context, forward,
@@ -39,7 +39,7 @@ __all__ = [
     "make_joint_mask", "make_time_mask", "pad_virtual_joints", "parse_domain",
     "reorganize_mesh_params", "unify_pose2d", "unify_pose3d",
     "Anchor", "AnchorSet", "RetrievedPrompt", "cluster_sample", "corpus_fingerprint",
-    "coverage", "max_sim", "random_sample", "retrieve_prompt", "similarity",
+    "coverage", "random_sample", "retrieve_prompt", "similarity",
     "soft_anchor_value", "sps_sample",
     "LEVELS", "SMPL_PARENTS", "VIEWS", "ForwardResult", "InfluenceScores",
     "LossWeights", "NetConfig", "XFusionParams", "aggregate_level", "context_inject",

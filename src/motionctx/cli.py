@@ -24,8 +24,8 @@ from .errors import (ConfigError, DimensionError, DomainError, FormatError, Nume
 from .motion import DOMAIN_ORDER, DOMAINS, derive_task, parse_domain
 from .network import (DEFAULT_HIDDEN, LossWeights, NetConfig, XFusionParams, forward,
                       init_params, loss)
-from .prompting import (DEFAULT_ANCHOR_COUNT, anchor_similarities, cluster_sample,
-                        pick_anchors, random_sample, soft_anchor_value, sps_sample)
+from .prompting import (DEFAULT_ANCHOR_COUNT, cluster_sample, pick_anchors, query_similarities,
+                        random_sample, soft_anchor_value, sps_sample)
 from .synth import SynthConfig, make_dataset
 from .training import TrainConfig, anchor_corpus, corpus_entry, derive_seed, evaluate, train
 
@@ -189,7 +189,7 @@ def cmd_retrieve(args) -> int:
     sample = derive_task(clips[args.clip], domain, derive_seed(args.seed or 0, args.clip, domain))
     # One similarity row gives the pick, its similarity and the runner-up margin.
     domain_filter = domain if args.domain_filter_retrieval else None
-    sims = anchor_similarities(sample.query_input, anchors)
+    sims = query_similarities([sample.query_input], anchors)[0]
     index = int(pick_anchors(sims, anchors, domain_filter))
     pool = sims if domain_filter is None else sims[anchors.domain_indices(domain)]
     top = np.sort(pool)[::-1]

@@ -324,10 +324,15 @@ def load_checkpoint(path: str) -> tuple[XFusionParams, dict]:
 
 
 def load_config(path: str) -> dict:
-    """Flat JSON key/value config; nested objects are rejected by key name."""
+    """Flat JSON key/value config; nested objects are rejected by key name,
+    and so are NaN, Infinity, -Infinity and numbers beyond float64 (1e400)."""
+    def non_finite(text):
+        raise ConfigError(f"non-finite number {text} in config file {path}")
+
     with open(path, "r", encoding="utf-8") as f:
         try:
-            data = json.load(f)
+            data = json.load(f, parse_constant=non_finite, parse_float=lambda text: (
+                float(text) if math.isfinite(float(text)) else non_finite(text)))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):

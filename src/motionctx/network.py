@@ -378,7 +378,7 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("position", "velocity", "shape"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise DomainError(f"loss weight {name} must be >= 0, got {getattr(self, name)}")
 
 

@@ -8,10 +8,15 @@ taking the corpus member least similar to everything already chosen), uniform
 random sampling, and k-means clustering with nearest-member centroids.
 Max-min sampling skips members whose triangle-inequality bound over a few
 pivot distances shows the newest anchor cannot raise their best similarity,
-which leaves the selection bitwise that of scoring every member. Each
-anchor carries its task target and the initial value of its low-rank soft
-factor pair. Retrieval returns the anchor most similar to a query input; all
-ties break toward the lowest index so every path is deterministic.
+which leaves the selection bitwise that of scoring every member. All three
+samplers check a request the same way: an anchor count and a hidden width
+of at least 1, and one input shape across the corpus. Each anchor carries
+its task target and the initial value of its low-rank soft factor pair.
+Retrieval is one path: `retrieve_prompts` scores one or many query inputs
+in one pass (`query_similarities`) and returns, per query, the most similar
+anchor, optionally among one task domain's anchors; `retrieve_prompt` is
+its one-query call. All ties break toward the lowest index so every path
+is deterministic.
 """
 
 from __future__ import annotations
@@ -194,37 +199,37 @@ def corpus_fingerprint(corpus: list[CorpusEntry]) -> str:
     return h.hexdigest()
 
 
-def _check_corpus(corpus: list[CorpusEntry]) -> tuple[int, int]:
+def _check_request(corpus: list[CorpusEntry], k: int, hidden_dim: int, *,
+                   draws: bool = False) -> Anchor:
+    """Reject a bad sampling request and return the rest-pose anchor for the
+    corpus shape. `draws` marks a sampler that draws k distinct members, so
+    k may not exceed the corpus size."""
+    if k < 1:
+        raise DomainError(f"anchor count must be >= 1, got {k}")
+    if draws and k > len(corpus):
+        raise DomainError(f"anchor count {k} exceeds corpus size {len(corpus)}")
+    if hidden_dim < 1:
+        raise DomainError(f"hidden width must be >= 1, got {hidden_dim}")
     if not corpus:
         raise StateError("anchor sampling needs a non-empty corpus")
     shape = corpus[0][0].values.shape
     for inp, _, _ in corpus:
         if inp.values.shape != shape:
             raise DimensionError(f"corpus inputs disagree on shape: {shape} vs {inp.values.shape}")
-    return shape[0], shape[1]
+    tbody = canonical_tbody(shape[0], shape[1])
+    return Anchor(tbody, tbody, TBODY_DOMAIN, -1)
 
 
-def _soft_init(count: int, frames: int, joints: int, hidden: int,
-               fingerprint: str, method: str) -> tuple[np.ndarray, np.ndarray]:
+def _build_set(corpus, rest, picked, method, k_requested, hidden, trace=()):
+    anchors = (rest,) + tuple(Anchor(*corpus[i], int(i)) for i in picked)
+    fp = corpus_fingerprint(corpus)
     # Zero factors would freeze soft anchors (product parameterization), so
     # seed small values deterministically from the sampling identity.
-    digest = hashlib.sha256(f"{fingerprint}:{method}:{count}:{hidden}".encode()).digest()
+    digest = hashlib.sha256(f"{fp}:{method}:{len(anchors)}:{hidden}".encode()).digest()
     rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
-    w1 = rng.normal(scale=SOFT_INIT_SCALE, size=(count, frames, joints, 1))
-    w2 = rng.normal(scale=SOFT_INIT_SCALE, size=(count, 1, 1, hidden))
-    return w1, w2
-
-
-def _build_set(corpus, picked, method, k_requested, hidden, trace=()):
-    frames, joints = _check_corpus(corpus)
-    tbody = canonical_tbody(frames, joints)
-    anchors = [Anchor(tbody, tbody, TBODY_DOMAIN, -1)]
-    for i in picked:
-        inp, tgt, domain = corpus[i]
-        anchors.append(Anchor(inp, tgt, domain, int(i)))
-    fp = corpus_fingerprint(corpus)
-    w1, w2 = _soft_init(len(anchors), frames, joints, hidden, fp, method)
-    return AnchorSet(anchors=tuple(anchors), k_requested=k_requested, soft_w1=w1, soft_w2=w2,
+    w1 = rng.normal(scale=SOFT_INIT_SCALE, size=(len(anchors),) + rest.input.values.shape[:2] + (1,))
+    w2 = rng.normal(scale=SOFT_INIT_SCALE, size=(len(anchors), 1, 1, hidden))
+    return AnchorSet(anchors=anchors, k_requested=k_requested, soft_w1=w1, soft_w2=w2,
                      fingerprint=fp, method=method,
                      selection_trace=tuple(float(t) for t in trace))
 
@@ -243,10 +248,7 @@ def sps_sample(corpus: list[CorpusEntry], k: int, hidden_dim: int = DEFAULT_HIDD
     whose pivot bound (see SLACK) is below their distance to the anchors;
     the others could not gain, so the result is bitwise that of scoring all.
     """
-    if k < 1:
-        raise DomainError(f"anchor count must be >= 1, got {k}")
-    frames, joints = _check_corpus(corpus)
-    tbody = canonical_tbody(frames, joints)
+    rest = _check_request(corpus, k, hidden_dim)
 
     # Only members not yet taken are scored. Their rows, corpus indices,
     # MaxSim values and pivot distances live compacted at the front of
@@ -255,7 +257,7 @@ def sps_sample(corpus: list[CorpusEntry], k: int, hidden_dim: int = DEFAULT_HIDD
     # ties go to the smallest `alive` among exact minima.
     rows = np.stack([c[0].values.array for c in corpus])
     alive = np.arange(len(corpus))
-    best = _sims_to_one(rows, tbody.values.array)  # MaxSim against {T-body}
+    best = _sims_to_one(rows, rest.input.values.array)  # MaxSim against {T-body}
     piv = np.empty((PIVOTS + 1, len(corpus)))  # distances to the rest pose and the first picks
     piv[0] = -best
     pivots = 1
@@ -287,19 +289,16 @@ def sps_sample(corpus: list[CorpusEntry], k: int, hidden_dim: int = DEFAULT_HIDD
         score = np.flatnonzero(~(lb >= -best[:n]))
         if score.size:
             best[score] = np.maximum(best[score], _sims_to_one(rows[score], newest))
-    return _build_set(corpus, picked, "sps", k, hidden_dim, trace)
+    return _build_set(corpus, rest, picked, "sps", k, hidden_dim, trace)
 
 
 def random_sample(corpus: list[CorpusEntry], k: int, rng_seed: int,
                   hidden_dim: int = DEFAULT_HIDDEN) -> AnchorSet:
     """k corpus members uniformly without replacement, rest pose prepended."""
-    if k < 1:
-        raise DomainError(f"anchor count must be >= 1, got {k}")
-    if k > len(corpus):
-        raise DomainError(f"anchor count {k} exceeds corpus size {len(corpus)}")
+    rest = _check_request(corpus, k, hidden_dim, draws=True)
     rng = np.random.default_rng(rng_seed)
     picked = [int(i) for i in rng.choice(len(corpus), size=k, replace=False)]
-    return _build_set(corpus, picked, "random", k, hidden_dim)
+    return _build_set(corpus, rest, picked, "random", k, hidden_dim)
 
 
 def _nearest_centroid(flat: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -318,11 +317,7 @@ def cluster_sample(corpus: list[CorpusEntry], k: int, rng_seed: int,
     """k-means in flattened value space; anchors are the members nearest each
     centroid. Fixed iteration count, seeded member initialization, empty
     clusters keep their previous centroid; fully deterministic per seed."""
-    if k < 1:
-        raise DomainError(f"anchor count must be >= 1, got {k}")
-    if k > len(corpus):
-        raise DomainError(f"anchor count {k} exceeds corpus size {len(corpus)}")
-    _check_corpus(corpus)
+    rest = _check_request(corpus, k, hidden_dim, draws=True)
     flat = np.stack([c[0].values.array.reshape(-1) for c in corpus])
     rng = np.random.default_rng(rng_seed)
     centroids = flat[rng.choice(len(corpus), size=k, replace=False)].copy()
@@ -339,32 +334,17 @@ def cluster_sample(corpus: list[CorpusEntry], k: int, rng_seed: int,
         idx = next(int(i) for i in order if not used[i])
         picked.append(idx)
         used[idx] = True
-    return _build_set(corpus, picked, "cluster", k, hidden_dim)
-
-
-def _query_array(x: MotionSequence, anchors: AnchorSet) -> np.ndarray:
-    shape = anchors.anchors[0].input.values.shape
-    if x.values.shape != shape:
-        raise DimensionError(f"query shape {x.values.shape} does not match anchor shape {shape}")
-    return x.values.array
-
-
-def anchor_similarities(x: MotionSequence, anchors: AnchorSet) -> np.ndarray:
-    """(A,) similarities of x to every anchor input, in one vectorized pass."""
-    return _sims_to_one(anchors.stacked_inputs(), _query_array(x, anchors))
+    return _build_set(corpus, rest, picked, "cluster", k, hidden_dim)
 
 
 def query_similarities(queries: list[MotionSequence], anchors: AnchorSet) -> np.ndarray:
-    """(Q, A) similarities of each query to every anchor input, in one blocked pass."""
-    return _sims_to_many(anchors.stacked_inputs(),
-                         np.stack([_query_array(x, anchors) for x in queries]))
-
-
-def max_sim(x: MotionSequence, anchors: AnchorSet) -> tuple[float, int]:
-    """Best similarity of x over the anchor list and the first index attaining it."""
-    sims = anchor_similarities(x, anchors)
-    idx = int(np.argmax(sims))
-    return float(sims[idx]), idx
+    """(Q, A) similarities of each query input to every anchor input, in one blocked pass."""
+    shape = anchors.anchors[0].input.values.shape
+    for x in queries:
+        if x.values.shape != shape:
+            raise DimensionError(f"query shape {x.values.shape} does not match anchor shape {shape}")
+    # np.array, not np.stack: stack costs several times more for one query.
+    return _sims_to_many(anchors.stacked_inputs(), np.array([x.values.array for x in queries]))
 
 
 @dataclass(frozen=True)
@@ -381,36 +361,27 @@ def pick_anchors(sims: np.ndarray, anchors: AnchorSet, domain_filter: str | None
     anchors of one task domain while keeping original indices; None lets
     all anchors compete."""
     if domain_filter is None:
-        return np.argmax(sims, axis=-1)  # argmax returns the first maximum
+        return sims.argmax(axis=-1)  # argmax returns the first maximum
     candidates = anchors.domain_indices(domain_filter)
     if not candidates.size:
         raise StateError(f"no anchors of domain {domain_filter!r} in the set")
-    return candidates[np.argmax(sims[..., candidates], axis=-1)]
+    return candidates[sims[..., candidates].argmax(axis=-1)]
 
 
-def _prompt(anchors: AnchorSet, best: int, sim) -> RetrievedPrompt:
-    a = anchors.anchors[best]
-    return RetrievedPrompt(hard_input=a.input, hard_target=a.target, index=best,
-                           similarity=float(sim))
+def retrieve_prompts(queries: list[MotionSequence], anchors: AnchorSet,
+                     domain_filter: str | None = None) -> list[RetrievedPrompt]:
+    """Most-similar anchor to each query input (lowest index on ties), all
+    queries scored in one pass. domain_filter is that of `pick_anchors`."""
+    sims = query_similarities(queries, anchors)
+    found = anchors.anchors
+    return [RetrievedPrompt(found[best].input, found[best].target, best, float(sims[q, best]))
+            for q, best in enumerate(pick_anchors(sims, anchors, domain_filter).tolist())]
 
 
 def retrieve_prompt(query_input: MotionSequence, anchors: AnchorSet,
                     domain_filter: str | None = None) -> RetrievedPrompt:
-    """Most-similar anchor to the query input (lowest index on ties).
-
-    domain_filter restricts candidates to anchors of one task domain while
-    preserving original indices; by default all anchors compete.
-    """
-    sims = anchor_similarities(query_input, anchors)
-    best = int(pick_anchors(sims, anchors, domain_filter))
-    return _prompt(anchors, best, sims[best])
-
-
-def retrieve_prompts(queries: list[MotionSequence], anchors: AnchorSet) -> list[RetrievedPrompt]:
-    """`retrieve_prompt` over all anchors for each query, all scored in one pass."""
-    sims = query_similarities(queries, anchors)
-    return [_prompt(anchors, best, row[best])
-            for row, best in zip(sims, pick_anchors(sims, anchors, None).tolist())]
+    """`retrieve_prompts` for one query."""
+    return retrieve_prompts([query_input], anchors, domain_filter)[0]
 
 
 def soft_anchor_value(w1, w2) -> NdBuffer:

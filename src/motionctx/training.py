@@ -45,18 +45,19 @@ class TrainConfig:
     domains: tuple[str, ...] = DOMAIN_ORDER
 
     def __post_init__(self):
-        if self.learning_rate < 0.0:
+        if not self.learning_rate >= 0.0:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
-        if self.epochs < 1:
+        if not self.epochs >= 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         steps = self.steps_per_epoch
-        if steps is not None and (not isinstance(steps, (int, np.integer)) or steps < 1):
+        integral = isinstance(steps, (int, np.integer)) and not isinstance(steps, bool)
+        if steps is not None and (not integral or steps < 1):
             raise ConfigError(f"steps_per_epoch must be an integer >= 1, got {steps!r}")
-        if self.batch_size < 1:
+        if not self.batch_size >= 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.weight_decay < 0.0:
+        if not self.weight_decay >= 0.0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         for d in self.domains:
             if d not in DOMAINS:

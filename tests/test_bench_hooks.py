@@ -40,3 +40,21 @@ def test_tracer_counts_one_similarity_call_per_sps_pick():
     with tracer.patched():
         prompting.sps_sample(corpus, 12, hidden_dim=4)
     assert tracer.sps_rows == list(range(12, 0, -1))
+
+
+def test_tracer_counts_one_retrieval_span_and_its_stacked_bytes():
+    # The bench's retrieval counters read the retrieve_prompt span and the
+    # stack bytes fetched inside it; retrieval adds no sps rows.
+    rng = np.random.default_rng(1)
+    corpus = []
+    for _ in range(5):
+        seq = MotionSequence(NdBuffer(rng.normal(size=(2, 3, 3))), Modality.MESH, 3)
+        corpus.append((seq, seq, "mp_m"))
+    anchors = prompting.sps_sample(corpus, 4, hidden_dim=2)
+    tracer = spans.Tracer("t")
+    with tracer.patched():
+        prompting.retrieve_prompt(corpus[0][0], anchors)
+    assert [s[0] for s in tracer.spans].count("prompting.retrieve_prompt") == 1
+    assert tracer.counters["prompting.retrieve_prompt.stacked_bytes"] == \
+        anchors.stacked_inputs().nbytes
+    assert tracer.sps_rows == []

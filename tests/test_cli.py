@@ -170,14 +170,15 @@ def test_fingerprint_warns_when_one_stored_anchor_input_is_edited(pipeline, caps
 @pytest.mark.parametrize("flag", [[], ["--domain-filter-retrieval"]])
 def test_retrieve_scores_the_query_once(pipeline, capsys, monkeypatch, flag):
     _, data, anchors = pipeline
-    rows = []
-    inner = prompting._sims_to_one
-    monkeypatch.setattr(prompting, "_sims_to_one",
-                        lambda stacked, one: rows.append(len(stacked)) or inner(stacked, one))
+    shapes = []
+    inner = prompting._sims_to_many
+    monkeypatch.setattr(prompting, "_sims_to_many",
+                        lambda stacked, queries: shapes.append(
+                            (len(queries), len(stacked))) or inner(stacked, queries))
     code, out, _ = run(capsys, "retrieve", "--dataset", data, "--anchors", anchors,
                        "--domains", "mp_p", *flag)
     assert code == 0 and "runner-up margin" in out
-    assert rows == [len(load_anchors(anchors)[0])]
+    assert shapes == [(1, len(load_anchors(anchors)[0]))]
 
 
 def test_derive_writes_report(pipeline, capsys):
@@ -606,7 +607,13 @@ def test_eval_rejects_soft_factors_of_another_anchor_file(pipeline, capsys, k, h
     ("train", {"steps_per_epoch": "2"}, "steps_per_epoch must be an integer >= 1, got '2'"),
     ("sample-anchors", {"method": 1}, "method must be a string, got 1"),
     ("synth", {"amplitude": 10 ** 400}, "amplitude is out of range"),
-], ids=["k", "clips", "epochs", "bool", "float", "steps", "method", "overflow"])
+    ("train", {"steps_per_epoch": True}, "steps_per_epoch must be an integer >= 1, got True"),
+    ("train", {"learning_rate": float("nan"), "steps_per_epoch": 2},
+     "non-finite number NaN in config file"),
+    ("train", {"position_weight": float("nan")}, "non-finite number NaN in config file"),
+    ("synth", {"cluster_spread": float("inf")}, "non-finite number Infinity in config file"),
+], ids=["k", "clips", "epochs", "bool", "float", "steps", "method", "overflow", "steps-bool",
+        "nan-rate", "nan-weight", "inf-spread"])
 def test_config_values_must_have_their_default_type(pipeline, capsys, command, config, message):
     tmp_path, data, anchors = pipeline
     cfg = write_json(tmp_path / "typed.json", config)
@@ -618,6 +625,29 @@ def test_config_values_must_have_their_default_type(pipeline, capsys, command, c
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("text", ["-Infinity", "1e400"])
+def test_config_number_beyond_float64_is_a_config_error(tmp_path, capsys, text):
+    cfg = tmp_path / "huge.json"
+    cfg.write_text('{"amplitude": %s}' % text)
+    code, _, err = run(capsys, "synth", "--config", str(cfg), "--out", str(tmp_path / "o.bin"))
+    assert code == 1
+    assert err == f"error: non-finite number {text} in config file {cfg}\n"
+    assert not (tmp_path / "o.bin").exists()
+
+
+@pytest.mark.parametrize("method", ["sps", "random", "cluster"])
+@pytest.mark.parametrize("hidden", [0, -1])
+def test_sample_anchors_rejects_a_hidden_width_below_one(pipeline, capsys, method, hidden):
+    tmp_path, data, _ = pipeline
+    cfg = write_json(tmp_path / "hidden.json", {"hidden": hidden})
+    out = tmp_path / "no_anchors.bin"
+    code, _, err = run(capsys, "sample-anchors", "--dataset", data, "--k", "3", "--method",
+                       method, "--config", cfg, "--out", str(out))
+    assert code == 1
+    assert err == f"error: hidden width must be >= 1, got {hidden}\n"
+    assert not out.exists()
 
 
 def test_float_config_value_takes_an_integer(pipeline, capsys, monkeypatch):

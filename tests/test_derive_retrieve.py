@@ -132,9 +132,11 @@ def test_batched_retrieval_equals_per_query_retrieval_on_ties():
     sims = query_similarities(queries, anchors)
     for domain in ("mp_p", "mp_m", "tbody"):
         picks = pick_anchors(sims, anchors, domain)
-        for q, row, pick in zip(queries, sims, picks):
+        batched = retrieve_prompts(queries, anchors, domain_filter=domain)
+        for q, row, pick, got in zip(queries, sims, picks, batched):
             want = retrieve_prompt(q, anchors, domain_filter=domain)
             assert (int(pick), row[pick]) == (want.index, want.similarity)
+            assert (got.index, got.similarity) == (want.index, want.similarity)
             assert anchors.anchors[pick].domain == domain
 
 

@@ -425,6 +425,12 @@ def test_loss_weights_must_be_nonnegative():
         LossWeights(position=-0.1)
 
 
+@pytest.mark.parametrize("name", ["position", "velocity", "shape"])
+def test_nan_loss_weight_is_rejected(name):
+    with pytest.raises(DomainError, match=f"loss weight {name} must be >= 0, got nan"):
+        LossWeights(**{name: float("nan")})
+
+
 def test_mpjpe_cases():
     seq = unify_pose3d(np.random.default_rng(29).normal(size=(2, 3, 3)))
     assert mpjpe(seq, seq) == 0.0

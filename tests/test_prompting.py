@@ -10,7 +10,7 @@ from motionctx.motion import Modality, MotionSequence, canonical_tbody, unify_po
 from motionctx.nd import NdBuffer
 from motionctx import prompting
 from motionctx.prompting import (_sims_to_one, cluster_sample, corpus_fingerprint, coverage,
-                                 max_sim, random_sample, retrieve_prompt, similarity,
+                                 random_sample, retrieve_prompt, retrieve_prompts, similarity,
                                  soft_anchor_value, sps_sample)
 from motionctx.synth import SynthConfig, make_dataset
 from motionctx.training import anchor_corpus
@@ -156,6 +156,17 @@ def test_sps_rejects_bad_arguments():
         sps_sample(scalar_corpus([1.0]), k=0)
     with pytest.raises(StateError):
         sps_sample([], k=2)
+
+
+@pytest.mark.parametrize("hidden", [0, -1])
+@pytest.mark.parametrize("sample", [
+    lambda corpus, hidden: sps_sample(corpus, 2, hidden_dim=hidden),
+    lambda corpus, hidden: random_sample(corpus, 2, rng_seed=0, hidden_dim=hidden),
+    lambda corpus, hidden: cluster_sample(corpus, 2, rng_seed=0, hidden_dim=hidden),
+], ids=["sps", "random", "cluster"])
+def test_samplers_reject_a_hidden_width_below_one(sample, hidden):
+    with pytest.raises(DomainError, match=f"hidden width must be >= 1, got {hidden}$"):
+        sample(scalar_corpus([1.0, 2.0, 3.0]), hidden)
 
 
 def _oracle_sps(stacked, k):
@@ -331,6 +342,11 @@ def test_anchor_set_size_invariant_and_distinct_members():
 
 
 def test_max_sim_examples():
+    # MaxSim(x, anchors) is the similarity and index of the retrieved prompt.
+    def max_sim(x, anchors):
+        got = retrieve_prompt(x, anchors)
+        return got.similarity, got.index
+
     anchors = sps_sample(scalar_corpus([1.0, 2.0, 10.0]), k=4, hidden_dim=4)
     target = anchors.anchors[3].input
     assert max_sim(target, anchors) == (0.0, 3)
@@ -415,8 +431,12 @@ def test_stacked_inputs_built_once_and_read_only():
 
 def test_retrieve_prompt_shape_mismatch():
     anchors = sps_sample(scalar_corpus([1.0]), k=2, hidden_dim=4)
-    with pytest.raises(DimensionError):
-        retrieve_prompt(mesh_seq(np.zeros((2, 1, 3))), anchors)
+    wrong = mesh_seq(np.zeros((2, 1, 3)))
+    message = r"query shape \(2, 1, 3\) does not match anchor shape \(1, 1, 3\)"
+    with pytest.raises(DimensionError, match=message):
+        retrieve_prompt(wrong, anchors)
+    with pytest.raises(DimensionError, match=message):
+        retrieve_prompts([scalar_seq(1.0), wrong], anchors)
 
 
 def test_random_sample_whole_corpus_in_seed_order():

@@ -60,6 +60,11 @@ def test_config_defaults():
     {"weight_decay": -0.1},
     {"domains": ("pe", "nope")},
     {"domains": ()},
+    {"learning_rate": float("nan")},
+    {"weight_decay": float("nan")},
+    {"epochs": float("nan")},
+    {"batch_size": float("nan")},
+    {"steps_per_epoch": True},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ConfigError):
