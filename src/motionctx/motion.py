@@ -32,6 +32,12 @@ class Modality(enum.Enum):
     MESH = "mesh"
 
 
+def is_count(value, minimum: int = 1) -> bool:
+    """An int or numpy integer, not a bool, of at least `minimum`."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= minimum)
+
+
 def _frozen(values) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
     arr.setflags(write=False)

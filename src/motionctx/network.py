@@ -5,9 +5,11 @@ positional embeddings; the retrieved soft anchor is added to the query branch
 only. Each layer runs three aggregation levels (self-attention, graph
 convolution over a fixed normalized adjacency, and a causal diagonal
 state-space recurrence) in a temporal view (per-joint tracks over frames) and
-then a spatial view (per-frame tracks over joints). A per-layer compression
-map, shared between views and branches, produces softmax influence scores
-that fuse the level outputs; each fused view is wrapped in a residual
+then a spatial view (per-frame tracks over joints). Both adjacencies are one
+tree rule (the frame path, the skeleton), and one table names each level's
+tensors and initial draws for `init_params` and the view pass. A per-layer
+compression map, shared between views and branches, produces softmax influence
+scores that fuse the level outputs; each fused view is wrapped in a residual
 connection and layer normalization. A block reports those scores as
 `InfluenceScores`: one per-track array per view, (J, F, L) and (F, J, L).
 After every layer the prompt features are summed into the query branch; a
@@ -31,40 +33,56 @@ import numpy as np
 
 from . import nd
 from .errors import ConfigError, DimensionError, DomainError, StateError
-from .motion import CHANNELS, ROOT_JOINT, SHAPE_PARAMS, Modality, MotionSequence, TaskSample
+from .motion import (CHANNELS, ROOT_JOINT, SHAPE_PARAMS, Modality, MotionSequence, TaskSample,
+                     is_count)
 from .nd import NdBuffer
 
-LEVELS = ("attention", "graph", "ssm")
 VIEWS = ("temporal", "spatial")
 DEFAULT_HIDDEN = 128  # feature width H; soft-anchor factors share it
+
+
+def _square(rng, h):
+    return rng.normal(scale=1.0 / np.sqrt(h), size=(h, h))
+
+
+def _zeros(rng, h):
+    return np.zeros(h)
+
+
+# Level -> (prefix, tensor name -> initial draw at width h), in init order;
+# the tensors are layer{k}.{branch}.{view}.{prefix}.{name}.
+_LEVEL_WEIGHTS = {
+    "attention": ("attn", {**dict.fromkeys(("wq", "wk", "wv", "wo"), _square), "bo": _zeros}),
+    "graph": ("graph", {"w": _square}),
+    "ssm": ("ssm", {"w": _square, "b": _zeros,
+                    "a_raw": lambda rng, h: rng.normal(0.0, 0.1, h) + 0.5,
+                    **dict.fromkeys(("b_gate", "c", "d"), lambda rng, h: rng.normal(0.0, 0.5, h))}),
+}
+LEVELS = tuple(_LEVEL_WEIGHTS)
 
 # Parent of each joint in the 24-joint SMPL kinematic tree (root is -1).
 SMPL_PARENTS = (-1, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 9, 9, 12, 13, 14, 16, 17, 18, 19, 20, 21)
 
 
+def _tree_adjacency(parents, size: int, node: str) -> np.ndarray:
+    """Self-loops plus the links of the tree `parents` (root first), rows normalized."""
+    if size < 1:
+        raise DimensionError(f"adjacency needs at least one {node}, got {size}")
+    a = np.eye(size)
+    for child, parent in enumerate(parents[1:size], start=1):
+        a[child, parent] = a[parent, child] = 1.0
+    return a / a.sum(axis=1, keepdims=True)
+
+
 def skeleton_adjacency(joints: int) -> np.ndarray:
     """Normalized adjacency over the kinematic tree, truncated or padded to
     `joints`. Joints beyond the tree get only a self-loop. Rows sum to one."""
-    if joints < 1:
-        raise DimensionError(f"adjacency needs at least one joint, got {joints}")
-    a = np.zeros((joints, joints))
-    for child in range(1, min(joints, len(SMPL_PARENTS))):
-        parent = SMPL_PARENTS[child]
-        a[child, parent] = 1.0
-        a[parent, child] = 1.0
-    a += np.eye(joints)
-    return a / a.sum(axis=1, keepdims=True)
+    return _tree_adjacency(SMPL_PARENTS, joints, "joint")
 
 
 def path_adjacency(length: int) -> np.ndarray:
-    """Normalized path-graph adjacency linking each position to its neighbors."""
-    if length < 1:
-        raise DimensionError(f"adjacency needs at least one position, got {length}")
-    a = np.eye(length)
-    idx = np.arange(length - 1)
-    a[idx, idx + 1] = 1.0
-    a[idx + 1, idx] = 1.0
-    return a / a.sum(axis=1, keepdims=True)
+    """Normalized path-graph adjacency: each position's parent is the one before it."""
+    return _tree_adjacency(range(-1, length - 1), length, "position")
 
 
 @functools.lru_cache(maxsize=None)  # keys are the (view, T) pairs of the configs in use
@@ -83,7 +101,7 @@ class NetConfig:
     layers: int = 8
 
     def __post_init__(self):
-        if min(self.frames, self.joints, self.hidden, self.layers) < 1:
+        if not all(is_count(n) for n in vars(self).values()):
             raise ConfigError(f"network extents must be positive: {self}")
 
 
@@ -106,7 +124,7 @@ class XFusionParams:
         if self.tensors[name].shape != np.shape(array):
             raise DimensionError(f"parameter {name!r} has shape {self.tensors[name].shape}, "
                                  f"got {np.shape(array)}")
-        self.tensors[name] = NdBuffer._wrap(np.array(array, dtype=np.float64))
+        self.tensors[name] = NdBuffer(array)
 
     def copy(self) -> "XFusionParams":
         return XFusionParams(self.config, dict(self.tensors))
@@ -126,39 +144,25 @@ def init_params(cfg: NetConfig, rng_seed: int, anchors=None) -> XFusionParams:
     rng = np.random.default_rng(rng_seed)
     h = cfg.hidden
     t: dict[str, np.ndarray] = {}
-
-    def normal(shape, scale):
-        return rng.normal(scale=scale, size=shape)
-
     for branch in ("enc_q", "enc_p"):
-        t[f"{branch}.w"] = normal((2 * CHANNELS, h), 1.0 / np.sqrt(2 * CHANNELS))
+        t[f"{branch}.w"] = rng.normal(scale=1.0 / np.sqrt(2 * CHANNELS), size=(2 * CHANNELS, h))
         t[f"{branch}.b"] = np.zeros(h)
-        t[f"{branch}.pos_t"] = normal((cfg.frames, h), 0.02)
-        t[f"{branch}.pos_s"] = normal((cfg.joints, h), 0.02)
+        t[f"{branch}.pos_t"] = rng.normal(scale=0.02, size=(cfg.frames, h))
+        t[f"{branch}.pos_s"] = rng.normal(scale=0.02, size=(cfg.joints, h))
     for k in range(cfg.layers):
         for branch in ("q", "p"):
             for view in VIEWS:
                 base = f"layer{k}.{branch}.{view}"
-                s = 1.0 / np.sqrt(h)
-                t[f"{base}.attn.wq"] = normal((h, h), s)
-                t[f"{base}.attn.wk"] = normal((h, h), s)
-                t[f"{base}.attn.wv"] = normal((h, h), s)
-                t[f"{base}.attn.wo"] = normal((h, h), s)
-                t[f"{base}.attn.bo"] = np.zeros(h)
-                t[f"{base}.graph.w"] = normal((h, h), s)
-                t[f"{base}.ssm.w"] = normal((h, h), s)
-                t[f"{base}.ssm.b"] = np.zeros(h)
-                t[f"{base}.ssm.a_raw"] = normal((h,), 0.1) + 0.5
-                t[f"{base}.ssm.b_gate"] = normal((h,), 0.5)
-                t[f"{base}.ssm.c"] = normal((h,), 0.5)
-                t[f"{base}.ssm.d"] = normal((h,), 0.5)
+                for prefix, draws in _LEVEL_WEIGHTS.values():
+                    for name, draw in draws.items():
+                        t[f"{base}.{prefix}.{name}"] = draw(rng, h)
                 t[f"{base}.ln.g"] = np.ones(h)
                 t[f"{base}.ln.b"] = np.zeros(h)
         t[f"layer{k}.compress.w"] = np.zeros((len(LEVELS), len(LEVELS) * h))
         t[f"layer{k}.compress.b"] = np.zeros(len(LEVELS))
-    t["head.pos.w"] = normal((h, CHANNELS), 1.0 / np.sqrt(h))
+    t["head.pos.w"] = rng.normal(scale=1.0 / np.sqrt(h), size=(h, CHANNELS))
     t["head.pos.b"] = np.zeros(CHANNELS)
-    t["head.shape.w"] = normal((h, SHAPE_PARAMS), 1.0 / np.sqrt(h))
+    t["head.shape.w"] = rng.normal(scale=1.0 / np.sqrt(h), size=(h, SHAPE_PARAMS))
     t["head.shape.b"] = np.zeros(SHAPE_PARAMS)
     if anchors is not None:
         for i in range(len(anchors)):
@@ -255,29 +259,18 @@ def _swap_tracks(h: NdBuffer) -> NdBuffer:
     return nd.transpose(h, axes)
 
 
-def _view_pass(h: NdBuffer, params: XFusionParams, layer: int, branch: str,
+def _view_pass(tracks: NdBuffer, params: XFusionParams, layer: int, branch: str,
                view: str) -> tuple[NdBuffer, np.ndarray]:
-    # h arrives as (..., F, J, H); tracks run over frames in the temporal view
-    # and over joints in the spatial view.
+    # Tracks are (..., J, F, H), over frames, in the temporal view and
+    # (..., F, J, H), over joints, in the spatial view.
     base = f"layer{layer}.{branch}.{view}"
-    tracks = _swap_tracks(h) if view == "temporal" else h
-    outs = []
-    for level in LEVELS:
-        if level == "attention":
-            w = {k: params[f"{base}.attn.{k}"] for k in ("wq", "wk", "wv", "wo", "bo")}
-        elif level == "graph":
-            w = {"w": params[f"{base}.graph.w"]}
-        else:
-            w = {"w": params[f"{base}.ssm.w"], "b": params[f"{base}.ssm.b"],
-                 "a_raw": params[f"{base}.ssm.a_raw"], "b_gate": params[f"{base}.ssm.b_gate"],
-                 "c": params[f"{base}.ssm.c"], "d": params[f"{base}.ssm.d"]}
-        outs.append(aggregate_level(tracks, level, view, w))
+    outs = [aggregate_level(tracks, level, view,
+                            {name: params[f"{base}.{prefix}.{name}"] for name in draws})
+            for level, (prefix, draws) in _LEVEL_WEIGHTS.items()]
     fused, alpha = cross_level_update(outs, params[f"layer{layer}.compress.w"],
                                       params[f"layer{layer}.compress.b"])
-    wrapped = nd.layer_norm(nd.add(tracks, fused), params[f"{base}.ln.g"], params[f"{base}.ln.b"])
-    if view == "temporal":
-        wrapped = _swap_tracks(wrapped)
-    return wrapped, alpha
+    return nd.layer_norm(nd.add(tracks, fused), params[f"{base}.ln.g"],
+                         params[f"{base}.ln.b"]), alpha
 
 
 @dataclass(frozen=True)
@@ -296,11 +289,9 @@ class InfluenceScores:
 def xfusion_block(h: NdBuffer, params: XFusionParams, layer: int,
                   branch: str) -> tuple[NdBuffer, InfluenceScores]:
     """One fusion block: the temporal view, then the spatial view, shared compression."""
-    alphas: dict[str, np.ndarray] = {}
-    out = h
-    for view in VIEWS:
-        out, alphas[view] = _view_pass(out, params, layer, branch, view)
-    return out, InfluenceScores(raw_temporal=alphas["temporal"], raw_spatial=alphas["spatial"])
+    joint_tracks, temporal = _view_pass(_swap_tracks(h), params, layer, branch, "temporal")
+    out, spatial = _view_pass(_swap_tracks(joint_tracks), params, layer, branch, "spatial")
+    return out, InfluenceScores(raw_temporal=temporal, raw_spatial=spatial)
 
 
 def context_inject(z_p: NdBuffer, z_q: NdBuffer) -> NdBuffer:
@@ -378,7 +369,7 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("position", "velocity", "shape"):
-            if not getattr(self, name) >= 0.0:
+            if not 0.0 <= getattr(self, name) < np.inf:
                 raise DomainError(f"loss weight {name} must be >= 0, got {getattr(self, name)}")
 
 
@@ -454,31 +445,28 @@ def loss(prediction: NdBuffer, betas_hat: NdBuffer, samples,
     return total, components
 
 
-def _prediction_pair(prediction, target: MotionSequence) -> tuple[np.ndarray, np.ndarray]:
-    """Coerce a prediction (sequence, buffer or array) and check it against the target."""
-    if isinstance(prediction, MotionSequence):
-        prediction = prediction.values
-    pred = prediction.array if isinstance(prediction, NdBuffer) else np.asarray(
-        prediction, dtype=np.float64)
+def _native_error(prediction, target: MotionSequence, root_aligned: bool) -> float:
+    """Mean L2 error over frames and native joints of a prediction (sequence,
+    buffer or array), each frame's root joint subtracted when `root_aligned`."""
+    values = prediction.values if isinstance(prediction, MotionSequence) else prediction
+    pred = np.asarray(values.array if isinstance(values, NdBuffer) else values, dtype=np.float64)
     tgt = target.values.array
     if pred.shape != tgt.shape:
         raise DimensionError(f"prediction shape {pred.shape} does not match target {tgt.shape}")
-    return pred, tgt
+    n = target.native_joint_count
+    pred, tgt = pred[:, :n, :], tgt[:, :n, :]
+    if root_aligned:
+        pred, tgt = pred - pred[:, ROOT_JOINT, None], tgt - tgt[:, ROOT_JOINT, None]
+    return float(np.sqrt(((pred - tgt) ** 2).sum(axis=-1)).mean())
 
 
 def mpjpe(prediction, target: MotionSequence) -> float:
     """Mean per-joint position error after root alignment, native joints only."""
     if target.modality is Modality.MESH:
         raise DomainError("mpjpe is defined for pose modalities, not mesh parameters")
-    pred, tgt = _prediction_pair(prediction, target)
-    n = target.native_joint_count
-    pred = pred[:, :n, :] - pred[:, ROOT_JOINT:ROOT_JOINT + 1, :]
-    tgt = tgt[:, :n, :] - tgt[:, ROOT_JOINT:ROOT_JOINT + 1, :]
-    return float(np.sqrt(((pred - tgt) ** 2).sum(axis=-1)).mean())
+    return _native_error(prediction, target, root_aligned=True)
 
 
 def mean_param_error(prediction, target: MotionSequence) -> float:
     """Mean per-joint L2 error in parameter space (mesh outputs), native only."""
-    pred, tgt = _prediction_pair(prediction, target)
-    n = target.native_joint_count
-    return float(np.sqrt(((pred[:, :n, :] - tgt[:, :n, :]) ** 2).sum(axis=-1)).mean())
+    return _native_error(prediction, target, root_aligned=False)

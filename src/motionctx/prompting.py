@@ -339,6 +339,8 @@ def cluster_sample(corpus: list[CorpusEntry], k: int, rng_seed: int,
 
 def query_similarities(queries: list[MotionSequence], anchors: AnchorSet) -> np.ndarray:
     """(Q, A) similarities of each query input to every anchor input, in one blocked pass."""
+    if not queries:
+        raise StateError("similarity scoring needs at least one query")
     shape = anchors.anchors[0].input.values.shape
     for x in queries:
         if x.values.shape != shape:
@@ -391,6 +393,4 @@ def soft_anchor_value(w1, w2) -> NdBuffer:
 
 def coverage(queries: list[MotionSequence], anchors: AnchorSet) -> float:
     """Worst-case retrieval similarity: min over queries of max over anchors."""
-    if not queries:
-        raise StateError("coverage needs at least one query")
     return float(query_similarities(queries, anchors).max(axis=1).min())

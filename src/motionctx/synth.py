@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .motion import (SHAPE_PARAMS, MotionClip, pad_virtual_joints, reorganize_mesh_params,
-                     unify_pose2d, unify_pose3d)
+from .motion import (SHAPE_PARAMS, MotionClip, is_count, pad_virtual_joints,
+                     reorganize_mesh_params, unify_pose2d, unify_pose3d)
 
 
 @dataclass(frozen=True)
@@ -35,15 +35,16 @@ class SynthConfig:
 
     def __post_init__(self):
         checks = [
-            ("clips", self.clips >= 1),
-            ("frames", self.frames >= 1),
-            ("joints", self.joints >= 1),
-            ("native_pose_joints", 1 <= self.native_pose_joints <= self.joints),
-            ("clusters", 1 <= self.clusters <= self.clips),
-            ("outliers", 0 <= self.outliers <= self.clips),
-            ("amplitude", self.amplitude > 0.0),
-            ("cluster_spread", self.cluster_spread >= 0.0),
-            ("beta_scale", self.beta_scale >= 0.0),
+            ("clips", is_count(self.clips)),
+            ("frames", is_count(self.frames)),
+            ("joints", is_count(self.joints)),
+            ("native_pose_joints", is_count(self.native_pose_joints)
+             and self.native_pose_joints <= self.joints),
+            ("clusters", is_count(self.clusters) and self.clusters <= self.clips),
+            ("outliers", is_count(self.outliers, 0) and self.outliers <= self.clips),
+            ("amplitude", 0.0 < self.amplitude < np.inf),
+            ("cluster_spread", 0.0 <= self.cluster_spread < np.inf),
+            ("beta_scale", 0.0 <= self.beta_scale < np.inf),
         ]
         for name, ok in checks:
             if not ok:

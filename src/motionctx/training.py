@@ -20,7 +20,8 @@ import numpy as np
 
 from . import nd
 from .errors import ConfigError, NumericError, StateError
-from .motion import DOMAIN_ORDER, DOMAINS, Modality, MotionClip, TaskSample, derive_task
+from .motion import (DOMAIN_ORDER, DOMAINS, Modality, MotionClip, TaskSample, derive_task,
+                     is_count)
 from .nd import NdBuffer, Tape
 from .network import (ForwardResult, LossWeights, XFusionParams, forward, loss,
                       mean_param_error, mpjpe)
@@ -45,19 +46,18 @@ class TrainConfig:
     domains: tuple[str, ...] = DOMAIN_ORDER
 
     def __post_init__(self):
-        if not self.learning_rate >= 0.0:
+        if not 0.0 <= self.learning_rate < np.inf:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
-        if not self.epochs >= 1:
+        if not is_count(self.epochs):
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         steps = self.steps_per_epoch
-        integral = isinstance(steps, (int, np.integer)) and not isinstance(steps, bool)
-        if steps is not None and (not integral or steps < 1):
+        if steps is not None and not is_count(steps):
             raise ConfigError(f"steps_per_epoch must be an integer >= 1, got {steps!r}")
-        if not self.batch_size >= 1:
+        if not is_count(self.batch_size):
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.weight_decay >= 0.0:
+        if not 0.0 <= self.weight_decay < np.inf:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         for d in self.domains:
             if d not in DOMAINS:

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import make_clip
 from motionctx import network, nd
-from motionctx.errors import ConfigError, DimensionError, DomainError
+from motionctx.errors import ConfigError, DimensionError, DomainError, NumericError
 from motionctx.motion import SHAPE_PARAMS, Modality, MotionSequence, derive_task, unify_pose3d
 from motionctx.nd import NdBuffer, Tape
 from motionctx.network import (LEVELS, VIEWS, LossWeights, NetConfig, aggregate_level,
@@ -36,9 +36,32 @@ def test_adjacency_structure():
     assert np.all(wide[29] == np.eye(30)[29])
 
 
+def test_adjacency_values_are_pinned():
+    path = np.array([[1, 1, 0, 0], [1, 1, 1, 0], [0, 1, 1, 1], [0, 0, 1, 1]]) / [[2], [3], [3], [2]]
+    assert np.array_equal(path_adjacency(4), path)
+    # joints 1, 2 and 3 hang off the root, joint 4 off joint 1
+    tree = np.array([[1, 1, 1, 1, 0], [1, 1, 0, 0, 1], [1, 0, 1, 0, 0], [1, 0, 0, 1, 0],
+                     [0, 1, 0, 0, 1]]) / [[4], [3], [2], [2], [2]]
+    assert np.array_equal(skeleton_adjacency(5), tree)
+    assert np.array_equal(skeleton_adjacency(1), [[1.0]])
+
+
 def test_config_validation():
+    for kwargs in ({"frames": 0}, {"frames": 2.5}, {"hidden": True}, {"layers": float("inf")}):
+        with pytest.raises(ConfigError):
+            NetConfig(**kwargs)
+
+
+def test_replace_keeps_buffers_finite():
+    params = init_params(small_cfg(layers=1), 0)
+    with pytest.raises(NumericError):
+        params.replace("head.pos.b", [np.nan, 1.0, np.inf])
     with pytest.raises(ConfigError):
-        NetConfig(frames=0)
+        params.replace("head.pos.c", [0.0, 1.0, 2.0])
+    with pytest.raises(DimensionError):
+        params.replace("head.pos.b", [0.0, 1.0])
+    params.replace("head.pos.b", [0.0, 1.0, 2.0])
+    assert np.array_equal(params["head.pos.b"].array, [0.0, 1.0, 2.0])
 
 
 def test_encode_context_bias_broadcast_and_soft_add():
@@ -425,10 +448,13 @@ def test_loss_weights_must_be_nonnegative():
         LossWeights(position=-0.1)
 
 
-@pytest.mark.parametrize("name", ["position", "velocity", "shape"])
-def test_nan_loss_weight_is_rejected(name):
-    with pytest.raises(DomainError, match=f"loss weight {name} must be >= 0, got nan"):
-        LossWeights(**{name: float("nan")})
+@pytest.mark.parametrize("name,value", [
+    ("position", "nan"), ("velocity", "nan"), ("shape", "nan"),
+    ("position", "inf"), ("velocity", "inf"), ("shape", "inf"),
+], ids=["position", "velocity", "shape", "position-inf", "velocity-inf", "shape-inf"])
+def test_nan_loss_weight_is_rejected(name, value):
+    with pytest.raises(DomainError, match=f"loss weight {name} must be >= 0, got {value}"):
+        LossWeights(**{name: float(value)})
 
 
 def test_mpjpe_cases():
@@ -454,6 +480,27 @@ def test_mpjpe_ignores_virtual_joints():
     pred = np.concatenate([arr + 0.1, np.full((2, 2, 3), 9.0)], axis=1)
     bare = mpjpe(arr + 0.1, unify_pose3d(arr))
     assert mpjpe(pred, target) == pytest.approx(bare, rel=1e-12)
+
+
+def _reference_error(pred, target, root_aligned):
+    n = target.native_joint_count
+    p, t = pred[:, :n, :], target.values.array[:, :n, :]
+    if root_aligned:
+        p, t = p - p[:, :1, :], t - t[:, :1, :]
+    return float(np.mean(np.sqrt(np.sum((p - t) ** 2, axis=-1))))
+
+
+def test_metrics_match_a_numpy_reference_bitwise():
+    rng = np.random.default_rng(32)
+    native = rng.normal(size=(5, 4, 3)) + [30.0, -20.0, 10.0]  # root far from the origin
+    values = np.concatenate([native, np.zeros((5, 2, 3))], axis=1)
+    pose = MotionSequence(NdBuffer(values), Modality.POSE3D, 4)
+    mesh = MotionSequence(NdBuffer(values), Modality.MESH, 4, betas=rng.normal(size=SHAPE_PARAMS))
+    pred = values + rng.normal(size=values.shape)  # virtual joints nonzero too
+    for p in (pred, NdBuffer(pred)):
+        assert mpjpe(p, pose) == _reference_error(pred, pose, True)
+        assert mean_param_error(p, mesh) == _reference_error(pred, mesh, False)
+    assert mpjpe(pred, pose) != mean_param_error(pred, pose)
 
 
 def test_mean_param_error_native_only():

@@ -527,6 +527,14 @@ def test_coverage_values():
         coverage([], pair)
 
 
+def test_empty_query_list_is_a_state_error():
+    anchors = sps_sample(scalar_corpus([10.0]), k=2, hidden_dim=4)
+    with pytest.raises(StateError, match="at least one query"):
+        prompting.query_similarities([], anchors)
+    with pytest.raises(StateError, match="at least one query"):
+        retrieve_prompts([], anchors)
+
+
 def clusters_with_outliers(seed=0, per=10):
     """Two tight clusters plus four isolated far members."""
     rng = np.random.default_rng(seed)

@@ -100,6 +100,11 @@ def test_cluster_betas_shared_within_cluster():
     ("amplitude", 0.0),
     ("cluster_spread", -0.1),
     ("beta_scale", -1.0),
+    ("amplitude", float("inf")),
+    ("cluster_spread", float("inf")),
+    ("beta_scale", float("inf")),
+    ("clips", 2.5),
+    ("outliers", True),
 ])
 def test_config_validation_names_the_field(field, value):
     kwargs = {"clips": 4, "frames": 4, "joints": 6, "native_pose_joints": 5}

@@ -65,6 +65,11 @@ def test_config_defaults():
     {"epochs": float("nan")},
     {"batch_size": float("nan")},
     {"steps_per_epoch": True},
+    {"learning_rate": float("inf")},
+    {"weight_decay": float("inf")},
+    {"epochs": float("inf")},
+    {"batch_size": 2.5},
+    {"epochs": True},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ConfigError):
