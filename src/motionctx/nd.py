@@ -15,7 +15,11 @@ the left operand's leading dims into one GEMM, forward and backward.
 `layer_norm`, `attention` and `level_fusion` are one record each with an
 analytic backward; their forwards repeat, step for step, the arithmetic of
 the chains of elementwise records they stand for, so their values equal
-those chains' bitwise.
+those chains' bitwise. `linear` (matmul then bias add), `mul_add` (a*x + b*y)
+and `layer_norm` with a `skip` operand (the residual add before the norm) go
+further: their gradients too repeat their chains' arithmetic and equal them
+bitwise. Every record keeps its output alive until backward, so each fused
+record also drops the activation-sized outputs of the steps it folds in.
 
 `Tape.grad` replays records in reverse, accumulating fan-out contributions
 additively, and is O(number of records). It drops each output gradient once
@@ -252,27 +256,38 @@ def mul(a, b) -> NdBuffer:
                              lambda g, x, y, o: g * y, lambda g, x, y, o: g * x)
 
 
+def _check_matmul(name, arr_a, arr_b) -> None:
+    if arr_a.ndim < 2 or arr_b.ndim < 2:
+        raise DimensionError(f"{name} needs ndim >= 2, got shapes {np.shape(arr_a)} and {np.shape(arr_b)}")
+    if arr_a.shape[-1] != arr_b.shape[-2]:
+        raise DimensionError(f"{name} inner dimensions differ: {arr_a.shape} @ {arr_b.shape}")
+
+
+def _folded_gemm(arr_a, buf_a, arr_w, buf_w):
+    # (..., M, K) @ (K, N) is one (prod(...)*M, K) @ (K, N) GEMM; the weight
+    # gradient then needs no sum over batch axes. Returns the fresh, writable
+    # product and its backward.
+    flat_a = arr_a.reshape(-1, arr_a.shape[-1])
+    out = (flat_a @ arr_w).reshape(arr_a.shape[:-1] + arr_w.shape[-1:])
+
+    def backward(g):
+        flat_g = g.reshape(-1, g.shape[-1])
+        contribs = []
+        if buf_a is not None:
+            contribs.append((buf_a, (flat_g @ arr_w.T).reshape(arr_a.shape)))
+        if buf_w is not None:
+            contribs.append((buf_w, flat_a.T @ flat_g))
+        return contribs
+
+    return out, backward
+
+
 def matmul(a: NdBuffer, b: NdBuffer) -> NdBuffer:
     arr_a, buf_a = _as_operand(a)
     arr_b, buf_b = _as_operand(b)
-    if arr_a.ndim < 2 or arr_b.ndim < 2:
-        raise DimensionError(f"matmul needs ndim >= 2, got shapes {np.shape(arr_a)} and {np.shape(arr_b)}")
-    if arr_a.shape[-1] != arr_b.shape[-2]:
-        raise DimensionError(f"matmul inner dimensions differ: {arr_a.shape} @ {arr_b.shape}")
+    _check_matmul("matmul", arr_a, arr_b)
     if arr_b.ndim == 2:
-        # (..., M, K) @ (K, N) is one (prod(...)*M, K) @ (K, N) GEMM; the
-        # weight gradient then needs no sum over batch axes.
-        flat_a = arr_a.reshape(-1, arr_a.shape[-1])
-        out = (flat_a @ arr_b).reshape(arr_a.shape[:-1] + arr_b.shape[-1:])
-
-        def backward(g):
-            flat_g = g.reshape(-1, g.shape[-1])
-            contribs = []
-            if buf_a is not None:
-                contribs.append((buf_a, (flat_g @ arr_b.T).reshape(arr_a.shape)))
-            if buf_b is not None:
-                contribs.append((buf_b, flat_a.T @ flat_g))
-            return contribs
+        out, backward = _folded_gemm(arr_a, buf_a, arr_b, buf_b)
     else:
         try:
             out = arr_a @ arr_b
@@ -288,6 +303,58 @@ def matmul(a: NdBuffer, b: NdBuffer) -> NdBuffer:
             return contribs
 
     return _emit("matmul", out, backward)
+
+
+def linear(x, w, b) -> NdBuffer:
+    """x @ w + b with a 2-D w, as one record.
+
+    The forward is `matmul`'s folded GEMM, then b added into that fresh
+    product, so the value equals `add(matmul(x, w), b)` bitwise. b must
+    broadcast to the product's shape. The backward gives b the reduction
+    `add` gives it and x and w the two GEMMs `matmul` gives them, b first.
+    """
+    arr_x, buf_x = _as_operand(x)
+    arr_w, buf_w = _as_operand(w)
+    arr_b, buf_b = _as_operand(b)
+    _check_matmul("linear", arr_x, arr_w)
+    if arr_w.ndim != 2:
+        raise DimensionError(f"linear needs a 2-D weight, got shape {arr_w.shape}")
+    out, gemm_backward = _folded_gemm(arr_x, buf_x, arr_w, buf_w)
+    try:
+        out += arr_b
+    except ValueError:
+        raise DimensionError(f"linear: bias {np.shape(arr_b)} does not broadcast to {out.shape}") from None
+
+    def backward(g):
+        bias = [] if buf_b is None else [(buf_b, _unbroadcast(g, buf_b.shape))]
+        return bias + gemm_backward(g)
+
+    return _emit("linear", out, backward)
+
+
+def mul_add(a, x, b, y) -> NdBuffer:
+    """a*x + b*y as one record.
+
+    The forward computes a*x, then adds b*y into it, so the value equals
+    `add(mul(a, x), mul(b, y))` bitwise; a*x must carry the full broadcast
+    shape. The backward returns the contributions in the order that chain's
+    reverse replay produced them: b, y, a, x.
+    """
+    (arr_a, buf_a), (arr_x, buf_x), (arr_b, buf_b), (arr_y, buf_y) = map(_as_operand, (a, x, b, y))
+    try:
+        out = np.multiply(arr_a, arr_x)
+        out += arr_b * arr_y
+    except ValueError:
+        raise DimensionError(f"mul_add: shapes {np.shape(arr_a)} * {np.shape(arr_x)} + "
+                             f"{np.shape(arr_b)} * {np.shape(arr_y)} do not broadcast "
+                             f"to the shape of the first product") from None
+
+    def backward(g):
+        return [(buf, _unbroadcast(g * other, buf.shape))
+                for buf, other in ((buf_b, arr_y), (buf_y, arr_b), (buf_a, arr_x), (buf_x, arr_a))
+                if buf is not None]
+
+    return _emit("mul_add", out, backward)
 
 
 def scan(a, b, u, axis: int) -> NdBuffer:
@@ -509,15 +576,18 @@ def _softmax_back(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     return p * (g - (g * p).sum(axis=-1, keepdims=True))
 
 
-def layer_norm(x: NdBuffer, gamma, beta) -> NdBuffer:
+def layer_norm(x: NdBuffer, gamma, beta, skip: NdBuffer | None = None) -> NdBuffer:
     """Normalize over the last axis: (x - mean) / sqrt(var + LN_EPS) * gamma + beta.
 
-    One record; gamma and beta have shape (H,) for x of shape (..., H). The
-    forward takes the mean, centers, squares, takes the mean again, adds
-    LN_EPS, takes the root and its reciprocal, then scales and shifts, in
-    that order. The backward (Ba et al. 2016) with x_hat the normalized input
-    and d = g * gamma is dx = inv * (d - mean(d) - x_hat * mean(d * x_hat)),
-    dgamma = sum g * x_hat and dbeta = sum g over the leading axes.
+    One record; gamma and beta have shape (H,) for x of shape (..., H). With
+    `skip` (x's shape) the record normalizes the residual sum skip + x, added
+    in that order, so its value equals `layer_norm(add(skip, x), ...)`
+    bitwise; the sum is not kept. The forward takes the mean, centers,
+    squares, takes the mean again, adds LN_EPS, takes the root and its
+    reciprocal, then scales and shifts, in that order. The backward (Ba et al.
+    2016) with x_hat the normalized input and d = g * gamma is dx = inv * (d -
+    mean(d) - x_hat * mean(d * x_hat)), dgamma = sum g * x_hat and dbeta = sum
+    g over the leading axes; skip and x both receive the one dx array.
     """
     arr = x.array
     arr_g, buf_g = _as_operand(gamma)
@@ -526,6 +596,11 @@ def layer_norm(x: NdBuffer, gamma, beta) -> NdBuffer:
     if arr.ndim < 1 or np.shape(arr_g) != width or np.shape(arr_b) != width:
         raise DimensionError(f"layer_norm of {arr.shape} needs gain and shift of shape "
                              f"{width}, got {np.shape(arr_g)} and {np.shape(arr_b)}")
+    if skip is not None:
+        if skip.shape != arr.shape:
+            raise DimensionError(f"layer_norm skip operand {skip.shape} does not match "
+                                 f"input {arr.shape}")
+        arr = skip.array + arr
     axes = (arr.ndim - 1,)
     x_hat = arr - arr.mean(axis=axes, keepdims=True)
     out = np.multiply(x_hat, x_hat)
@@ -533,6 +608,7 @@ def layer_norm(x: NdBuffer, gamma, beta) -> NdBuffer:
     x_hat *= inv
     np.multiply(x_hat, arr_g, out=out)
     out += arr_b
+    residual = [x] if skip is None else [skip, x]
 
     def backward(g):
         g = np.ascontiguousarray(g).reshape(-1, width[0])
@@ -550,7 +626,8 @@ def layer_norm(x: NdBuffer, gamma, beta) -> NdBuffer:
         dx -= mean_d
         dx -= np.multiply(flat_hat, mean_dx, out=gx)
         dx *= inv.reshape(-1, 1)
-        return [(x, dx.reshape(arr.shape))] + contribs
+        dx = dx.reshape(x.shape)
+        return [(buf, dx) for buf in residual] + contribs
 
     return _emit("layer_norm", out, backward)
 

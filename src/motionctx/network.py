@@ -199,7 +199,7 @@ def encode_context(q_in, p_in, p_gt, u_star, params: XFusionParams) -> tuple[NdB
 
     def encode(branch: str, first: NdBuffer) -> NdBuffer:
         cat = nd.concat([first, gt], axis=-1)
-        feat = nd.add(nd.matmul(cat, params[f"{branch}.w"]), params[f"{branch}.b"])
+        feat = nd.linear(cat, params[f"{branch}.w"], params[f"{branch}.b"])
         feat = nd.add(feat, nd.reshape(params[f"{branch}.pos_t"], (cfg.frames, 1, cfg.hidden)))
         return nd.add(feat, params[f"{branch}.pos_s"])
 
@@ -218,7 +218,9 @@ def aggregate_level(h: NdBuffer, level: str, view: str, weights: dict[str, NdBuf
     constant operand, so no gradient is formed for it. ssm: causal diagonal
     recurrence along T (projected input u_t; s_t = a*s_{t-1} + b*u_t,
     y_t = c*s_t + d*u_t) with the transition bounded by tanh; the whole
-    recurrence is one `nd.scan` record with a reverse-scan backward.
+    recurrence is one `nd.scan` record with a reverse-scan backward, and the
+    readout one `nd.mul_add` record. Every affine map with a bias is one
+    `nd.linear` record.
     """
     if view not in VIEWS:
         raise DomainError(f"unknown view {view!r}; expected one of {VIEWS}")
@@ -230,13 +232,13 @@ def aggregate_level(h: NdBuffer, level: str, view: str, weights: dict[str, NdBuf
         k = nd.matmul(h, weights["wk"])
         v = nd.matmul(h, weights["wv"])
         ctx = nd.attention(q, k, v, 1.0 / np.sqrt(q.shape[-1]))
-        return nd.add(nd.matmul(ctx, weights["wo"]), weights["bo"])
+        return nd.linear(ctx, weights["wo"], weights["bo"])
     if level == "graph":
         return nd.matmul(nd.matmul(_default_adjacency(view, t_len), h), weights["w"])
     if level == "ssm":
-        u = nd.add(nd.matmul(h, weights["w"]), weights["b"])
+        u = nd.linear(h, weights["w"], weights["b"])
         s = nd.scan(nd.tanh(weights["a_raw"]), weights["b_gate"], u, axis=u.ndim - 2)
-        return nd.add(nd.mul(weights["c"], s), nd.mul(weights["d"], u))
+        return nd.mul_add(weights["c"], s, weights["d"], u)
     raise DomainError(f"unknown aggregation level {level!r}; expected one of {LEVELS}")
 
 
@@ -269,8 +271,8 @@ def _view_pass(tracks: NdBuffer, params: XFusionParams, layer: int, branch: str,
             for level, (prefix, draws) in _LEVEL_WEIGHTS.items()]
     fused, alpha = cross_level_update(outs, params[f"layer{layer}.compress.w"],
                                       params[f"layer{layer}.compress.b"])
-    return nd.layer_norm(nd.add(tracks, fused), params[f"{base}.ln.g"],
-                         params[f"{base}.ln.b"]), alpha
+    return nd.layer_norm(fused, params[f"{base}.ln.g"], params[f"{base}.ln.b"],
+                         skip=tracks), alpha
 
 
 @dataclass(frozen=True)
@@ -350,12 +352,12 @@ def forward(q_in, p_in, p_gt, u_star, params: XFusionParams) -> ForwardResult:
             h_q = context_inject(nd.take_rows(h_p, rows), z_q)
             s_p = InfluenceScores(**{name: a[rows] for name, a in vars(s_p).items()})
         influence.append({"q": s_q, "p": s_p})
-    prediction = nd.add(nd.matmul(h_q, params["head.pos.w"]), params["head.pos.b"])
+    prediction = nd.linear(h_q, params["head.pos.w"], params["head.pos.b"])
     lead = h_q.shape[:-3]
     pooled = nd.mean(h_q, axis=(-3, -2))
     rows = int(np.prod(lead, dtype=np.int64))
-    betas = nd.add(nd.matmul(nd.reshape(pooled, (rows, cfg.hidden)), params["head.shape.w"]),
-                   params["head.shape.b"])
+    betas = nd.linear(nd.reshape(pooled, (rows, cfg.hidden)), params["head.shape.w"],
+                      params["head.shape.b"])
     return ForwardResult(prediction=prediction,
                          betas=nd.reshape(betas, lead + (SHAPE_PARAMS,)),
                          influence=tuple(influence))

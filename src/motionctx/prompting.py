@@ -315,14 +315,20 @@ def _nearest_centroid(flat: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def cluster_sample(corpus: list[CorpusEntry], k: int, rng_seed: int,
                    hidden_dim: int = DEFAULT_HIDDEN) -> AnchorSet:
     """k-means in flattened value space; anchors are the members nearest each
-    centroid. Fixed iteration count, seeded member initialization, empty
-    clusters keep their previous centroid; fully deterministic per seed."""
+    centroid. At most `KMEANS_ITERATIONS` iterations, seeded member
+    initialization, empty clusters keep their previous centroid; fully
+    deterministic per seed. The loop stops once an assignment repeats the
+    previous one: the update would rebuild the same centroids bitwise, so
+    every later iteration would repeat it."""
     rest = _check_request(corpus, k, hidden_dim, draws=True)
     flat = np.stack([c[0].values.array.reshape(-1) for c in corpus])
     rng = np.random.default_rng(rng_seed)
     centroids = flat[rng.choice(len(corpus), size=k, replace=False)].copy()
+    assign = None
     for _ in range(KMEANS_ITERATIONS):
-        assign = _nearest_centroid(flat, centroids)
+        previous, assign = assign, _nearest_centroid(flat, centroids)
+        if previous is not None and np.array_equal(assign, previous):
+            break
         for c in range(k):
             members = flat[assign == c]
             if members.size:

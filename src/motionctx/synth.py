@@ -42,6 +42,7 @@ class SynthConfig:
              and self.native_pose_joints <= self.joints),
             ("clusters", is_count(self.clusters) and self.clusters <= self.clips),
             ("outliers", is_count(self.outliers, 0) and self.outliers <= self.clips),
+            ("seed", is_count(self.seed, 0)),
             ("amplitude", 0.0 < self.amplitude < np.inf),
             ("cluster_spread", 0.0 <= self.cluster_spread < np.inf),
             ("beta_scale", 0.0 <= self.beta_scale < np.inf),

@@ -59,6 +59,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.weight_decay < np.inf:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not is_count(self.seed, 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         for d in self.domains:
             if d not in DOMAINS:
                 raise ConfigError(f"unknown domain {d!r} in config")

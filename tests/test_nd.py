@@ -390,10 +390,10 @@ def composite_level_fusion(parts, w, b):
     return out, alpha.array
 
 
-def assert_matches_composite(fused, composite, leaves, seed=0):
+def assert_matches_composite(fused, composite, leaves, seed=0, exact_grads=False):
     """Run both under a tape with the same random linear readout; the outputs
-    must be bitwise equal and every leaf gradient equal within rtol 1e-10.
-    Returns the fused tape's record count."""
+    must be bitwise equal and every leaf gradient equal within rtol 1e-10,
+    or bitwise with `exact_grads`. Returns the fused tape's record count."""
     results = []
     for fn in (fused, composite):
         with Tape() as tape:
@@ -412,7 +412,10 @@ def assert_matches_composite(fused, composite, leaves, seed=0):
         assert np.array_equal(alpha_f, alpha_c)
         assert not alpha_f.flags.writeable
     for g_f, g_c in zip(grads_f, grads_c):
-        assert np.allclose(g_f, g_c, rtol=1e-10, atol=1e-13 * max(1.0, np.abs(g_c).max()))
+        if exact_grads:
+            assert np.array_equal(g_f, g_c)
+        else:
+            assert np.allclose(g_f, g_c, rtol=1e-10, atol=1e-13 * max(1.0, np.abs(g_c).max()))
     return records - 2  # minus the readout's mul and reduce_sum
 
 
@@ -460,14 +463,17 @@ def test_level_fusion_scores_are_a_third_at_zero_map():
 def test_fused_ops_pass_grad_check():
     rng = np.random.default_rng(12)
     shapes = {"x": (2, 3, 4), "g": (4,), "b": (4,), "q": (2, 3, 4), "k": (2, 3, 4),
-              "v": (2, 3, 2), "y0": (3, 2), "y1": (3, 2), "y2": (3, 2), "w": (3, 6), "c": (3,)}
+              "v": (2, 3, 2), "y0": (3, 2), "y1": (3, 2), "y2": (3, 2), "w": (3, 6), "c": (3,),
+              "lw": (4, 4), "lb": (4,)}
     params = {k: rng.normal(size=s) for k, s in shapes.items()}
     readouts = {name: rng.normal(size=s) for name, s in
-                [("ln", (2, 3, 4)), ("attn", (2, 3, 2)), ("mix", (3, 2))]}
+                [("ln", (2, 3, 4)), ("attn", (2, 3, 2)), ("mix", (3, 2)), ("res", (2, 3, 4))]}
 
     def f(p):
+        mixed = nd.mul_add(p["g"], nd.linear(p["x"], p["lw"], p["lb"]), p["b"], p["q"])
         terms = [nd.layer_norm(p["x"], p["g"], p["b"]), nd.attention(p["q"], p["k"], p["v"], 0.5),
-                 nd.level_fusion([p["y0"], p["y1"], p["y2"]], p["w"], p["c"])[0]]
+                 nd.level_fusion([p["y0"], p["y1"], p["y2"]], p["w"], p["c"])[0],
+                 nd.layer_norm(mixed, p["g"], p["lb"], skip=p["k"])]
         total = None
         for term, readout in zip(terms, readouts.values()):
             part = nd.reduce_sum(nd.square(nd.mul(term, NdBuffer(readout))))
@@ -489,6 +495,19 @@ def test_fused_ops_reject_bad_shapes():
                         NdBuffer(np.ones(2)))
     with pytest.raises(DimensionError):
         nd.level_fusion([x, x], NdBuffer(np.ones((2, 4))), NdBuffer(np.ones(2)))
+    with pytest.raises(DimensionError):
+        nd.linear(x, NdBuffer(np.ones((5, 2))), NdBuffer(np.ones(2)))
+    with pytest.raises(DimensionError):
+        nd.linear(x, NdBuffer(np.ones((2, 4, 2))), NdBuffer(np.ones(2)))
+    with pytest.raises(DimensionError):
+        nd.linear(x, NdBuffer(np.ones((4, 2))), NdBuffer(np.ones((3, 3, 2))))
+    with pytest.raises(DimensionError):
+        nd.mul_add(NdBuffer(np.ones(4)), x, NdBuffer(np.ones(3)), x)
+    with pytest.raises(DimensionError):
+        nd.mul_add(NdBuffer(np.ones(4)), NdBuffer(np.ones(4)), NdBuffer(np.ones(4)), x)
+    with pytest.raises(DimensionError):
+        nd.layer_norm(x, NdBuffer(np.ones(4)), NdBuffer(np.zeros(4)),
+                      skip=NdBuffer(np.ones((1, 4))))
 
 
 def test_array_operand_is_a_constant():
@@ -502,6 +521,67 @@ def test_array_operand_is_a_constant():
     assert np.array_equal(tape.grad(loss, [x])[0], np.repeat(a.sum(axis=0)[:, None], 2, axis=1))
     with pytest.raises(DimensionError):
         nd.add(x, np.ones((3, 2), dtype=np.int64))
+
+
+# Fused records whose gradients repeat their chains' arithmetic: outputs and
+# every gradient must equal the chain's bitwise, not just within a tolerance.
+
+def _leaves(rng, shapes, constant=None):
+    # A float64 array at index `constant` stands as a constant operand.
+    return [rng.normal(size=s) if i == constant else NdBuffer(rng.normal(size=s))
+            for i, s in enumerate(shapes)]
+
+
+@pytest.mark.parametrize("constant", [None, 0, 1, 2])
+def test_linear_matches_matmul_add_bitwise(constant):
+    # An (H,) bias broadcast over (B, T, J, H), with each operand in turn a
+    # constant float64 array.
+    leaves = _leaves(np.random.default_rng(50), [(2, 3, 4, 6), (6, 5), (5,)], constant)
+    chain = lambda x, w, b: nd.add(nd.matmul(x, w), b)
+    assert assert_matches_composite(nd.linear, chain, leaves, exact_grads=True) == 1
+
+
+@pytest.mark.parametrize("constant", [None, 0, 1])
+def test_mul_add_matches_mul_mul_add_bitwise(constant):
+    # (H,) coefficients over (B, T, J, H) inputs.
+    leaves = _leaves(np.random.default_rng(51), [(5,), (2, 3, 4, 5), (5,), (2, 3, 4, 5)], constant)
+    chain = lambda a, x, b, y: nd.add(nd.mul(a, x), nd.mul(b, y))
+    assert assert_matches_composite(nd.mul_add, chain, leaves, exact_grads=True) == 1
+
+
+def test_ssm_readout_fan_out_matches_chain_bitwise():
+    # u feeds both the scan and the readout, so its gradient sums two
+    # records' contributions; the sum order must be the chain's.
+    leaves = _leaves(np.random.default_rng(52), [(2, 4, 6, 5), (5, 5), (5,), (5,), (5,), (5,), (5,)])
+
+    def ssm(readout):
+        def f(h, w, b, a_raw, gate, c, d):
+            u = nd.linear(h, w, b)
+            return readout(c, nd.scan(nd.tanh(a_raw), gate, u, axis=2), d, u)
+        return f
+
+    chain = lambda c, s, d, u: nd.add(nd.mul(c, s), nd.mul(d, u))
+    assert assert_matches_composite(ssm(nd.mul_add), ssm(chain), leaves, exact_grads=True) == 4
+
+
+@pytest.mark.parametrize("shape", [(6, 8), (2, 3, 4, 8)])
+def test_layer_norm_skip_matches_add_then_norm_bitwise(shape):
+    rng = np.random.default_rng(53)
+    skip = rng.normal(loc=2.0, size=shape)
+    x = rng.normal(size=shape)
+    row = (0,) * (len(shape) - 1)
+    x[row] = 1.5 - skip[row]  # the sum's first row has zero variance
+    leaves = [NdBuffer(skip), NdBuffer(x)] + _leaves(rng, [shape[-1:], shape[-1:]])
+    fused = lambda s, y, g, b: nd.layer_norm(y, g, b, skip=s)
+    chain = lambda s, y, g, b: nd.layer_norm(nd.add(s, y), g, b)
+    assert assert_matches_composite(fused, chain, leaves, exact_grads=True) == 1
+    assert np.array_equal(fused(*leaves).array[row], leaves[3].array)
+    # One dx array goes to both the skip and the normalized operand.
+    with Tape() as tape:
+        fused(*leaves)
+    (_, out, backward), = tape._records
+    (b_skip, dx_skip), (b_x, dx_x) = backward(np.ones(out.shape))[:2]
+    assert b_skip is leaves[0] and b_x is leaves[1] and dx_skip is dx_x
 
 
 def test_take_rows_gathers_and_sums_repeated_rows():

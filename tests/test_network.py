@@ -158,20 +158,61 @@ def _count_step_records(monkeypatch, net, batch_size, seed):
 
 def test_tape_records_per_pass(monkeypatch):
     # Each view pass writes 25 records fewer than the composite chains did:
-    # one record each for attention, level fusion and layer norm. The toy
-    # batch retrieves 5 distinct anchors for 8 samples, so its prompt branch
-    # adds one `take_rows` after encoding and one per layer (126 + 2); the
-    # paper-layered batch retrieves 4 distinct anchors and takes none.
+    # one record each for attention, level fusion and layer norm. It writes
+    # 5 fewer again since `linear` folds the attention output map's and the
+    # ssm input map's bias adds, `mul_add` the ssm readout's mul, mul, add,
+    # and the layer norm takes the residual add; the encoders and heads write
+    # 4 fewer (4 `linear` for 4 bias adds). A step thus writes 5 * 4 * L + 4
+    # fewer: toy L=1 128 -> 104, L=8 665 -> 501, the L=2 forward 174 -> 130.
+    # The toy batch retrieves 5 distinct anchors for 8 samples, so its prompt
+    # branch adds one `take_rows` after encoding and one per layer (102 + 2);
+    # the paper-layered batch retrieves 4 distinct anchors and takes none.
     toy = NetConfig(frames=8, joints=6, hidden=16, layers=1)
-    assert _count_step_records(monkeypatch, toy, 8, 1) == [128]
+    assert _count_step_records(monkeypatch, toy, 8, 1) == [104]
     paper_layers = NetConfig(frames=4, joints=5, hidden=8, layers=8)
-    assert _count_step_records(monkeypatch, paper_layers, 4, 1) == [665]
+    assert _count_step_records(monkeypatch, paper_layers, 4, 1) == [501]
     gradcheck = NetConfig(frames=4, joints=5, hidden=8, layers=2)  # criterion 06's network
     inputs = _toy_inputs(gradcheck)
     params = init_params(gradcheck, 0)
     with Tape() as tape:
         forward(*inputs, params)
-    assert len(tape) == 174
+    assert len(tape) == 130
+
+
+def test_view_pass_op_sequence():
+    cfg = small_cfg(layers=1)
+    tracks = NdBuffer(np.random.default_rng(40).normal(size=(2, cfg.joints, cfg.frames, 6)))
+    with Tape() as tape:
+        network._view_pass(tracks, init_params(cfg, 0), 0, "q", "temporal")
+    assert [name for name, _, _ in tape._records] == [
+        "matmul", "matmul", "matmul", "attention", "linear",  # attention level
+        "matmul", "matmul",                                    # graph level
+        "linear", "tanh", "scan", "mul_add",                   # ssm level
+        "level_fusion", "layer_norm"]
+
+
+def test_taped_forward_keeps_13_activations_per_view_pass(monkeypatch):
+    # Records whose output is (B, F, J, H)-sized, written inside each fusion
+    # block: its two view passes plus the swap of tracks before each.
+    cfg = NetConfig(frames=4, joints=5, hidden=8, layers=2)
+    rng = np.random.default_rng(41)
+    b = 3
+    q, p, gt = (NdBuffer(rng.normal(size=(b, cfg.frames, cfg.joints, 3))) for _ in range(3))
+    u = NdBuffer(rng.normal(size=(b, cfg.frames, cfg.joints, cfg.hidden)))
+    activation = b * cfg.frames * cfg.joints * cfg.hidden
+    per_block = []
+    block = network.xfusion_block
+
+    def counted(h, *args):
+        start = len(tape)
+        result = block(h, *args)
+        per_block.append(sum(out.size == activation for _, out, _ in tape._records[start:]))
+        return result
+
+    monkeypatch.setattr(network, "xfusion_block", counted)
+    with Tape() as tape:
+        forward(q, p, gt, u, init_params(cfg, 0))
+    assert per_block == [2 * 13] * (2 * cfg.layers)
 
 
 def test_ssm_degenerates_to_passthrough():

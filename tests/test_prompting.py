@@ -519,6 +519,23 @@ def test_cluster_assignment_by_expansion_matches_difference_tensor():
         assert [a.source_index for a in got.anchors[1:]] == naive_picks
 
 
+def test_cluster_sample_stops_at_its_fixed_point(monkeypatch):
+    # Planted clusters settle within a few iterations; once an assignment
+    # repeats, the loop stops with the picks of the full-length loop.
+    corpus = anchor_corpus(make_dataset(SynthConfig(clips=12, frames=4, joints=5,
+                                                    native_pose_joints=4, clusters=3,
+                                                    cluster_spread=0.02, seed=4)),
+                           domains=("pe",), seed=0)
+    _, reference_picks = kmeans_reference(corpus, 4, 2, prompting._nearest_centroid)
+    calls = []
+    nearest = prompting._nearest_centroid
+    monkeypatch.setattr(prompting, "_nearest_centroid",
+                        lambda *a: calls.append(1) or nearest(*a))
+    got = cluster_sample(corpus, 4, 2, hidden_dim=4)
+    assert len(calls) < prompting.KMEANS_ITERATIONS
+    assert [a.source_index for a in got.anchors[1:]] == reference_picks
+
+
 def test_coverage_values():
     pair = sps_sample(scalar_corpus([10.0]), k=2, hidden_dim=4)  # anchors {0, 10}
     assert coverage([scalar_seq(5.0)], pair) == -5.0

@@ -105,6 +105,9 @@ def test_cluster_betas_shared_within_cluster():
     ("beta_scale", float("inf")),
     ("clips", 2.5),
     ("outliers", True),
+    ("seed", 2.5),
+    ("seed", True),
+    ("seed", -1),
 ])
 def test_config_validation_names_the_field(field, value):
     kwargs = {"clips": 4, "frames": 4, "joints": 6, "native_pose_joints": 5}

@@ -70,6 +70,9 @@ def test_config_defaults():
     {"epochs": float("inf")},
     {"batch_size": 2.5},
     {"epochs": True},
+    {"seed": 2.5},
+    {"seed": True},
+    {"seed": -1},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ConfigError):
