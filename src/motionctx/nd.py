@@ -27,6 +27,18 @@ that record's backward has run (unless the buffer was asked for in `wrt`), so
 peak memory is the tape plus the live frontier of gradients. `grad_check`
 compares it with central differences; a non-finite comparison fails it.
 
+The stack of active tapes is per thread. `fork` runs two independent
+branches at once, the second on one lazily started worker thread; under a
+tape the first branch records onto the caller's tape and the second onto a
+sub-tape that is then appended, so the tape holds the records a sequential
+call would write, in the same order. The tape notes each forked pair's
+record range, and `Tape.grad` sweeps the pair's two segments at once too:
+each keeps the gradients of its own records' outputs and logs, in order,
+what it contributes to buffers made before the pair; the logs are replayed
+in the sequential sweep order, so every sum is added in the same order and
+every gradient is bitwise the sequential one. `fork_pays` says when a fork
+is worth a thread hand-off.
+
 All computation bottoms out in numpy, so repeated runs on the same inputs are
 bitwise identical. `debug_checks()` turns on finiteness verification after
 every operator (off by default; construction is always checked).
@@ -34,7 +46,12 @@ every operator (off by default; construction is always checked).
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
+import ctypes
+import functools
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -42,10 +59,25 @@ import numpy as np
 
 from .errors import DimensionError, NumericError
 
-_TAPES: list["Tape"] = []
 _DEBUG_CHECKS = False
 GRAD_CHECK_STEP = 1e-5  # central-difference half-width used by `grad_check`
 LN_EPS = 1e-5  # variance floor of `layer_norm`
+# Elements per branch below which `fork_pays` keeps a pair sequential. A
+# paper-shaped sample (F=16, J=24, H=128) is 49,152; the toy net's train
+# batch (B=8, F=8, J=6, H=16) is 6,144 and its eval chunk of 32 is 24,576,
+# where per-record Python work, serialized by the GIL, outweighs the numpy
+# work a second thread can overlap.
+FORK_MIN_WORK = 1 << 15
+
+
+class _ThreadTapes(threading.local):
+    # Each thread's stack of active tapes, and whether it runs a fork branch.
+    def __init__(self):
+        self.stack: list[Tape] = []
+        self.in_branch = False
+
+
+_TAPES = _ThreadTapes()
 
 
 @contextlib.contextmanager
@@ -126,13 +158,16 @@ class Tape:
 
     def __init__(self):
         self._records: list[tuple[str, NdBuffer, Callable]] = []
+        # (start, mid, end) per `fork`: [start, mid) is the first branch's
+        # records and [mid, end) the second's.
+        self._pairs: list[tuple[int, int, int]] = []
 
     def __enter__(self) -> "Tape":
-        _TAPES.append(self)
+        _TAPES.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _TAPES.pop()
+        popped = _TAPES.stack.pop()
         assert popped is self
         return False
 
@@ -155,8 +190,28 @@ class Tape:
         # summed into in place; any other may be a view of a gradient that is
         # still live (add passes g through, reshape and transpose view it).
         owned: set[int] = set()
+        hi = len(self._records)
+        for start, mid, end in reversed(self._pairs):
+            self._sweep(end, hi, grads, owned, keep)
+            self._sweep_pair(start, mid, end, grads, owned, keep)
+            hi = start
+        self._sweep(0, hi, grads, owned, keep)
+        out_list = []
+        for buf in wrt:
+            g = grads.get(id(buf))
+            if g is None:
+                out_list.append(np.zeros(buf.shape))
+            else:
+                out_list.append(np.ascontiguousarray(g) if id(buf) in owned
+                                else np.array(g, order="C"))
+        return out_list
+
+    def _sweep(self, lo: int, hi: int, grads: dict, owned: set, keep: set,
+               log: list | None = None, local: set = frozenset()) -> None:
+        # Backward of records hi-1 down to lo. With a log, a contribution to a
+        # buffer outside `local` is appended to it instead of summed.
         records = self._records
-        for index in range(len(records) - 1, -1, -1):
+        for index in range(hi - 1, lo - 1, -1):
             name, out, backward = records[index]
             key = id(out)
             g = grads.get(key) if key in keep else grads.pop(key, None)
@@ -169,27 +224,147 @@ class Tape:
                         f"for input shape {buf.shape}"
                     )
                 key = id(buf)
-                prev = grads.get(key)
-                if prev is None:
-                    grads[key] = contrib
-                elif key in owned:
-                    prev += contrib
+                if log is not None and key not in local:
+                    log.append((key, contrib))
                 else:
-                    grads[key] = prev + contrib
-                    owned.add(key)
-        out_list = []
-        for buf in wrt:
-            g = grads.get(id(buf))
-            if g is None:
-                out_list.append(np.zeros(buf.shape))
-            else:
-                out_list.append(np.ascontiguousarray(g) if id(buf) in owned
-                                else np.array(g, order="C"))
-        return out_list
+                    _accumulate(grads, owned, key, contrib)
+
+    def _sweep_pair(self, start: int, mid: int, end: int, grads: dict, owned: set,
+                    keep: set) -> None:
+        # The two segments of a forked pair at once, in the sequential sweep
+        # order: [mid, end) here, [start, mid) on the worker. A segment's
+        # records read no output of the other, so each takes the gradients of
+        # its own outputs that later records gave, and logs every contribution
+        # to a buffer made before the pair. The logs are summed in afterwards,
+        # the first segment's first: the order of the sequential sweep.
+        segments = []
+        for lo, hi in ((mid, end), (start, mid)):
+            local = {id(out) for _, out, _ in self._records[lo:hi]}
+            seg_grads = {key: grads.pop(key) for key in local if key in grads}
+            segments.append((lo, hi, local, seg_grads, owned & seg_grads.keys(), []))
+        _join(*(functools.partial(self._sweep, lo, hi, seg_grads, seg_owned, keep, log, local)
+                for lo, hi, local, seg_grads, seg_owned, log in segments))
+        for _, _, _, seg_grads, seg_owned, log in segments:
+            for key, contrib in log:
+                _accumulate(grads, owned, key, contrib)
+            grads.update(seg_grads)  # gradients of outputs asked for in `wrt`
+            owned |= seg_owned
+
+
+def _accumulate(grads: dict, owned: set, key: int, contrib: np.ndarray) -> None:
+    # The first contribution is stored as given; the second is summed into a
+    # fresh array that the sweep owns; later ones are added into it in place.
+    prev = grads.get(key)
+    if prev is None:
+        grads[key] = contrib
+    elif key in owned:
+        prev += contrib
+    else:
+        grads[key] = prev + contrib
+        owned.add(key)
 
 
 def _active_tape() -> Tape | None:
-    return _TAPES[-1] if _TAPES else None
+    stack = _TAPES.stack
+    return stack[-1] if stack else None
+
+
+_WORKER: concurrent.futures.ThreadPoolExecutor | None = None
+_WORKER_LOCK = threading.Lock()
+
+
+def _forget_worker() -> None:
+    # A forked child process inherits the executor but not its thread.
+    global _WORKER, _WORKER_LOCK
+    _WORKER, _WORKER_LOCK = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _in_branch(fn):
+    local = _TAPES
+    prev, local.in_branch = local.in_branch, True
+    try:
+        return fn()
+    finally:
+        local.in_branch = prev
+
+
+def _join(first, second):
+    # first() here and second() on the worker thread, at once. If first
+    # raises, its error propagates once second is done; else second's does.
+    global _WORKER
+    with _WORKER_LOCK:
+        if _WORKER is None:
+            _WORKER = concurrent.futures.ThreadPoolExecutor(max_workers=1,
+                                                            thread_name_prefix="nd-fork")
+        future = _WORKER.submit(_in_branch, second)
+    try:
+        done = _in_branch(first)
+    except BaseException:
+        future.exception()  # waits for second; first's error wins
+        raise
+    return done, future.result()
+
+
+def _record_on(tape: Tape, fn):
+    with tape:
+        return fn()
+
+
+def fork(first: Callable, second: Callable) -> tuple:
+    """(first(), second()), the two run at once: second on one worker thread,
+    started on the first call and kept, first on the caller's.
+
+    The branches must be independent: neither reads a buffer the other makes.
+    Under an active tape, first records onto it and second onto a sub-tape
+    that is appended after first's records, so the tape holds what `first();
+    second()` would write, in that order; the tape notes the pair for
+    `Tape.grad`. If both raise, first's error propagates, as it would in
+    sequence. A record made by second is numbered within its branch in error
+    messages. Inside a branch, `fork` runs the two in sequence.
+    """
+    if _TAPES.in_branch:
+        return first(), second()
+    tape = _active_tape()
+    if tape is None:
+        return _join(first, second)
+    start, sub = len(tape), Tape()
+    done = _join(first, functools.partial(_record_on, sub, second))
+    mid = len(tape)
+    tape._records += sub._records
+    tape._pairs.append((start, mid, len(tape)))
+    return done
+
+
+@functools.cache
+def _blas_thread_query():
+    # numpy's bundled OpenBLAS exports its thread count under this name; other
+    # builds do not, and then no fork pays.
+    try:
+        query = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    query.argtypes, query.restype = [], ctypes.c_int
+    return query
+
+
+def fork_pays(work: int) -> bool:
+    """Whether two branches of at least `work` elements each should `fork`.
+
+    Both must hold: work reaches FORK_MIN_WORK, and this process may run on at
+    least twice as many cores as BLAS uses threads, so that each branch's
+    GEMMs get cores of their own. With two BLAS threads on two cores a forked
+    paper-shaped pair ran at 0.82-0.86x of the sequential speed.
+    """
+    if work < FORK_MIN_WORK:
+        return False
+    query = _blas_thread_query()
+    if query is None:
+        return False
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (cores or 1) >= 2 * query()
 
 
 def _emit(name, out_arr, backward) -> NdBuffer:

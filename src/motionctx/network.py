@@ -325,6 +325,10 @@ def _distinct_prompts(p_in: NdBuffer, p_gt: NdBuffer):
     return np.unique(rows, return_index=True)[1], np.array(rows)
 
 
+def _in_sequence(first, second):
+    return first(), second()
+
+
 def forward(q_in, p_in, p_gt, u_star, params: XFusionParams) -> ForwardResult:
     """Full network: encode, K dual-branch fusion layers with injection after
     every layer, then the location head and the pooled shape head on the
@@ -334,7 +338,13 @@ def forward(q_in, p_in, p_gt, u_star, params: XFusionParams) -> ForwardResult:
     distinct prompt: it keeps the first row of each after encoding, and every
     injection gathers the rows back per sample with `nd.take_rows`. Its
     influence scores are gathered the same way. A batch of distinct prompts
-    takes no gather."""
+    takes no gather.
+
+    The two blocks of a layer are independent until the injection after it,
+    so when `nd.fork_pays` holds for the smaller branch's B*F*J*H elements
+    they run at once through `nd.fork`, the prompt block on its worker
+    thread. The tape then holds the records of the sequential pass in the
+    same order, and every output and gradient is bitwise the sequential one."""
     cfg = params.config
     p_in, p_gt = _as_buffer(p_in), _as_buffer(p_gt)
     h_q, h_p = encode_context(q_in, p_in, p_gt, u_star, params)
@@ -342,10 +352,11 @@ def forward(q_in, p_in, p_gt, u_star, params: XFusionParams) -> ForwardResult:
     if distinct is not None:
         first, rows = distinct
         h_p = nd.take_rows(h_p, first)
+    pair = nd.fork if nd.fork_pays(min(h_q.size, h_p.size)) else _in_sequence
     influence = []
     for k in range(cfg.layers):
-        z_q, s_q = xfusion_block(h_q, params, k, "q")
-        h_p, s_p = xfusion_block(h_p, params, k, "p")
+        (z_q, s_q), (h_p, s_p) = pair(functools.partial(xfusion_block, h_q, params, k, "q"),
+                                      functools.partial(xfusion_block, h_p, params, k, "p"))
         if distinct is None:
             h_q = context_inject(h_p, z_q)
         else:

@@ -301,15 +301,36 @@ def random_sample(corpus: list[CorpusEntry], k: int, rng_seed: int,
     return _build_set(corpus, rest, picked, "random", k, hidden_dim)
 
 
-def _nearest_centroid(flat: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Index of the nearest centroid for each row, lowest index on ties.
+def _nearest_centroid(flat: np.ndarray, centroids: np.ndarray,
+                      row_norms: np.ndarray | None = None) -> np.ndarray:
+    """Index of the nearest centroid for each row, lowest index on ties: the
+    argmin of the (n, k, D) difference tensor's squared distances.
 
     Expands ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2: one (n, k) GEMM instead
-    of an (n, k, D) difference tensor. ||x||^2 is the same for every centroid
-    of a row, so it is left out of the comparison, which keeps its rounding
-    out of near ties.
+    of the difference tensor. ||x||^2 is the same for every centroid of a
+    row, so it is left out of the comparison. The GEMM sums in the BLAS
+    kernel's order, so a row whose two best expanded scores lie within
+    8 (D + 2) eps (||x||^2 + max_c ||c||^2) of each other is re-scored by the
+    difference tensor. An expanded score (a D-term dot product and norm, then
+    a subtraction; 2|x.c| <= ||x||^2 + ||c||^2) is off its exact value by at
+    most 2 (D + 1) eps (||x||^2 + ||c||^2), a difference-tensor distance by at
+    most 2 (D + 3) eps (||x||^2 + ||c||^2); beyond twice their sum both forms
+    pick the same centroid, whatever the kernel. `row_norms`, the rows'
+    ||x||^2, may be passed in when `flat` is reused.
     """
-    return ((centroids * centroids).sum(axis=1) - 2.0 * (flat @ centroids.T)).argmin(axis=1)
+    norms = (centroids * centroids).sum(axis=1)
+    scores = norms - 2.0 * (flat @ centroids.T)
+    nearest = scores.argmin(axis=1)
+    if centroids.shape[0] > 1:
+        if row_norms is None:
+            row_norms = np.einsum("ij,ij->i", flat, flat)
+        bound = 8.0 * (flat.shape[1] + 2) * np.finfo(np.float64).eps * (row_norms + norms.max())
+        best, second = np.partition(scores, 1, axis=1)[:, :2].T
+        near = np.flatnonzero(second - best <= bound)
+        if near.size:
+            diff = flat[near, None, :] - centroids[None, :, :]
+            nearest[near] = (diff * diff).sum(axis=2).argmin(axis=1)
+    return nearest
 
 
 def cluster_sample(corpus: list[CorpusEntry], k: int, rng_seed: int,
@@ -324,9 +345,9 @@ def cluster_sample(corpus: list[CorpusEntry], k: int, rng_seed: int,
     flat = np.stack([c[0].values.array.reshape(-1) for c in corpus])
     rng = np.random.default_rng(rng_seed)
     centroids = flat[rng.choice(len(corpus), size=k, replace=False)].copy()
-    assign = None
+    assign, row_norms = None, np.einsum("ij,ij->i", flat, flat)
     for _ in range(KMEANS_ITERATIONS):
-        previous, assign = assign, _nearest_centroid(flat, centroids)
+        previous, assign = assign, _nearest_centroid(flat, centroids, row_norms)
         if previous is not None and np.array_equal(assign, previous):
             break
         for c in range(k):

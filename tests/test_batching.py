@@ -1,17 +1,20 @@
 """One taped pass per batch against the per-sample reference it replaced."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from helpers import div, make_clip
-from motionctx import network, nd, training
-from motionctx.errors import ConfigError, DimensionError
+from motionctx import cli, fileio, network, nd, training
+from motionctx.errors import ConfigError, DimensionError, NumericError
 from motionctx.motion import SHAPE_PARAMS, Modality, derive_task
 from motionctx.nd import NdBuffer, Tape
 from motionctx.network import (LEVELS, VIEWS, LossWeights, NetConfig, aggregate_level,
                                context_inject, cross_level_update, encode_context, forward,
                                init_params, loss, mean_param_error, mpjpe)
 from motionctx.prompting import retrieve_prompt, soft_anchor_value, sps_sample
+from motionctx.synth import SynthConfig, make_dataset
 from motionctx.training import (AdamWState, TrainConfig, anchor_corpus, derive_seed, evaluate,
                                 train, train_step)
 
@@ -313,3 +316,149 @@ def test_mixed_domain_training_is_bitwise_reproducible():
     assert runs[0][0] == runs[1][0]
     for k, v in runs[0][1].items():
         assert np.array_equal(v, runs[1][1][k]), k
+
+
+# The two blocks of a layer on two threads (`nd.fork`), forced on below the
+# work floor by patching the fork rule: everything bitwise the sequential run.
+
+def paper_shaped_setup(anchor_count, seed):
+    """F=16, J=24 clips and a net of the paper's shape at H=8, L=2."""
+    clips = make_dataset(SynthConfig(clips=6, frames=16, joints=24, native_pose_joints=17,
+                                     seed=seed))
+    anchors = sps_sample(anchor_corpus(clips, domains=("pe", "mr"), seed=0), anchor_count,
+                         hidden_dim=8)
+    return clips, anchors, init_params(NetConfig(frames=16, joints=24, hidden=8, layers=2), 3,
+                                       anchors=anchors)
+
+
+def spied_training(monkeypatch, forked, setup, config):
+    """Trains with the fork rule forced to `forked`. Returns the log, the
+    final parameters and, per step, the tape's record names and number of
+    forked pairs, the gradients, the influence arrays and whether the prompt
+    branch ran once per distinct prompt on fewer rows."""
+    grad, forward_fn, distinct = nd.Tape.grad, training.forward, network._distinct_prompts
+    seen = {"records": [], "pairs": [], "grads": [], "influence": [], "deduped": []}
+
+    def spy_grad(tape, output, wrt):
+        seen["records"].append([name for name, _, _ in tape._records])
+        seen["pairs"].append(len(tape._pairs))
+        seen["grads"].append(grad(tape, output, wrt))
+        return seen["grads"][-1]
+
+    def spy_forward(*args):
+        result = forward_fn(*args)
+        seen["influence"].append([a for layer in result.influence for scores in layer.values()
+                                  for a in vars(scores).values()])
+        return result
+
+    def spy_distinct(*args):
+        found = distinct(*args)
+        seen["deduped"].append(found is not None)
+        return found
+
+    with monkeypatch.context() as patch:
+        patch.setattr(nd, "fork_pays", lambda work: forked)
+        patch.setattr(nd.Tape, "grad", spy_grad)
+        patch.setattr(training, "forward", spy_forward)
+        patch.setattr(network, "_distinct_prompts", spy_distinct)
+        clips, anchors, params = setup()
+        log = train(clips, anchors, params, config)
+    return log, params, seen
+
+
+@pytest.mark.parametrize("case", ["toy", "paper_distinct", "paper_deduped"])
+def test_forked_training_is_bitwise_the_sequential_run(monkeypatch, case):
+    setup, config, deduped = {
+        "toy": (lambda: mixed_setup(layers=2),
+                TrainConfig(steps_per_epoch=3, batch_size=5, domains=("pe", "mr", "jc_m"),
+                            seed=8), None),
+        "paper_distinct": (lambda: paper_shaped_setup(24, 1),
+                           TrainConfig(steps_per_epoch=2, batch_size=2, domains=("pe", "mr"),
+                                       seed=3), False),
+        "paper_deduped": (lambda: paper_shaped_setup(1, 1),
+                          TrainConfig(steps_per_epoch=2, batch_size=4, domains=("pe", "mr"),
+                                      seed=2), True),
+    }[case]
+    log, params, seen = spied_training(monkeypatch, False, setup, config)
+    f_log, f_params, f_seen = spied_training(monkeypatch, True, setup, config)
+    if deduped is not None:
+        assert set(seen["deduped"]) == {deduped}
+    assert f_log == log
+    assert seen["pairs"] == [0] * len(log) and f_seen["pairs"] == [2] * len(log)
+    assert f_seen["records"] == seen["records"]
+    for key in ("grads", "influence"):
+        for want, got in zip(seen[key], f_seen[key], strict=True):
+            for a, b in zip(want, got, strict=True):
+                assert np.array_equal(a, b), key
+    for name, value in params.tensors.items():
+        assert np.array_equal(value.array, f_params.tensors[name].array), name
+
+
+def worker_tapes():
+    """The tape stack of the fork worker thread."""
+    return nd._WORKER.submit(lambda: list(nd._TAPES.stack)).result()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_prompt_block_errors_reach_the_caller_typed(monkeypatch, tmp_path, capsys):
+    clips, anchors, params = mixed_setup(layers=1)
+    batch = mixed_batch(clips, anchors, params)
+    monkeypatch.setattr(nd, "fork_pays", lambda work: True)
+    # An overflowing prompt-branch weight: only the prompt block, on the
+    # worker thread, produces a non-finite value.
+    params.replace("layer0.p.temporal.graph.w", np.full((HIDDEN, HIDDEN), 1e308))
+    with Tape() as tape:
+        with nd.debug_checks(), pytest.raises(NumericError, match="matmul"):
+            training._batch_forward(batch, params)
+        assert nd._active_tape() is tape
+    assert worker_tapes() == []
+
+    block = network.xfusion_block
+
+    def failing_prompt_block(h, params, layer, branch):
+        if branch == "p":
+            raise DimensionError("prompt block failed")
+        return block(h, params, layer, branch)
+
+    monkeypatch.setattr(network, "xfusion_block", failing_prompt_block)
+    _, _, params = mixed_setup(layers=1)
+    with Tape() as tape:
+        with pytest.raises(DimensionError, match="prompt block failed"):
+            training._batch_forward(batch, params)
+        assert nd._active_tape() is tape
+    assert worker_tapes() == []
+
+    # The command line keeps exit code 3 for a numeric error on the worker.
+    def numeric_prompt_block(h, params, layer, branch):
+        if branch == "p":
+            raise NumericError("non-finite value in the prompt block")
+        return block(h, params, layer, branch)
+
+    monkeypatch.setattr(network, "xfusion_block", numeric_prompt_block)
+    data, anchor_file = str(tmp_path / "d.bin"), str(tmp_path / "a.bin")
+    fileio.save_dataset(data, clips)
+    fileio.save_anchors(anchor_file, anchors)
+    assert cli.main(["train", "--dataset", data, "--anchors", anchor_file,
+                     "--out", str(tmp_path / "ck.bin")]) == 3
+    assert "prompt block" in capsys.readouterr().err
+    assert worker_tapes() == []
+
+
+def test_forks_share_one_worker_thread_and_toy_shapes_start_none(monkeypatch):
+    clips, anchors, params = mixed_setup(layers=1)
+    batch = mixed_batch(clips, anchors, params)
+    toy = init_params(NetConfig(frames=8, joints=6, hidden=16, layers=1), 0)
+    start = threading.active_count()
+    forks = []
+    join = nd._join
+    monkeypatch.setattr(nd, "_join", lambda *a: forks.append(1) or join(*a))
+    rng = np.random.default_rng(0)
+    q, p, gt = (rng.normal(size=(8, 8, 6, 3)) for _ in range(3))
+    forward(q, p, gt, np.zeros((8, 8, 6, 16)), toy)
+    assert forks == [] and threading.active_count() == start
+
+    monkeypatch.setattr(nd, "fork_pays", lambda work: True)
+    for _ in range(20):
+        training._batch_forward(batch, params)
+    assert len(forks) == 20
+    assert threading.active_count() <= start + 1

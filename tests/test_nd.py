@@ -1,6 +1,8 @@
 """Numeric core: buffers, operators, tape gradients, finite-difference checks."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -612,3 +614,102 @@ def test_take_rows_passes_grad_check_and_rejects_bad_indices():
     for bad in ([3], [-1], [], [[0]], [0.0]):
         with pytest.raises(DimensionError):
             nd.take_rows(a, bad)
+
+
+# Forked pairs: two independent branches on two threads, the tape and every
+# gradient bitwise those of running them in sequence.
+
+def _in_sequence(first, second):
+    return first(), second()
+
+
+def _pair_loss(pair, x, w, u):
+    # Both branches read the leaves x and w; u is read by the second branch
+    # and again after the pair, so w and u take contributions from both
+    # sides of it, and each branch's hidden state fans out inside it.
+    def branch(extra, scale):
+        h = nd.tanh(nd.matmul(x, w))
+        return nd.add(nd.mul(h, extra), nd.mul(nd.square(h), scale)), h
+
+    (a, h_a), (b, _) = pair(lambda: branch(2.0, 0.5), lambda: branch(u, 3.0))
+    loss = nd.reduce_sum(nd.add(nd.mul(a, b), nd.mul(u, w)))
+    return loss, h_a
+
+
+def test_fork_records_and_gradients_are_bitwise_the_sequence():
+    rng = np.random.default_rng(4)
+    x, u, w = (NdBuffer(rng.normal(size=shape)) for shape in ((5, 3, 3), (5, 3, 3), (3, 3)))
+    runs = []
+    for pair in (_in_sequence, nd.fork):
+        with Tape() as tape:
+            loss, h_a = _pair_loss(pair, x, w, u)
+        grads = tape.grad(loss, [x, w, u, h_a])
+        runs.append(([name for name, _, _ in tape._records], tape._pairs, loss.item(), grads))
+    (names, pairs, value, grads), (f_names, f_pairs, f_value, f_grads) = runs
+    assert f_names == names and f_value == value
+    assert pairs == [] and f_pairs == [(0, 6, 12)]
+    for want, got in zip(grads, f_grads):
+        assert np.array_equal(want, got)
+    # Untaped, the pair returns the same values and records nothing.
+    assert _pair_loss(nd.fork, x, w, u)[0].item() == value
+
+
+def test_forks_from_many_threads_share_the_worker_and_stay_bitwise():
+    # Four callers, more than this host's cores, fork through the one worker
+    # at once with the interpreter switching threads every microsecond; a
+    # misplaced record or a lost gradient sum would break bitwise equality.
+    rng = np.random.default_rng(5)
+    x, u, w = (NdBuffer(rng.normal(size=shape)) for shape in ((5, 3, 3), (5, 3, 3), (3, 3)))
+    with Tape() as tape:
+        loss, h_a = _pair_loss(_in_sequence, x, w, u)
+    want = tape.grad(loss, [x, w, u, h_a])
+    results, errors = [], []
+
+    def caller():
+        try:
+            for _ in range(10):
+                with Tape() as forked:
+                    f_loss, f_h = _pair_loss(nd.fork, x, w, u)
+                results.append((f_loss.item(), forked.grad(f_loss, [x, w, u, f_h])))
+        except BaseException as exc:  # reported by the main thread below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert len(results) == 40
+    for value, grads in results:
+        assert value == loss.item()
+        for a, b in zip(want, grads, strict=True):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_fork_passes_a_branch_error_and_leaves_both_tape_stacks_clean():
+    x = NdBuffer(np.full((2, 2), 1e200))
+    with Tape() as tape:
+        with pytest.raises(NumericError):
+            with nd.debug_checks():
+                nd.fork(lambda: nd.add(x, 1.0), lambda: nd.square(x))
+        assert nd._active_tape() is tape
+        with pytest.raises(DimensionError, match="reshape"):
+            nd.fork(lambda: nd.square(x), lambda: nd.reshape(x, (3,)))
+        assert nd._active_tape() is tape
+    assert nd._active_tape() is None
+    assert nd._WORKER.submit(lambda: list(nd._TAPES.stack)).result() == []
+    # A fork inside a branch runs in sequence rather than wait on its own worker.
+    inner = nd.fork(lambda: nd.fork(lambda: 1, lambda: 2), lambda: nd.fork(lambda: 3, lambda: 4))
+    assert inner == ((1, 2), (3, 4))
+
+
+def test_fork_pays_only_above_the_work_floor():
+    assert not nd.fork_pays(nd.FORK_MIN_WORK - 1)
+    assert not nd.fork_pays(8 * 8 * 6 * 16)  # the toy net's train batch

@@ -1,5 +1,8 @@
 """Similarity space, max-min sampling, baselines, and retrieval."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -517,6 +520,32 @@ def test_cluster_assignment_by_expansion_matches_difference_tensor():
         assert fast_picks == naive_picks
         got = cluster_sample(corpus, k, trial, hidden_dim=4)
         assert [a.source_index for a in got.anchors[1:]] == naive_picks
+
+
+def test_nearest_centroid_rescores_near_ties_by_the_difference_tensor():
+    # Rows a rounding step either side of the bisector of two centroids: the
+    # GEMM expansion alone disagrees with the difference tensor on about half
+    # of them on an AVX-512 host.
+    rng = np.random.default_rng(3)
+    mid, step, side = rng.normal(size=(3, 50))
+    mid, step = 10.0 * mid, 1e-4 * step
+    side -= side @ step / (step @ step) * step
+    centroids = np.stack([mid + step, mid - step, mid + 3.0 * step])
+    flat = (mid + np.outer(np.linspace(-1e-12, 1e-12, 201), step)
+            + np.outer(rng.normal(size=201), side))
+    assert np.array_equal(prompting._nearest_centroid(flat, centroids),
+                          _naive_assign(flat, centroids))
+
+
+def test_cluster_assignment_holds_on_another_blas_kernel():
+    # OpenBLAS reads OPENBLAS_CORETYPE at load, so the other kernel runs in a
+    # child process; Prescott's GEMM sums in another order than AVX kernels.
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_cluster_assignment_by_expansion_matches_difference_tensor"],
+        env=env, capture_output=True, text=True, timeout=300, check=False)
+    assert done.returncode == 0, done.stdout[-2000:]
 
 
 def test_cluster_sample_stops_at_its_fixed_point(monkeypatch):
