@@ -25,7 +25,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import ConfigError, DimensionError, FormatError, NumericError, StateError
-from .motion import SHAPE_PARAMS, Modality, MotionClip, MotionSequence
+from .motion import SHAPE_PARAMS, Modality, MotionClip, MotionSequence, is_count
 from .nd import NdBuffer
 from .network import VIEWS, NetConfig, XFusionParams
 from .prompting import TIE_BREAK, Anchor, AnchorSet
@@ -83,11 +83,6 @@ def _expect_kind(manifest: dict, kind: str) -> None:
         raise FormatError(f"expected a {kind!r} file, manifest says kind={found!r}")
 
 
-def _integer(value, minimum: int | None = 1) -> bool:
-    return (isinstance(value, int) and not isinstance(value, bool)
-            and (minimum is None or value >= minimum))
-
-
 def _field(mapping, key: str, kind: type, where: str = "manifest", minimum: int | None = 1):
     """mapping[key], checked for presence and type. Kind int means an integer
     of at least `minimum` (by default a positive extent or count; None allows
@@ -96,11 +91,11 @@ def _field(mapping, key: str, kind: type, where: str = "manifest", minimum: int 
         raise FormatError(f"{where} lacks the {key!r} field")
     value = mapping[key]
     if kind is int:
-        ok = _integer(value, minimum)
+        ok = is_count(value, -math.inf if minimum is None else minimum)
         want = ("integer" if minimum is None else
                 "positive integer" if minimum == 1 else f"integer >= {minimum}")
     elif kind is tuple:
-        ok = isinstance(value, list) and all(map(_integer, value))
+        ok = isinstance(value, list) and all(map(is_count, value))
         want = "list of positive integers"
     else:
         ok, want = isinstance(value, kind), kind.__name__

@@ -69,8 +69,9 @@ class MotionSequence:
         if not np.isfinite(self.betas).all():
             raise NumericError("betas must be finite")
         f, j, _ = self.values.shape
-        if not 1 <= self.native_joint_count <= j:
+        if not (is_count(self.native_joint_count) and self.native_joint_count <= j):
             raise DimensionError(f"native_joint_count {self.native_joint_count} out of range for J={j}")
+        object.__setattr__(self, "native_joint_count", int(self.native_joint_count))  # JSON-able
         arr = self.values.array
         if self.modality is Modality.POSE2D and np.any(arr[:, :, 2] != 0.0):
             raise DimensionError("pose2d sequence must have an all-zero z channel")

@@ -6,8 +6,10 @@ each one returns a fresh buffer and, when a `Tape` is active, appends one
 record. A record holds the operation name, the output buffer, and a backward
 closure that holds the input buffers and maps the output gradient to
 per-input contributions. Numbers and float64 arrays may stand as constant
-operands: backward forms no gradient for them. Error messages name an
-operation as `name#record_index`.
+operands. An op's backward hands its (operand, gradient thunk) pairs to one
+rule, `_contribs`, which runs no constant's thunk, so backward forms no
+gradient for a constant. Error messages name an operation as
+`name#record_index`.
 
 `scan` runs a whole diagonal linear recurrence along one axis as a single
 record, with a reverse-scan backward. `matmul` with a 2-D right operand folds
@@ -387,6 +389,12 @@ def _as_operand(x) -> tuple[np.ndarray, NdBuffer | None]:
                          f"got {type(x).__name__}")
 
 
+def _contribs(*pairs) -> list[tuple[NdBuffer, np.ndarray]]:
+    # The one constant-operand rule: (buffer, thunk) pairs in the backward's
+    # order; a None buffer is a constant, and its thunk is never run.
+    return [(buf, grad()) for buf, grad in pairs if buf is not None]
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     extra = g.ndim - len(shape)
     if extra > 0:
@@ -406,12 +414,8 @@ def _elementwise_pair(name, a, b, fwd, back_a, back_b) -> NdBuffer:
         raise DimensionError(f"{name}: shapes {np.shape(arr_a)} and {np.shape(arr_b)} do not broadcast") from None
 
     def backward(g):
-        contribs = []
-        if buf_a is not None:
-            contribs.append((buf_a, _unbroadcast(back_a(g, arr_a, arr_b, out), buf_a.shape)))
-        if buf_b is not None:
-            contribs.append((buf_b, _unbroadcast(back_b(g, arr_a, arr_b, out), buf_b.shape)))
-        return contribs
+        return _contribs((buf_a, lambda: _unbroadcast(back_a(g, arr_a, arr_b, out), buf_a.shape)),
+                         (buf_b, lambda: _unbroadcast(back_b(g, arr_a, arr_b, out), buf_b.shape)))
 
     return _emit(name, out, backward)
 
@@ -447,12 +451,8 @@ def _folded_gemm(arr_a, buf_a, arr_w, buf_w):
 
     def backward(g):
         flat_g = g.reshape(-1, g.shape[-1])
-        contribs = []
-        if buf_a is not None:
-            contribs.append((buf_a, (flat_g @ arr_w.T).reshape(arr_a.shape)))
-        if buf_w is not None:
-            contribs.append((buf_w, flat_a.T @ flat_g))
-        return contribs
+        return _contribs((buf_a, lambda: (flat_g @ arr_w.T).reshape(arr_a.shape)),
+                         (buf_w, lambda: flat_a.T @ flat_g))
 
     return out, backward
 
@@ -470,12 +470,9 @@ def matmul(a: NdBuffer, b: NdBuffer) -> NdBuffer:
             raise DimensionError(f"matmul batch dimensions do not broadcast: {arr_a.shape} @ {arr_b.shape}") from None
 
         def backward(g):
-            contribs = []
-            if buf_a is not None:
-                contribs.append((buf_a, _unbroadcast(g @ np.swapaxes(arr_b, -1, -2), buf_a.shape)))
-            if buf_b is not None:
-                contribs.append((buf_b, _unbroadcast(np.swapaxes(arr_a, -1, -2) @ g, buf_b.shape)))
-            return contribs
+            return _contribs(
+                (buf_a, lambda: _unbroadcast(g @ np.swapaxes(arr_b, -1, -2), buf_a.shape)),
+                (buf_b, lambda: _unbroadcast(np.swapaxes(arr_a, -1, -2) @ g, buf_b.shape)))
 
     return _emit("matmul", out, backward)
 
@@ -501,8 +498,7 @@ def linear(x, w, b) -> NdBuffer:
         raise DimensionError(f"linear: bias {np.shape(arr_b)} does not broadcast to {out.shape}") from None
 
     def backward(g):
-        bias = [] if buf_b is None else [(buf_b, _unbroadcast(g, buf_b.shape))]
-        return bias + gemm_backward(g)
+        return _contribs((buf_b, lambda: _unbroadcast(g, buf_b.shape))) + gemm_backward(g)
 
     return _emit("linear", out, backward)
 
@@ -525,9 +521,10 @@ def mul_add(a, x, b, y) -> NdBuffer:
                              f"to the shape of the first product") from None
 
     def backward(g):
-        return [(buf, _unbroadcast(g * other, buf.shape))
-                for buf, other in ((buf_b, arr_y), (buf_y, arr_b), (buf_a, arr_x), (buf_x, arr_a))
-                if buf is not None]
+        # Default arguments bind each thunk to its own operand.
+        return _contribs(*((buf, lambda buf=buf, other=other: _unbroadcast(g * other, buf.shape))
+                           for buf, other in ((buf_b, arr_y), (buf_y, arr_b),
+                                              (buf_a, arr_x), (buf_x, arr_a))))
 
     return _emit("mul_add", out, backward)
 
@@ -569,14 +566,9 @@ def scan(a, b, u, axis: int) -> NdBuffer:
         r[-1] = g_t[-1]
         for t in range(r.shape[0] - 2, -1, -1):
             r[t] = g_t[t] + arr_a * r[t + 1]
-        contribs = []
-        if buf_a is not None:
-            contribs.append((buf_a, _unbroadcast(r[1:] * s[:-1], buf_a.shape)))
-        if buf_b is not None:
-            contribs.append((buf_b, _unbroadcast(r * u_t, buf_b.shape)))
-        if buf_u is not None:
-            contribs.append((buf_u, np.moveaxis(arr_b * r, 0, ax)))
-        return contribs
+        return _contribs((buf_a, lambda: _unbroadcast(r[1:] * s[:-1], buf_a.shape)),
+                         (buf_b, lambda: _unbroadcast(r * u_t, buf_b.shape)),
+                         (buf_u, lambda: np.moveaxis(arr_b * r, 0, ax)))
 
     return _emit("scan", out, backward)
 
@@ -607,40 +599,33 @@ def reshape(a: NdBuffer, shape: Sequence[int]) -> NdBuffer:
 
 
 def concat(parts: Sequence[NdBuffer], axis: int) -> NdBuffer:
-    if not parts:
-        raise DimensionError("concat needs at least one part")
-    try:
-        out = np.concatenate([p.array for p in parts], axis=axis)
-    except ValueError as exc:
-        raise DimensionError(f"concat along axis {axis}: {[p.shape for p in parts]}: {exc}") from None
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-    ax = axis % out.ndim
-
-    def backward(g):
-        contribs = []
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[ax] = slice(int(lo), int(hi))
-            contribs.append((p, g[tuple(sl)]))
-        return contribs
-
-    return _emit("concat", out, backward)
+    return _joined("concat", parts, axis)
 
 
 def stack(parts: Sequence[NdBuffer], axis: int) -> NdBuffer:
+    """Equal-shape parts joined along a new axis: `concat` of the parts each
+    given a unit axis there, which is also how `np.stack` builds its value."""
+    return _joined("stack", parts, axis, new_axis=True)
+
+
+def _joined(name: str, parts: Sequence[NdBuffer], axis: int, new_axis: bool = False) -> NdBuffer:
+    # One record; the backward hands each part its slice of g, a view.
     if not parts:
-        raise DimensionError("stack needs at least one part")
+        raise DimensionError(f"{name} needs at least one part")
     try:
-        out = np.stack([p.array for p in parts], axis=axis)
+        arrs = [p.array for p in parts]
+        if new_axis:
+            arrs = [np.expand_dims(a, axis) for a in arrs]
+        out = np.concatenate(arrs, axis=axis)
     except ValueError as exc:
-        raise DimensionError(f"stack along axis {axis}: {[p.shape for p in parts]}: {exc}") from None
+        raise DimensionError(f"{name} along axis {axis}: {[p.shape for p in parts]}: {exc}") from None
     ax = axis % out.ndim
+    cuts = np.cumsum([a.shape[ax] for a in arrs[:-1]])
 
     def backward(g):
-        return [(p, np.take(g, i, axis=ax)) for i, p in enumerate(parts)]
+        return [(p, piece.reshape(p.shape)) for p, piece in zip(parts, np.split(g, cuts, axis=ax))]
 
-    return _emit("stack", out, backward)
+    return _emit(name, out, backward)
 
 
 def take_rows(a: NdBuffer, rows) -> NdBuffer:
@@ -789,11 +774,8 @@ def layer_norm(x: NdBuffer, gamma, beta, skip: NdBuffer | None = None) -> NdBuff
         g = np.ascontiguousarray(g).reshape(-1, width[0])
         flat_hat = x_hat.reshape(g.shape)
         gx = g * flat_hat
-        contribs = []
-        if buf_g is not None:
-            contribs.append((buf_g, gx.sum(axis=0)))
-        if buf_b is not None:
-            contribs.append((buf_b, g.sum(axis=0)))
+        # Taken now: gx is reused below as scratch for dx.
+        params = _contribs((buf_g, lambda: gx.sum(axis=0)), (buf_b, lambda: g.sum(axis=0)))
         # mean(d) and mean(d * x_hat) are matrix-vector products with gamma.
         mean_d = (g @ arr_g)[:, None] / width[0]
         mean_dx = (gx @ arr_g)[:, None] / width[0]
@@ -802,7 +784,7 @@ def layer_norm(x: NdBuffer, gamma, beta, skip: NdBuffer | None = None) -> NdBuff
         dx -= np.multiply(flat_hat, mean_dx, out=gx)
         dx *= inv.reshape(-1, 1)
         dx = dx.reshape(x.shape)
-        return [(buf, dx) for buf in residual] + contribs
+        return [(buf, dx) for buf in residual] + params
 
     return _emit("layer_norm", out, backward)
 

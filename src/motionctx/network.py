@@ -401,6 +401,8 @@ def loss(prediction: NdBuffer, betas_hat: NdBuffer, samples,
     Samples may differ in native joint count: the error is scaled by
     1/(F * native) on native joints and by 0 on virtual ones before any norm,
     so virtual joints never contribute and their gradient is exactly zero.
+    The target positions and betas, that per-joint scale and the mesh mask
+    enter as constant float64 arrays, so backward forms no gradient for them.
     """
     single = isinstance(samples, TaskSample)
     batch = [samples] if single else list(samples)
@@ -422,8 +424,7 @@ def loss(prediction: NdBuffer, betas_hat: NdBuffer, samples,
     b, f, j, _ = target.shape
     native = np.array([t.native_joint_count for t in targets])
     scale = np.where(np.arange(j) < native[:, None], 1.0 / (f * native[:, None]), 0.0)
-    err = nd.mul(nd.sub(prediction, NdBuffer._wrap(target)),
-                 NdBuffer._wrap(scale.reshape(b, 1, j, 1)))
+    err = nd.mul(nd.sub(prediction, target), scale.reshape(b, 1, j, 1))
 
     def mean_norm(x: NdBuffer) -> NdBuffer:
         # Batch mean of the per-sample sums of scaled per-location norms.
@@ -448,8 +449,8 @@ def loss(prediction: NdBuffer, betas_hat: NdBuffer, samples,
         if betas_hat.shape != target_betas.shape:
             raise DimensionError(f"beta prediction shape {betas_hat.shape} does not match "
                                  f"target {target_betas.shape}")
-        per_sample = nd.mean(nd.square(nd.sub(betas_hat, NdBuffer._wrap(target_betas))), axis=-1)
-        shape_term = nd.mean(nd.mul(per_sample, NdBuffer._wrap(mesh)))
+        per_sample = nd.mean(nd.square(nd.sub(betas_hat, target_betas)), axis=-1)
+        shape_term = nd.mean(nd.mul(per_sample, mesh))
         total = nd.add(total, nd.mul(shape_term, weights.shape))
         components["shape"] = shape_term.item()
     else:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import nd
 from .errors import DimensionError, DomainError, NumericError, StateError
-from .motion import MotionSequence, canonical_tbody
+from .motion import MotionSequence, canonical_tbody, is_count
 from .nd import NdBuffer
 from .network import DEFAULT_HIDDEN
 
@@ -204,11 +204,11 @@ def _check_request(corpus: list[CorpusEntry], k: int, hidden_dim: int, *,
     """Reject a bad sampling request and return the rest-pose anchor for the
     corpus shape. `draws` marks a sampler that draws k distinct members, so
     k may not exceed the corpus size."""
-    if k < 1:
+    if not is_count(k):
         raise DomainError(f"anchor count must be >= 1, got {k}")
     if draws and k > len(corpus):
         raise DomainError(f"anchor count {k} exceeds corpus size {len(corpus)}")
-    if hidden_dim < 1:
+    if not is_count(hidden_dim):
         raise DomainError(f"hidden width must be >= 1, got {hidden_dim}")
     if not corpus:
         raise StateError("anchor sampling needs a non-empty corpus")
@@ -229,7 +229,7 @@ def _build_set(corpus, rest, picked, method, k_requested, hidden, trace=()):
     rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
     w1 = rng.normal(scale=SOFT_INIT_SCALE, size=(len(anchors),) + rest.input.values.shape[:2] + (1,))
     w2 = rng.normal(scale=SOFT_INIT_SCALE, size=(len(anchors), 1, 1, hidden))
-    return AnchorSet(anchors=anchors, k_requested=k_requested, soft_w1=w1, soft_w2=w2,
+    return AnchorSet(anchors=anchors, k_requested=int(k_requested), soft_w1=w1, soft_w2=w2,
                      fingerprint=fp, method=method,
                      selection_trace=tuple(float(t) for t in trace))
 

@@ -103,6 +103,17 @@ def test_anchor_round_trip(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
+@pytest.mark.parametrize("k", [1, 3, np.int64(3), 100])
+def test_anchor_round_trip_keeps_every_accepted_k(tmp_path, k):
+    # 100 exceeds the corpus: sps stops early and keeps the count asked for.
+    path = str(tmp_path / "a.bin")
+    anchors = build_anchors(k=k)
+    save_anchors(path, anchors)
+    loaded, _ = load_anchors(path)
+    assert loaded.k_requested == k and type(loaded.k_requested) is int
+    assert [a.source_index for a in loaded.anchors] == [a.source_index for a in anchors.anchors]
+
+
 @pytest.mark.parametrize("value", ["highest-index", "random", 0])
 def test_anchor_tie_break_is_the_one_policy(tmp_path, value):
     anchors = build_anchors()

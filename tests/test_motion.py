@@ -71,6 +71,15 @@ def test_sequence_invariants_enforced():
         MotionSequence(NdBuffer(np.zeros((2, 2, 2))), Modality.POSE3D, 2)
 
 
+@pytest.mark.parametrize("native", [0, 4, -1, 2.5, True])
+def test_native_joint_count_is_a_count_within_the_joints(native):
+    with pytest.raises(DimensionError, match=f"native_joint_count {native} out of range for J=3"):
+        MotionSequence(NdBuffer(np.zeros((2, 3, 3))), Modality.POSE3D, native)
+    # A numpy integer is taken and kept as an int, which file manifests can hold.
+    seq = MotionSequence(NdBuffer(np.zeros((2, 3, 3))), Modality.POSE3D, np.int64(3))
+    assert seq.native_joint_count == 3 and type(seq.native_joint_count) is int
+
+
 def test_canonical_tbody_is_zero_mesh():
     t = canonical_tbody(1, 1)
     assert t.values.array.tolist() == [[[0.0, 0.0, 0.0]]]

@@ -1,6 +1,8 @@
 """Numeric core: buffers, operators, tape gradients, finite-difference checks."""
 
 import math
+import os
+import subprocess
 import sys
 import threading
 
@@ -267,7 +269,8 @@ def _scan_loop(a, b, u, axis):
 
 
 SCAN_CASES = [((5, 3), 0), ((1, 4), 0), ((3, 6, 4), 1), ((3, 1, 4), 1),
-              ((2, 3, 5, 4), 1), ((2, 3, 5, 4), 2), ((2, 5, 1, 4), 2)]
+              ((2, 3, 5, 4), 1), ((2, 3, 5, 4), 2), ((2, 5, 1, 4), 2),
+              ((2, 3, 5, 4), -2), ((5, 3), -2)]
 
 
 @pytest.mark.parametrize("shape,axis", SCAN_CASES)
@@ -304,6 +307,36 @@ def test_scan_grad_check_and_shape_errors():
     assert report.max_rel_err < 1e-4, repr(report)
     with pytest.raises(DimensionError):
         nd.scan(NdBuffer(np.ones(4)), 1.0, NdBuffer(np.ones((2, 3))), 0)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2, -1, -3])
+def test_stack_is_concat_on_a_new_axis(axis):
+    # The value is np.stack's bitwise; a part given twice sums its slices.
+    rng = np.random.default_rng(30)
+    a, b = NdBuffer(rng.normal(size=(3, 4))), NdBuffer(rng.normal(size=(3, 4)))
+    with Tape() as tape:
+        out = nd.stack([a, b, a], axis=axis)
+    assert [name for name, _, _ in tape._records] == ["stack"]
+    assert np.array_equal(out.array, np.stack([a.array, b.array, a.array], axis=axis))
+    g = rng.normal(size=out.shape)
+    with Tape() as tape:
+        loss = nd.reduce_sum(nd.mul(nd.stack([a, b, a], axis=axis), g))
+    g_a, g_b = tape.grad(loss, [a, b])
+    assert np.array_equal(g_a, np.take(g, 0, axis=axis) + np.take(g, 2, axis=axis))
+    assert np.array_equal(g_b, np.take(g, 1, axis=axis))
+
+
+def test_stack_and_concat_name_themselves_in_shape_errors():
+    a, c = NdBuffer(np.ones((3, 4))), NdBuffer(np.ones((3, 5)))
+    with pytest.raises(DimensionError, match=r"^stack along axis 0: \[\(3, 4\), \(3, 5\)\]"):
+        nd.stack([a, c], axis=0)
+    with pytest.raises(DimensionError, match="^stack along axis 3"):
+        nd.stack([a, a], axis=3)
+    with pytest.raises(DimensionError, match="^stack needs at least one part"):
+        nd.stack([], axis=0)
+    with pytest.raises(DimensionError, match="^concat along axis 0"):
+        nd.concat([a, c], axis=0)
+    assert nd.concat([a, c], axis=-1).shape == (3, 9)
 
 
 @pytest.mark.parametrize("left", [(4, 5, 3), (2, 3, 5, 3)])
@@ -525,6 +558,58 @@ def test_array_operand_is_a_constant():
         nd.add(x, np.ones((3, 2), dtype=np.int64))
 
 
+# Every op with constant-capable operands, by name, with its operand shapes.
+# layer_norm's input is always a buffer; only its gain and shift may be constants.
+CONSTANT_OPS = {
+    "add": (nd.add, [(3, 4), (4,)]),
+    "sub": (nd.sub, [(3, 4), (3, 1)]),
+    "mul": (nd.mul, [(2, 3, 4), (3, 4)]),
+    "matmul_2d": (nd.matmul, [(2, 3, 4), (4, 5)]),
+    "matmul_batched": (nd.matmul, [(2, 3, 4), (1, 4, 5)]),
+    "linear": (nd.linear, [(2, 3, 4), (4, 5), (5,)]),
+    "mul_add": (nd.mul_add, [(5,), (2, 3, 5), (5,), (2, 3, 5)]),
+    "scan": (lambda a, b, u: nd.scan(a, b, u, axis=1), [(5,), (1, 5), (2, 4, 5)]),
+    "layer_norm": (nd.layer_norm, [(3, 6), (6,), (6,)]),
+}
+
+
+@pytest.mark.parametrize("op,constant", [
+    (name, i) for name, (_, shapes) in CONSTANT_OPS.items() for i in range(len(shapes))
+    if (name, i) != ("layer_norm", 0)])
+def test_constant_operand_takes_no_gradient(op, constant, monkeypatch):
+    # The op's value and the other operands' gradients are the all-buffer
+    # run's bitwise, and the constant's gradient thunk never runs.
+    fn, shapes = CONSTANT_OPS[op]
+    rng = np.random.default_rng(60)
+    leaves = [NdBuffer(rng.normal(size=s)) for s in shapes]
+    g = rng.normal(size=fn(*leaves).shape)
+    runs = []
+    for const in (None, constant):
+        operands = [leaf.array if i == const else leaf for i, leaf in enumerate(leaves)]
+        with Tape() as tape:
+            out = fn(*operands)
+        (_, _, backward), = tape._records
+        offered, ran = [], []
+
+        def spy(*pairs, real=nd._contribs):
+            offered.extend(buf for buf, _ in pairs)
+            return real(*((buf, lambda buf=buf, grad=grad: ran.append(buf) or grad())
+                          for buf, grad in pairs))
+
+        monkeypatch.setattr(nd, "_contribs", spy)
+        contribs = [(leaves.index(buf), grad) for buf, grad in backward(g)]
+        monkeypatch.undo()
+        runs.append((out.array, contribs, offered, ran))
+    (out_all, all_contribs, _, _), (out_c, contribs, offered, ran) = runs
+    assert np.array_equal(out_c, out_all)
+    assert offered.count(None) == 1 and None not in ran
+    assert len(ran) == len(offered) - 1
+    want = [(i, grad) for i, grad in all_contribs if i != constant]
+    assert [i for i, _ in contribs] == [i for i, _ in want]
+    for (_, got), (_, expected) in zip(contribs, want):
+        assert np.array_equal(got, expected)
+
+
 # Fused records whose gradients repeat their chains' arithmetic: outputs and
 # every gradient must equal the chain's bitwise, not just within a tolerance.
 
@@ -543,7 +628,7 @@ def test_linear_matches_matmul_add_bitwise(constant):
     assert assert_matches_composite(nd.linear, chain, leaves, exact_grads=True) == 1
 
 
-@pytest.mark.parametrize("constant", [None, 0, 1])
+@pytest.mark.parametrize("constant", [None, 0, 1, 2, 3])
 def test_mul_add_matches_mul_mul_add_bitwise(constant):
     # (H,) coefficients over (B, T, J, H) inputs.
     leaves = _leaves(np.random.default_rng(51), [(5,), (2, 3, 4, 5), (5,), (2, 3, 4, 5)], constant)
@@ -654,6 +739,37 @@ def test_fork_records_and_gradients_are_bitwise_the_sequence():
     assert _pair_loss(nd.fork, x, w, u)[0].item() == value
 
 
+def _nested_loss(pair, x, w, u):
+    # Two pairs in turn, each branch itself a pair of two sub-branches.
+    def branch(inp, extra):
+        h, sq = pair(lambda: nd.tanh(nd.matmul(inp, w)), lambda: nd.square(nd.mul(inp, extra)))
+        return nd.add(h, sq)
+
+    a, b = pair(lambda: branch(x, 2.0), lambda: branch(u, x))
+    c, d = pair(lambda: branch(a, u), lambda: branch(b, 0.5))
+    return nd.reduce_sum(nd.add(nd.mul(c, d), nd.mul(u, w)))
+
+
+def test_nested_forks_under_a_tape_note_only_the_outer_pairs():
+    # A fork inside a branch runs in sequence and notes no pair: a pair noted
+    # inside another's range would be swept twice by Tape.grad.
+    rng = np.random.default_rng(6)
+    x, u, w = (NdBuffer(rng.normal(size=shape)) for shape in ((5, 3, 3), (5, 3, 3), (3, 3)))
+    runs = []
+    for pair in (_in_sequence, nd.fork):
+        with Tape() as tape:
+            loss = _nested_loss(pair, x, w, u)
+        runs.append(([name for name, _, _ in tape._records], tape._pairs, loss.item(),
+                     tape.grad(loss, [x, w, u])))
+    (names, pairs, value, grads), (f_names, f_pairs, f_value, f_grads) = runs
+    assert f_names == names and f_value == value
+    assert pairs == [] and f_pairs == [(0, 5, 10), (10, 15, 20)]
+    bounds = [i for span in f_pairs for i in span]
+    assert all(lo < hi for lo, _, hi in f_pairs) and bounds == sorted(bounds)
+    for want, got in zip(grads, f_grads, strict=True):
+        assert np.array_equal(want, got)
+
+
 def test_forks_from_many_threads_share_the_worker_and_stay_bitwise():
     # Four callers, more than this host's cores, fork through the one worker
     # at once with the interpreter switching threads every microsecond; a
@@ -708,6 +824,26 @@ def test_fork_passes_a_branch_error_and_leaves_both_tape_stacks_clean():
     # A fork inside a branch runs in sequence rather than wait on its own worker.
     inner = nd.fork(lambda: nd.fork(lambda: 1, lambda: 2), lambda: nd.fork(lambda: 3, lambda: 4))
     assert inner == ((1, 2), (3, 4))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs the CPU affinity set")
+def test_unpatched_fork_gate_weighs_cores_against_blas_threads():
+    # OpenBLAS reads its thread count at load, so each count runs in a child.
+    cores = len(os.sched_getaffinity(0))
+    src = os.path.dirname(os.path.dirname(nd.__file__))
+    probe = ("from motionctx import nd; "
+             "print(nd.fork_pays(nd.FORK_MIN_WORK), nd._blas_thread_query() is not None)")
+    verdicts = []
+    for threads in (1, cores):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        verdicts.append(done.stdout.split())
+    (one, queried), (all_cores, _) = verdicts
+    # A numpy without OpenBLAS's thread query never forks.
+    assert one == str(queried == "True" and cores >= 2)
+    assert all_cores == "False"
 
 
 def test_fork_pays_only_above_the_work_floor():

@@ -161,15 +161,28 @@ def test_sps_rejects_bad_arguments():
         sps_sample([], k=2)
 
 
-@pytest.mark.parametrize("hidden", [0, -1])
-@pytest.mark.parametrize("sample", [
-    lambda corpus, hidden: sps_sample(corpus, 2, hidden_dim=hidden),
-    lambda corpus, hidden: random_sample(corpus, 2, rng_seed=0, hidden_dim=hidden),
-    lambda corpus, hidden: cluster_sample(corpus, 2, rng_seed=0, hidden_dim=hidden),
-], ids=["sps", "random", "cluster"])
+SAMPLERS = [
+    lambda corpus, k, hidden: sps_sample(corpus, k, hidden_dim=hidden),
+    lambda corpus, k, hidden: random_sample(corpus, k, rng_seed=0, hidden_dim=hidden),
+    lambda corpus, k, hidden: cluster_sample(corpus, k, rng_seed=0, hidden_dim=hidden),
+]
+
+
+@pytest.mark.parametrize("hidden", [0, -1, 2.5, True])
+@pytest.mark.parametrize("sample", SAMPLERS, ids=["sps", "random", "cluster"])
 def test_samplers_reject_a_hidden_width_below_one(sample, hidden):
     with pytest.raises(DomainError, match=f"hidden width must be >= 1, got {hidden}$"):
-        sample(scalar_corpus([1.0, 2.0, 3.0]), hidden)
+        sample(scalar_corpus([1.0, 2.0, 3.0]), 2, hidden)
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.5, True])
+@pytest.mark.parametrize("sample", SAMPLERS, ids=["sps", "random", "cluster"])
+def test_samplers_take_an_integer_anchor_count(sample, k):
+    # A bool or a fraction is no count, whatever its value.
+    with pytest.raises(DomainError, match=f"anchor count must be >= 1, got {k}$"):
+        sample(scalar_corpus([1.0, 2.0, 3.0]), k, 4)
+    got = sample(scalar_corpus([1.0, 2.0, 3.0]), np.int64(2), np.int64(4))
+    assert type(got.k_requested) is int and got.soft_w2.shape[-1] == 4
 
 
 def _oracle_sps(stacked, k):
