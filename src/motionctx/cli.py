@@ -5,7 +5,10 @@ Every command is deterministic under a fixed seed. Option precedence is
 built-in defaults, then a flat JSON config file (--config), then explicit
 flags. Exit codes group failures by class: 1 for configuration, domain,
 state, or shape errors; 2 for I/O and file-format errors; 3 for numeric
-failures (non-finite values, gradient-check rejection).
+failures (non-finite values, gradient-check rejection). `retrieve` and
+`derive` derive tasks by `training.seeded_task`, as the library does;
+`SAMPLERS` is the one table of sampling methods, checked before any file is
+read.
 """
 
 from __future__ import annotations
@@ -19,17 +22,24 @@ import sys
 import numpy as np
 
 from . import fileio, nd
-from .errors import (ConfigError, DimensionError, DomainError, FormatError, NumericError,
-                     StateError)
+from .errors import (ConfigError, DimensionError, DomainError, FormatError, MotionCtxError,
+                     NumericError, StateError)
 from .motion import DOMAIN_ORDER, DOMAINS, derive_task, parse_domain
 from .network import (DEFAULT_HIDDEN, LossWeights, NetConfig, XFusionParams, forward,
-                      init_params, loss)
+                      init_params, loss, soft_anchor_of, soft_keys)
 from .prompting import (DEFAULT_ANCHOR_COUNT, cluster_sample, pick_anchors, query_similarities,
                         random_sample, soft_anchor_value, sps_sample)
 from .synth import SynthConfig, make_dataset
-from .training import TrainConfig, anchor_corpus, corpus_entry, derive_seed, evaluate, train
+from .training import TrainConfig, anchor_corpus, corpus_entry, evaluate, seeded_task, train
 
 GRADCHECK_THRESHOLD = 1e-4
+
+# Sampling method -> call(corpus, k, seed, hidden); the first is the default.
+SAMPLERS = {
+    "sps": lambda corpus, k, seed, hidden: sps_sample(corpus, k, hidden_dim=hidden),
+    "random": lambda corpus, k, seed, hidden: random_sample(corpus, k, seed, hidden_dim=hidden),
+    "cluster": lambda corpus, k, seed, hidden: cluster_sample(corpus, k, seed, hidden_dim=hidden),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,27 +122,24 @@ def cmd_synth(args) -> int:
 
 def cmd_sample_anchors(args) -> int:
     _require(args, "dataset", "out")
-    defaults = {"seed": 0, "k": DEFAULT_ANCHOR_COUNT, "method": "sps",
+    defaults = {"seed": 0, "k": DEFAULT_ANCHOR_COUNT, "method": next(iter(SAMPLERS)),
                 "hidden": DEFAULT_HIDDEN, "domains": None}
     cfg = _merge(defaults, args.config,
                  {"seed": args.seed, "k": args.k, "method": args.method,
                   "domains": args.domains})
     domains = _domains(cfg["domains"])
+    if cfg["method"] not in SAMPLERS:
+        *head, last = SAMPLERS
+        raise ConfigError(f"unknown sampling method {cfg['method']!r}; "
+                          f"choose {', '.join(head)}, or {last}")
     clips = fileio.load_dataset(args.dataset)
     corpus = anchor_corpus(clips, domains=domains, seed=cfg["seed"])
-    if cfg["method"] == "sps":
-        anchors = sps_sample(corpus, cfg["k"], hidden_dim=cfg["hidden"])
-        for step, value in enumerate(anchors.selection_trace, start=1):
-            picked = anchors.anchors[step]
-            print(f"step {step}: corpus index {picked.source_index} "
-                  f"(domain {picked.domain}, max-min {value:.6f})")
-    elif cfg["method"] == "random":
-        anchors = random_sample(corpus, cfg["k"], cfg["seed"], hidden_dim=cfg["hidden"])
-    elif cfg["method"] == "cluster":
-        anchors = cluster_sample(corpus, cfg["k"], cfg["seed"], hidden_dim=cfg["hidden"])
-    else:
-        raise ConfigError(f"unknown sampling method {cfg['method']!r}; "
-                          f"choose sps, random, or cluster")
+    anchors = SAMPLERS[cfg["method"]](corpus, cfg["k"], cfg["seed"], cfg["hidden"])
+    # Only the max-min sampler keeps a selection trace.
+    for step, value in enumerate(anchors.selection_trace, start=1):
+        picked = anchors.anchors[step]
+        print(f"step {step}: corpus index {picked.source_index} "
+              f"(domain {picked.domain}, max-min {value:.6f})")
     meta = {"domains": list(domains), "corpus_seed": cfg["seed"]}
     fileio.save_anchors(args.out, anchors, meta=meta)
     print(f"wrote {len(anchors)} anchors (method {anchors.method}, K={anchors.k_requested}) "
@@ -186,7 +193,7 @@ def cmd_retrieve(args) -> int:
     if not 0 <= args.clip < len(clips):
         raise ConfigError(f"--clip {args.clip} out of range for {len(clips)} clips")
     _check_fingerprint(anchors, meta, clips)
-    sample = derive_task(clips[args.clip], domain, derive_seed(args.seed or 0, args.clip, domain))
+    sample = seeded_task(clips, args.clip, domain, args.seed)
     # One similarity row gives the pick, its similarity and the runner-up margin.
     domain_filter = domain if args.domain_filter_retrieval else None
     sims = query_similarities([sample.query_input], anchors)[0]
@@ -206,11 +213,10 @@ def cmd_derive(args) -> int:
     _require(args, "dataset")
     domains = _domains(args.domains)
     clips = fileio.load_dataset(args.dataset)
-    seed = args.seed or 0
     reports = []
     for ci, clip in enumerate(clips):
         for domain in domains:
-            sample = derive_task(clip, domain, derive_seed(seed, ci, domain))
+            sample = seeded_task(clips, ci, domain, args.seed)
             spec = DOMAINS[domain]
             masked_frames = ([] if sample.time_mask is None
                              else np.flatnonzero(sample.time_mask == 0.0).tolist())
@@ -230,7 +236,7 @@ def cmd_derive(args) -> int:
                   f" masked_frames={masked_frames} masked_joints={masked_joints}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
-            json.dump({"dataset": args.dataset, "seed": seed, "reports": reports}, f,
+            json.dump({"dataset": args.dataset, "seed": args.seed, "reports": reports}, f,
                       indent=2, sort_keys=True)
         print(f"wrote derivation report to {args.out}")
     return 0
@@ -243,18 +249,19 @@ def cmd_train(args) -> int:
     defaults = {**_defaults(TrainConfig), **weight_defaults, "layers": 2}
     cfg = _merge(defaults, args.config, {"seed": args.seed, "domains": args.domains})
     cfg["domains"] = _domains(cfg["domains"])
+    layers = cfg.pop("layers")
+    weights = LossWeights(**{name: cfg.pop(f"{name}_weight") for name in _defaults(LossWeights)})
+    tc = TrainConfig(**cfg, weights=weights)
     clips = fileio.load_dataset(args.dataset)
     anchors, _ = fileio.load_anchors(args.anchors)
     if not clips:
         raise StateError("dataset holds no clips")
     net = NetConfig(frames=clips[0].window, joints=clips[0].joints,
-                    hidden=anchors.hidden, layers=cfg.pop("layers"))
+                    hidden=anchors.hidden, layers=layers)
     if anchors.frames != net.frames or anchors.joints != net.joints:
         raise DimensionError(f"anchor shape ({anchors.frames}, {anchors.joints}) does not "
                              f"match dataset window ({net.frames}, {net.joints})")
-    params = init_params(net, cfg["seed"], anchors=anchors)
-    weights = LossWeights(**{name: cfg.pop(f"{name}_weight") for name in _defaults(LossWeights)})
-    tc = TrainConfig(**cfg, weights=weights)
+    params = init_params(net, tc.seed, anchors=anchors)
     log = train(clips, anchors, params, tc)
     for rec in log:
         print(f"epoch {rec['epoch']} step {rec['step']} lr {rec['lr']:.6e} "
@@ -274,11 +281,11 @@ def _check_pairing(params: XFusionParams, anchors) -> None:
     want = {k: v.shape for k, v in init_params(params.config, 0, anchors=anchors).tensors.items()}
     got = {k: v.shape for k, v in params.tensors.items()}
     for name in sorted(got.keys() | want.keys()):
-        if not name.startswith("soft.") and got.get(name) != want.get(name):
+        if soft_anchor_of(name) is None and got.get(name) != want.get(name):
             raise FormatError(f"checkpoint tensor {name!r} does not match its network config: "
                               f"shape {got.get(name)} stored, {want.get(name)} expected")
     if got != want:
-        pairs = len({k.rsplit(".", 1)[0] for k in got if k.startswith("soft.")})
+        pairs = len({soft_anchor_of(k) for k in got} - {None})
         raise ConfigError(f"checkpoint holds soft factors for {pairs} anchors, but the anchor "
                           f"file has {len(anchors)} anchors of F={anchors.frames} "
                           f"J={anchors.joints} H={anchors.hidden}")
@@ -291,7 +298,7 @@ def cmd_eval(args) -> int:
     anchors, _ = fileio.load_anchors(args.anchors)
     params, _ = fileio.load_checkpoint(args.checkpoint)
     _check_pairing(params, anchors)
-    table = evaluate(clips, anchors, params, domains=domains, seed=args.seed or 0)
+    table = evaluate(clips, anchors, params, domains=domains, seed=args.seed)
     for domain in domains:
         label = "param error" if DOMAINS[domain].mesh_output else "position error"
         print(f"{DOMAINS[domain].display:8s} {label} {table[domain]:.6f}")
@@ -323,12 +330,13 @@ def run_gradient_check(net: NetConfig, seed: int) -> "nd.GradCheckReport":
     p_gt = nd.NdBuffer(rng.normal(size=(net.frames, net.joints, 3)))
     params = init_params(net, seed)
     base = {k: v.array for k, v in params.tensors.items()}
-    base["soft.w1"] = rng.normal(scale=0.1, size=(net.frames, net.joints, 1))
-    base["soft.w2"] = rng.normal(scale=0.1, size=(1, 1, net.hidden))
+    w1, w2 = soft_keys(0)  # one anchor's soft factors
+    base[w1] = rng.normal(scale=0.1, size=(net.frames, net.joints, 1))
+    base[w2] = rng.normal(scale=0.1, size=(1, 1, net.hidden))
 
     def f(leaves):
         tensors = {k: leaves[k] for k in params.tensors}
-        u = soft_anchor_value(leaves["soft.w1"], leaves["soft.w2"])
+        u = soft_anchor_value(leaves[w1], leaves[w2])
         result = forward(sample.query_input, p_in, p_gt, u, XFusionParams(net, tensors))
         total, _ = loss(result.prediction, result.betas, sample)
         return total
@@ -343,7 +351,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, *, config=True, out=False, dataset=False, anchors=False):
-        p.add_argument("--seed", type=int, default=None, help="seed overriding the config")
+        p.add_argument("--seed", type=int, default=None if config else 0,
+                       help="seed overriding the config")
         if config:
             p.add_argument("--config", default=None, help="flat JSON config file")
         if dataset:
@@ -360,7 +369,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sample-anchors", help="select anchors from a dataset corpus")
     common(p, out=True, dataset=True)
     p.add_argument("--k", type=int, default=None, help="anchor budget")
-    p.add_argument("--method", choices=("sps", "random", "cluster"), default=None)
+    p.add_argument("--method", choices=tuple(SAMPLERS), default=None)
     p.add_argument("--domains", default=None,
                    help="comma-separated task ids building the corpus "
                         f"({', '.join(DOMAIN_ORDER)})")
@@ -401,15 +410,11 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, DomainError, StateError, DimensionError) as exc:
+    except (MotionCtxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        if isinstance(exc, NumericError):
+            return 3
+        return 2 if isinstance(exc, (FormatError, OSError)) else 1
 
 
 if __name__ == "__main__":

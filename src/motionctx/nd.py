@@ -389,6 +389,13 @@ def _as_operand(x) -> tuple[np.ndarray, NdBuffer | None]:
                          f"got {type(x).__name__}")
 
 
+def _array(name: str, x) -> np.ndarray:
+    # The array of an operand that must be a buffer; constants go through `_as_operand`.
+    if not isinstance(x, NdBuffer):
+        raise DimensionError(f"{name} needs NdBuffer operands, got {type(x).__name__}")
+    return x.array
+
+
 def _contribs(*pairs) -> list[tuple[NdBuffer, np.ndarray]]:
     # The one constant-operand rule: (buffer, thunk) pairs in the backward's
     # order; a None buffer is a constant, and its thunk is never run.
@@ -578,7 +585,7 @@ def transpose(a: NdBuffer, axes: Sequence[int]) -> NdBuffer:
     if sorted(axes) != list(range(a.ndim)):
         raise DimensionError(f"transpose axes {axes} are not a permutation for shape {a.shape}")
     inverse = tuple(int(i) for i in np.argsort(axes))
-    out = np.transpose(a.array, axes)
+    out = np.transpose(_array("transpose", a), axes)
 
     def backward(g):
         return [(a, np.transpose(g, inverse))]
@@ -590,7 +597,7 @@ def reshape(a: NdBuffer, shape: Sequence[int]) -> NdBuffer:
     shape = tuple(int(n) for n in shape)
     if int(np.prod(shape, dtype=np.int64)) != a.size:
         raise DimensionError(f"cannot reshape {a.shape} to {shape}")
-    out = a.array.reshape(shape)
+    out = _array("reshape", a).reshape(shape)
 
     def backward(g):
         return [(a, g.reshape(a.shape))]
@@ -613,7 +620,7 @@ def _joined(name: str, parts: Sequence[NdBuffer], axis: int, new_axis: bool = Fa
     if not parts:
         raise DimensionError(f"{name} needs at least one part")
     try:
-        arrs = [p.array for p in parts]
+        arrs = [_array(name, p) for p in parts]
         if new_axis:
             arrs = [np.expand_dims(a, axis) for a in arrs]
         out = np.concatenate(arrs, axis=axis)
@@ -638,7 +645,7 @@ def take_rows(a: NdBuffer, rows) -> NdBuffer:
                              f"leading axis, got {rows.dtype} {rows.shape} for shape {a.shape}")
     if rows.min() < 0 or rows.max() >= a.shape[0]:
         raise DimensionError(f"take_rows index out of range for leading axis of shape {a.shape}")
-    out = a.array[rows]
+    out = _array("take_rows", a)[rows]
 
     def backward(g):
         # A loop over whole rows: np.add.at walks elements and ran 5-15x
@@ -657,7 +664,7 @@ def slice_axis(a: NdBuffer, axis: int, start: int, stop: int) -> NdBuffer:
         raise DimensionError(f"slice [{start}:{stop}] invalid for axis {ax} of shape {a.shape}")
     sl = [slice(None)] * a.ndim
     sl[ax] = slice(start, stop)
-    out = a.array[tuple(sl)]
+    out = _array("slice_axis", a)[tuple(sl)]
 
     def backward(g):
         z = np.zeros(a.shape)
@@ -677,7 +684,7 @@ def _norm_axes(axis, ndim) -> tuple[int, ...]:
 
 def reduce_sum(a: NdBuffer, axis=None, keepdims: bool = False) -> NdBuffer:
     axes = _norm_axes(axis, a.ndim)
-    out = a.array.sum(axis=axes, keepdims=keepdims)
+    out = _array("reduce_sum", a).sum(axis=axes, keepdims=keepdims)
 
     def backward(g):
         if not keepdims:
@@ -690,7 +697,7 @@ def reduce_sum(a: NdBuffer, axis=None, keepdims: bool = False) -> NdBuffer:
 def mean(a: NdBuffer, axis=None, keepdims: bool = False) -> NdBuffer:
     axes = _norm_axes(axis, a.ndim)
     count = int(np.prod([a.shape[i] for i in axes], dtype=np.int64)) if axes else 1
-    out = a.array.mean(axis=axes, keepdims=keepdims)
+    out = _array("mean", a).mean(axis=axes, keepdims=keepdims)
 
     def backward(g):
         if not keepdims:
@@ -701,7 +708,7 @@ def mean(a: NdBuffer, axis=None, keepdims: bool = False) -> NdBuffer:
 
 
 def square(a: NdBuffer) -> NdBuffer:
-    arr = a.array
+    arr = _array("square", a)
     return _emit("square", arr * arr, lambda g: [(a, g * 2.0 * arr)])
 
 
@@ -709,9 +716,10 @@ def sqrt(a: NdBuffer) -> NdBuffer:
     """Elementwise square root. The backward pass takes the zero subgradient
     at exactly-zero entries (the symmetric-kink choice, which also matches
     central differences there); negative inputs are rejected."""
-    if np.any(a.array < 0.0):
-        raise NumericError(f"sqrt of negative value (min {a.array.min()})")
-    out = np.sqrt(a.array)
+    arr = _array("sqrt", a)
+    if np.any(arr < 0.0):
+        raise NumericError(f"sqrt of negative value (min {arr.min()})")
+    out = np.sqrt(arr)
 
     def backward(g):
         zero = out == 0.0
@@ -722,7 +730,7 @@ def sqrt(a: NdBuffer) -> NdBuffer:
 
 
 def tanh(a: NdBuffer) -> NdBuffer:
-    out = np.tanh(a.array)
+    out = np.tanh(_array("tanh", a))
     return _emit("tanh", out, lambda g: [(a, g * (1.0 - out * out))])
 
 
@@ -749,7 +757,7 @@ def layer_norm(x: NdBuffer, gamma, beta, skip: NdBuffer | None = None) -> NdBuff
     mean(d) - x_hat * mean(d * x_hat)), dgamma = sum g * x_hat and dbeta = sum
     g over the leading axes; skip and x both receive the one dx array.
     """
-    arr = x.array
+    arr = _array("layer_norm", x)
     arr_g, buf_g = _as_operand(gamma)
     arr_b, buf_b = _as_operand(beta)
     width = arr.shape[-1:]
@@ -760,7 +768,7 @@ def layer_norm(x: NdBuffer, gamma, beta, skip: NdBuffer | None = None) -> NdBuff
         if skip.shape != arr.shape:
             raise DimensionError(f"layer_norm skip operand {skip.shape} does not match "
                                  f"input {arr.shape}")
-        arr = skip.array + arr
+        arr = _array("layer_norm", skip) + arr
     axes = (arr.ndim - 1,)
     x_hat = arr - arr.mean(axis=axes, keepdims=True)
     out = np.multiply(x_hat, x_hat)
@@ -798,7 +806,7 @@ def attention(q: NdBuffer, k: NdBuffer, v: NdBuffer, scale: float) -> NdBuffer:
     probabilities p, not the scores; the backward is dv = pᵀ g, ds = p *
     (g vᵀ - rowsum(p * g vᵀ)) * scale, dq = ds k and dk = dsᵀ q.
     """
-    arr_q, arr_k, arr_v = q.array, k.array, v.array
+    arr_q, arr_k, arr_v = (_array("attention", x) for x in (q, k, v))
     lead = arr_q.shape[:-2]
     if (arr_q.ndim < 2 or arr_k.shape[:-2] != lead or arr_v.shape[:-2] != lead
             or arr_k.shape[-1] != arr_q.shape[-1] or arr_k.shape[-2] != arr_v.shape[-2]):
@@ -831,7 +839,7 @@ def level_fusion(parts: Sequence[NdBuffer], w: NdBuffer,
     """
     if not parts:
         raise DimensionError("level_fusion needs at least one part")
-    arrs = [p.array for p in parts]
+    arrs = [_array("level_fusion", p) for p in parts]
     shape = arrs[0].shape
     if any(a.shape != shape for a in arrs):
         raise DimensionError(f"level_fusion parts disagree on shape: {[a.shape for a in arrs]}")
@@ -839,9 +847,9 @@ def level_fusion(parts: Sequence[NdBuffer], w: NdBuffer,
     if w.shape != (n, n * width) or b.shape != (n,):
         raise DimensionError(f"level_fusion of {n} parts of width {width} needs w {(n, n * width)} "
                              f"and b {(n,)}, got {w.shape} and {b.shape}")
-    arr_w = w.array
+    arr_w, arr_b = _array("level_fusion", w), _array("level_fusion", b)
     cat = np.concatenate(arrs, axis=-1).reshape(-1, n * width)
-    logits = (cat @ np.ascontiguousarray(arr_w.T)).reshape(shape[:-1] + (n,)) + b.array
+    logits = (cat @ np.ascontiguousarray(arr_w.T)).reshape(shape[:-1] + (n,)) + arr_b
     alpha = _softmax(logits)
     alpha.setflags(write=False)
     out = alpha[..., 0:1] * arrs[0]

@@ -133,12 +133,22 @@ class XFusionParams:
         return sum(v.size for v in self.tensors.values())
 
 
+def soft_keys(index: int) -> tuple[str, str]:
+    """Parameter names (w1, w2) of anchor `index`'s soft factors."""
+    return f"soft.{index}.w1", f"soft.{index}.w2"
+
+
+def soft_anchor_of(name: str) -> str | None:
+    """The anchor part ("soft.3") of a soft-factor name; None for a network tensor."""
+    return name.rsplit(".", 1)[0] if name.startswith("soft.") else None
+
+
 def init_params(cfg: NetConfig, rng_seed: int, anchors=None) -> XFusionParams:
     """Seeded parameter initialization.
 
     The compression map is zero with equal (zero) biases; layer norms start at
     identity; everything else draws small scaled normals. When an anchor set
-    is given its soft-anchor factors are copied in under soft.{index}.{w1,w2}
+    is given its soft-anchor factors are copied in under `soft_keys(index)`
     so the optimizer can train them; training and evaluation read them there.
     """
     rng = np.random.default_rng(rng_seed)
@@ -166,8 +176,8 @@ def init_params(cfg: NetConfig, rng_seed: int, anchors=None) -> XFusionParams:
     t["head.shape.b"] = np.zeros(SHAPE_PARAMS)
     if anchors is not None:
         for i in range(len(anchors)):
-            t[f"soft.{i}.w1"] = np.array(anchors.soft_w1[i])
-            t[f"soft.{i}.w2"] = np.array(anchors.soft_w2[i])
+            w1, w2 = soft_keys(i)
+            t[w1], t[w2] = np.array(anchors.soft_w1[i]), np.array(anchors.soft_w2[i])
     return XFusionParams(cfg, {k: NdBuffer(v) for k, v in t.items()})
 
 

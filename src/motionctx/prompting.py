@@ -118,7 +118,7 @@ class AnchorSet:
     """Ordered anchors plus per-anchor soft factors and sampling metadata.
 
     soft_w1 (A, F, J, 1) and soft_w2 (A, 1, 1, H) are the initial values that
-    `init_params` copies into the trained parameters soft.{index}.w1/w2.
+    `init_params` copies into the trained parameters `soft_keys(index)`.
     """
 
     anchors: tuple[Anchor, ...]
@@ -380,7 +380,7 @@ def query_similarities(queries: list[MotionSequence], anchors: AnchorSet) -> np.
 class RetrievedPrompt:
     hard_input: MotionSequence
     hard_target: MotionSequence
-    index: int  # its soft factors are the parameters soft.{index}.w1 and .w2
+    index: int  # its soft factors are the parameters `network.soft_keys(index)`
     similarity: float
 
 

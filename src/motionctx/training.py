@@ -5,7 +5,8 @@ retrieves the most similar hard anchor per query (scoring all queries of the
 batch in one pass), and backpropagates the mean batch loss through the
 network and the retrieved anchors' soft factors. The whole batch runs as one
 taped forward pass with a leading batch axis; evaluation runs untaped passes
-over chunks of EVAL_CHUNK samples.
+over chunks of EVAL_CHUNK samples. Every other task sample (anchor corpus,
+`evaluate`, the CLI) comes from `seeded_task`, one seed per (clip, domain).
 Updates use decoupled weight decay; parameters that did not participate in a
 step (soft factors of anchors nobody retrieved) are left untouched. Hard
 anchors are frozen data and never change. Given the same config, dataset,
@@ -20,11 +21,11 @@ import numpy as np
 
 from . import nd
 from .errors import ConfigError, NumericError, StateError
-from .motion import (DOMAIN_ORDER, DOMAINS, Modality, MotionClip, TaskSample, derive_task,
-                     is_count)
+from .motion import (DOMAIN_ORDER, DOMAINS, Modality, MotionClip, TaskSample, _as_rng,
+                     derive_task, is_count)
 from .nd import NdBuffer, Tape
 from .network import (ForwardResult, LossWeights, XFusionParams, forward, loss,
-                      mean_param_error, mpjpe)
+                      mean_param_error, mpjpe, soft_anchor_of, soft_keys)
 # retrieve_prompt is unused here but kept at this name: perfbench/spans.py wraps it.
 from .prompting import (AnchorSet, RetrievedPrompt, retrieve_prompt,  # noqa: F401
                         retrieve_prompts, soft_anchor_value)
@@ -73,16 +74,23 @@ def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
 
 
 def derive_seed(base: int, clip_index: int, domain: str) -> int:
-    """Stable per-(clip, domain) seed for reproducible derivations."""
+    """Stable per-(clip, domain) seed for reproducible derivations. The base
+    seed is any integer, negative ones included; the result is reduced mod 2^63."""
+    if not is_count(base, -np.inf):
+        raise ConfigError(f"seed must be an integer, got {base!r}")
     tag = sum((i + 1) * ord(c) for i, c in enumerate(domain))
-    return (base * 1_000_003 + clip_index * 8_191 + tag * 131) % (2 ** 63)
+    return (int(base) * 1_000_003 + clip_index * 8_191 + tag * 131) % (2 ** 63)
+
+
+def seeded_task(clips: list[MotionClip], i: int, domain: str, seed: int) -> TaskSample:
+    """Clip i's task sample in `domain` under base seed `seed`."""
+    return derive_task(clips[i], domain, derive_seed(seed, i, domain))
 
 
 def corpus_entry(clips: list[MotionClip], domains, seed: int, s: int) -> TaskSample:
     """Entry s of the anchor corpus, derived alone. Entries run domain-major:
     entry s is clip s % len(clips) in domain domains[s // len(clips)]."""
-    domain, i = domains[s // len(clips)], s % len(clips)
-    return derive_task(clips[i], domain, derive_seed(seed, i, domain))
+    return seeded_task(clips, s % len(clips), domains[s // len(clips)], seed)
 
 
 def anchor_corpus(clips: list[MotionClip], domains=DOMAIN_ORDER, seed: int = 0):
@@ -92,18 +100,25 @@ def anchor_corpus(clips: list[MotionClip], domains=DOMAIN_ORDER, seed: int = 0):
     return [(x.query_input, x.query_target, x.domain) for x in samples]
 
 
+def _with_prompts(samples, anchors: AnchorSet) -> list[tuple[TaskSample, RetrievedPrompt]]:
+    """Each sample paired with the anchor retrieved for its query input."""
+    return list(zip(samples, retrieve_prompts([s.query_input for s in samples], anchors)))
+
+
 def build_batch(dataset: list[MotionClip], anchors: AnchorSet, batch_size: int, rng_seed,
                 domains=DOMAIN_ORDER) -> list[tuple[TaskSample, RetrievedPrompt]]:
     """Uniform (clip, domain) draws -> derived samples -> retrieved prompts."""
     if not dataset:
         raise StateError("build_batch needs a non-empty dataset")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    if not is_count(batch_size):
+        raise ConfigError(f"batch_size must be an integer >= 1, got {batch_size!r}")
+    rng = _as_rng(rng_seed)
     samples = []
     for _ in range(batch_size):
         clip = dataset[int(rng.integers(len(dataset)))]
         domain = domains[int(rng.integers(len(domains)))]
         samples.append(derive_task(clip, domain, rng))
-    return list(zip(samples, retrieve_prompts([s.query_input for s in samples], anchors)))
+    return _with_prompts(samples, anchors)
 
 
 class AdamWState:
@@ -149,12 +164,12 @@ class AdamWState:
 def _batch_forward(batch, params: XFusionParams) -> ForwardResult:
     """One forward pass over (sample, prompt) pairs stacked on a leading axis.
 
-    Each prompt's soft factors are the parameters soft.{index}.w1 and .w2; a
+    Each prompt's soft factors are the parameters `soft_keys(index)`; a
     missing one is a ConfigError. They are stacked as taped ops, so an anchor
     retrieved twice fans out and its gradient sums over both uses."""
-    indices = [prompt.index for _, prompt in batch]
-    u = soft_anchor_value(nd.stack([params[f"soft.{i}.w1"] for i in indices], axis=0),
-                          nd.stack([params[f"soft.{i}.w2"] for i in indices], axis=0))
+    keys = [soft_keys(prompt.index) for _, prompt in batch]
+    u = soft_anchor_value(nd.stack([params[w1] for w1, _ in keys], axis=0),
+                          nd.stack([params[w2] for _, w2 in keys], axis=0))
 
     def stacked(seqs) -> NdBuffer:
         return NdBuffer._wrap(np.stack([seq.values.array for seq in seqs]))
@@ -175,9 +190,9 @@ def train_step(batch, params: XFusionParams, state: AdamWState, config: TrainCon
     """
     if not batch:
         raise StateError("train_step needs a non-empty batch")
-    keys = [k for k in params.tensors if not k.startswith("soft.")]
+    keys = [k for k in params.tensors if soft_anchor_of(k) is None]
     for i in sorted({prompt.index for _, prompt in batch}):
-        keys.extend([f"soft.{i}.w1", f"soft.{i}.w2"])
+        keys.extend(soft_keys(i))
 
     with Tape() as tape:
         result = _batch_forward(batch, params)
@@ -229,9 +244,9 @@ def evaluate(dataset: list[MotionClip], anchors: AnchorSet, params: XFusionParam
     for domain in domains:
         errors = []
         for lo in range(0, len(dataset), EVAL_CHUNK):
-            samples = [derive_task(dataset[i], domain, derive_seed(seed, i, domain))
-                       for i in range(lo, min(lo + EVAL_CHUNK, len(dataset)))]
-            pairs = list(zip(samples, retrieve_prompts([s.query_input for s in samples], anchors)))
+            pairs = _with_prompts([seeded_task(dataset, i, domain, seed)
+                                   for i in range(lo, min(lo + EVAL_CHUNK, len(dataset)))],
+                                  anchors)
             preds = _batch_forward(pairs, params).prediction.array
             for (sample, _), pred in zip(pairs, preds):
                 target = sample.query_target

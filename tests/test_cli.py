@@ -349,6 +349,26 @@ def test_bad_domains_exit_1_before_any_file_is_read(tmp_path, capsys, command, f
     assert code == 1 and "No such file" not in err
 
 
+@pytest.mark.parametrize("command,config,message", [
+    ("sample-anchors", {"method": "bogus"},
+     "unknown sampling method 'bogus'; choose sps, random, or cluster"),
+    ("train", {"epochs": 0}, "epochs must be >= 1, got 0"),
+    ("train", {"shape_weight": -1.0}, "loss weight shape must be >= 0, got -1.0"),
+], ids=["method", "epochs", "weight"])
+def test_bad_config_exits_1_before_any_file_is_read(tmp_path, capsys, monkeypatch, command,
+                                                    config, message):
+    loads = []
+    monkeypatch.setattr(fileio, "load_dataset", loads.append)
+    missing = str(tmp_path / "missing.bin")
+    argv = [command, "--config", write_json(tmp_path / "bad.json", config),
+            "--dataset", missing, "--out", str(tmp_path / "o.bin")]
+    if command == "train":
+        argv += ["--anchors", missing]
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (1, f"error: {message}\n")
+    assert loads == []
+
+
 def test_retrieve_checks_one_task_and_clip_range_before_the_files(pipeline, capsys):
     tmp_path, data, anchors = pipeline
     missing = str(tmp_path / "missing.bin")
@@ -674,3 +694,19 @@ def test_commands_without_settings_reject_config(pipeline, capsys, command):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: unrecognized arguments: --config")
+
+
+@pytest.mark.parametrize("command", ["retrieve", "derive", "eval"])
+def test_config_free_commands_take_the_seed_mod_2_63(pipeline, capsys, command):
+    tmp_path, data, anchors = pipeline
+    argv = {
+        "retrieve": ["retrieve", "--dataset", data, "--anchors", anchors, "--clip", "2",
+                     "--domains", "jc_p"],
+        "derive": ["derive", "--dataset", data, "--domains", "mib_p,jc_m"],
+        "eval": ["eval", "--dataset", data, "--anchors", anchors,
+                 "--checkpoint", _paired_checkpoint(tmp_path, anchors)],
+    }[command]
+    top = str(2 ** 63 - 1)
+    runs = {seed: run(capsys, *argv, "--seed", seed) for seed in ("-1", top, "0", "1")}
+    assert runs["-1"][0] == 0 and runs["-1"] == runs[top]
+    assert len({out for _, out, _ in runs.values()}) > 1  # the seed reaches the tasks

@@ -558,6 +558,33 @@ def test_array_operand_is_a_constant():
         nd.add(x, np.ones((3, 2), dtype=np.int64))
 
 
+# Every op that takes buffers only, called with a float64 array in a buffer slot.
+BUFFER_ONLY_OPS = {
+    "transpose": lambda a: nd.transpose(a, (1, 0)),
+    "reshape": lambda a: nd.reshape(a, (6,)),
+    "concat": lambda a: nd.concat([NdBuffer(np.ones((2, 3))), a], 0),
+    "stack": lambda a: nd.stack([a], 0),
+    "take_rows": lambda a: nd.take_rows(a, [0]),
+    "slice_axis": lambda a: nd.slice_axis(a, 0, 0, 1),
+    "reduce_sum": nd.reduce_sum,
+    "mean": nd.mean,
+    "square": nd.square,
+    "sqrt": nd.sqrt,
+    "tanh": nd.tanh,
+    "attention": lambda a: nd.attention(NdBuffer(np.ones((2, 3))), a, NdBuffer(np.ones((2, 3))),
+                                        1.0),
+    "level_fusion": lambda a: nd.level_fusion([a] * 3, NdBuffer(np.zeros((3, 9))),
+                                              NdBuffer(np.zeros(3))),
+    "layer_norm": lambda a: nd.layer_norm(a, np.ones(3), np.zeros(3)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(BUFFER_ONLY_OPS))
+def test_buffer_only_ops_name_themselves_when_given_an_array(op):
+    with pytest.raises(DimensionError, match=f"^{op} needs NdBuffer operands, got ndarray$"):
+        BUFFER_ONLY_OPS[op](np.ones((2, 3)))
+
+
 # Every op with constant-capable operands, by name, with its operand shapes.
 # layer_norm's input is always a buffer; only its gain and shift may be constants.
 CONSTANT_OPS = {

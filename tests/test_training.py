@@ -94,6 +94,22 @@ def test_derive_seed_is_stable_and_domain_sensitive():
     assert derive_seed(0, 3, "pe") != derive_seed(0, 3, "mr")
     assert derive_seed(0, 3, "pe") != derive_seed(0, 4, "pe")
     assert derive_seed(0, 3, "pe") != derive_seed(1, 3, "pe")
+    assert derive_seed(-1, 3, "pe") == derive_seed(2 ** 63 - 1, 3, "pe")
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "x"])
+@pytest.mark.parametrize("call", ["build_batch", "evaluate", "anchor_corpus", "derive_seed"])
+def test_entry_points_reject_a_non_integer_count_or_seed(call, bad):
+    dataset, anchors, params = build_setup(n_clips=2)
+    calls = {
+        "build_batch": lambda: build_batch(dataset, anchors, bad, 0),
+        "evaluate": lambda: evaluate(dataset, anchors, params, domains=("pe",), seed=bad),
+        "anchor_corpus": lambda: anchor_corpus(dataset, seed=bad),
+        "derive_seed": lambda: derive_seed(bad, 0, "pe"),
+    }
+    field = "batch_size" if call == "build_batch" else "seed"
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+        calls[call]()
 
 
 def test_anchor_corpus_layout_and_determinism():
