@@ -26,7 +26,7 @@ from .errors import (ConfigError, DimensionError, DomainError, FormatError, Moti
                      NumericError, StateError)
 from .motion import DOMAIN_ORDER, DOMAINS, derive_task, parse_domain
 from .network import (DEFAULT_HIDDEN, LossWeights, NetConfig, XFusionParams, forward,
-                      init_params, loss, soft_anchor_of, soft_keys)
+                      init_params, loss, param_layout, soft_anchor_of, soft_keys)
 from .prompting import (DEFAULT_ANCHOR_COUNT, cluster_sample, pick_anchors, query_similarities,
                         random_sample, soft_anchor_value, sps_sample)
 from .synth import SynthConfig, make_dataset
@@ -236,7 +236,7 @@ def cmd_derive(args) -> int:
                   f" masked_frames={masked_frames} masked_joints={masked_joints}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
-            json.dump({"dataset": args.dataset, "seed": args.seed, "reports": reports}, f,
+            json.dump({"dataset": args.dataset, "seed": args.seed % 2 ** 63, "reports": reports}, f,
                       indent=2, sort_keys=True)
         print(f"wrote derivation report to {args.out}")
     return 0
@@ -275,10 +275,10 @@ def cmd_train(args) -> int:
 
 
 def _check_pairing(params: XFusionParams, anchors) -> None:
-    """The checkpoint must hold the tensors `init_params` makes for its config
-    and this anchor file: another network tensor is a format error, soft
-    factors of other anchors a configuration error."""
-    want = {k: v.shape for k, v in init_params(params.config, 0, anchors=anchors).tensors.items()}
+    """The checkpoint must hold the tensor shapes of `param_layout` for its
+    config and this anchor file, read without drawing a value: another network
+    tensor is a format error, soft factors of other anchors a configuration error."""
+    want = {k: shape for k, (shape, _) in param_layout(params.config, anchors).items()}
     got = {k: v.shape for k, v in params.tensors.items()}
     for name in sorted(got.keys() | want.keys()):
         if soft_anchor_of(name) is None and got.get(name) != want.get(name):

@@ -14,6 +14,7 @@ file part.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -279,12 +280,10 @@ def load_anchors(path: str) -> tuple[AnchorSet, dict]:
 
 def save_checkpoint(path: str, params: XFusionParams, meta: dict | None = None) -> None:
     """All tensors as 64-bit floats in sorted name order."""
-    cfg = params.config
     names = sorted(params.tensors)
     manifest = {
         "kind": "checkpoint",
-        "config": {"frames": cfg.frames, "joints": cfg.joints, "hidden": cfg.hidden,
-                   "layers": cfg.layers},
+        "config": vars(params.config),
         "tensors": [{"name": n, "shape": list(params.tensors[n].shape)} for n in names],
         "meta": meta or {},
     }
@@ -296,8 +295,8 @@ def load_checkpoint(path: str) -> tuple[XFusionParams, dict]:
     manifest, payload, offset = read_file(path)
     _expect_kind(manifest, "checkpoint")
     c = _field(manifest, "config", dict)
-    cfg = NetConfig(**{k: _field(c, k, int, "checkpoint config")
-                       for k in ("frames", "joints", "hidden", "layers")})
+    cfg = NetConfig(**{f.name: _field(c, f.name, int, "checkpoint config")
+                       for f in dataclasses.fields(NetConfig)})
     # Older checkpoints also record these two fixed design choices.
     for key, fixed in (("shape_params", SHAPE_PARAMS), ("view_order", list(VIEWS))):
         if c.get(key, fixed) != fixed:

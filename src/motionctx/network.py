@@ -6,8 +6,8 @@ only. Each layer runs three aggregation levels (self-attention, graph
 convolution over a fixed normalized adjacency, and a causal diagonal
 state-space recurrence) in a temporal view (per-joint tracks over frames) and
 then a spatial view (per-frame tracks over joints). Both adjacencies are one
-tree rule (the frame path, the skeleton), and one table names each level's
-tensors and initial draws for `init_params` and the view pass. A per-layer
+tree rule (the frame path, the skeleton). One table, `param_layout`, holds the
+shape and initial draw of each parameter; `init_params` draws it. A per-layer
 compression map, shared between views and branches, produces softmax influence
 scores that fuse the level outputs; each fused view is wrapped in a residual
 connection and layer normalization. A block reports those scores as
@@ -41,22 +41,23 @@ VIEWS = ("temporal", "spatial")
 DEFAULT_HIDDEN = 128  # feature width H; soft-anchor factors share it
 
 
-def _square(rng, h):
-    return rng.normal(scale=1.0 / np.sqrt(h), size=(h, h))
+def _normal(scale=None, loc=0.0):
+    """Draw normals about `loc`; the default scale is 1/sqrt(fan-in), shape[0]."""
+    return lambda rng, shape: rng.normal(loc, scale or 1.0 / np.sqrt(shape[0]), shape)
 
 
-def _zeros(rng, h):
-    return np.zeros(h)
+def _full(value):
+    return lambda rng, shape: np.full(shape, value)
 
 
-# Level -> (prefix, tensor name -> initial draw at width h), in init order;
-# the tensors are layer{k}.{branch}.{view}.{prefix}.{name}.
+# Level -> (prefix, tensor name -> (rank, initial draw)), in init order; the
+# tensors are layer{k}.{branch}.{view}.{prefix}.{name}, of shape (H,) * rank.
 _LEVEL_WEIGHTS = {
-    "attention": ("attn", {**dict.fromkeys(("wq", "wk", "wv", "wo"), _square), "bo": _zeros}),
-    "graph": ("graph", {"w": _square}),
-    "ssm": ("ssm", {"w": _square, "b": _zeros,
-                    "a_raw": lambda rng, h: rng.normal(0.0, 0.1, h) + 0.5,
-                    **dict.fromkeys(("b_gate", "c", "d"), lambda rng, h: rng.normal(0.0, 0.5, h))}),
+    "attention": ("attn", {**dict.fromkeys(("wq", "wk", "wv", "wo"), (2, _normal())),
+                           "bo": (1, _full(0.0))}),
+    "graph": ("graph", {"w": (2, _normal())}),
+    "ssm": ("ssm", {"w": (2, _normal()), "b": (1, _full(0.0)), "a_raw": (1, _normal(0.1, 0.5)),
+                    **dict.fromkeys(("b_gate", "c", "d"), (1, _normal(0.5)))}),
 }
 LEVELS = tuple(_LEVEL_WEIGHTS)
 
@@ -143,42 +144,41 @@ def soft_anchor_of(name: str) -> str | None:
     return name.rsplit(".", 1)[0] if name.startswith("soft.") else None
 
 
-def init_params(cfg: NetConfig, rng_seed: int, anchors=None) -> XFusionParams:
-    """Seeded parameter initialization.
+def param_layout(cfg: NetConfig, anchors=None) -> dict:
+    """Every parameter in init order: name -> (shape, initial draw(rng, shape)).
 
     The compression map is zero with equal (zero) biases; layer norms start at
     identity; everything else draws small scaled normals. When an anchor set
     is given its soft-anchor factors are copied in under `soft_keys(index)`
     so the optimizer can train them; training and evaluation read them there.
     """
-    rng = np.random.default_rng(rng_seed)
-    h = cfg.hidden
-    t: dict[str, np.ndarray] = {}
+    h, n = cfg.hidden, len(LEVELS)
+    t = {}
     for branch in ("enc_q", "enc_p"):
-        t[f"{branch}.w"] = rng.normal(scale=1.0 / np.sqrt(2 * CHANNELS), size=(2 * CHANNELS, h))
-        t[f"{branch}.b"] = np.zeros(h)
-        t[f"{branch}.pos_t"] = rng.normal(scale=0.02, size=(cfg.frames, h))
-        t[f"{branch}.pos_s"] = rng.normal(scale=0.02, size=(cfg.joints, h))
+        t |= {f"{branch}.w": ((2 * CHANNELS, h), _normal()), f"{branch}.b": ((h,), _full(0.0)),
+              f"{branch}.pos_t": ((cfg.frames, h), _normal(0.02)),
+              f"{branch}.pos_s": ((cfg.joints, h), _normal(0.02))}
     for k in range(cfg.layers):
-        for branch in ("q", "p"):
-            for view in VIEWS:
-                base = f"layer{k}.{branch}.{view}"
-                for prefix, draws in _LEVEL_WEIGHTS.values():
-                    for name, draw in draws.items():
-                        t[f"{base}.{prefix}.{name}"] = draw(rng, h)
-                t[f"{base}.ln.g"] = np.ones(h)
-                t[f"{base}.ln.b"] = np.zeros(h)
-        t[f"layer{k}.compress.w"] = np.zeros((len(LEVELS), len(LEVELS) * h))
-        t[f"layer{k}.compress.b"] = np.zeros(len(LEVELS))
-    t["head.pos.w"] = rng.normal(scale=1.0 / np.sqrt(h), size=(h, CHANNELS))
-    t["head.pos.b"] = np.zeros(CHANNELS)
-    t["head.shape.w"] = rng.normal(scale=1.0 / np.sqrt(h), size=(h, SHAPE_PARAMS))
-    t["head.shape.b"] = np.zeros(SHAPE_PARAMS)
-    if anchors is not None:
-        for i in range(len(anchors)):
-            w1, w2 = soft_keys(i)
-            t[w1], t[w2] = np.array(anchors.soft_w1[i]), np.array(anchors.soft_w2[i])
-    return XFusionParams(cfg, {k: NdBuffer(v) for k, v in t.items()})
+        for base in (f"layer{k}.{branch}.{view}" for branch in ("q", "p") for view in VIEWS):
+            for prefix, weights in _LEVEL_WEIGHTS.values():
+                t |= {f"{base}.{prefix}.{name}": ((h,) * rank, draw)
+                      for name, (rank, draw) in weights.items()}
+            t |= {f"{base}.ln.g": ((h,), _full(1.0)), f"{base}.ln.b": ((h,), _full(0.0))}
+        t |= {f"layer{k}.compress.w": ((n, n * h), _full(0.0)),
+              f"layer{k}.compress.b": ((n,), _full(0.0))}
+    for head, width in (("pos", CHANNELS), ("shape", SHAPE_PARAMS)):
+        t |= {f"head.{head}.w": ((h, width), _normal()), f"head.{head}.b": ((width,), _full(0.0))}
+    for i in range(0 if anchors is None else len(anchors)):
+        for key, factor in zip(soft_keys(i), (anchors.soft_w1[i], anchors.soft_w2[i])):
+            t[key] = factor.shape, _full(factor)
+    return t
+
+
+def init_params(cfg: NetConfig, rng_seed: int, anchors=None) -> XFusionParams:
+    """Seeded parameter initialization: `param_layout`'s draws in its order."""
+    rng = np.random.default_rng(rng_seed)
+    return XFusionParams(cfg, {name: NdBuffer(draw(rng, shape))
+                               for name, (shape, draw) in param_layout(cfg, anchors).items()})
 
 
 def _as_buffer(x, expect_shape=None, what="input") -> NdBuffer:
@@ -277,8 +277,8 @@ def _view_pass(tracks: NdBuffer, params: XFusionParams, layer: int, branch: str,
     # (..., F, J, H), over joints, in the spatial view.
     base = f"layer{layer}.{branch}.{view}"
     outs = [aggregate_level(tracks, level, view,
-                            {name: params[f"{base}.{prefix}.{name}"] for name in draws})
-            for level, (prefix, draws) in _LEVEL_WEIGHTS.items()]
+                            {name: params[f"{base}.{prefix}.{name}"] for name in weights})
+            for level, (prefix, weights) in _LEVEL_WEIGHTS.items()]
     fused, alpha = cross_level_update(outs, params[f"layer{layer}.compress.w"],
                                       params[f"layer{layer}.compress.b"])
     return nd.layer_norm(fused, params[f"{base}.ln.g"], params[f"{base}.ln.b"],

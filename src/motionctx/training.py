@@ -96,6 +96,7 @@ def corpus_entry(clips: list[MotionClip], domains, seed: int, s: int) -> TaskSam
 def anchor_corpus(clips: list[MotionClip], domains=DOMAIN_ORDER, seed: int = 0):
     """Pooled sampling corpus: one derived (input, target, domain) entry per
     clip per domain, with deterministic per-entry derivation seeds."""
+    derive_seed(seed, 0, "")  # checks the seed, also when there are no clips
     samples = (corpus_entry(clips, domains, seed, s) for s in range(len(clips) * len(domains)))
     return [(x.query_input, x.query_target, x.domain) for x in samples]
 

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from motionctx import cli, fileio, prompting, training
+from motionctx import cli, fileio, network, prompting, training
 from motionctx.cli import main
 from motionctx.fileio import load_anchors, load_checkpoint, load_dataset
 from motionctx.motion import derive_task
@@ -192,6 +192,15 @@ def test_derive_writes_report(pipeline, capsys):
     assert len(payload["reports"]) == 16 * 2
     masked = [r for r in payload["reports"] if r["domain"] == "mib_p"]
     assert all(len(r["masked_frames"]) == 3 for r in masked)  # floor(0.4*8)
+
+
+def test_derive_report_stores_the_seed_mod_2_63(pipeline, capsys):
+    tmp_path, data, _ = pipeline
+    paths = [str(tmp_path / f"report{seed}.json") for seed in ("-1", "top")]
+    for seed, path in zip(("-1", str(2 ** 63 - 1)), paths):
+        assert run(capsys, "derive", "--dataset", data, "--domains", "pe",
+                   "--seed", seed, "--out", path)[0] == 0
+    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
 
 
 def test_derive_and_retrieve_use_the_library_seed(pipeline, capsys):
@@ -598,6 +607,20 @@ def test_eval_rejects_a_network_tensor_its_config_lacks(pipeline, capsys, edit, 
     code, _, err = run(capsys, "eval", "--dataset", data, "--anchors", anchors, "--checkpoint", ck)
     assert code == 2
     assert err.startswith(f"error: checkpoint tensor {name!r} does not match its network config")
+
+
+def test_eval_checks_the_pairing_without_drawing_parameters(pipeline, capsys, monkeypatch):
+    tmp_path, data, anchors = pipeline
+    argv = ["eval", "--dataset", data, "--anchors", anchors,
+            "--checkpoint", _paired_checkpoint(tmp_path, anchors)]
+    want = run(capsys, *argv)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("eval drew a parameter initialization")
+
+    monkeypatch.setattr(network, "init_params", no_draws)
+    monkeypatch.setattr(cli, "init_params", no_draws)
+    assert run(capsys, *argv) == want and want[0] == 0
 
 
 @pytest.mark.parametrize("k,hidden", [(12, 8), (4, 8), (6, 4)])

@@ -1,5 +1,7 @@
 """Fusion network: encoding, levels, fusion, forward, losses, metrics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,33 @@ def test_replace_keeps_buffers_finite():
         params.replace("head.pos.b", [0.0, 1.0])
     params.replace("head.pos.b", [0.0, 1.0, 2.0])
     assert np.array_equal(params["head.pos.b"].array, [0.0, 1.0, 2.0])
+
+
+# sha256 of init_params(cfg, 0) over names in insertion order, shapes and bytes.
+INIT_SHA256 = {
+    (8, 6, 16, 1, True): "af21a33b844ff7424710b45f99911cda9b61c25960d283c577695b91298e04d3",
+    (8, 6, 16, 2, False): "529441c1336c7e9bcae489e0483cff4d36dd56f9fa41ad7bab5779c51d620879",
+    (16, 24, 128, 8, False): "a6ed25b255674beae359faa13b5101782e8d63917dec2bc39ebbbe64974d4ead",
+}
+
+
+@pytest.mark.parametrize("frames,joints,hidden,layers,soft", sorted(INIT_SHA256))
+def test_init_params_are_pinned_in_order(frames, joints, hidden, layers, soft):
+    cfg = NetConfig(frames=frames, joints=joints, hidden=hidden, layers=layers)
+    anchors = None
+    if soft:  # 5 anchors: the rest pose and 4 random picks
+        clips = make_dataset(SynthConfig(clips=4, frames=frames, joints=joints, seed=1))
+        anchors = random_sample(anchor_corpus(clips, seed=0), 4, 0, hidden_dim=hidden)
+        assert len(anchors) == 5
+    params = init_params(cfg, 0, anchors=anchors)
+    h = hashlib.sha256()
+    for name, buf in params.tensors.items():
+        h.update(f"{name}{buf.shape}".encode())
+        h.update(buf.array.tobytes())
+    assert h.hexdigest() == INIT_SHA256[(frames, joints, hidden, layers, soft)]
+    layout = network.param_layout(cfg, anchors)
+    assert list(layout) == list(params.tensors)
+    assert all(layout[k][0] == v.shape for k, v in params.tensors.items())
 
 
 def test_encode_context_bias_broadcast_and_soft_add():

@@ -98,13 +98,15 @@ def test_derive_seed_is_stable_and_domain_sensitive():
 
 
 @pytest.mark.parametrize("bad", [2.5, True, "x"])
-@pytest.mark.parametrize("call", ["build_batch", "evaluate", "anchor_corpus", "derive_seed"])
+@pytest.mark.parametrize("call", ["build_batch", "evaluate", "anchor_corpus",
+                                  "anchor_corpus_without_clips", "derive_seed"])
 def test_entry_points_reject_a_non_integer_count_or_seed(call, bad):
     dataset, anchors, params = build_setup(n_clips=2)
     calls = {
         "build_batch": lambda: build_batch(dataset, anchors, bad, 0),
         "evaluate": lambda: evaluate(dataset, anchors, params, domains=("pe",), seed=bad),
         "anchor_corpus": lambda: anchor_corpus(dataset, seed=bad),
+        "anchor_corpus_without_clips": lambda: anchor_corpus([], seed=bad),
         "derive_seed": lambda: derive_seed(bad, 0, "pe"),
     }
     field = "batch_size" if call == "build_batch" else "seed"
@@ -118,6 +120,7 @@ def test_anchor_corpus_layout_and_determinism():
     b = anchor_corpus(dataset, domains=("pe", "mr"), seed=5)
     assert len(a) == 6
     assert [e[2] for e in a] == ["pe"] * 3 + ["mr"] * 3
+    assert anchor_corpus([], seed=-1) == []
     for ea, eb in zip(a, b):
         assert np.array_equal(ea[0].values.array, eb[0].values.array)
         assert np.array_equal(ea[1].values.array, eb[1].values.array)
