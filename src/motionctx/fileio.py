@@ -6,10 +6,18 @@ JSON manifest (sorted keys, no whitespace) and a raw payload. Motion data is
 stored as little-endian 32-bit floats; soft-anchor factors and checkpoint
 tensors as 64-bit floats. Writes go to a temporary file in the target
 directory and are renamed into place, so a crash never leaves a truncated
-file under the final name. Payload lengths are validated against the
-manifest before any array is interpreted, and a shape, value or state fault
-found while building objects from file contents is a FormatError naming the
-file part.
+file under the final name; each payload block is written from its own array,
+without a joined copy.
+
+Reads check the payload length against the manifest before any block is
+read, then read each block straight from the file into its own array. Values
+are checked once per block: finite numbers, zero pose2d z channels, zero pose
+betas and zero virtual joints for motion, finite numbers for each checkpoint
+tensor. A sequence or tensor the block check flags is built by its validating
+constructor, so a shape, value or state fault found while building objects
+from file contents is a FormatError naming the file part, with the
+constructor's message. Loaded sequences are read-only views into their
+block: holding one loaded clip or anchor keeps its whole motion block alive.
 """
 
 from __future__ import annotations
@@ -36,8 +44,9 @@ VERSION = 1
 _HEADER = struct.Struct("<4sHI")  # magic, version, manifest byte length
 
 
-def write_file(path: str, manifest: dict, payload: bytes) -> None:
-    """Atomic header + manifest + payload write (temp file, then rename)."""
+def write_file(path: str, manifest: dict, *chunks) -> None:
+    """Atomic header + manifest + payload write (temp file, then rename). The
+    payload is the chunks, bytes or C-contiguous arrays, written in turn."""
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".tmp")
@@ -45,7 +54,8 @@ def write_file(path: str, manifest: dict, payload: bytes) -> None:
         with os.fdopen(fd, "wb") as f:
             f.write(_HEADER.pack(MAGIC, VERSION, len(blob)))
             f.write(blob)
-            f.write(payload)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -53,29 +63,38 @@ def write_file(path: str, manifest: dict, payload: bytes) -> None:
         raise
 
 
-def read_file(path: str) -> tuple[dict, bytes, int]:
-    """Parse and validate the container; returns (manifest, payload, payload offset)."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < _HEADER.size:
-        raise FormatError(f"file is {len(raw)} bytes, too short for the {_HEADER.size}-byte header")
-    magic, version, manifest_len = _HEADER.unpack_from(raw, 0)
+def _read_head(f) -> tuple[dict, int]:
+    """Check the header of the open file `f` and parse its manifest, leaving
+    `f` at the payload; returns (manifest, payload offset)."""
+    head = f.read(_HEADER.size)
+    if len(head) < _HEADER.size:
+        raise FormatError(f"file is {len(head)} bytes, too short for the "
+                          f"{_HEADER.size}-byte header")
+    magic, version, manifest_len = _HEADER.unpack(head)
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r} at byte 0, expected {MAGIC!r}")
     if version != VERSION:
         raise FormatError(f"unsupported format version {version} at byte 4, expected {VERSION}")
     offset = _HEADER.size + manifest_len
-    if offset > len(raw):
+    size = os.fstat(f.fileno()).st_size
+    if offset > size:
         raise FormatError(f"manifest length {manifest_len} at byte 6 overruns the "
-                          f"{len(raw)}-byte file")
+                          f"{size}-byte file")
     try:
-        manifest = json.loads(raw[_HEADER.size:offset].decode("utf-8"))
+        manifest = json.loads(f.read(manifest_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"manifest at byte {_HEADER.size} is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise FormatError(f"manifest at byte {_HEADER.size} must be a JSON object, "
                           f"got {type(manifest).__name__}")
-    return manifest, raw[offset:], offset
+    return manifest, offset
+
+
+def read_file(path: str) -> tuple[dict, bytes, int]:
+    """Parse and validate the container; returns (manifest, payload, payload offset)."""
+    with open(path, "rb") as f:
+        manifest, offset = _read_head(f)
+        return manifest, f.read(), offset
 
 
 def _expect_kind(manifest: dict, kind: str) -> None:
@@ -126,33 +145,72 @@ def _built_from(where: str):
         raise FormatError(f"{where} is invalid: {exc}") from None
 
 
-def _f32_bytes(arr: np.ndarray) -> bytes:
+def _f32_block(arr: np.ndarray) -> np.ndarray:
+    """`arr` as a C-contiguous little-endian 32-bit block."""
     with np.errstate(over="ignore"):
         out = np.ascontiguousarray(arr, dtype="<f4")
     if not np.all(np.isfinite(out)):
         raise NumericError("values overflow 32-bit storage; refusing to write a "
                            "non-finite payload")
-    return out.tobytes()
+    return out
 
 
-def _f64_bytes(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+def _f64_block(arr: np.ndarray) -> np.ndarray:
+    """`arr` as a C-contiguous little-endian 64-bit block (no copy if it is one)."""
+    return np.ascontiguousarray(arr, dtype="<f8")
 
 
-def _read_blocks(payload: bytes, offset: int, blocks) -> list[np.ndarray]:
-    """The payload as consecutive (shape, dtype) blocks, each as a float64
-    array. The payload must be exactly the blocks' total size; this is the
-    one length check, made before any block is read."""
-    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in blocks]
-    if len(payload) != sum(sizes):
-        raise FormatError(f"payload at byte {offset} is {len(payload)} bytes, "
-                          f"expected exactly {sum(sizes)}")
-    arrays, pos = [], 0
-    for (shape, dtype), size in zip(blocks, sizes):
-        arrays.append(np.frombuffer(payload, dtype, math.prod(shape), pos)
-                      .astype(np.float64).reshape(shape))
-        pos += size
+def _read_blocks(f, offset: int, blocks) -> list[np.ndarray]:
+    """The payload of the open file `f`, which starts at `offset`, as
+    consecutive (shape, dtype) blocks: each is read straight into its own
+    array and returned read-only as float64 (a 64-bit block as read, a 32-bit
+    one converted once). The payload must be exactly the blocks' total size;
+    this is the one length check, made before any block is read."""
+    total = sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in blocks)
+    length = os.fstat(f.fileno()).st_size - offset
+    if length != total:
+        raise FormatError(f"payload at byte {offset} is {length} bytes, expected exactly {total}")
+    arrays = []
+    for shape, dtype in blocks:
+        block = np.empty(shape, dtype)
+        if f.readinto(block) != block.nbytes:
+            raise FormatError(f"payload at byte {offset} ended before its {total} bytes "
+                              f"were read")
+        block = block.astype(np.float64, copy=False)
+        block.setflags(write=False)
+        arrays.append(block)
     return arrays
+
+
+def _block_facts(values: np.ndarray, betas: np.ndarray) -> list:
+    """The value facts of a block of (F, J, 3) sequences (any leading axes)
+    and their (..., 10) betas, from one max and one min pass over frames.
+    Per sequence, as nested lists over the leading axes: [values and betas
+    finite, z channel all zero, betas all zero, one past the last joint
+    holding a nonzero value]."""
+    hi, lo = values.max(axis=-3), values.min(axis=-3)  # both propagate NaN
+    nonzero = (hi != 0.0) | (lo != 0.0)  # (..., J, 3); NaN counts as nonzero
+    return np.stack([
+        np.isfinite(hi).all(axis=(-2, -1)) & np.isfinite(lo).all(axis=(-2, -1))
+        & np.isfinite(betas).all(axis=-1),
+        ~nonzero[..., 2].any(axis=-1),
+        ~betas.any(axis=-1),
+        (nonzero.any(axis=-1) * np.arange(1, values.shape[-2] + 1)).max(axis=-1),
+    ], axis=-1).tolist()
+
+
+def _sequence(values: np.ndarray, modality: Modality, native: int, betas: np.ndarray,
+              facts: list, where: str) -> MotionSequence:
+    """A loaded sequence: built unchecked when its block facts pass every
+    check of `MotionSequence`, otherwise by that validating constructor,
+    whose fault is a FormatError naming `where`."""
+    finite, z_zero, betas_zero, extent = facts
+    if (finite and extent <= native <= values.shape[1]
+            and (z_zero or modality is not Modality.POSE2D)
+            and (betas_zero or modality is Modality.MESH)):
+        return MotionSequence._trusted(values, modality, native, betas)
+    with _built_from(where):
+        return MotionSequence(NdBuffer(values), modality, native, betas=betas)
 
 
 _MODALITY_FIELDS = ("pose2d", "pose3d", "mesh")
@@ -176,32 +234,34 @@ def save_dataset(path: str, clips: list[MotionClip]) -> None:
     manifest = {"kind": "dataset", "frames": half, "joints": joints, "channels": 3,
                 "clips": len(clips), "root_joint": 0, "shape_params": SHAPE_PARAMS,
                 "clip_meta": meta}
-    write_file(path, manifest, _f32_bytes(motion)
-               + _f32_bytes(np.stack([c.mesh.betas for c in clips])))
+    write_file(path, manifest, _f32_block(motion),
+               _f32_block(np.stack([c.mesh.betas for c in clips])))
 
 
 def load_dataset(path: str) -> list[MotionClip]:
-    manifest, payload, offset = read_file(path)
-    _expect_kind(manifest, "dataset")
-    half, joints, n = (_field(manifest, k, int) for k in ("frames", "joints", "clips"))
-    meta = _field(manifest, "clip_meta", list)
-    if len(meta) != n:
-        raise FormatError(f"manifest lists {len(meta)} clip entries, clips={n}")
-    motion, betas = _read_blocks(payload, offset, [((n, 3, 2 * half, joints, 3), "<f4"),
-                                                   ((n, SHAPE_PARAMS), "<f4")])
+    with open(path, "rb") as file:
+        manifest, offset = _read_head(file)
+        _expect_kind(manifest, "dataset")
+        half, joints, n = (_field(manifest, k, int) for k in ("frames", "joints", "clips"))
+        meta = _field(manifest, "clip_meta", list)
+        if len(meta) != n:
+            raise FormatError(f"manifest lists {len(meta)} clip entries, clips={n}")
+        motion, mesh_betas = _read_blocks(file, offset, [((n, 3, 2 * half, joints, 3), "<f4"),
+                                                         ((n, SHAPE_PARAMS), "<f4")])
+    betas = np.zeros((n, 3, SHAPE_PARAMS))  # per sequence: zero for the two pose modalities
+    betas[:, 2] = mesh_betas
+    betas.setflags(write=False)
+    facts = _block_facts(motion, betas)
     clips = []
     for i, entry in enumerate(meta):
         where = f"clip entry {i}"
         native = _field(entry, "native", dict, where)
-        count = {m: _field(native, m, int, f"{where} native") for m in _MODALITY_FIELDS}
+        count = [_field(native, m, int, f"{where} native") for m in _MODALITY_FIELDS]
         clip_id, source = _field(entry, "id", str, where), _field(entry, "source", str, where)
-        pose2d, pose3d, mesh = motion[i]
+        seqs = [_sequence(motion[i, k], Modality(m), count[k], betas[i, k], facts[i][k], where)
+                for k, m in enumerate(_MODALITY_FIELDS)]
         with _built_from(where):
-            clips.append(MotionClip(
-                MotionSequence(NdBuffer(pose2d), Modality.POSE2D, count["pose2d"]),
-                MotionSequence(NdBuffer(pose3d), Modality.POSE3D, count["pose3d"]),
-                MotionSequence(NdBuffer(mesh), Modality.MESH, count["mesh"], betas=betas[i]),
-                clip_id=clip_id, source=source))
+            clips.append(MotionClip(*seqs, clip_id=clip_id, source=source))
     return clips
 
 
@@ -210,7 +270,7 @@ def _sequence_meta(seq: MotionSequence) -> dict:
 
 
 def _load_sequence(values: np.ndarray, entry: dict, key: str, betas: np.ndarray,
-                   where: str) -> MotionSequence:
+                   facts: list, where: str) -> MotionSequence:
     meta = _field(entry, key, dict, where)
     where = f"{where} {key}"
     name = _field(meta, "modality", str, where)
@@ -219,9 +279,7 @@ def _load_sequence(values: np.ndarray, entry: dict, key: str, betas: np.ndarray,
     except ValueError:
         raise FormatError(f"{where} field 'modality' must be one of "
                           f"{[m.value for m in Modality]}, got {name!r}") from None
-    native = _field(meta, "native", int, where)
-    with _built_from(where):
-        return MotionSequence(NdBuffer(values), modality, native, betas=betas)
+    return _sequence(values, modality, _field(meta, "native", int, where), betas, facts, where)
 
 
 def save_anchors(path: str, anchors: AnchorSet, meta: dict | None = None) -> None:
@@ -237,33 +295,36 @@ def save_anchors(path: str, anchors: AnchorSet, meta: dict | None = None) -> Non
                     for x in anchors.anchors],
         "meta": meta or {},
     }
-    chunks = [
-        _f32_bytes(np.stack([x.input.values.array for x in anchors.anchors])),
-        _f32_bytes(np.stack([x.target.values.array for x in anchors.anchors])),
-        _f32_bytes(np.stack([x.input.betas for x in anchors.anchors])),
-        _f32_bytes(np.stack([x.target.betas for x in anchors.anchors])),
-        _f64_bytes(anchors.soft_w1),
-        _f64_bytes(anchors.soft_w2),
-    ]
-    write_file(path, manifest, b"".join(chunks))
+    write_file(path, manifest,
+               _f32_block(anchors.stacked_inputs()),
+               _f32_block(np.stack([x.target.values.array for x in anchors.anchors])),
+               _f32_block(np.stack([x.input.betas for x in anchors.anchors])),
+               _f32_block(np.stack([x.target.betas for x in anchors.anchors])),
+               _f64_block(anchors.soft_w1),
+               _f64_block(anchors.soft_w2))
 
 
 def load_anchors(path: str) -> tuple[AnchorSet, dict]:
-    manifest, payload, offset = read_file(path)
-    _expect_kind(manifest, "anchors")
-    a, f, j, h = (_field(manifest, k, int) for k in ("count", "frames", "joints", "hidden"))
-    meta = _field(manifest, "anchors", list)
-    if len(meta) != a:
-        raise FormatError(f"manifest lists {len(meta)} anchor entries, count={a}")
-    inputs, targets, input_betas, target_betas, w1, w2 = _read_blocks(payload, offset, [
-        ((a, f, j, 3), "<f4"), ((a, f, j, 3), "<f4"),
-        ((a, SHAPE_PARAMS), "<f4"), ((a, SHAPE_PARAMS), "<f4"),
-        ((a, f, j, 1), "<f8"), ((a, 1, 1, h), "<f8")])
+    with open(path, "rb") as file:
+        manifest, offset = _read_head(file)
+        _expect_kind(manifest, "anchors")
+        a, f, j, h = (_field(manifest, k, int) for k in ("count", "frames", "joints", "hidden"))
+        meta = _field(manifest, "anchors", list)
+        if len(meta) != a:
+            raise FormatError(f"manifest lists {len(meta)} anchor entries, count={a}")
+        inputs, targets, input_betas, target_betas, w1, w2 = _read_blocks(file, offset, [
+            ((a, f, j, 3), "<f4"), ((a, f, j, 3), "<f4"),
+            ((a, SHAPE_PARAMS), "<f4"), ((a, SHAPE_PARAMS), "<f4"),
+            ((a, f, j, 1), "<f8"), ((a, 1, 1, h), "<f8")])
+    input_facts = _block_facts(inputs, input_betas)
+    target_facts = _block_facts(targets, target_betas)
 
     def anchor(i: int, entry) -> Anchor:
         where = f"anchor entry {i}"
-        return Anchor(_load_sequence(inputs[i], entry, "input", input_betas[i], where),
-                      _load_sequence(targets[i], entry, "target", target_betas[i], where),
+        return Anchor(_load_sequence(inputs[i], entry, "input", input_betas[i],
+                                     input_facts[i], where),
+                      _load_sequence(targets[i], entry, "target", target_betas[i],
+                                     target_facts[i], where),
                       _field(entry, "domain", str, where),
                       _field(entry, "source_index", int, where, minimum=-1))
 
@@ -287,33 +348,37 @@ def save_checkpoint(path: str, params: XFusionParams, meta: dict | None = None) 
         "tensors": [{"name": n, "shape": list(params.tensors[n].shape)} for n in names],
         "meta": meta or {},
     }
-    payload = b"".join(_f64_bytes(params.tensors[n].array) for n in names)
-    write_file(path, manifest, payload)
+    write_file(path, manifest, *(_f64_block(params.tensors[n].array) for n in names))
 
 
 def load_checkpoint(path: str) -> tuple[XFusionParams, dict]:
-    manifest, payload, offset = read_file(path)
-    _expect_kind(manifest, "checkpoint")
-    c = _field(manifest, "config", dict)
-    cfg = NetConfig(**{f.name: _field(c, f.name, int, "checkpoint config")
-                       for f in dataclasses.fields(NetConfig)})
-    # Older checkpoints also record these two fixed design choices.
-    for key, fixed in (("shape_params", SHAPE_PARAMS), ("view_order", list(VIEWS))):
-        if c.get(key, fixed) != fixed:
-            raise FormatError(f"checkpoint config {key}={c[key]!r}; only {fixed!r} is supported")
-    entries = [(_field(e, "name", str, f"tensor entry {i}"),
-                _field(e, "shape", tuple, f"tensor entry {i}"))
-               for i, e in enumerate(_field(manifest, "tensors", list))]
-    names = [name for name, _ in entries]
-    if len(set(names)) != len(names):
-        i = next(i for i, name in enumerate(names) if names.index(name) != i)
-        raise FormatError(f"tensor entry {i} repeats the name {names[i]!r} "
-                          f"of tensor entry {names.index(names[i])}")
-    arrays = _read_blocks(payload, offset, [(shape, "<f8") for _, shape in entries])
+    with open(path, "rb") as file:
+        manifest, offset = _read_head(file)
+        _expect_kind(manifest, "checkpoint")
+        c = _field(manifest, "config", dict)
+        cfg = NetConfig(**{f.name: _field(c, f.name, int, "checkpoint config")
+                           for f in dataclasses.fields(NetConfig)})
+        # Older checkpoints also record these two fixed design choices.
+        for key, fixed in (("shape_params", SHAPE_PARAMS), ("view_order", list(VIEWS))):
+            if c.get(key, fixed) != fixed:
+                raise FormatError(f"checkpoint config {key}={c[key]!r}; "
+                                  f"only {fixed!r} is supported")
+        entries = [(_field(e, "name", str, f"tensor entry {i}"),
+                    _field(e, "shape", tuple, f"tensor entry {i}"))
+                   for i, e in enumerate(_field(manifest, "tensors", list))]
+        names = [name for name, _ in entries]
+        if len(set(names)) != len(names):
+            i = next(i for i, name in enumerate(names) if names.index(name) != i)
+            raise FormatError(f"tensor entry {i} repeats the name {names[i]!r} "
+                              f"of tensor entry {names.index(names[i])}")
+        arrays = _read_blocks(file, offset, [(shape, "<f8") for _, shape in entries])
     tensors = {}
-    for (name, _), values in zip(entries, arrays):
-        with _built_from(f"tensor {name!r}"):
-            tensors[name] = NdBuffer(values)
+    for name, values in zip(names, arrays):
+        if np.isfinite(values).all():
+            tensors[name] = NdBuffer._wrap(values)
+        else:
+            with _built_from(f"tensor {name!r}"):
+                tensors[name] = NdBuffer(values)  # raises the constructor's fault
     return XFusionParams(cfg, tensors), _field(manifest, "meta", dict)
 
 

@@ -81,17 +81,18 @@ class MotionSequence:
             raise DimensionError(f"virtual joints {self.native_joint_count}..{j - 1} must be all zero")
 
     @classmethod
-    def _trusted(cls, arr: np.ndarray, like: "MotionSequence") -> "MotionSequence":
-        # For frame slices of, and 0/1-mask products with, an already validated
-        # sequence `like`: both keep every invariant checked above (shape,
-        # finite values, zero z-channel, zero virtual joints, zero pose betas),
-        # so only `_window` and `_apply_mask` may skip the checks. `arr` is
-        # wrapped without a copy and its betas are shared, both read-only.
+    def _trusted(cls, arr: np.ndarray, modality: Modality, native_joint_count: int,
+                 betas: np.ndarray) -> "MotionSequence":
+        # Skips the checks above, so only for values known to pass them: frame
+        # slices of, and 0/1-mask products with, an already validated sequence
+        # (`_window`, `_apply_mask`), and sequences of a loaded file block that
+        # the loader's block check cleared. `arr` and `betas` are kept without
+        # a copy, read-only; `native_joint_count` must be an int.
         out = object.__new__(cls)
         object.__setattr__(out, "values", NdBuffer._wrap(arr))
-        object.__setattr__(out, "modality", like.modality)
-        object.__setattr__(out, "native_joint_count", like.native_joint_count)
-        object.__setattr__(out, "betas", like.betas)
+        object.__setattr__(out, "modality", modality)
+        object.__setattr__(out, "native_joint_count", native_joint_count)
+        object.__setattr__(out, "betas", betas)
         return out
 
     @property
@@ -298,13 +299,15 @@ class TaskSample:
 
 def _window(seq: MotionSequence, half: int, future: bool) -> MotionSequence:
     lo, hi = (half, 2 * half) if future else (0, half)
-    return MotionSequence._trusted(seq.values.array[lo:hi], seq)  # a read-only view
+    view = seq.values.array[lo:hi]  # read-only, no copy
+    return MotionSequence._trusted(view, seq.modality, seq.native_joint_count, seq.betas)
 
 
 def _apply_mask(seq: MotionSequence, mask: np.ndarray, axis: int) -> MotionSequence:
     shape = [1, 1, 1]
     shape[axis] = mask.size
-    return MotionSequence._trusted(seq.values.array * mask.reshape(shape), seq)
+    return MotionSequence._trusted(seq.values.array * mask.reshape(shape), seq.modality,
+                                   seq.native_joint_count, seq.betas)
 
 
 def derive_task(clip: MotionClip, domain: str, rng_seed) -> TaskSample:

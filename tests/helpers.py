@@ -8,6 +8,15 @@ from motionctx.motion import (MotionClip, pad_virtual_joints, reorganize_mesh_pa
 from motionctx.nd import NdBuffer
 
 
+def loaded_sequences(kind: str, loaded) -> list:
+    """Every motion sequence a `fileio.load_<kind>` result holds, in file order."""
+    if kind == "dataset":
+        return [s for clip in loaded for s in (clip.pose2d, clip.pose3d, clip.mesh)]
+    if kind == "anchors":
+        return [s for a in loaded[0].anchors for s in (a.input, a.target)]
+    return []
+
+
 def make_clip(half=4, joints=6, native_pose=4, seed=0, clip_id="c0"):
     """Random synchronized clip: 2F frames, pose joints padded to `joints`."""
     rng = np.random.default_rng(seed)

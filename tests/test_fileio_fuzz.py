@@ -1,14 +1,21 @@
 """Loader fuzzing: a mutated dataset, anchor or checkpoint file either loads or
-raises FormatError, and nothing else escapes the loader."""
+raises FormatError, and nothing else escapes the loader. What loads passes
+the validating constructors it skipped: the loaders check values once per
+block, and a rebuild through `MotionSequence(...)` or `NdBuffer(...)` must
+accept every loaded sequence and tensor and give it back bitwise."""
 
 import copy
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import loaded_sequences
 from motionctx import fileio
 from motionctx.errors import FormatError
+from motionctx.motion import MotionSequence
+from motionctx.nd import NdBuffer
 from motionctx.network import NetConfig, init_params
 from motionctx.prompting import sps_sample
 from motionctx.synth import SynthConfig, make_dataset
@@ -77,6 +84,22 @@ def test_mutated_file_loads_or_raises_format_error(originals, kind, data):
         payload = payload[:delta] if delta < 0 else payload + bytes(delta)
     fileio.write_file(path, manifest, payload)
     try:
-        LOADERS[kind](path)
+        loaded = LOADERS[kind](path)
     except FormatError:
-        pass
+        return
+    for buf in loaded_buffers(kind, loaded):
+        assert_same(NdBuffer(buf.array), buf)
+    for seq in loaded_sequences(kind, loaded):
+        rebuilt = MotionSequence(NdBuffer(seq.values.array), seq.modality,
+                                 seq.native_joint_count, betas=seq.betas)
+        assert_same(rebuilt.values, seq.values)
+        assert rebuilt.betas.tobytes() == seq.betas.tobytes()
+
+
+def loaded_buffers(kind, loaded) -> list[NdBuffer]:
+    return list(loaded[0].tensors.values()) if kind == "checkpoint" else []
+
+
+def assert_same(rebuilt: NdBuffer, loaded: NdBuffer) -> None:
+    assert rebuilt.shape == loaded.shape and loaded.array.dtype == np.float64
+    assert rebuilt.array.tobytes() == loaded.array.tobytes()
