@@ -18,6 +18,7 @@ constructor, so a shape, value or state fault found while building objects
 from file contents is a FormatError naming the file part, with the
 constructor's message. Loaded sequences are read-only views into their
 block: holding one loaded clip or anchor keeps its whole motion block alive.
+A loaded anchor set takes its inputs block as its stack, without a copy.
 """
 
 from __future__ import annotations
@@ -103,12 +104,15 @@ def _expect_kind(manifest: dict, kind: str) -> None:
         raise FormatError(f"expected a {kind!r} file, manifest says kind={found!r}")
 
 
-def _field(mapping, key: str, kind: type, where: str = "manifest", minimum: int | None = 1):
+def _field(mapping, key: str, kind: type, where: str = "manifest", minimum: int | None = 1,
+           index: int | None = None):
     """mapping[key], checked for presence and type. Kind int means an integer
     of at least `minimum` (by default a positive extent or count; None allows
-    any integer); kind tuple a list of positive integers (a tensor shape)."""
+    any integer); kind tuple a list of positive integers (a tensor shape).
+    A fault names `where`, followed by `index` when one is given: the label
+    is formatted only for a fault."""
     if not isinstance(mapping, dict) or key not in mapping:
-        raise FormatError(f"{where} lacks the {key!r} field")
+        raise FormatError(f"{_label(where, index)} lacks the {key!r} field")
     value = mapping[key]
     if kind is int:
         ok = is_count(value, -math.inf if minimum is None else minimum)
@@ -120,8 +124,13 @@ def _field(mapping, key: str, kind: type, where: str = "manifest", minimum: int 
     else:
         ok, want = isinstance(value, kind), kind.__name__
     if not ok:
-        raise FormatError(f"{where} field {key!r} must be a {want}, got {value!r}")
+        raise FormatError(f"{_label(where, index)} field {key!r} must be a {want}, "
+                          f"got {value!r}")
     return tuple(value) if kind is tuple else value
+
+
+def _label(where: str, index: int | None) -> str:
+    return where if index is None else f"{where} {index}"
 
 
 def _finite_floats(mapping, key: str) -> tuple[float, ...]:
@@ -336,6 +345,7 @@ def load_anchors(path: str) -> tuple[AnchorSet, dict]:
                            soft_w1=w1, soft_w2=w2, fingerprint=_field(manifest, "fingerprint", str),
                            method=_field(manifest, "method", str),
                            selection_trace=_finite_floats(manifest, "selection_trace"))
+    loaded._keep_stack(inputs)  # every loaded input equals its row of the block
     return loaded, _field(manifest, "meta", dict)
 
 
@@ -363,8 +373,8 @@ def load_checkpoint(path: str) -> tuple[XFusionParams, dict]:
             if c.get(key, fixed) != fixed:
                 raise FormatError(f"checkpoint config {key}={c[key]!r}; "
                                   f"only {fixed!r} is supported")
-        entries = [(_field(e, "name", str, f"tensor entry {i}"),
-                    _field(e, "shape", tuple, f"tensor entry {i}"))
+        entries = [(_field(e, "name", str, "tensor entry", index=i),
+                    _field(e, "shape", tuple, "tensor entry", index=i))
                    for i, e in enumerate(_field(manifest, "tensors", list))]
         names = [name for name, _ in entries]
         if len(set(names)) != len(names):

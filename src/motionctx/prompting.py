@@ -6,17 +6,20 @@ and its negation is a metric. Anchor sets are built three ways: max-min
 similarity sampling (seeded by the canonical rest pose, then repeatedly
 taking the corpus member least similar to everything already chosen), uniform
 random sampling, and k-means clustering with nearest-member centroids.
-Max-min sampling skips members whose triangle-inequality bound over a few
-pivot distances shows the newest anchor cannot raise their best similarity,
-which leaves the selection bitwise that of scoring every member. All three
+One triangle-inequality bound over a few pivot distances (`_pivot_bound`)
+serves the sampler and the retriever. Max-min sampling skips members whose
+bound shows the newest anchor cannot raise their best similarity, which
+leaves the selection bitwise that of scoring every member. All three
 samplers check a request the same way: an anchor count and a hidden width
 of at least 1, and one input shape across the corpus. Each anchor carries
 its task target and the initial value of its low-rank soft factor pair.
-Retrieval is one path: `retrieve_prompts` scores one or many query inputs
-in one pass (`query_similarities`) and returns, per query, the most similar
-anchor, optionally among one task domain's anchors; `retrieve_prompt` is
-its one-query call. All ties break toward the lowest index so every path
-is deterministic.
+Retrieval is one path: `retrieve_prompts` returns, per query input, the
+most similar anchor, optionally among one task domain's anchors;
+`retrieve_prompt` is its one-query call. A stack that fits in one kernel
+block is scored whole; a larger one only where the bound over the set's
+first anchors cannot rule an anchor out, with picks and similarities
+bitwise those of scoring every anchor (`query_similarities`). All ties
+break toward the lowest index so every path is deterministic.
 """
 
 from __future__ import annotations
@@ -38,12 +41,16 @@ TBODY_DOMAIN = "tbody"
 KMEANS_ITERATIONS = 50
 SOFT_INIT_SCALE = 0.02
 _SIM_BLOCK_BYTES = 512 * 1024  # bytes of (query, anchor) pairs per _sims_to_many block
-PIVOTS = 16  # sps_sample keeps distances to the rest pose and its first PIVOTS picks
-# Relative margin of sps_sample's pivot bound. The kernel's distance d is
-# within about 30 ulp (4e-15 relative) of the true metric: subtraction,
-# squares, sqrt and a pairwise mean each round relatively. By the triangle
-# inequality the computed d(x, p) is then at least |d(x, v) - d(p, v)| less
-# about 1e-14 * (d(x, v) + d(p, v)), rounding of the bound included, so
+# sps_sample keeps distances to the rest pose and its first PIVOTS picks,
+# and retrieval bounds a large set by its first PIVOTS + 1 anchors: the same
+# pivots for an sps set.
+PIVOTS = 16
+# Relative margin of the pivot bound (`_pivot_bound`), which sampling and
+# retrieval share. The kernel's distance d is within about 30 ulp (4e-15
+# relative) of the true metric: subtraction, squares, sqrt and a pairwise
+# mean each round relatively. By the triangle inequality the computed
+# d(x, p) is then at least |d(x, v) - d(p, v)| less about
+# 1e-14 * (d(x, v) + d(p, v)), rounding of the bound included, so
 # subtracting SLACK times that sum keeps the bound at or below d(x, p) with
 # a margin of 1e5. The error is relative while mean distances exceed about
 # 1e-150; below that, squared per-joint distances underflow.
@@ -61,9 +68,13 @@ def similarity(x: MotionSequence, y: MotionSequence) -> float:
     return float(0.0 - dists.mean())
 
 
-def _sims_to_many(stacked: np.ndarray, queries: np.ndarray) -> np.ndarray:
+def _sims_to_many(stacked: np.ndarray, queries: np.ndarray, rows=None) -> np.ndarray:
     # (A, F, J, 3) against (Q, F, J, 3) -> (Q, A) similarities, each row
     # bitwise equal to 0.0 - sqrt(((stacked - q) ** 2).sum(-1)).mean((1, 2)).
+    # Given `rows`, in-range indices into `stacked`, it scores stacked[rows]
+    # instead: one query per block, whose rows are gathered into the scratch
+    # buffer and the query subtracted there, so no copy of the whole
+    # selection is made.
     # The coordinate sum adds strided views in the order sum(axis=-1) does,
     # without numpy's slow length-3 reduction, and the mean is the add.reduce
     # and division ndarray.mean makes, without its Python wrapper. A block
@@ -71,13 +82,13 @@ def _sims_to_many(stacked: np.ndarray, queries: np.ndarray) -> np.ndarray:
     # stay O(block), not O(Q * A): a run of anchors for one query when a
     # query against every anchor does not fit, else several queries against
     # all anchors. Either way a block's pairs are consecutive in (Q, A) order.
-    n_q, n_a = queries.shape[0], stacked.shape[0]
+    n_q, n_a = queries.shape[0], stacked.shape[0] if rows is None else len(rows)
     one = queries.shape[1:]
     count = one[0] * one[1]
     dtype = np.result_type(stacked, queries)
     pairs = max(1, _SIM_BLOCK_BYTES // max(1, count * one[2] * dtype.itemsize))
     a_rows = max(1, min(n_a, pairs))
-    q_rows = max(1, min(n_q, pairs // a_rows))
+    q_rows = 1 if rows is not None else max(1, min(n_q, pairs // a_rows))
     sq = np.empty((q_rows * a_rows,) + one, dtype=dtype)
     dist = np.empty(sq.shape[:-1], dtype=dtype)
     sims = np.empty((n_q, n_a), dtype=dtype)
@@ -85,10 +96,17 @@ def _sims_to_many(stacked: np.ndarray, queries: np.ndarray) -> np.ndarray:
     for q0 in range(0, n_q, q_rows):
         qs = queries[q0:q0 + q_rows, None]
         for a0 in range(0, n_a, a_rows):
-            block = stacked[a0:a0 + a_rows]
-            n = len(qs) * len(block)
-            s, d = sq[:n], dist[:n]
-            np.subtract(block, qs, out=s.reshape((len(qs),) + block.shape))
+            if rows is None:
+                block = stacked[a0:a0 + a_rows]
+                n = len(qs) * len(block)
+                s, d = sq[:n], dist[:n]
+                np.subtract(block, qs, out=s.reshape((len(qs),) + block.shape))
+            else:
+                take = rows[a0:a0 + a_rows]
+                n = len(take)
+                s, d = sq[:n], dist[:n]
+                np.take(stacked, take, axis=0, out=s, mode="clip")
+                np.subtract(s, qs[0], out=s)
             np.multiply(s, s, out=s)
             np.add(s[..., 0], s[..., 1], out=d)
             d += s[..., 2]
@@ -101,6 +119,19 @@ def _sims_to_many(stacked: np.ndarray, queries: np.ndarray) -> np.ndarray:
 def _sims_to_one(stacked: np.ndarray, one: np.ndarray) -> np.ndarray:
     # (n, F, J, 3) against one (F, J, 3) query -> (n,): the Q = 1 case.
     return _sims_to_many(stacked, one[None])[0]
+
+
+def _pivot_bound(d: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Lower bound on each member's distance to a point, from the members'
+    pivot distances d (..., P, n) and the point's t (..., P, 1): the triangle
+    inequality |d - t| less the SLACK margin, maxed over the pivots. NaN
+    bounds (from overflowed distances) compare false, so callers score them."""
+    return (np.abs(d - t) - SLACK * (d + t)).max(axis=-2)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -169,23 +200,38 @@ class AnchorSet:
     def hidden(self) -> int:
         return self.soft_w2.shape[-1]
 
+    def _cached(self, key: str, build):
+        """The value kept under `key`, made by `build()` on first use."""
+        value = self.__dict__.get(key)
+        if value is None:
+            value = build()
+            object.__setattr__(self, key, value)
+        return value
+
     def stacked_inputs(self) -> np.ndarray:
         """Read-only (A, F, J, 3) stack of the anchor inputs, built on first use."""
-        stacked = self.__dict__.get("_stacked")
-        if stacked is None:
-            stacked = np.stack([a.input.values.array for a in self.anchors])
-            stacked.setflags(write=False)
-            object.__setattr__(self, "_stacked", stacked)
-        return stacked
+        return self._cached("_stacked", lambda: _read_only(
+            np.stack([a.input.values.array for a in self.anchors])))
+
+    def _keep_stack(self, stacked: np.ndarray) -> None:
+        """Take `stacked`, a read-only block bitwise equal to np.stack of the
+        anchor inputs (a loader's own block), as the stack instead of a copy."""
+        object.__setattr__(self, "_stacked", stacked)
+
+    def pivot_distances(self) -> np.ndarray:
+        """Read-only (P, A) distances of every anchor to each of the first
+        P = min(PIVOTS + 1, A) anchors, built on first use."""
+        def build():
+            stacked = self.stacked_inputs()
+            return _read_only(-_sims_to_many(stacked, stacked[:PIVOTS + 1]))
+        return self._cached("_pivot_distances", build)
 
     def domain_indices(self, domain: str) -> np.ndarray:
         """Ascending indices of the anchors of one task domain."""
-        by_domain = self.__dict__.get("_by_domain")
-        if by_domain is None:
+        def build():
             domains = np.array([a.domain for a in self.anchors])
-            by_domain = {d: np.flatnonzero(domains == d) for d in set(domains.tolist())}
-            object.__setattr__(self, "_by_domain", by_domain)
-        return by_domain.get(domain, np.empty(0, dtype=np.intp))
+            return {d: np.flatnonzero(domains == d) for d in set(domains.tolist())}
+        return self._cached("_by_domain", build).get(domain, np.empty(0, dtype=np.intp))
 
 
 def corpus_fingerprint(corpus: list[CorpusEntry]) -> str:
@@ -281,12 +327,9 @@ def sps_sample(corpus: list[CorpusEntry], k: int, hidden_dim: int = DEFAULT_HIDD
             pivots += 1
             np.maximum(best[:n], sims, out=best[:n])
             continue
-        # Triangle inequality over the pivots: lb <= -similarity(x, newest).
-        # Skipped members keep their best bitwise, as np.maximum would; NaN
-        # bounds (from overflowed distances) compare false and are scored.
-        d = piv[:, :n]
-        lb = (np.abs(d - to_pivots) - SLACK * (d + to_pivots)).max(axis=0)
-        score = np.flatnonzero(~(lb >= -best[:n]))
+        # lb <= -similarity(x, newest); skipped members keep their best
+        # bitwise, as np.maximum would.
+        score = np.flatnonzero(~(_pivot_bound(piv[:, :n], to_pivots) >= -best[:n]))
         if score.size:
             best[score] = np.maximum(best[score], _sims_to_one(rows[score], newest))
     return _build_set(corpus, rest, picked, "sps", k, hidden_dim, trace)
@@ -364,8 +407,8 @@ def cluster_sample(corpus: list[CorpusEntry], k: int, rng_seed: int,
     return _build_set(corpus, rest, picked, "cluster", k, hidden_dim)
 
 
-def query_similarities(queries: list[MotionSequence], anchors: AnchorSet) -> np.ndarray:
-    """(Q, A) similarities of each query input to every anchor input, in one blocked pass."""
+def _query_block(queries: list[MotionSequence], anchors: AnchorSet) -> np.ndarray:
+    """The (Q, F, J, 3) block of the query inputs, checked against the anchors."""
     if not queries:
         raise StateError("similarity scoring needs at least one query")
     shape = anchors.anchors[0].input.values.shape
@@ -373,7 +416,12 @@ def query_similarities(queries: list[MotionSequence], anchors: AnchorSet) -> np.
         if x.values.shape != shape:
             raise DimensionError(f"query shape {x.values.shape} does not match anchor shape {shape}")
     # np.array, not np.stack: stack costs several times more for one query.
-    return _sims_to_many(anchors.stacked_inputs(), np.array([x.values.array for x in queries]))
+    return np.array([x.values.array for x in queries])
+
+
+def query_similarities(queries: list[MotionSequence], anchors: AnchorSet) -> np.ndarray:
+    """(Q, A) similarities of each query input to every anchor input, in one blocked pass."""
+    return _sims_to_many(anchors.stacked_inputs(), _query_block(queries, anchors))
 
 
 @dataclass(frozen=True)
@@ -384,27 +432,79 @@ class RetrievedPrompt:
     similarity: float
 
 
+def _candidates(anchors: AnchorSet, domain_filter: str | None) -> np.ndarray | None:
+    """Ascending indices of one task domain's anchors; None for every anchor."""
+    if domain_filter is None:
+        return None
+    candidates = anchors.domain_indices(domain_filter)
+    if not candidates.size:
+        raise StateError(f"no anchors of domain {domain_filter!r} in the set")
+    return candidates
+
+
 def pick_anchors(sims: np.ndarray, anchors: AnchorSet, domain_filter: str | None) -> np.ndarray:
     """Index of the most similar anchor along the last axis of (A,) or (Q, A)
     similarities, lowest on ties. domain_filter restricts candidates to
     anchors of one task domain while keeping original indices; None lets
     all anchors compete."""
-    if domain_filter is None:
+    candidates = _candidates(anchors, domain_filter)
+    if candidates is None:
         return sims.argmax(axis=-1)  # argmax returns the first maximum
-    candidates = anchors.domain_indices(domain_filter)
-    if not candidates.size:
-        raise StateError(f"no anchors of domain {domain_filter!r} in the set")
     return candidates[sims[..., candidates].argmax(axis=-1)]
+
+
+def _pruned_picks(queries: np.ndarray, stacked: np.ndarray, anchors: AnchorSet,
+                  candidates: np.ndarray | None) -> tuple[list[int], list[float]]:
+    """Each query's pick among the candidates, lowest index on ties, and its
+    similarity, scoring only the anchors the pivot bound cannot rule out.
+
+    The queries are scored against the pivots (the first P anchors), and
+    every other candidate is bounded from `pivot_distances`. One whose bound
+    exceeds the nearest candidate pivot's distance is computed farther than
+    it, so it is neither the pick nor tied with it; the rest are scored by
+    the same kernel, so picks and similarities are bitwise the full scan's.
+    With no candidate pivot every candidate is scored."""
+    table = anchors.pivot_distances()
+    p = len(table)
+    if candidates is None:
+        candidates = np.arange(len(stacked))
+    own, rest = candidates[candidates < p], candidates[candidates >= p]
+    to_pivots = _sims_to_many(stacked[:p], queries)  # (Q, P) similarities
+    near = (-to_pivots[:, own]).min(axis=1, initial=np.inf)
+    d = table[:, rest]
+    picks, sims = [], []
+    for q in range(len(queries)):
+        score = rest[~(_pivot_bound(d, -to_pivots[q, :, None]) > near[q])]
+        found = np.concatenate([own, score])  # ascending: argmax takes the lowest index
+        scored = np.concatenate([to_pivots[q, own],
+                                 _sims_to_many(stacked, queries[q:q + 1], score)[0]])
+        best = int(scored.argmax())
+        picks.append(int(found[best]))
+        sims.append(float(scored[best]))
+    return picks, sims
 
 
 def retrieve_prompts(queries: list[MotionSequence], anchors: AnchorSet,
                      domain_filter: str | None = None) -> list[RetrievedPrompt]:
     """Most-similar anchor to each query input (lowest index on ties), all
-    queries scored in one pass. domain_filter is that of `pick_anchors`."""
-    sims = query_similarities(queries, anchors)
+    queries scored in one pass. domain_filter is that of `pick_anchors`.
+
+    A stack that fits in one kernel block is scored whole; a larger one
+    through its pivot bound (`_pruned_picks`), with the same picks and
+    similarities bitwise. The pruned path adds a second kernel call and the
+    bound, which a small stack does not pay back: on a 2-core x86 host one
+    query took about twice as long pruned against 64 toy anchors (74 KB),
+    0.6 times as long against 800 paper anchors (7.4 MB), and the two paths
+    crossed between about 220 and 740 KB of stack."""
+    stacked, block = anchors.stacked_inputs(), _query_block(queries, anchors)
+    if stacked.nbytes <= _SIM_BLOCK_BYTES:
+        sims = _sims_to_many(stacked, block)
+        picks = pick_anchors(sims, anchors, domain_filter).tolist()
+        best = [float(sims[q, i]) for q, i in enumerate(picks)]
+    else:
+        picks, best = _pruned_picks(block, stacked, anchors, _candidates(anchors, domain_filter))
     found = anchors.anchors
-    return [RetrievedPrompt(found[best].input, found[best].target, best, float(sims[q, best]))
-            for q, best in enumerate(pick_anchors(sims, anchors, domain_filter).tolist())]
+    return [RetrievedPrompt(found[i].input, found[i].target, i, s) for i, s in zip(picks, best)]
 
 
 def retrieve_prompt(query_input: MotionSequence, anchors: AnchorSet,

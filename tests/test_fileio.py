@@ -13,6 +13,7 @@ from motionctx.errors import ConfigError, DimensionError, FormatError
 from motionctx.fileio import (load_anchors, load_checkpoint, load_config, load_dataset,
                               read_file, save_anchors, save_checkpoint, save_dataset,
                               write_file)
+from motionctx import prompting
 from motionctx.network import NetConfig, init_params
 from motionctx.prompting import TIE_BREAK, retrieve_prompt, sps_sample
 from motionctx.synth import SynthConfig, make_dataset
@@ -138,6 +139,27 @@ def test_reloaded_anchors_self_retrieve(tmp_path):
         assert retrieve_prompt(anchor.input, loaded).index == i
 
 
+def test_loaded_set_takes_its_inputs_block_as_the_stack(tmp_path, monkeypatch):
+    # load_anchors hands the set the read-only (A, F, J, 3) block every loaded
+    # input views, so no second copy is made, and the pivot table reads it.
+    path = str(tmp_path / "a.bin")
+    save_anchors(path, build_anchors(k=6))
+    loaded, _ = load_anchors(path)
+    inputs = [a.input.values.array for a in loaded.anchors]
+    want = np.stack(inputs)
+    monkeypatch.setattr(np, "stack", lambda *args, **kwargs: pytest.fail("stack rebuilt"))
+    seen = []
+    many = prompting._sims_to_many
+    monkeypatch.setattr(prompting, "_sims_to_many",
+                        lambda stacked, *args: seen.append(stacked) or many(stacked, *args))
+    stacked = loaded.stacked_inputs()
+    assert loaded.stacked_inputs() is stacked and not stacked.flags.writeable
+    assert stacked.dtype == want.dtype and stacked.tobytes() == want.tobytes()
+    assert all(np.shares_memory(stacked[i], x) for i, x in enumerate(inputs))
+    loaded.pivot_distances()
+    assert len(seen) == 1 and seen[0] is stacked
+
+
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     cfg = NetConfig(frames=4, joints=5, hidden=8, layers=2)
     params = init_params(cfg, rng_seed=3)
@@ -177,6 +199,23 @@ def test_checkpoint_with_a_repeated_tensor_name_rejected(tmp_path):
     last = len(manifest["tensors"]) - 1
     with pytest.raises(FormatError, match=f"^tensor entry {last} repeats the name "
                                           f"'{first['name']}' of tensor entry 0$"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("entry,fault", [
+    ("x", "lacks the 'name' field"),
+    ({"shape": [2]}, "lacks the 'name' field"),
+    ({"name": 5, "shape": [2]}, "field 'name' must be a str, got 5"),
+    ({"name": "w"}, "lacks the 'shape' field"),
+    ({"name": "w", "shape": [0, 2]}, "field 'shape' must be a list of positive integers, "
+                                      "got [0, 2]"),
+], ids=["not-an-object", "no-name", "name-type", "no-shape", "shape-value"])
+def test_checkpoint_tensor_entry_faults_name_the_entry(tmp_path, entry, fault):
+    path = write_each_kind(tmp_path)["checkpoint"]
+    manifest, payload, _ = read_file(path)
+    manifest["tensors"][2] = entry
+    write_file(path, manifest, payload)
+    with pytest.raises(FormatError, match=f"^tensor entry 2 {re.escape(fault)}$"):
         load_checkpoint(path)
 
 
