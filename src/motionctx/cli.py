@@ -27,8 +27,8 @@ from .errors import (ConfigError, DimensionError, DomainError, FormatError, Moti
 from .motion import DOMAIN_ORDER, DOMAINS, derive_task, parse_domain
 from .network import (DEFAULT_HIDDEN, LossWeights, NetConfig, XFusionParams, forward,
                       init_params, loss, param_layout, soft_anchor_of, soft_keys)
-from .prompting import (DEFAULT_ANCHOR_COUNT, cluster_sample, pick_anchors, query_similarities,
-                        random_sample, soft_anchor_value, sps_sample)
+from .prompting import (DEFAULT_ANCHOR_COUNT, cluster_sample, random_sample, retrieve_with_margin,
+                        soft_anchor_value, sps_sample)
 from .synth import SynthConfig, make_dataset
 from .training import TrainConfig, anchor_corpus, corpus_entry, evaluate, seeded_task, train
 
@@ -194,17 +194,12 @@ def cmd_retrieve(args) -> int:
         raise ConfigError(f"--clip {args.clip} out of range for {len(clips)} clips")
     _check_fingerprint(anchors, meta, clips)
     sample = seeded_task(clips, args.clip, domain, args.seed)
-    # One similarity row gives the pick, its similarity and the runner-up margin.
-    domain_filter = domain if args.domain_filter_retrieval else None
-    sims = query_similarities([sample.query_input], anchors)[0]
-    index = int(pick_anchors(sims, anchors, domain_filter))
-    pool = sims if domain_filter is None else sims[anchors.domain_indices(domain)]
-    top = np.sort(pool)[::-1]
-    margin = top[0] - top[1] if top.size > 1 else float("inf")
-    best = anchors.anchors[index]
+    prompt, margin = retrieve_with_margin(sample.query_input, anchors,
+                                          domain if args.domain_filter_retrieval else None)
+    best = anchors.anchors[prompt.index]
     print(f"query: clip {clips[args.clip].clip_id} domain {domain}")
-    print(f"best anchor {index} (domain {best.domain}, source {best.source_index}): "
-          f"similarity {sims[index]:.6f}")
+    print(f"best anchor {prompt.index} (domain {best.domain}, source {best.source_index}): "
+          f"similarity {prompt.similarity:.6f}")
     print(f"runner-up margin {margin:.6f}")
     return 0
 

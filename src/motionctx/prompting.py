@@ -13,18 +13,20 @@ leaves the selection bitwise that of scoring every member. All three
 samplers check a request the same way: an anchor count and a hidden width
 of at least 1, and one input shape across the corpus. Each anchor carries
 its task target and the initial value of its low-rank soft factor pair.
-Retrieval is one path: `retrieve_prompts` returns, per query input, the
-most similar anchor, optionally among one task domain's anchors;
-`retrieve_prompt` is its one-query call. A stack that fits in one kernel
-block is scored whole; a larger one only where the bound over the set's
-first anchors cannot rule an anchor out, with picks and similarities
-bitwise those of scoring every anchor (`query_similarities`). All ties
+Retrieval is one scorer (`_contenders`) that every caller reads:
+`retrieve_prompts` (the most similar anchor per query, optionally among one
+task domain's), `retrieve_prompt`, `retrieve_with_margin` (and the runner-up
+margin) and `coverage`. A stack that fits in one kernel block is scored
+whole; a larger one only where the bound over the set's first anchors cannot
+rule an anchor out of the best one, or two for a margin, so picks,
+similarities and margins are bitwise those of scoring every anchor. All ties
 break toward the lowest index so every path is deterministic.
 """
 
 from __future__ import annotations
 
 import hashlib
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -409,19 +411,20 @@ def cluster_sample(corpus: list[CorpusEntry], k: int, rng_seed: int,
 
 def _query_block(queries: list[MotionSequence], anchors: AnchorSet) -> np.ndarray:
     """The (Q, F, J, 3) block of the query inputs, checked against the anchors."""
+    if not isinstance(anchors, AnchorSet):
+        raise DomainError(f"retrieval needs an AnchorSet, got {reprlib.repr(anchors)}")
+    if not isinstance(queries, (list, tuple)):
+        raise DimensionError(f"queries must be a list of sequences, got {reprlib.repr(queries)}")
     if not queries:
         raise StateError("similarity scoring needs at least one query")
     shape = anchors.anchors[0].input.values.shape
     for x in queries:
+        if not isinstance(x, MotionSequence):
+            raise DimensionError(f"a query must be a MotionSequence, got {reprlib.repr(x)}")
         if x.values.shape != shape:
             raise DimensionError(f"query shape {x.values.shape} does not match anchor shape {shape}")
     # np.array, not np.stack: stack costs several times more for one query.
     return np.array([x.values.array for x in queries])
-
-
-def query_similarities(queries: list[MotionSequence], anchors: AnchorSet) -> np.ndarray:
-    """(Q, A) similarities of each query input to every anchor input, in one blocked pass."""
-    return _sims_to_many(anchors.stacked_inputs(), _query_block(queries, anchors))
 
 
 @dataclass(frozen=True)
@@ -433,84 +436,84 @@ class RetrievedPrompt:
 
 
 def _candidates(anchors: AnchorSet, domain_filter: str | None) -> np.ndarray | None:
-    """Ascending indices of one task domain's anchors; None for every anchor."""
+    """Ascending indices of one task domain's anchors; None (nothing to index) for all."""
     if domain_filter is None:
         return None
+    if not isinstance(domain_filter, str):
+        raise DomainError(f"domain filter {reprlib.repr(domain_filter)} is not a task id or None")
     candidates = anchors.domain_indices(domain_filter)
     if not candidates.size:
         raise StateError(f"no anchors of domain {domain_filter!r} in the set")
     return candidates
 
 
-def pick_anchors(sims: np.ndarray, anchors: AnchorSet, domain_filter: str | None) -> np.ndarray:
-    """Index of the most similar anchor along the last axis of (A,) or (Q, A)
-    similarities, lowest on ties. domain_filter restricts candidates to
-    anchors of one task domain while keeping original indices; None lets
-    all anchors compete."""
+def _contenders(queries: list[MotionSequence], anchors: AnchorSet, domain_filter: str | None,
+                keep: int = 1) -> list[tuple[np.ndarray | None, np.ndarray]]:
+    """Per query, ascending candidate indices (None: every anchor, in order)
+    and their similarities, holding every candidate that could be among the
+    query's `keep` (1 or 2) best, so the first maximum and the two largest
+    values are bitwise the full scan's.
+
+    A stack within one kernel block is scored whole. A larger one is scored
+    against its pivots (the first P anchors), and every other candidate is
+    bounded from `pivot_distances`: one whose bound exceeds the `keep`-th
+    nearest candidate pivot's distance is computed farther than `keep`
+    candidates, so it neither ranks among them nor ties. With fewer than
+    `keep` candidate pivots every candidate is scored. The pruned path costs
+    a second kernel call and the bound: on a 2-core x86 host one query took
+    about twice as long pruned against 64 toy anchors (74 KB), 0.6 times as
+    long against 800 paper anchors (7.4 MB); the two crossed between about
+    220 and 740 KB of stack."""
+    block = _query_block(queries, anchors)
     candidates = _candidates(anchors, domain_filter)
-    if candidates is None:
-        return sims.argmax(axis=-1)  # argmax returns the first maximum
-    return candidates[sims[..., candidates].argmax(axis=-1)]
-
-
-def _pruned_picks(queries: np.ndarray, stacked: np.ndarray, anchors: AnchorSet,
-                  candidates: np.ndarray | None) -> tuple[list[int], list[float]]:
-    """Each query's pick among the candidates, lowest index on ties, and its
-    similarity, scoring only the anchors the pivot bound cannot rule out.
-
-    The queries are scored against the pivots (the first P anchors), and
-    every other candidate is bounded from `pivot_distances`. One whose bound
-    exceeds the nearest candidate pivot's distance is computed farther than
-    it, so it is neither the pick nor tied with it; the rest are scored by
-    the same kernel, so picks and similarities are bitwise the full scan's.
-    With no candidate pivot every candidate is scored."""
+    stacked = anchors.stacked_inputs()
+    if stacked.nbytes <= _SIM_BLOCK_BYTES:
+        sims = _sims_to_many(stacked, block)
+        # Unfiltered rows are taken as they are: indexing every column copies.
+        return [(candidates, row) for row in (sims if candidates is None else sims[:, candidates])]
+    found = np.arange(len(stacked)) if candidates is None else candidates
     table = anchors.pivot_distances()
     p = len(table)
-    if candidates is None:
-        candidates = np.arange(len(stacked))
-    own, rest = candidates[candidates < p], candidates[candidates >= p]
-    to_pivots = _sims_to_many(stacked[:p], queries)  # (Q, P) similarities
-    near = (-to_pivots[:, own]).min(axis=1, initial=np.inf)
+    own, rest = found[found < p], found[found >= p]
+    to_pivots = _sims_to_many(stacked[:p], block)  # (Q, P) similarities
     d = table[:, rest]
-    picks, sims = [], []
-    for q in range(len(queries)):
-        score = rest[~(_pivot_bound(d, -to_pivots[q, :, None]) > near[q])]
-        found = np.concatenate([own, score])  # ascending: argmax takes the lowest index
-        scored = np.concatenate([to_pivots[q, own],
-                                 _sims_to_many(stacked, queries[q:q + 1], score)[0]])
-        best = int(scored.argmax())
-        picks.append(int(found[best]))
-        sims.append(float(scored[best]))
-    return picks, sims
+    kept = []
+    for q, row in enumerate(to_pivots):
+        near = np.sort(np.append(-row[own], [np.inf] * keep))[keep - 1]  # inf if < keep pivots
+        score = rest[~(_pivot_bound(d, -row[:, None]) > near)]
+        kept.append((np.concatenate([own, score]),
+                     np.concatenate([row[own], _sims_to_many(stacked, block[q:q + 1], score)[0]])))
+    return kept
+
+
+def _first_best(anchors: AnchorSet, found: np.ndarray | None, sims: np.ndarray) -> RetrievedPrompt:
+    best = int(sims.argmax())  # the first maximum: found ascends, so the lowest index
+    i = best if found is None else int(found[best])
+    return RetrievedPrompt(anchors.anchors[i].input, anchors.anchors[i].target, i, float(sims[best]))
 
 
 def retrieve_prompts(queries: list[MotionSequence], anchors: AnchorSet,
                      domain_filter: str | None = None) -> list[RetrievedPrompt]:
     """Most-similar anchor to each query input (lowest index on ties), all
-    queries scored in one pass. domain_filter is that of `pick_anchors`.
-
-    A stack that fits in one kernel block is scored whole; a larger one
-    through its pivot bound (`_pruned_picks`), with the same picks and
-    similarities bitwise. The pruned path adds a second kernel call and the
-    bound, which a small stack does not pay back: on a 2-core x86 host one
-    query took about twice as long pruned against 64 toy anchors (74 KB),
-    0.6 times as long against 800 paper anchors (7.4 MB), and the two paths
-    crossed between about 220 and 740 KB of stack."""
-    stacked, block = anchors.stacked_inputs(), _query_block(queries, anchors)
-    if stacked.nbytes <= _SIM_BLOCK_BYTES:
-        sims = _sims_to_many(stacked, block)
-        picks = pick_anchors(sims, anchors, domain_filter).tolist()
-        best = [float(sims[q, i]) for q, i in enumerate(picks)]
-    else:
-        picks, best = _pruned_picks(block, stacked, anchors, _candidates(anchors, domain_filter))
-    found = anchors.anchors
-    return [RetrievedPrompt(found[i].input, found[i].target, i, s) for i, s in zip(picks, best)]
+    queries scored in one pass; domain_filter keeps one task domain's anchors
+    (original indices kept), None lets all compete."""
+    return [_first_best(anchors, *kept) for kept in _contenders(queries, anchors, domain_filter)]
 
 
 def retrieve_prompt(query_input: MotionSequence, anchors: AnchorSet,
                     domain_filter: str | None = None) -> RetrievedPrompt:
     """`retrieve_prompts` for one query."""
     return retrieve_prompts([query_input], anchors, domain_filter)[0]
+
+
+def retrieve_with_margin(query_input: MotionSequence, anchors: AnchorSet,
+                         domain_filter: str | None = None) -> tuple[RetrievedPrompt, float]:
+    """`retrieve_prompt` and its runner-up margin, from one pass that keeps
+    the best two: the pick's similarity less the second largest candidate
+    similarity (0 on a tie), inf when one anchor is a candidate."""
+    (found, sims), = _contenders([query_input], anchors, domain_filter, keep=2)
+    top = np.sort(sims)[::-1]
+    return _first_best(anchors, found, sims), (top[0] - top[1] if top.size > 1 else float("inf"))
 
 
 def soft_anchor_value(w1, w2) -> NdBuffer:
@@ -520,4 +523,4 @@ def soft_anchor_value(w1, w2) -> NdBuffer:
 
 def coverage(queries: list[MotionSequence], anchors: AnchorSet) -> float:
     """Worst-case retrieval similarity: min over queries of max over anchors."""
-    return float(query_similarities(queries, anchors).max(axis=1).min())
+    return float(np.min([p.similarity for p in retrieve_prompts(queries, anchors)]))

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from motionctx import nd
+from motionctx import nd, prompting
 from motionctx.motion import (MotionClip, pad_virtual_joints, reorganize_mesh_params,
                               unify_pose2d, unify_pose3d)
 from motionctx.nd import NdBuffer
@@ -15,6 +15,24 @@ def loaded_sequences(kind: str, loaded) -> list:
     if kind == "anchors":
         return [s for a in loaded[0].anchors for s in (a.input, a.target)]
     return []
+
+
+def query_similarities(queries: list, anchors) -> np.ndarray:
+    """(Q, A) similarities of each query input to every anchor input, in one
+    blocked pass: the full scan that pruned retrieval is checked against."""
+    return prompting._sims_to_many(anchors.stacked_inputs(),
+                                   prompting._query_block(queries, anchors))
+
+
+def pick_anchors(sims: np.ndarray, anchors, domain_filter) -> np.ndarray:
+    """Index of the most similar anchor along the last axis of (A,) or (Q, A)
+    full-scan similarities, lowest on ties. domain_filter restricts candidates
+    to anchors of one task domain while keeping original indices; None lets
+    all anchors compete."""
+    candidates = prompting._candidates(anchors, domain_filter)
+    if candidates is None:
+        return sims.argmax(axis=-1)  # argmax returns the first maximum
+    return candidates[sims[..., candidates].argmax(axis=-1)]
 
 
 def make_clip(half=4, joints=6, native_pose=4, seed=0, clip_id="c0"):

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from helpers import pick_anchors, query_similarities
 from motionctx import cli, fileio, network, prompting, training
 from motionctx.cli import main
 from motionctx.fileio import load_anchors, load_checkpoint, load_dataset
@@ -15,7 +16,7 @@ from motionctx.nd import NdBuffer
 from motionctx.network import LossWeights, NetConfig, init_params
 from motionctx.prompting import retrieve_prompt, similarity, sps_sample
 from motionctx.synth import SynthConfig, make_dataset
-from motionctx.training import TrainConfig, anchor_corpus, derive_seed
+from motionctx.training import TrainConfig, anchor_corpus, derive_seed, seeded_task
 
 
 def run(capsys, *argv):
@@ -261,6 +262,52 @@ def test_retrieve_loads_the_dataset_once(pipeline, capsys, monkeypatch, filtered
     assert code == 0 and err == ""
     assert calls == [data]
     assert out == expected
+
+
+def full_scan_report(clips, anchors, clip, domain, seed, filtered):
+    """`motionctx retrieve` stdout as a full scan of every anchor builds it."""
+    sample = seeded_task(clips, clip, domain, seed)
+    sims = query_similarities([sample.query_input], anchors)[0]
+    index = int(pick_anchors(sims, anchors, domain if filtered else None))
+    top = np.sort(sims[anchors.domain_indices(domain)] if filtered else sims)[::-1]
+    margin = top[0] - top[1] if top.size > 1 else float("inf")
+    best = anchors.anchors[index]
+    return (f"query: clip {clips[clip].clip_id} domain {domain}\n"
+            f"best anchor {index} (domain {best.domain}, source {best.source_index}): "
+            f"similarity {sims[index]:.6f}\n"
+            f"runner-up margin {margin:.6f}\n")
+
+
+def test_retrieve_beyond_one_kernel_block_prints_the_full_scan_report(tmp_path, capsys,
+                                                                      monkeypatch):
+    # A stored anchor stack is float32: 120 anchors at paper shape exceed one block.
+    data, anchors_path = str(tmp_path / "data.bin"), str(tmp_path / "anchors.bin")
+    synth = write_json(tmp_path / "synth.json", {"clips": 64, "frames": 16, "joints": 24,
+                                                  "native_pose_joints": 17, "clusters": 4})
+    assert main(["synth", "--seed", "3", "--config", synth, "--out", data]) == 0
+    assert main(["sample-anchors", "--dataset", data, "--k", "120", "--domains", "pe,mp_p",
+                 "--seed", "3", "--config", write_json(tmp_path / "sa.json", {"hidden": 4}),
+                 "--out", anchors_path]) == 0
+    capsys.readouterr()
+    clips = load_dataset(data)
+    anchors, _ = load_anchors(anchors_path)
+    assert anchors.stacked_inputs().nbytes > prompting._SIM_BLOCK_BYTES
+    rows = []
+    inner = prompting._sims_to_many
+    monkeypatch.setattr(prompting, "_sims_to_many",
+                        lambda stacked, queries, *sel: rows.append((len(stacked), len(queries)))
+                        or inner(stacked, queries, *sel))
+    for clip, domain in [(c, d) for c in range(0, 64, 7) for d in ("pe", "mp_p", "mr")]:
+        for filtered in (False, True):
+            if filtered and not anchors.domain_indices(domain).size:
+                continue
+            rows.clear()
+            argv = ["retrieve", "--dataset", data, "--anchors", anchors_path, "--clip",
+                    str(clip), "--domains", domain, "--seed", "3"]
+            code, out, err = run(capsys, *argv, *(["--domain-filter-retrieval"] * filtered))
+            assert code == 0 and err == ""
+            assert (prompting.PIVOTS + 1, 1) in rows  # the pruned path scores the pivots
+            assert out == full_scan_report(clips, anchors, clip, domain, 3, filtered)
 
 
 def test_train_then_eval_pipeline(pipeline, capsys):

@@ -7,15 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import make_clip
+from helpers import make_clip, pick_anchors, query_similarities
 from motionctx import prompting
 from motionctx.motion import (DOMAIN_ORDER, DOMAINS, MASK_RATIO, ROOT_JOINT, Modality,
                               MotionSequence, derive_task, make_joint_mask, make_time_mask)
 from motionctx.nd import NdBuffer
 from motionctx.network import NetConfig, init_params
-from motionctx.prompting import (_sims_to_many, _sims_to_one, corpus_fingerprint, pick_anchors,
-                                 query_similarities, random_sample, retrieve_prompt,
-                                 retrieve_prompts, sps_sample)
+from motionctx.prompting import (_sims_to_many, _sims_to_one, corpus_fingerprint, random_sample,
+                                 retrieve_prompt, retrieve_prompts, sps_sample)
 from motionctx.synth import SynthConfig, make_dataset
 from motionctx.training import TrainConfig, anchor_corpus, derive_seed, evaluate, train
 

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import pick_anchors, query_similarities
 from motionctx import fileio, prompting
 from motionctx.errors import StateError
 from motionctx.motion import Modality, MotionSequence
 from motionctx.nd import NdBuffer
-from motionctx.prompting import (Anchor, AnchorSet, cluster_sample, pick_anchors,
-                                 query_similarities, random_sample, retrieve_prompt,
-                                 retrieve_prompts, sps_sample)
+from motionctx.prompting import (Anchor, AnchorSet, cluster_sample, random_sample,
+                                 retrieve_prompt, retrieve_prompts, sps_sample)
 from motionctx.synth import SynthConfig, make_dataset
 from motionctx.training import anchor_corpus
 

@@ -589,9 +589,9 @@ def test_coverage_values():
 def test_empty_query_list_is_a_state_error():
     anchors = sps_sample(scalar_corpus([10.0]), k=2, hidden_dim=4)
     with pytest.raises(StateError, match="at least one query"):
-        prompting.query_similarities([], anchors)
-    with pytest.raises(StateError, match="at least one query"):
         retrieve_prompts([], anchors)
+    with pytest.raises(StateError, match="at least one query"):
+        coverage([], anchors)
 
 
 def clusters_with_outliers(seed=0, per=10):
