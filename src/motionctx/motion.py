@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NumericError
+from .errors import ConfigError, DimensionError, DomainError, NumericError
 from .nd import NdBuffer
 
 CHANNELS = 3
@@ -191,6 +191,8 @@ def canonical_tbody(frames: int, joints: int) -> MotionSequence:
 def _as_rng(rng_seed) -> np.random.Generator:
     if isinstance(rng_seed, np.random.Generator):
         return rng_seed
+    if not is_count(rng_seed, 0):
+        raise ConfigError(f"seed must be a numpy Generator or an integer >= 0, got {rng_seed!r}")
     return np.random.default_rng(rng_seed)
 
 
@@ -219,7 +221,7 @@ def make_joint_mask(joints: int, root_index: int, ratio: float, rng_seed,
     if joints < 1:
         raise DimensionError(f"joint mask needs J >= 1, got J={joints}")
     if not 0 <= root_index < joints:
-        raise IndexError(f"root index {root_index} out of range for J={joints}")
+        raise DimensionError(f"root index {root_index} out of range for J={joints}")
     if not 0.0 <= ratio <= 1.0:
         raise DomainError(f"mask ratio must be in [0, 1], got {ratio}")
     limit = joints if native_joint_count is None else native_joint_count

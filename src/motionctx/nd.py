@@ -29,9 +29,10 @@ that record's backward has run (unless the buffer was asked for in `wrt`), so
 peak memory is the tape plus the live frontier of gradients. `grad_check`
 compares it with central differences; a non-finite comparison fails it.
 
-The stack of active tapes is per thread. `fork` runs two independent
-branches at once, the second on one lazily started worker thread; under a
-tape the first branch records onto the caller's tape and the second onto a
+All state is per thread: the stack of active tapes, a fork-branch flag and
+the `debug_checks` switch. `fork` runs two independent branches at once, the
+second on a thread of its own that takes the caller's switch; under a tape
+the first branch records onto the caller's tape and the second onto a
 sub-tape that is then appended, so the tape holds the records a sequential
 call would write, in the same order. The tape notes each forked pair's
 record range, and `Tape.grad` sweeps the pair's two segments at once too:
@@ -48,7 +49,6 @@ every operator (off by default; construction is always checked).
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import ctypes
 import functools
@@ -61,7 +61,6 @@ import numpy as np
 
 from .errors import DimensionError, NumericError
 
-_DEBUG_CHECKS = False
 GRAD_CHECK_STEP = 1e-5  # central-difference half-width used by `grad_check`
 LN_EPS = 1e-5  # variance floor of `layer_norm`
 # Elements per branch below which `fork_pays` keeps a pair sequential. A
@@ -73,10 +72,11 @@ FORK_MIN_WORK = 1 << 15
 
 
 class _ThreadTapes(threading.local):
-    # Each thread's stack of active tapes, and whether it runs a fork branch.
+    # Each thread's stack of active tapes, fork-branch flag and finiteness switch.
     def __init__(self):
         self.stack: list[Tape] = []
         self.in_branch = False
+        self.checks = False
 
 
 _TAPES = _ThreadTapes()
@@ -84,14 +84,13 @@ _TAPES = _ThreadTapes()
 
 @contextlib.contextmanager
 def debug_checks():
-    """Enable per-operation finiteness checks inside the block."""
-    global _DEBUG_CHECKS
-    prev = _DEBUG_CHECKS
-    _DEBUG_CHECKS = True
+    """Enable per-operation finiteness checks in this thread and its fork branches."""
+    local = _TAPES
+    prev, local.checks = local.checks, True
     try:
         yield
     finally:
-        _DEBUG_CHECKS = prev
+        local.checks = prev
 
 
 class NdBuffer:
@@ -119,7 +118,7 @@ class NdBuffer:
     @classmethod
     def _wrap(cls, arr: np.ndarray, name: str = "wrap") -> "NdBuffer":
         # Trusted path for operator outputs: no copy, finite check only in debug mode.
-        if _DEBUG_CHECKS and not np.all(np.isfinite(arr)):
+        if _TAPES.checks and not np.all(np.isfinite(arr)):
             tape = _active_tape()
             label = name if tape is None else f"{name}#{len(tape)}"
             raise NumericError(f"non-finite value produced by {label}")
@@ -234,11 +233,12 @@ class Tape:
     def _sweep_pair(self, start: int, mid: int, end: int, grads: dict, owned: set,
                     keep: set) -> None:
         # The two segments of a forked pair at once, in the sequential sweep
-        # order: [mid, end) here, [start, mid) on the worker. A segment's
-        # records read no output of the other, so each takes the gradients of
-        # its own outputs that later records gave, and logs every contribution
-        # to a buffer made before the pair. The logs are summed in afterwards,
-        # the first segment's first: the order of the sequential sweep.
+        # order: [mid, end) here, [start, mid) on the branch thread. A
+        # segment's records read no output of the other, so each takes the
+        # gradients of its own outputs that later records gave, and logs every
+        # contribution to a buffer made before the pair. The logs are summed
+        # in afterwards, the first segment's first: the order of the
+        # sequential sweep.
         segments = []
         for lo, hi in ((mid, end), (start, mid)):
             local = {id(out) for _, out, _ in self._records[lo:hi]}
@@ -271,43 +271,31 @@ def _active_tape() -> Tape | None:
     return stack[-1] if stack else None
 
 
-_WORKER: concurrent.futures.ThreadPoolExecutor | None = None
-_WORKER_LOCK = threading.Lock()
+def _join(first, second):
+    # first() here and second() on a thread of its own, at once, both as fork
+    # branches; the thread takes the caller's finiteness switch. If first
+    # raises, its error propagates once second is done; else second's does.
+    local, out = _TAPES, {}
+    checks, prev = local.checks, local.in_branch
 
+    def branch():
+        _TAPES.checks, _TAPES.in_branch = checks, True
+        try:
+            out["value"] = second()
+        except BaseException as exc:  # raised on the caller's thread below
+            out["error"] = exc
 
-def _forget_worker() -> None:
-    # A forked child process inherits the executor but not its thread.
-    global _WORKER, _WORKER_LOCK
-    _WORKER, _WORKER_LOCK = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_worker)
-
-
-def _in_branch(fn):
-    local = _TAPES
-    prev, local.in_branch = local.in_branch, True
+    thread = threading.Thread(target=branch, name="nd-fork")
+    thread.start()
+    local.in_branch = True
     try:
-        return fn()
+        done = first()
     finally:
         local.in_branch = prev
-
-
-def _join(first, second):
-    # first() here and second() on the worker thread, at once. If first
-    # raises, its error propagates once second is done; else second's does.
-    global _WORKER
-    with _WORKER_LOCK:
-        if _WORKER is None:
-            _WORKER = concurrent.futures.ThreadPoolExecutor(max_workers=1,
-                                                            thread_name_prefix="nd-fork")
-        future = _WORKER.submit(_in_branch, second)
-    try:
-        done = _in_branch(first)
-    except BaseException:
-        future.exception()  # waits for second; first's error wins
-        raise
-    return done, future.result()
+        thread.join()
+    if "error" in out:
+        raise out.pop("error")
+    return done, out["value"]
 
 
 def _record_on(tape: Tape, fn):
@@ -316,8 +304,8 @@ def _record_on(tape: Tape, fn):
 
 
 def fork(first: Callable, second: Callable) -> tuple:
-    """(first(), second()), the two run at once: second on one worker thread,
-    started on the first call and kept, first on the caller's.
+    """(first(), second()), the two run at once: second on a thread started
+    for the pair, with the caller's `debug_checks` switch, first on the caller's.
 
     The branches must be independent: neither reads a buffer the other makes.
     Under an active tape, first records onto it and second onto a sub-tape

@@ -34,7 +34,7 @@ import numpy as np
 from . import nd
 from .errors import ConfigError, DimensionError, DomainError, StateError
 from .motion import (CHANNELS, ROOT_JOINT, SHAPE_PARAMS, Modality, MotionSequence, TaskSample,
-                     is_count)
+                     _as_rng, is_count)
 from .nd import NdBuffer
 
 VIEWS = ("temporal", "spatial")
@@ -176,7 +176,7 @@ def param_layout(cfg: NetConfig, anchors=None) -> dict:
 
 def init_params(cfg: NetConfig, rng_seed: int, anchors=None) -> XFusionParams:
     """Seeded parameter initialization: `param_layout`'s draws in its order."""
-    rng = np.random.default_rng(rng_seed)
+    rng = _as_rng(rng_seed)
     return XFusionParams(cfg, {name: NdBuffer(draw(rng, shape))
                                for name, (shape, draw) in param_layout(cfg, anchors).items()})
 
@@ -352,8 +352,8 @@ def forward(q_in, p_in, p_gt, u_star, params: XFusionParams) -> ForwardResult:
 
     The two blocks of a layer are independent until the injection after it,
     so when `nd.fork_pays` holds for the smaller branch's B*F*J*H elements
-    they run at once through `nd.fork`, the prompt block on its worker
-    thread. The tape then holds the records of the sequential pass in the
+    they run at once through `nd.fork`, the prompt block on a thread of
+    its own. The tape then holds the records of the sequential pass in the
     same order, and every output and gradient is bitwise the sequential one."""
     cfg = params.config
     p_in, p_gt = _as_buffer(p_in), _as_buffer(p_gt)

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import nd
 from .errors import DimensionError, DomainError, NumericError, StateError
-from .motion import MotionSequence, canonical_tbody, is_count
+from .motion import MotionSequence, _as_rng, canonical_tbody, is_count
 from .nd import NdBuffer
 from .network import DEFAULT_HIDDEN
 
@@ -341,7 +341,7 @@ def random_sample(corpus: list[CorpusEntry], k: int, rng_seed: int,
                   hidden_dim: int = DEFAULT_HIDDEN) -> AnchorSet:
     """k corpus members uniformly without replacement, rest pose prepended."""
     rest = _check_request(corpus, k, hidden_dim, draws=True)
-    rng = np.random.default_rng(rng_seed)
+    rng = _as_rng(rng_seed)
     picked = [int(i) for i in rng.choice(len(corpus), size=k, replace=False)]
     return _build_set(corpus, rest, picked, "random", k, hidden_dim)
 
@@ -388,7 +388,7 @@ def cluster_sample(corpus: list[CorpusEntry], k: int, rng_seed: int,
     every later iteration would repeat it."""
     rest = _check_request(corpus, k, hidden_dim, draws=True)
     flat = np.stack([c[0].values.array.reshape(-1) for c in corpus])
-    rng = np.random.default_rng(rng_seed)
+    rng = _as_rng(rng_seed)
     centroids = flat[rng.choice(len(corpus), size=k, replace=False)].copy()
     assign, row_norms = None, np.einsum("ij,ij->i", flat, flat)
     for _ in range(KMEANS_ITERATIONS):

@@ -113,6 +113,8 @@ def build_batch(dataset: list[MotionClip], anchors: AnchorSet, batch_size: int, 
         raise StateError("build_batch needs a non-empty dataset")
     if not is_count(batch_size):
         raise ConfigError(f"batch_size must be an integer >= 1, got {batch_size!r}")
+    if not domains:
+        raise ConfigError("build_batch needs at least one domain")
     rng = _as_rng(rng_seed)
     samples = []
     for _ in range(batch_size):

@@ -394,9 +394,11 @@ def test_forked_training_is_bitwise_the_sequential_run(monkeypatch, case):
         assert np.array_equal(value.array, f_params.tensors[name].array), name
 
 
-def worker_tapes():
-    """The tape stack of the fork worker thread."""
-    return nd._WORKER.submit(lambda: list(nd._TAPES.stack)).result()
+def assert_pairs_left_no_trace(threads_before: int):
+    """The caller's tape stack is back to empty, and no branch thread
+    outlives its pair."""
+    assert nd._TAPES.stack == []
+    assert threading.active_count() == threads_before
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -404,14 +406,17 @@ def test_prompt_block_errors_reach_the_caller_typed(monkeypatch, tmp_path, capsy
     clips, anchors, params = mixed_setup(layers=1)
     batch = mixed_batch(clips, anchors, params)
     monkeypatch.setattr(nd, "fork_pays", lambda work: True)
-    # An overflowing prompt-branch weight: only the prompt block, on the
-    # worker thread, produces a non-finite value.
+    threads_before = threading.active_count()
+    training._batch_forward(batch, params)
+    assert_pairs_left_no_trace(threads_before)
+    # An overflowing prompt-branch weight: only the prompt block, on its
+    # branch thread, produces a non-finite value.
     params.replace("layer0.p.temporal.graph.w", np.full((HIDDEN, HIDDEN), 1e308))
     with Tape() as tape:
         with nd.debug_checks(), pytest.raises(NumericError, match="matmul"):
             training._batch_forward(batch, params)
         assert nd._active_tape() is tape
-    assert worker_tapes() == []
+    assert_pairs_left_no_trace(threads_before)
 
     block = network.xfusion_block
 
@@ -426,9 +431,9 @@ def test_prompt_block_errors_reach_the_caller_typed(monkeypatch, tmp_path, capsy
         with pytest.raises(DimensionError, match="prompt block failed"):
             training._batch_forward(batch, params)
         assert nd._active_tape() is tape
-    assert worker_tapes() == []
+    assert_pairs_left_no_trace(threads_before)
 
-    # The command line keeps exit code 3 for a numeric error on the worker.
+    # The command line keeps exit code 3 for a numeric error on a branch thread.
     def numeric_prompt_block(h, params, layer, branch):
         if branch == "p":
             raise NumericError("non-finite value in the prompt block")
@@ -441,10 +446,10 @@ def test_prompt_block_errors_reach_the_caller_typed(monkeypatch, tmp_path, capsy
     assert cli.main(["train", "--dataset", data, "--anchors", anchor_file,
                      "--out", str(tmp_path / "ck.bin")]) == 3
     assert "prompt block" in capsys.readouterr().err
-    assert worker_tapes() == []
+    assert_pairs_left_no_trace(threads_before)
 
 
-def test_forks_share_one_worker_thread_and_toy_shapes_start_none(monkeypatch):
+def test_forks_keep_at_most_one_extra_thread_and_toy_shapes_start_none(monkeypatch):
     clips, anchors, params = mixed_setup(layers=1)
     batch = mixed_batch(clips, anchors, params)
     toy = init_params(NetConfig(frames=8, joints=6, hidden=16, layers=1), 0)

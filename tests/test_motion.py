@@ -111,7 +111,7 @@ def test_joint_mask_counts_root_and_native_eligibility():
         mask = make_joint_mask(24, 0, 0.4, seed, native_joint_count=10)
         assert np.all(mask[10:] == 1.0)
         assert mask[0] == 1.0
-    with pytest.raises(IndexError):
+    with pytest.raises(DimensionError, match="root index 9"):
         make_joint_mask(4, 9, 0.4, 0)
 
 

@@ -797,10 +797,10 @@ def test_nested_forks_under_a_tape_note_only_the_outer_pairs():
         assert np.array_equal(want, got)
 
 
-def test_forks_from_many_threads_share_the_worker_and_stay_bitwise():
-    # Four callers, more than this host's cores, fork through the one worker
-    # at once with the interpreter switching threads every microsecond; a
-    # misplaced record or a lost gradient sum would break bitwise equality.
+def test_forks_from_many_threads_stay_bitwise():
+    # Four callers, more than this host's cores, fork at once with the
+    # interpreter switching threads every microsecond; a misplaced record or
+    # a lost gradient sum would break bitwise equality.
     rng = np.random.default_rng(5)
     x, u, w = (NdBuffer(rng.normal(size=shape)) for shape in ((5, 3, 3), (5, 3, 3), (3, 3)))
     with Tape() as tape:
@@ -838,6 +838,7 @@ def test_forks_from_many_threads_share_the_worker_and_stay_bitwise():
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_fork_passes_a_branch_error_and_leaves_both_tape_stacks_clean():
     x = NdBuffer(np.full((2, 2), 1e200))
+    threads_before = threading.active_count()
     with Tape() as tape:
         with pytest.raises(NumericError):
             with nd.debug_checks():
@@ -847,10 +848,70 @@ def test_fork_passes_a_branch_error_and_leaves_both_tape_stacks_clean():
             nd.fork(lambda: nd.square(x), lambda: nd.reshape(x, (3,)))
         assert nd._active_tape() is tape
     assert nd._active_tape() is None
-    assert nd._WORKER.submit(lambda: list(nd._TAPES.stack)).result() == []
-    # A fork inside a branch runs in sequence rather than wait on its own worker.
+    # No branch thread outlives its pair, after an error or a success.
+    assert threading.active_count() == threads_before
+    # A fork inside a branch runs in sequence rather than start threads of its own.
     inner = nd.fork(lambda: nd.fork(lambda: 1, lambda: 2), lambda: nd.fork(lambda: 3, lambda: 4))
     assert inner == ((1, 2), (3, 4))
+    assert threading.active_count() == threads_before
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_debug_checks_hold_per_thread_when_blocks_interleave():
+    # A enters its block, then B; A leaves first. Each block checks every op
+    # of its own thread to its end, and once both have left, another thread
+    # runs unchecked.
+    x = NdBuffer(np.full((2,), 1e200))
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    checked = {}
+
+    def overflow_caught():
+        try:
+            nd.square(x)
+        except NumericError:
+            return True
+        return False
+
+    def a():
+        with nd.debug_checks():
+            a_in.set()
+            assert b_in.wait(60)
+            checked["A with B inside"] = overflow_caught()
+        a_out.set()
+
+    def b():
+        assert a_in.wait(60)
+        with nd.debug_checks():
+            b_in.set()
+            assert a_out.wait(60)
+            checked["B after A left"] = overflow_caught()
+
+    def run(*targets):
+        threads = [threading.Thread(target=t) for t in targets]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+
+    run(a, b)
+    run(lambda: checked.update({"after both left": overflow_caught()}))
+    assert checked == {"A with B inside": True, "B after A left": True, "after both left": False}
+
+
+def test_importing_motionctx_starts_no_thread_and_hooks_no_process_fork():
+    src = os.path.dirname(os.path.dirname(nd.__file__))
+    # Each hook is recorded by the name of the module that installs it.
+    probe = ("import os, sys, threading\n"
+             "hooks = []\n"
+             "def hook(**kw): hooks.append(sys._getframe(1).f_globals['__name__'])\n"
+             "os.register_at_fork = hook\n"
+             "import motionctx\n"
+             "print(hooks, threading.active_count())")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.split() == ["[]", "1"]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs the CPU affinity set")

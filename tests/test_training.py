@@ -1,17 +1,21 @@
 """Training loop: batching, optimizer semantics, reproducibility, evaluation."""
 
 import collections
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motionctx.errors import ConfigError, NumericError, StateError
-from motionctx.motion import DOMAIN_ORDER, Modality, MotionSequence, TaskSample, derive_task
+from motionctx.motion import (DOMAIN_ORDER, DOMAINS, Modality, MotionSequence, TaskSample,
+                              derive_task, is_count)
 from motionctx.nd import NdBuffer
 from motionctx.network import (LossWeights, NetConfig, forward, init_params, loss,
                                mean_param_error, mpjpe)
-from motionctx.prompting import (RetrievedPrompt, retrieve_prompt, soft_anchor_value,
-                                 sps_sample)
+from motionctx.prompting import (RetrievedPrompt, cluster_sample, random_sample,
+                                 retrieve_prompt, soft_anchor_value, sps_sample)
 from motionctx.synth import SynthConfig, make_dataset
 from motionctx.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamWState, TrainConfig,
                                 anchor_corpus, build_batch, derive_seed, evaluate, lr_at_epoch,
@@ -368,3 +372,36 @@ def test_evaluate_empty_dataset_raises():
     _, anchors, params = build_setup()
     with pytest.raises(StateError):
         evaluate([], anchors, params)
+
+
+@functools.cache
+def seed_setup():
+    dataset, anchors, _ = build_setup()
+    return dataset, anchor_corpus(dataset, domains=("pe",)), anchors
+
+
+MASKED = [d for d in DOMAIN_ORDER if DOMAINS[d].mask_kind is not None]
+SEEDS = st.one_of(st.sampled_from([True, 2.5, float("nan"), -1, np.int64(3), "x", [], 0]),
+                  st.builds(np.random.default_rng, st.integers(0, 9)))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(seed=SEEDS, call=st.sampled_from(["random", "cluster", "init", "batch"] + MASKED),
+       domains=st.sampled_from([(), ("pe",), ("jc_m", "mib_p")]))
+def test_a_seed_is_a_generator_or_an_integer_at_least_zero(seed, call, domains):
+    # Every seeded entry point takes a numpy Generator or an integer >= 0 (a
+    # numpy integer too, never a bool) and rejects anything else, and
+    # build_batch an empty domain list, with a ConfigError.
+    dataset, corpus, anchors = seed_setup()
+    net = NetConfig(frames=HALF, joints=JOINTS, hidden=HIDDEN, layers=1)
+    run = {"random": lambda: random_sample(corpus, 2, seed, hidden_dim=HIDDEN),
+           "cluster": lambda: cluster_sample(corpus, 2, seed, hidden_dim=HIDDEN),
+           "init": lambda: init_params(net, seed),
+           "batch": lambda: build_batch(dataset, anchors, 2, seed, domains=domains),
+           }.get(call, lambda: derive_task(dataset[0], call, seed))
+    valid = isinstance(seed, np.random.Generator) or is_count(seed, 0)
+    if valid and (call != "batch" or domains):
+        run()
+    else:
+        with pytest.raises(ConfigError):
+            run()
