@@ -22,8 +22,7 @@ import sys
 import numpy as np
 
 from . import fileio, nd
-from .errors import (ConfigError, DimensionError, DomainError, FormatError, MotionCtxError,
-                     NumericError, StateError)
+from .errors import ConfigError, DomainError, FormatError, MotionCtxError, NumericError
 from .motion import DOMAIN_ORDER, DOMAINS, derive_task, parse_domain
 from .network import (DEFAULT_HIDDEN, LossWeights, NetConfig, XFusionParams, forward,
                       init_params, loss, param_layout, soft_anchor_of, soft_keys)
@@ -249,13 +248,8 @@ def cmd_train(args) -> int:
     tc = TrainConfig(**cfg, weights=weights)
     clips = fileio.load_dataset(args.dataset)
     anchors, _ = fileio.load_anchors(args.anchors)
-    if not clips:
-        raise StateError("dataset holds no clips")
     net = NetConfig(frames=clips[0].window, joints=clips[0].joints,
                     hidden=anchors.hidden, layers=layers)
-    if anchors.frames != net.frames or anchors.joints != net.joints:
-        raise DimensionError(f"anchor shape ({anchors.frames}, {anchors.joints}) does not "
-                             f"match dataset window ({net.frames}, {net.joints})")
     params = init_params(net, tc.seed, anchors=anchors)
     log = train(clips, anchors, params, tc)
     for rec in log:
@@ -316,27 +310,25 @@ def cmd_gradcheck(args) -> int:
 
 
 def run_gradient_check(net: NetConfig, seed: int) -> "nd.GradCheckReport":
-    """Full forward+loss analytic-vs-numeric comparison over every parameter."""
+    """Full forward+loss analytic-vs-numeric comparison over every parameter,
+    the rest pose's soft pair `soft_keys(0)` at its training init included."""
     synth = SynthConfig(clips=2, frames=net.frames, joints=net.joints,
                         native_pose_joints=max(1, net.joints - 1), seed=seed)
     sample = derive_task(make_dataset(synth)[0], "pe", rng_seed=seed)
     rng = np.random.default_rng(seed + 1)
     p_in = nd.NdBuffer(rng.normal(size=(net.frames, net.joints, 3)))
     p_gt = nd.NdBuffer(rng.normal(size=(net.frames, net.joints, 3)))
-    params = init_params(net, seed)
-    base = {k: v.array for k, v in params.tensors.items()}
-    w1, w2 = soft_keys(0)  # one anchor's soft factors
-    base[w1] = rng.normal(scale=0.1, size=(net.frames, net.joints, 1))
-    base[w2] = rng.normal(scale=0.1, size=(1, 1, net.hidden))
+    anchors = sps_sample([(sample.query_input, sample.query_target, sample.domain)], 1, net.hidden)
+    params = init_params(net, seed, anchors=anchors)
+    w1, w2 = soft_keys(0)
 
     def f(leaves):
-        tensors = {k: leaves[k] for k in params.tensors}
         u = soft_anchor_value(leaves[w1], leaves[w2])
-        result = forward(sample.query_input, p_in, p_gt, u, XFusionParams(net, tensors))
+        result = forward(sample.query_input, p_in, p_gt, u, XFusionParams(net, leaves))
         total, _ = loss(result.prediction, result.betas, sample)
         return total
 
-    return nd.grad_check(f, base)
+    return nd.grad_check(f, {k: v.array for k, v in params.tensors.items()})
 
 
 def build_parser() -> _Parser:

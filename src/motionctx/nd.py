@@ -438,9 +438,9 @@ def _check_matmul(name, arr_a, arr_b) -> None:
 
 
 def _folded_gemm(arr_a, buf_a, arr_w, buf_w):
-    # (..., M, K) @ (K, N) is one (prod(...)*M, K) @ (K, N) GEMM; the weight
-    # gradient then needs no sum over batch axes. Returns the fresh, writable
-    # product and its backward.
+    # (..., K) @ (K, N) is one (prod(...), K) @ (K, N) GEMM, one row when a is
+    # 1-D; the weight gradient then needs no sum over batch axes. Returns the
+    # fresh, writable product and its backward.
     flat_a = arr_a.reshape(-1, arr_a.shape[-1])
     out = (flat_a @ arr_w).reshape(arr_a.shape[:-1] + arr_w.shape[-1:])
 
@@ -473,7 +473,7 @@ def matmul(a: NdBuffer, b: NdBuffer) -> NdBuffer:
 
 
 def linear(x, w, b) -> NdBuffer:
-    """x @ w + b with a 2-D w, as one record.
+    """x @ w + b with a 2-D w, as one record; a 1-D x is taken as the row x[None].
 
     The forward is `matmul`'s folded GEMM, then b added into that fresh
     product, so the value equals `add(matmul(x, w), b)` bitwise. b must
@@ -483,9 +483,9 @@ def linear(x, w, b) -> NdBuffer:
     arr_x, buf_x = _as_operand(x)
     arr_w, buf_w = _as_operand(w)
     arr_b, buf_b = _as_operand(b)
-    _check_matmul("linear", arr_x, arr_w)
-    if arr_w.ndim != 2:
-        raise DimensionError(f"linear needs a 2-D weight, got shape {arr_w.shape}")
+    if arr_x.ndim < 1 or arr_w.ndim != 2 or arr_x.shape[-1] != arr_w.shape[0]:
+        raise DimensionError(f"linear needs (..., K) @ (K, N), got shapes {np.shape(arr_x)} "
+                             f"and {np.shape(arr_w)}")
     out, gemm_backward = _folded_gemm(arr_x, buf_x, arr_w, buf_w)
     try:
         out += arr_b

@@ -175,8 +175,13 @@ def param_layout(cfg: NetConfig, anchors=None) -> dict:
 
 
 def init_params(cfg: NetConfig, rng_seed: int, anchors=None) -> XFusionParams:
-    """Seeded parameter initialization: `param_layout`'s draws in its order."""
+    """Seeded parameter initialization: `param_layout`'s draws in its order.
+    An anchor set must have the config's frames, joints and hidden width."""
     rng = _as_rng(rng_seed)
+    want = (cfg.frames, cfg.joints, cfg.hidden)
+    if anchors is not None and (anchors.frames, anchors.joints, anchors.hidden) != want:
+        raise DimensionError(f"anchor set of (F, J, H) = ({anchors.frames}, {anchors.joints}, "
+                             f"{anchors.hidden}) does not match the network config's {want}")
     return XFusionParams(cfg, {name: NdBuffer(draw(rng, shape))
                                for name, (shape, draw) in param_layout(cfg, anchors).items()})
 
@@ -374,14 +379,8 @@ def forward(q_in, p_in, p_gt, u_star, params: XFusionParams) -> ForwardResult:
             s_p = InfluenceScores(**{name: a[rows] for name, a in vars(s_p).items()})
         influence.append({"q": s_q, "p": s_p})
     prediction = nd.linear(h_q, params["head.pos.w"], params["head.pos.b"])
-    lead = h_q.shape[:-3]
-    pooled = nd.mean(h_q, axis=(-3, -2))
-    rows = int(np.prod(lead, dtype=np.int64))
-    betas = nd.linear(nd.reshape(pooled, (rows, cfg.hidden)), params["head.shape.w"],
-                      params["head.shape.b"])
-    return ForwardResult(prediction=prediction,
-                         betas=nd.reshape(betas, lead + (SHAPE_PARAMS,)),
-                         influence=tuple(influence))
+    betas = nd.linear(nd.mean(h_q, axis=(-3, -2)), params["head.shape.w"], params["head.shape.b"])
+    return ForwardResult(prediction=prediction, betas=betas, influence=tuple(influence))
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,12 @@ def seeded_task(clips: list[MotionClip], i: int, domain: str, seed: int) -> Task
     return derive_task(clips[i], domain, derive_seed(seed, i, domain))
 
 
+def _domain_list(domains):
+    if not isinstance(domains, (list, tuple)):
+        raise ConfigError(f"domains must be a list or tuple of task ids, got {domains!r}")
+    return domains
+
+
 def corpus_entry(clips: list[MotionClip], domains, seed: int, s: int) -> TaskSample:
     """Entry s of the anchor corpus, derived alone. Entries run domain-major:
     entry s is clip s % len(clips) in domain domains[s // len(clips)]."""
@@ -97,7 +103,8 @@ def anchor_corpus(clips: list[MotionClip], domains=DOMAIN_ORDER, seed: int = 0):
     """Pooled sampling corpus: one derived (input, target, domain) entry per
     clip per domain, with deterministic per-entry derivation seeds."""
     derive_seed(seed, 0, "")  # checks the seed, also when there are no clips
-    samples = (corpus_entry(clips, domains, seed, s) for s in range(len(clips) * len(domains)))
+    n = len(clips) * len(_domain_list(domains))
+    samples = (corpus_entry(clips, domains, seed, s) for s in range(n))
     return [(x.query_input, x.query_target, x.domain) for x in samples]
 
 
@@ -113,7 +120,7 @@ def build_batch(dataset: list[MotionClip], anchors: AnchorSet, batch_size: int, 
         raise StateError("build_batch needs a non-empty dataset")
     if not is_count(batch_size):
         raise ConfigError(f"batch_size must be an integer >= 1, got {batch_size!r}")
-    if not domains:
+    if not _domain_list(domains):
         raise ConfigError("build_batch needs at least one domain")
     rng = _as_rng(rng_seed)
     samples = []
@@ -244,7 +251,7 @@ def evaluate(dataset: list[MotionClip], anchors: AnchorSet, params: XFusionParam
     if not dataset:
         raise StateError("evaluate needs a non-empty dataset")
     table: dict[str, float] = {}
-    for domain in domains:
+    for domain in _domain_list(domains):
         errors = []
         for lo in range(0, len(dataset), EVAL_CHUNK):
             pairs = _with_prompts([seeded_task(dataset, i, domain, seed)

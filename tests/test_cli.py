@@ -351,6 +351,20 @@ def test_train_lr_zero_checkpoint_equals_initialization(pipeline, capsys):
         assert np.array_equal(trained.tensors[name].array, buf.array), name
 
 
+def test_train_rejects_anchors_of_another_window(pipeline, capsys):
+    # The pipeline's anchors come from F=8 clips; this dataset's window is 4.
+    tmp_path, _, anchors = pipeline
+    data, ck = str(tmp_path / "short.bin"), tmp_path / "ck.bin"
+    cfg = write_json(tmp_path / "short.json", {"frames": 4})
+    assert main(["synth", "--config", cfg, "--out", data]) == 0
+    capsys.readouterr()
+    code, out, err = run(capsys, "train", "--dataset", data, "--anchors", anchors,
+                         "--out", str(ck))
+    assert code == 1 and out == ""
+    assert "(8, 6, 8)" in err and "(4, 6, 8)" in err
+    assert not ck.exists()
+
+
 def test_gradcheck_passes_at_toy_shapes(tmp_path, capsys):
     cfg = write_json(tmp_path / "g.json", {"frames": 2, "joints": 2, "hidden": 3,
                                            "layers": 1})

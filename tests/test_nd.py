@@ -655,6 +655,26 @@ def test_linear_matches_matmul_add_bitwise(constant):
     assert assert_matches_composite(nd.linear, chain, leaves, exact_grads=True) == 1
 
 
+def test_linear_of_a_1d_x_is_the_one_row_gemm_of_x_none():
+    # An unbatched pass hands the shape head its pooled (H,) features as they are.
+    rng = np.random.default_rng(51)
+    x, w, b, g = (rng.normal(size=s) for s in [(6,), (6, 5), (5,), (5,)])
+    runs = []
+    for x_in, g_in in ((x, g), (x[None], g[None])):
+        leaves = [NdBuffer(x_in), NdBuffer(w), NdBuffer(b)]
+        with Tape() as tape:
+            out = nd.linear(*leaves)
+        (_, _, backward), = tape._records
+        runs.append((out.array, {leaves.index(buf): grad for buf, grad in backward(g_in)}))
+    (out_1d, grads_1d), (out_2d, grads_2d) = runs
+    assert out_1d.shape == (5,) and np.array_equal(out_1d, out_2d[0])
+    assert sorted(grads_1d) == sorted(grads_2d) == [0, 1, 2]
+    assert grads_1d[0].shape == (6,) and np.array_equal(grads_1d[0], grads_2d[0][0])
+    assert np.array_equal(grads_1d[1], grads_2d[1]) and np.array_equal(grads_1d[2], grads_2d[2])
+    with pytest.raises(DimensionError):
+        nd.linear(NdBuffer(1.0), NdBuffer(np.ones((1, 5))), NdBuffer(b))
+
+
 @pytest.mark.parametrize("constant", [None, 0, 1, 2, 3])
 def test_mul_add_matches_mul_mul_add_bitwise(constant):
     # (H,) coefficients over (B, T, J, H) inputs.

@@ -93,6 +93,21 @@ def test_init_params_are_pinned_in_order(frames, joints, hidden, layers, soft):
     assert all(layout[k][0] == v.shape for k, v in params.tensors.items())
 
 
+@pytest.mark.parametrize("field", ["frames", "joints", "hidden"])
+def test_init_params_rejects_an_anchor_set_of_another_shape(field):
+    # The anchors' frames and joints come from their clips, their hidden
+    # width from the sampler; each must be the config's.
+    cfg = NetConfig(frames=4, joints=6, hidden=4, layers=1)
+    clips = make_dataset(SynthConfig(clips=2, frames=4, joints=6, seed=0))
+    anchors = random_sample(anchor_corpus(clips, domains=("pe",)), 2, 0, hidden_dim=4)
+    assert len(init_params(cfg, 0, anchors=anchors).tensors) == len(init_params(cfg, 0).tensors) + 6
+    other = NetConfig(**{**vars(cfg), field: 2 * getattr(cfg, field)})
+    with pytest.raises(DimensionError) as err:
+        init_params(other, 0, anchors=anchors)
+    assert "(4, 6, 4)" in str(err.value)
+    assert str((other.frames, other.joints, other.hidden)) in str(err.value)
+
+
 def test_encode_context_bias_broadcast_and_soft_add():
     cfg = small_cfg(layers=1)
     params = init_params(cfg, 0)
@@ -193,19 +208,22 @@ def test_tape_records_per_pass(monkeypatch):
     # and the layer norm takes the residual add; the encoders and heads write
     # 4 fewer (4 `linear` for 4 bias adds). A step thus writes 5 * 4 * L + 4
     # fewer: toy L=1 128 -> 104, L=8 665 -> 501, the L=2 forward 174 -> 130.
-    # The toy batch retrieves 5 distinct anchors for 8 samples, so its prompt
-    # branch adds one `take_rows` after encoding and one per layer (102 + 2);
-    # the paper-layered batch retrieves 4 distinct anchors and takes none.
+    # The shape head then took the pooled features as they are, with no
+    # reshape before or after its `linear`, so every pass writes 2 fewer again:
+    # 102, 499 and 128. The toy batch retrieves 5 distinct anchors for 8
+    # samples, so its prompt branch adds one `take_rows` after encoding and
+    # one per layer (100 + 2); the paper-layered batch retrieves 4 distinct
+    # anchors and takes none.
     toy = NetConfig(frames=8, joints=6, hidden=16, layers=1)
-    assert _count_step_records(monkeypatch, toy, 8, 1) == [104]
+    assert _count_step_records(monkeypatch, toy, 8, 1) == [102]
     paper_layers = NetConfig(frames=4, joints=5, hidden=8, layers=8)
-    assert _count_step_records(monkeypatch, paper_layers, 4, 1) == [501]
+    assert _count_step_records(monkeypatch, paper_layers, 4, 1) == [499]
     gradcheck = NetConfig(frames=4, joints=5, hidden=8, layers=2)  # criterion 06's network
     inputs = _toy_inputs(gradcheck)
     params = init_params(gradcheck, 0)
     with Tape() as tape:
         forward(*inputs, params)
-    assert len(tape) == 130
+    assert len(tape) == 128
 
 
 def test_view_pass_op_sequence():

@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -115,6 +116,21 @@ def test_entry_points_reject_a_non_integer_count_or_seed(call, bad):
     }
     field = "batch_size" if call == "build_batch" else "seed"
     with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+        calls[call]()
+
+
+@pytest.mark.parametrize("bad", [{"pe"}, "pe", None], ids=["set", "string", "none"])
+@pytest.mark.parametrize("call", ["build_batch", "anchor_corpus", "evaluate"])
+def test_entry_points_take_domains_only_as_a_list_or_tuple(call, bad):
+    # A set cannot be indexed, and a string would be read letter by letter.
+    dataset, anchors, params = build_setup(n_clips=2)
+    calls = {
+        "build_batch": lambda: build_batch(dataset, anchors, 2, 0, domains=bad),
+        "anchor_corpus": lambda: anchor_corpus(dataset, domains=bad),
+        "evaluate": lambda: evaluate(dataset, anchors, params, domains=bad),
+    }
+    with pytest.raises(ConfigError, match=f"^domains must be a list or tuple of task ids, "
+                                          f"got {re.escape(repr(bad))}$"):
         calls[call]()
 
 
