@@ -24,8 +24,8 @@ import numpy as np
 from . import fileio, nd
 from .errors import ConfigError, DomainError, FormatError, MotionCtxError, NumericError
 from .motion import DOMAIN_ORDER, DOMAINS, derive_task, parse_domain
-from .network import (DEFAULT_HIDDEN, LossWeights, NetConfig, XFusionParams, forward,
-                      init_params, loss, param_layout, soft_anchor_of, soft_keys)
+from .network import (DEFAULT_HIDDEN, SOFT_TABLES, LossWeights, NetConfig, XFusionParams,
+                      forward, init_params, loss, param_layout)
 from .prompting import (DEFAULT_ANCHOR_COUNT, cluster_sample, random_sample, retrieve_with_margin,
                         soft_anchor_value, sps_sample)
 from .synth import SynthConfig, make_dataset
@@ -270,11 +270,11 @@ def _check_pairing(params: XFusionParams, anchors) -> None:
     want = {k: shape for k, (shape, _) in param_layout(params.config, anchors).items()}
     got = {k: v.shape for k, v in params.tensors.items()}
     for name in sorted(got.keys() | want.keys()):
-        if soft_anchor_of(name) is None and got.get(name) != want.get(name):
+        if name not in SOFT_TABLES and got.get(name) != want.get(name):
             raise FormatError(f"checkpoint tensor {name!r} does not match its network config: "
                               f"shape {got.get(name)} stored, {want.get(name)} expected")
     if got != want:
-        pairs = len({soft_anchor_of(k) for k in got} - {None})
+        pairs = (got.get(SOFT_TABLES[0]) or (0,))[0]
         raise ConfigError(f"checkpoint holds soft factors for {pairs} anchors, but the anchor "
                           f"file has {len(anchors)} anchors of F={anchors.frames} "
                           f"J={anchors.joints} H={anchors.hidden}")
@@ -311,7 +311,8 @@ def cmd_gradcheck(args) -> int:
 
 def run_gradient_check(net: NetConfig, seed: int) -> "nd.GradCheckReport":
     """Full forward+loss analytic-vs-numeric comparison over every parameter,
-    the rest pose's soft pair `soft_keys(0)` at its training init included."""
+    the soft tables included: their one row is the rest pose's pair at its
+    training init."""
     synth = SynthConfig(clips=2, frames=net.frames, joints=net.joints,
                         native_pose_joints=max(1, net.joints - 1), seed=seed)
     sample = derive_task(make_dataset(synth)[0], "pe", rng_seed=seed)
@@ -320,10 +321,10 @@ def run_gradient_check(net: NetConfig, seed: int) -> "nd.GradCheckReport":
     p_gt = nd.NdBuffer(rng.normal(size=(net.frames, net.joints, 3)))
     anchors = sps_sample([(sample.query_input, sample.query_target, sample.domain)], 1, net.hidden)
     params = init_params(net, seed, anchors=anchors)
-    w1, w2 = soft_keys(0)
 
     def f(leaves):
-        u = soft_anchor_value(leaves[w1], leaves[w2])
+        u = soft_anchor_value(*(nd.reshape(leaves[name], leaves[name].shape[1:])
+                                for name in SOFT_TABLES))
         result = forward(sample.query_input, p_in, p_gt, u, XFusionParams(net, leaves))
         total, _ = loss(result.prediction, result.betas, sample)
         return total

@@ -4,10 +4,11 @@ Every file starts with the magic bytes "HICM", a little-endian u16 format
 version, and a little-endian u32 manifest length, followed by a canonical
 JSON manifest (sorted keys, no whitespace) and a raw payload. Motion data is
 stored as little-endian 32-bit floats; soft-anchor factors and checkpoint
-tensors as 64-bit floats. Writes go to a temporary file in the target
-directory and are renamed into place, so a crash never leaves a truncated
-file under the final name; each payload block is written from its own array,
-without a joined copy.
+tensors as 64-bit floats. A checkpoint that keeps one soft-factor pair per
+anchor, the layout before the two soft tables, loads into the tables. Writes
+go to a temporary file in the target directory and are renamed into place,
+so a crash never leaves a truncated file under the final name; each payload
+block is written from its own array, without a joined copy.
 
 Reads check the payload length against the manifest before any block is
 read, then read each block straight from the file into its own array. Values
@@ -27,6 +28,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import struct
 import sys
 import tempfile
@@ -37,7 +39,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError, FormatError, NumericError, StateError
 from .motion import SHAPE_PARAMS, Modality, MotionClip, MotionSequence, is_count
 from .nd import NdBuffer
-from .network import VIEWS, NetConfig, XFusionParams
+from .network import SOFT_TABLES, VIEWS, NetConfig, XFusionParams
 from .prompting import TIE_BREAK, Anchor, AnchorSet
 
 MAGIC = b"HICM"
@@ -389,7 +391,40 @@ def load_checkpoint(path: str) -> tuple[XFusionParams, dict]:
         else:
             with _built_from(f"tensor {name!r}"):
                 tensors[name] = NdBuffer(values)  # raises the constructor's fault
-    return XFusionParams(cfg, tensors), _field(manifest, "meta", dict)
+    return XFusionParams(cfg, _fold_soft_anchors(tensors)), _field(manifest, "meta", dict)
+
+
+def _fold_soft_anchors(tensors: dict) -> dict:
+    """Checkpoints written before the soft tables hold anchor i's factors as
+    the tensors `soft.{i}.w1` and `soft.{i}.w2`; they become row i of
+    SOFT_TABLES, which follow the other tensors as in a file written now.
+    Each factor must name every anchor 0..A-1 once."""
+    rows: dict[str, dict[int, str]] = {"w1": {}, "w2": {}}
+    folded = {}
+    for name, buf in tensors.items():
+        found = re.fullmatch(r"soft\.(\d+)\.(w[12])", name)
+        if found is None:
+            folded[name] = buf
+        elif (taken := rows[found[2]].setdefault(int(found[1]), name)) != name:
+            raise FormatError(f"tensors {taken!r} and {name!r} name the same anchor")
+    if len(folded) == len(tensors):
+        return tensors
+    if any(name in folded for name in SOFT_TABLES):
+        raise FormatError(f"checkpoint holds both the soft tables {SOFT_TABLES} and "
+                          f"per-anchor soft factors")
+    count = 1 + max(i for index in rows.values() for i in index)
+    for table, (factor, index) in zip(SOFT_TABLES, rows.items()):
+        missing = next((i for i in range(count) if i not in index), None)
+        if missing is not None:
+            raise FormatError(f"checkpoint lacks the soft factor 'soft.{missing}.{factor}' "
+                              f"of anchors 0..{count - 1}")
+        parts = [tensors[index[i]].array for i in range(count)]
+        try:
+            folded[table] = NdBuffer._wrap(np.stack(parts))
+        except ValueError:
+            raise FormatError(f"soft factors {factor} disagree on shape: "
+                              f"{sorted({p.shape for p in parts})}") from None
+    return folded
 
 
 def load_config(path: str) -> dict:

@@ -594,33 +594,21 @@ def reshape(a: NdBuffer, shape: Sequence[int]) -> NdBuffer:
 
 
 def concat(parts: Sequence[NdBuffer], axis: int) -> NdBuffer:
-    return _joined("concat", parts, axis)
-
-
-def stack(parts: Sequence[NdBuffer], axis: int) -> NdBuffer:
-    """Equal-shape parts joined along a new axis: `concat` of the parts each
-    given a unit axis there, which is also how `np.stack` builds its value."""
-    return _joined("stack", parts, axis, new_axis=True)
-
-
-def _joined(name: str, parts: Sequence[NdBuffer], axis: int, new_axis: bool = False) -> NdBuffer:
     # One record; the backward hands each part its slice of g, a view.
     if not parts:
-        raise DimensionError(f"{name} needs at least one part")
+        raise DimensionError("concat needs at least one part")
     try:
-        arrs = [_array(name, p) for p in parts]
-        if new_axis:
-            arrs = [np.expand_dims(a, axis) for a in arrs]
+        arrs = [_array("concat", p) for p in parts]
         out = np.concatenate(arrs, axis=axis)
     except ValueError as exc:
-        raise DimensionError(f"{name} along axis {axis}: {[p.shape for p in parts]}: {exc}") from None
+        raise DimensionError(f"concat along axis {axis}: {[p.shape for p in parts]}: {exc}") from None
     ax = axis % out.ndim
     cuts = np.cumsum([a.shape[ax] for a in arrs[:-1]])
 
     def backward(g):
-        return [(p, piece.reshape(p.shape)) for p, piece in zip(parts, np.split(g, cuts, axis=ax))]
+        return [(p, piece) for p, piece in zip(parts, np.split(g, cuts, axis=ax))]
 
-    return _emit(name, out, backward)
+    return _emit("concat", out, backward)
 
 
 def take_rows(a: NdBuffer, rows) -> NdBuffer:

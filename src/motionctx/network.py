@@ -27,6 +27,7 @@ score is exactly 1/3 at initialization.
 from __future__ import annotations
 
 import functools
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,8 @@ from .nd import NdBuffer
 
 VIEWS = ("temporal", "spatial")
 DEFAULT_HIDDEN = 128  # feature width H; soft-anchor factors share it
+# The parameters holding an anchor set's soft factors, row i for anchor i.
+SOFT_TABLES = ("soft.w1", "soft.w2")
 
 
 def _normal(scale=None, loc=0.0):
@@ -134,23 +137,14 @@ class XFusionParams:
         return sum(v.size for v in self.tensors.values())
 
 
-def soft_keys(index: int) -> tuple[str, str]:
-    """Parameter names (w1, w2) of anchor `index`'s soft factors."""
-    return f"soft.{index}.w1", f"soft.{index}.w2"
-
-
-def soft_anchor_of(name: str) -> str | None:
-    """The anchor part ("soft.3") of a soft-factor name; None for a network tensor."""
-    return name.rsplit(".", 1)[0] if name.startswith("soft.") else None
-
-
 def param_layout(cfg: NetConfig, anchors=None) -> dict:
     """Every parameter in init order: name -> (shape, initial draw(rng, shape)).
 
     The compression map is zero with equal (zero) biases; layer norms start at
     identity; everything else draws small scaled normals. When an anchor set
-    is given its soft-anchor factors are copied in under `soft_keys(index)`
-    so the optimizer can train them; training and evaluation read them there.
+    is given its soft-anchor factors are copied in whole as the two tables
+    SOFT_TABLES, (A, F, J, 1) and (A, 1, 1, H), so the optimizer can train
+    them; training and evaluation gather anchor i's pair as row i.
     """
     h, n = cfg.hidden, len(LEVELS)
     t = {}
@@ -168,9 +162,9 @@ def param_layout(cfg: NetConfig, anchors=None) -> dict:
               f"layer{k}.compress.b": ((n,), _full(0.0))}
     for head, width in (("pos", CHANNELS), ("shape", SHAPE_PARAMS)):
         t |= {f"head.{head}.w": ((h, width), _normal()), f"head.{head}.b": ((width,), _full(0.0))}
-    for i in range(0 if anchors is None else len(anchors)):
-        for key, factor in zip(soft_keys(i), (anchors.soft_w1[i], anchors.soft_w2[i])):
-            t[key] = factor.shape, _full(factor)
+    if anchors is not None:
+        for name, table in zip(SOFT_TABLES, (anchors.soft_w1, anchors.soft_w2)):
+            t[name] = table.shape, _full(table)
     return t
 
 
@@ -179,9 +173,15 @@ def init_params(cfg: NetConfig, rng_seed: int, anchors=None) -> XFusionParams:
     An anchor set must have the config's frames, joints and hidden width."""
     rng = _as_rng(rng_seed)
     want = (cfg.frames, cfg.joints, cfg.hidden)
-    if anchors is not None and (anchors.frames, anchors.joints, anchors.hidden) != want:
-        raise DimensionError(f"anchor set of (F, J, H) = ({anchors.frames}, {anchors.joints}, "
-                             f"{anchors.hidden}) does not match the network config's {want}")
+    if anchors is not None:
+        try:  # by its fields: prompting, which defines AnchorSet, imports this module
+            got = (anchors.frames, anchors.joints, anchors.hidden)
+        except AttributeError:
+            raise DomainError(f"init_params needs an AnchorSet or None, "
+                              f"got {reprlib.repr(anchors)}") from None
+        if got != want:
+            raise DimensionError(f"anchor set of (F, J, H) = {got} does not match the "
+                                 f"network config's {want}")
     return XFusionParams(cfg, {name: NdBuffer(draw(rng, shape))
                                for name, (shape, draw) in param_layout(cfg, anchors).items()})
 

@@ -151,7 +151,8 @@ class AnchorSet:
     """Ordered anchors plus per-anchor soft factors and sampling metadata.
 
     soft_w1 (A, F, J, 1) and soft_w2 (A, 1, 1, H) are the initial values that
-    `init_params` copies into the trained parameters `soft_keys(index)`.
+    `init_params` copies whole into the trained tables `network.SOFT_TABLES`,
+    row i for anchor i.
     """
 
     anchors: tuple[Anchor, ...]
@@ -431,7 +432,7 @@ def _query_block(queries: list[MotionSequence], anchors: AnchorSet) -> np.ndarra
 class RetrievedPrompt:
     hard_input: MotionSequence
     hard_target: MotionSequence
-    index: int  # its soft factors are the parameters `network.soft_keys(index)`
+    index: int  # its soft factors are row `index` of the tables `network.SOFT_TABLES`
     similarity: float
 
 

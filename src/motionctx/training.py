@@ -7,10 +7,11 @@ network and the retrieved anchors' soft factors. The whole batch runs as one
 taped forward pass with a leading batch axis; evaluation runs untaped passes
 over chunks of EVAL_CHUNK samples. Every other task sample (anchor corpus,
 `evaluate`, the CLI) comes from `seeded_task`, one seed per (clip, domain).
-Updates use decoupled weight decay; parameters that did not participate in a
-step (soft factors of anchors nobody retrieved) are left untouched. Hard
-anchors are frozen data and never change. Given the same config, dataset,
-and anchor set, training is bitwise reproducible.
+Updates use decoupled weight decay. The soft factors are two tables with one
+row per anchor; a step moves only the rows of the anchors it retrieved, each
+row with its own step count, and leaves the others untouched. Hard anchors
+are frozen data and never change. Given the same config, dataset, and anchor
+set, training is bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .errors import ConfigError, NumericError, StateError
 from .motion import (DOMAIN_ORDER, DOMAINS, Modality, MotionClip, TaskSample, _as_rng,
                      derive_task, is_count)
 from .nd import NdBuffer, Tape
-from .network import (ForwardResult, LossWeights, XFusionParams, forward, loss,
-                      mean_param_error, mpjpe, soft_anchor_of, soft_keys)
+from .network import (SOFT_TABLES, ForwardResult, LossWeights, XFusionParams, forward, loss,
+                      mean_param_error, mpjpe)
 # retrieve_prompt is unused here but kept at this name: perfbench/spans.py wraps it.
 from .prompting import (AnchorSet, RetrievedPrompt, retrieve_prompt,  # noqa: F401
                         retrieve_prompts, soft_anchor_value)
@@ -62,11 +63,9 @@ class TrainConfig:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not is_count(self.seed, 0):
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
-        for d in self.domains:
+        for d in _domain_list(self.domains):
             if d not in DOMAINS:
                 raise ConfigError(f"unknown domain {d!r} in config")
-        if not self.domains:
-            raise ConfigError("domains must not be empty")
 
 
 def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
@@ -88,8 +87,12 @@ def seeded_task(clips: list[MotionClip], i: int, domain: str, seed: int) -> Task
 
 
 def _domain_list(domains):
+    """`domains`, checked to be a non-empty list or tuple: a set cannot be
+    indexed, and a string would be read letter by letter."""
     if not isinstance(domains, (list, tuple)):
         raise ConfigError(f"domains must be a list or tuple of task ids, got {domains!r}")
+    if not domains:
+        raise ConfigError("domains must not be empty")
     return domains
 
 
@@ -120,8 +123,7 @@ def build_batch(dataset: list[MotionClip], anchors: AnchorSet, batch_size: int, 
         raise StateError("build_batch needs a non-empty dataset")
     if not is_count(batch_size):
         raise ConfigError(f"batch_size must be an integer >= 1, got {batch_size!r}")
-    if not _domain_list(domains):
-        raise ConfigError("build_batch needs at least one domain")
+    _domain_list(domains)
     rng = _as_rng(rng_seed)
     samples = []
     for _ in range(batch_size):
@@ -132,22 +134,37 @@ def build_batch(dataset: list[MotionClip], anchors: AnchorSet, batch_size: int, 
 
 
 class AdamWState:
-    """Per-parameter first/second moments and step counts."""
+    """First and second moments and step counts per parameter. A soft table
+    (`network.SOFT_TABLES`) keeps one step count per row, since a row takes
+    part only in the steps that retrieve its anchor."""
 
     def __init__(self):
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
-        self.t: dict[str, int] = {}
+        self.t: dict[str, int | np.ndarray] = {}
 
     def update(self, params: XFusionParams, grads: dict[str, np.ndarray],
-               lr: float, weight_decay: float) -> None:
+               lr: float, weight_decay: float, rows=None) -> None:
+        """One AdamW step for each parameter in `grads`. Of a soft table only
+        `rows` (ascending and distinct; None: all) move, each by its own step
+        count, as a sparse Adam moves only the embedding rows a step looked up."""
         for name, g in grads.items():
             p = params.tensors[name].array
             if name not in self.m:
                 self.m[name], self.v[name] = np.zeros_like(p), np.zeros_like(p)
+                self.t[name] = np.zeros(len(p), np.int64) if name in SOFT_TABLES else 0
             m, v = self.m[name], self.v[name]
-            t = self.t.get(name, 0) + 1
-            self.t[name] = t
+            if name in SOFT_TABLES:
+                at = slice(None) if rows is None else rows
+                self.t[name][at] += 1
+                # Python float powers: numpy's array power differs in the last bit.
+                shape = (-1,) + (1,) * (p.ndim - 1)
+                bias1, bias2 = (np.reshape([1.0 - beta ** int(t) for t in self.t[name][at]], shape)
+                                for beta in (ADAM_BETA1, ADAM_BETA2))
+                table, p, g, m, v = p, p[at], g[at], m[at], v[at]
+            else:
+                self.t[name] = t = self.t[name] + 1
+                bias1, bias2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
             # In place, in the order of m = B1*m + (1-B1)*g, v = B2*v + (1-B2)*g*g,
             # p - lr*wd*p - lr*m_hat / (sqrt(v_hat) + eps), with two full-size
             # temporaries. `new` is fresh: XFusionParams.copy() shares buffers,
@@ -159,27 +176,36 @@ class AdamWState:
             tmp *= g
             v *= ADAM_BETA2
             v += tmp
-            np.divide(v, 1.0 - ADAM_BETA2 ** t, out=tmp)
+            np.divide(v, bias2, out=tmp)
             np.sqrt(tmp, out=tmp)
             tmp += ADAM_EPS
-            new = np.divide(m, 1.0 - ADAM_BETA1 ** t)
+            new = np.divide(m, bias1)
             new *= lr
             np.divide(new, tmp, out=tmp)  # tmp is now the step
             np.multiply(p, lr * weight_decay, out=new)
             np.subtract(p, new, out=new)
             new -= tmp
+            if name in SOFT_TABLES:  # the moved rows go back; the others stay as they were
+                self.m[name][at], self.v[name][at] = m, v
+                new, moved = table.copy(), new
+                new[at] = moved
             params.tensors[name] = NdBuffer._wrap(new)
 
 
 def _batch_forward(batch, params: XFusionParams) -> ForwardResult:
     """One forward pass over (sample, prompt) pairs stacked on a leading axis.
 
-    Each prompt's soft factors are the parameters `soft_keys(index)`; a
-    missing one is a ConfigError. They are stacked as taped ops, so an anchor
-    retrieved twice fans out and its gradient sums over both uses."""
-    keys = [soft_keys(prompt.index) for _, prompt in batch]
-    u = soft_anchor_value(nd.stack([params[w1] for w1, _ in keys], axis=0),
-                          nd.stack([params[w2] for _, w2 in keys], axis=0))
+    Each prompt's soft factors are row `prompt.index` of the tables
+    `SOFT_TABLES`, gathered by one `nd.take_rows` per table; an index beyond
+    the tables is a ConfigError. An anchor retrieved twice is gathered twice,
+    so its row's gradient sums over both uses."""
+    rows = np.array([prompt.index for _, prompt in batch])
+    w1, w2 = (params[name] for name in SOFT_TABLES)
+    held = min(w.shape[0] if w.ndim else 0 for w in (w1, w2))
+    if rows.max() >= held:
+        raise ConfigError(f"no soft factors for anchor {rows.max()}: the soft tables "
+                          f"hold {held} rows")
+    u = soft_anchor_value(nd.take_rows(w1, rows), nd.take_rows(w2, rows))
 
     def stacked(seqs) -> NdBuffer:
         return NdBuffer._wrap(np.stack([seq.values.array for seq in seqs]))
@@ -195,14 +221,12 @@ def train_step(batch, params: XFusionParams, state: AdamWState, config: TrainCon
     params and state.
 
     The batch runs as one taped pass. Network parameters always participate;
-    soft factors participate only for anchors retrieved in this batch. Hard
-    anchors are inputs, not parameters, so they cannot change.
+    of the soft tables only the rows of anchors retrieved in this batch move.
+    Hard anchors are inputs, not parameters, so they cannot change.
     """
     if not batch:
         raise StateError("train_step needs a non-empty batch")
-    keys = [k for k in params.tensors if soft_anchor_of(k) is None]
-    for i in sorted({prompt.index for _, prompt in batch}):
-        keys.extend(soft_keys(i))
+    keys = list(params.tensors)
 
     with Tape() as tape:
         result = _batch_forward(batch, params)
@@ -212,7 +236,8 @@ def train_step(batch, params: XFusionParams, state: AdamWState, config: TrainCon
     if not np.isfinite(value):
         raise NumericError(f"non-finite loss in {batch_id}")
     grads = dict(zip(keys, tape.grad(batch_loss, [params.tensors[k] for k in keys])))
-    state.update(params, grads, lr, config.weight_decay)
+    state.update(params, grads, lr, config.weight_decay,
+                 rows=np.unique([prompt.index for _, prompt in batch]))
     record = {k: comps[k] for k in ("position", "velocity", "shape")}
     record["loss"] = value
     return record

@@ -6,6 +6,7 @@ from motionctx import nd, prompting
 from motionctx.motion import (MotionClip, pad_virtual_joints, reorganize_mesh_params,
                               unify_pose2d, unify_pose3d)
 from motionctx.nd import NdBuffer
+from motionctx.network import SOFT_TABLES
 
 
 def loaded_sequences(kind: str, loaded) -> list:
@@ -78,3 +79,16 @@ def take_axis(a: NdBuffer, index: int, axis: int) -> NdBuffer:
     """a[..., index, ...] along `axis`, the axis dropped."""
     ax = axis % a.ndim
     return nd.reshape(nd.slice_axis(a, ax, index, index + 1), a.shape[:ax] + a.shape[ax + 1:])
+
+
+def stack(parts, axis: int) -> NdBuffer:
+    """Equal-shape parts joined along a new axis: `nd.concat` of the parts
+    each given a unit axis there, which is also how `np.stack` builds its value."""
+    ax = axis % (parts[0].ndim + 1)
+    return nd.concat([nd.reshape(p, p.shape[:ax] + (1,) + p.shape[ax:]) for p in parts], ax)
+
+
+def soft_pair(params, index: int) -> tuple[NdBuffer, NdBuffer]:
+    """Anchor `index`'s soft factors (w1, w2): row `index` of each soft table,
+    read on the tape, so a pass through them reaches the tables' gradients."""
+    return tuple(take_axis(params[name], index, axis=0) for name in SOFT_TABLES)

@@ -5,12 +5,12 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import div, make_clip
+from helpers import div, make_clip, soft_pair, stack
 from motionctx import cli, fileio, network, nd, training
 from motionctx.errors import ConfigError, DimensionError, NumericError
 from motionctx.motion import SHAPE_PARAMS, Modality, derive_task
 from motionctx.nd import NdBuffer, Tape
-from motionctx.network import (LEVELS, VIEWS, LossWeights, NetConfig, aggregate_level,
+from motionctx.network import (LEVELS, SOFT_TABLES, VIEWS, LossWeights, NetConfig, aggregate_level,
                                context_inject, cross_level_update, encode_context, forward,
                                init_params, loss, mean_param_error, mpjpe)
 from motionctx.prompting import retrieve_prompt, soft_anchor_value, sps_sample
@@ -72,23 +72,22 @@ def per_sample_reference(batch, params, weights):
     totals, sums = [], {"position": 0.0, "velocity": 0.0, "shape": 0.0}
     with Tape() as tape:
         for sample, prompt in batch:
-            u = soft_anchor_value(params[f"soft.{prompt.index}.w1"],
-                                  params[f"soft.{prompt.index}.w2"])
+            u = soft_anchor_value(*soft_pair(params, prompt.index))
             result = forward(sample.query_input, prompt.hard_input, prompt.hard_target, u,
                              params)
             total, comps = reference_loss(result.prediction, result.betas, sample, weights)
             totals.append(total)
             for k in sums:
                 sums[k] += comps[k]
-        mean = nd.mean(nd.stack(totals, axis=0))
+        mean = nd.mean(stack(totals, axis=0))
     grads = dict(zip(keys, tape.grad(mean, [params.tensors[k] for k in keys])))
     return mean.item(), {k: v / len(batch) for k, v in sums.items()}, grads
 
 
 class RecordingState(AdamWState):
-    def update(self, params, grads, lr, weight_decay):
+    def update(self, params, grads, *args, **kwargs):
         self.grads = grads
-        super().update(params, grads, lr, weight_decay)
+        super().update(params, grads, *args, **kwargs)
 
 
 def assert_close(got, want, what):
@@ -123,28 +122,34 @@ def test_batched_step_matches_per_sample_reference(monkeypatch):
     assert record["loss"] == pytest.approx(want_loss, rel=RTOL, abs=0)
     for k, v in want_comps.items():
         assert record[k] == pytest.approx(v, rel=RTOL, abs=0), k
-    retrieved = {p.index for _, p in batch}
-    assert set(state.grads) == {k for k in want_grads if not k.startswith("soft.")
-                                or int(k.split(".")[1]) in retrieved}
+    assert set(state.grads) == set(want_grads)
     for k, g in state.grads.items():
         assert_close(g, want_grads[k], k)
     assert np.abs(state.grads["head.shape.w"]).max() > 0.0  # mesh samples reach the shape head
 
 
 def test_anchor_without_soft_parameters_is_a_config_error():
-    # Soft factors come only from the parameters: a retrieved anchor whose
-    # factors were never put into them stops the step before any update.
+    # Soft factors come only from the parameters: a retrieved anchor beyond
+    # the soft tables' rows stops the step before any update.
     clips, anchors, params = mixed_setup(layers=1)
     batch = mixed_batch(clips, anchors, params)
-    missing = batch[0][1].index
-    del params.tensors[f"soft.{missing}.w1"], params.tensors[f"soft.{missing}.w2"]
+    held = max(prompt.index for _, prompt in batch)  # the tables lose this row and those after
+    first = next(sample for sample, prompt in batch if prompt.index == held)
+    assert held >= 1
+    for name in SOFT_TABLES:
+        params.tensors[name] = NdBuffer(params.tensors[name].array[:held])
     before = {k: v.array for k, v in params.tensors.items()}
     cfg = TrainConfig()
-    with pytest.raises(ConfigError, match=f"missing parameter 'soft.{missing}.w1'"):
+    with pytest.raises(ConfigError, match=f"^no soft factors for anchor {held}: the soft "
+                                          f"tables hold {held} rows$"):
         train_step(batch, params, AdamWState(), cfg, cfg.learning_rate)
     assert all(params.tensors[k].array is v for k, v in before.items())
-    with pytest.raises(ConfigError, match="missing parameter"):
-        evaluate(clips, anchors, params, domains=("pe",))
+    # evaluate derives and retrieves that sample again, among others.
+    with pytest.raises(ConfigError, match="^no soft factors for anchor"):
+        evaluate(clips, anchors, params, domains=(first.domain,))
+    del params.tensors[SOFT_TABLES[0]]
+    with pytest.raises(ConfigError, match=f"^missing parameter '{SOFT_TABLES[0]}'$"):
+        train_step(batch, params, AdamWState(), cfg, cfg.learning_rate)
 
 
 def test_single_sample_loss_is_the_batch_of_one():
@@ -296,8 +301,7 @@ def test_batched_evaluate_matches_per_sample_loop(monkeypatch):
         for i, clip in enumerate(clips):
             sample = derive_task(clip, domain, derive_seed(2, i, domain))
             prompt = retrieve_prompt(sample.query_input, anchors)
-            u = soft_anchor_value(params.tensors[f"soft.{prompt.index}.w1"],
-                                  params.tensors[f"soft.{prompt.index}.w2"])
+            u = soft_anchor_value(*soft_pair(params, prompt.index))
             pred = forward(sample.query_input, prompt.hard_input, prompt.hard_target, u,
                            params).prediction
             metric = mean_param_error if sample.query_target.modality is Modality.MESH else mpjpe

@@ -14,7 +14,9 @@ from motionctx.fileio import (load_anchors, load_checkpoint, load_config, load_d
                               read_file, save_anchors, save_checkpoint, save_dataset,
                               write_file)
 from motionctx import prompting
-from motionctx.network import NetConfig, init_params
+from motionctx.cli import main
+from motionctx.nd import NdBuffer
+from motionctx.network import SOFT_TABLES, NetConfig, XFusionParams, init_params
 from motionctx.prompting import TIE_BREAK, retrieve_prompt, sps_sample
 from motionctx.synth import SynthConfig, make_dataset
 from motionctx.training import anchor_corpus
@@ -295,7 +297,7 @@ def test_payload_of_the_wrong_length_rejected(tmp_path, kind, delta):
 FILE_SHA256 = {
     "dataset": "1e73f14cd1d77ad513b85a05f4d3a84cb28f236c2d8b8349f25b2b612bcd3642",
     "anchors": "bdae05d836715ceddb3acc032b27b1b5280f74d2806fd081a705cfc6db91f653",
-    "checkpoint": "a24c3f6625b7f73480bc37ea94815904f904d93372147071661010cd63637f13",
+    "checkpoint": "f45d17dd6542a50e9badbe698030ac42cd0c949bb64b27ef6ff9f1045ef4400b",
 }
 
 
@@ -303,6 +305,63 @@ def test_written_files_keep_their_bytes(tmp_path):
     paths = write_each_kind(tmp_path)
     assert {kind: hashlib.sha256(open(path, "rb").read()).hexdigest()
             for kind, path in paths.items()} == FILE_SHA256
+
+
+def per_anchor(params: XFusionParams) -> XFusionParams:
+    """The soft-factor layout before the soft tables: anchor i's factors as
+    the tensors soft.{i}.w1 and soft.{i}.w2."""
+    tensors = {k: v for k, v in params.tensors.items() if k not in SOFT_TABLES}
+    w1, w2 = (params.tensors[name].array for name in SOFT_TABLES)
+    for i in range(len(w1)):
+        tensors[f"soft.{i}.w1"], tensors[f"soft.{i}.w2"] = NdBuffer(w1[i]), NdBuffer(w2[i])
+    return XFusionParams(params.config, tensors)
+
+
+# FILE_SHA256's checkpoint when soft factors were stored per anchor.
+PER_ANCHOR_CHECKPOINT_SHA256 = "a24c3f6625b7f73480bc37ea94815904f904d93372147071661010cd63637f13"
+
+
+def test_a_checkpoint_of_per_anchor_soft_factors_loads_into_the_tables(tmp_path, capsys):
+    paths = write_each_kind(tmp_path)
+    tables, meta = load_checkpoint(paths["checkpoint"])
+    legacy = str(tmp_path / "per_anchor.bin")
+    save_checkpoint(legacy, per_anchor(tables), meta=meta)
+    assert hashlib.sha256(open(legacy, "rb").read()).hexdigest() == PER_ANCHOR_CHECKPOINT_SHA256
+    folded, folded_meta = load_checkpoint(legacy)
+    assert (folded.config, folded_meta) == (tables.config, meta)
+    assert list(folded.tensors) == list(tables.tensors)
+    for name, buf in tables.tensors.items():
+        assert folded.tensors[name].array.tobytes() == buf.array.tobytes(), name
+        assert not folded.tensors[name].array.flags.writeable
+    tables_out = []
+    for path in (paths["checkpoint"], legacy):
+        assert main(["eval", "--dataset", paths["dataset"], "--anchors", paths["anchors"],
+                     "--checkpoint", path, "--domains", "pe,mp_m"]) == 0
+        tables_out.append(capsys.readouterr().out)
+    assert tables_out[0] == tables_out[1] and tables_out[0].count("\n") == 2
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda t: [t.pop(f"soft.1.{w}") for w in ("w1", "w2")],
+     "checkpoint lacks the soft factor 'soft.1.w1' of anchors 0..3"),
+    (lambda t: t.pop("soft.3.w2"), "checkpoint lacks the soft factor 'soft.3.w2' of anchors 0..3"),
+    (lambda t: t.update({"soft.01.w1": t["soft.1.w1"]}),
+     "tensors 'soft.01.w1' and 'soft.1.w1' name the same anchor"),
+    (lambda t: t.update({"soft.w1": t["soft.1.w1"]}),
+     "checkpoint holds both the soft tables ('soft.w1', 'soft.w2') and per-anchor soft factors"),
+    (lambda t: t.update({"soft.2.w2": NdBuffer(np.ones(3))}),
+     "soft factors w2 disagree on shape: [(1, 1, 8), (3,)]"),
+], ids=["gap", "one-factor-short", "duplicate", "tables-too", "shapes"])
+def test_per_anchor_soft_factors_must_name_each_anchor_once(tmp_path, capsys, edit, message):
+    paths = write_each_kind(tmp_path)
+    params = per_anchor(load_checkpoint(paths["checkpoint"])[0])
+    edit(params.tensors)
+    save_checkpoint(paths["checkpoint"], params)
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        load_checkpoint(paths["checkpoint"])
+    assert main(["eval", "--dataset", paths["dataset"], "--anchors", paths["anchors"],
+                 "--checkpoint", paths["checkpoint"]]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_overlong_manifest_length_rejected(tmp_path):

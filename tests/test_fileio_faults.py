@@ -169,10 +169,10 @@ CASES = {
     "checkpoint-network-nan": ("checkpoint", [("layer0.compress.w", (2, 17), NAN)], None,
                                "tensor 'layer0.compress.w' is invalid: non-finite value in "
                                "buffer construction"),
-    "checkpoint-soft-nan": ("checkpoint", [("soft.2.w1", (0, 4, 0), float("-inf"))], None,
-                            "tensor 'soft.2.w1' is invalid: non-finite value in buffer "
+    "checkpoint-soft-nan": ("checkpoint", [("soft.w1", (2, 0, 4, 0), float("-inf"))], None,
+                            "tensor 'soft.w1' is invalid: non-finite value in buffer "
                             "construction"),
-    "checkpoint-two-tensors": ("checkpoint", [("soft.0.w2", (0, 0, 0), NAN),
+    "checkpoint-two-tensors": ("checkpoint", [("soft.w2", (0, 0, 0, 0), NAN),
                                               ("head.pos.w", (0, 0), NAN)], None,
                                "tensor 'head.pos.w' is invalid: non-finite value in buffer "
                                "construction"),
@@ -288,7 +288,7 @@ def loaded_digest(kind, loaded) -> str:
 LOADED_SHA256 = {
     "dataset": "5a8e0740eb56686c57ffc053276d1a702bb080d718dc8deef3ed77914bc98190",
     "anchors": "c4c35def7e0f621e7db8b2b762ad646d58bc13468c1c36e01d980efc4179deac",
-    "checkpoint": "89a24d9ec5b9e08177560089ceae5def668c3daddd3ed6d431d1bbe03f245c9b",
+    "checkpoint": "1895e431087a072f5350832399e6f3e3e68b4d04643f5cbaef1f3ab8071218e2",
 }
 
 

@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import div, exp, softmax_lastdim, swap_last2, take_axis
+from helpers import div, exp, softmax_lastdim, stack, swap_last2, take_axis
 from motionctx import nd
 from motionctx.errors import DimensionError, NumericError
 from motionctx.nd import NdBuffer, Tape
@@ -195,7 +195,7 @@ def _structural_loss(p: dict[str, NdBuffer]) -> NdBuffer:
     a = p["a"]                                    # (2, 3)
     b = p["b"]                                    # (2, 3)
     cat = nd.concat([a, b], axis=1)               # (2, 6)
-    st = nd.stack([a, b], axis=0)                 # (2, 2, 3)
+    st = stack([a, b], axis=0)                    # (2, 2, 3)
     first = take_axis(st, 0, axis=0)              # (2, 3)
     mid = nd.slice_axis(cat, 1, 1, 4)             # (2, 3)
     tr = nd.transpose(nd.reshape(cat, (3, 4)), (1, 0))
@@ -265,7 +265,7 @@ def _scan_loop(a, b, u, axis):
         drive = nd.mul(b, take_axis(u, t, axis=axis))
         state = drive if state is None else nd.add(nd.mul(a, state), drive)
         states.append(state)
-    return nd.stack(states, axis=axis)
+    return stack(states, axis=axis)
 
 
 SCAN_CASES = [((5, 3), 0), ((1, 4), 0), ((3, 6, 4), 1), ((3, 1, 4), 1),
@@ -311,31 +311,30 @@ def test_scan_grad_check_and_shape_errors():
 
 @pytest.mark.parametrize("axis", [0, 1, 2, -1, -3])
 def test_stack_is_concat_on_a_new_axis(axis):
-    # The value is np.stack's bitwise; a part given twice sums its slices.
+    # The test helper: the value is np.stack's bitwise; a part given twice
+    # sums its slices.
     rng = np.random.default_rng(30)
     a, b = NdBuffer(rng.normal(size=(3, 4))), NdBuffer(rng.normal(size=(3, 4)))
     with Tape() as tape:
-        out = nd.stack([a, b, a], axis=axis)
-    assert [name for name, _, _ in tape._records] == ["stack"]
+        out = stack([a, b, a], axis=axis)
+    assert [name for name, _, _ in tape._records] == ["reshape"] * 3 + ["concat"]
     assert np.array_equal(out.array, np.stack([a.array, b.array, a.array], axis=axis))
     g = rng.normal(size=out.shape)
     with Tape() as tape:
-        loss = nd.reduce_sum(nd.mul(nd.stack([a, b, a], axis=axis), g))
+        loss = nd.reduce_sum(nd.mul(stack([a, b, a], axis=axis), g))
     g_a, g_b = tape.grad(loss, [a, b])
     assert np.array_equal(g_a, np.take(g, 0, axis=axis) + np.take(g, 2, axis=axis))
     assert np.array_equal(g_b, np.take(g, 1, axis=axis))
 
 
-def test_stack_and_concat_name_themselves_in_shape_errors():
+def test_concat_names_itself_in_shape_errors():
     a, c = NdBuffer(np.ones((3, 4))), NdBuffer(np.ones((3, 5)))
-    with pytest.raises(DimensionError, match=r"^stack along axis 0: \[\(3, 4\), \(3, 5\)\]"):
-        nd.stack([a, c], axis=0)
-    with pytest.raises(DimensionError, match="^stack along axis 3"):
-        nd.stack([a, a], axis=3)
-    with pytest.raises(DimensionError, match="^stack needs at least one part"):
-        nd.stack([], axis=0)
-    with pytest.raises(DimensionError, match="^concat along axis 0"):
+    with pytest.raises(DimensionError, match=r"^concat along axis 0: \[\(3, 4\), \(3, 5\)\]"):
         nd.concat([a, c], axis=0)
+    with pytest.raises(DimensionError, match="^concat along axis 2"):
+        nd.concat([a, a], axis=2)
+    with pytest.raises(DimensionError, match="^concat needs at least one part"):
+        nd.concat([], axis=0)
     assert nd.concat([a, c], axis=-1).shape == (3, 9)
 
 
@@ -563,7 +562,6 @@ BUFFER_ONLY_OPS = {
     "transpose": lambda a: nd.transpose(a, (1, 0)),
     "reshape": lambda a: nd.reshape(a, (6,)),
     "concat": lambda a: nd.concat([NdBuffer(np.ones((2, 3))), a], 0),
-    "stack": lambda a: nd.stack([a], 0),
     "take_rows": lambda a: nd.take_rows(a, [0]),
     "slice_axis": lambda a: nd.slice_axis(a, 0, 0, 1),
     "reduce_sum": nd.reduce_sum,

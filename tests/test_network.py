@@ -1,6 +1,7 @@
 """Fusion network: encoding, levels, fusion, forward, losses, metrics."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ def test_replace_keeps_buffers_finite():
 
 # sha256 of init_params(cfg, 0) over names in insertion order, shapes and bytes.
 INIT_SHA256 = {
-    (8, 6, 16, 1, True): "af21a33b844ff7424710b45f99911cda9b61c25960d283c577695b91298e04d3",
+    (8, 6, 16, 1, True): "611093f1049caf020f81711c395c6de2ba5af5632a3710832073e3615bcbea05",
     (8, 6, 16, 2, False): "529441c1336c7e9bcae489e0483cff4d36dd56f9fa41ad7bab5779c51d620879",
     (16, 24, 128, 8, False): "a6ed25b255674beae359faa13b5101782e8d63917dec2bc39ebbbe64974d4ead",
 }
@@ -100,7 +101,9 @@ def test_init_params_rejects_an_anchor_set_of_another_shape(field):
     cfg = NetConfig(frames=4, joints=6, hidden=4, layers=1)
     clips = make_dataset(SynthConfig(clips=2, frames=4, joints=6, seed=0))
     anchors = random_sample(anchor_corpus(clips, domains=("pe",)), 2, 0, hidden_dim=4)
-    assert len(init_params(cfg, 0, anchors=anchors).tensors) == len(init_params(cfg, 0).tensors) + 6
+    with_soft = init_params(cfg, 0, anchors=anchors).tensors
+    assert list(with_soft) == list(init_params(cfg, 0).tensors) + list(network.SOFT_TABLES)
+    assert [with_soft[name].shape for name in network.SOFT_TABLES] == [(3, 4, 6, 1), (3, 1, 1, 4)]
     other = NetConfig(**{**vars(cfg), field: 2 * getattr(cfg, field)})
     with pytest.raises(DimensionError) as err:
         init_params(other, 0, anchors=anchors)
@@ -183,6 +186,13 @@ def test_graph_adjacency_is_a_constant(view, lead):
     for _, rec_out, backward in tape._records:
         grads += [buf.shape for buf, _ in backward(np.ones(rec_out.shape))]
     assert (t_len, t_len) not in grads and len(grads) == 3  # h, w, and the mixed tracks
+
+
+@pytest.mark.parametrize("bad", [[1, 2], "anchors", 0], ids=["list", "string", "int"])
+def test_init_params_rejects_what_is_not_an_anchor_set(bad):
+    with pytest.raises(DomainError, match=f"^init_params needs an AnchorSet or None, "
+                                          f"got {re.escape(repr(bad))}$"):
+        init_params(small_cfg(layers=1), 0, anchors=bad)
 
 
 def _count_step_records(monkeypatch, net, batch_size, seed):

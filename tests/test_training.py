@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import soft_pair
 from motionctx.errors import ConfigError, NumericError, StateError
 from motionctx.motion import (DOMAIN_ORDER, DOMAINS, Modality, MotionSequence, TaskSample,
                               derive_task, is_count)
 from motionctx.nd import NdBuffer
-from motionctx.network import (LossWeights, NetConfig, forward, init_params, loss,
+from motionctx.network import (SOFT_TABLES, LossWeights, NetConfig, forward, init_params, loss,
                                mean_param_error, mpjpe)
 from motionctx.prompting import (RetrievedPrompt, cluster_sample, random_sample,
                                  retrieve_prompt, soft_anchor_value, sps_sample)
@@ -40,7 +41,7 @@ def batch_loss(batch, params, weights=LossWeights()):
     """Mean loss of a batch under the current parameters, no gradient step."""
     values = []
     for sample, prompt in batch:
-        u = soft_anchor_value(params[f"soft.{prompt.index}.w1"], params[f"soft.{prompt.index}.w2"])
+        u = soft_anchor_value(*soft_pair(params, prompt.index))
         result = forward(sample.query_input, prompt.hard_input, prompt.hard_target, u, params)
         values.append(loss(result.prediction, result.betas, sample, weights)[0].item())
     return float(np.mean(values))
@@ -134,6 +135,27 @@ def test_entry_points_take_domains_only_as_a_list_or_tuple(call, bad):
         calls[call]()
 
 
+@pytest.mark.parametrize("call,bad", [
+    ("config", {"pe"}), ("config", "pe"), ("config", ()),
+    ("build_batch", ()), ("anchor_corpus", ()), ("evaluate", ()),
+], ids=["config-set", "config-string", "config-empty", "build_batch-empty",
+        "anchor_corpus-empty", "evaluate-empty"])
+def test_every_entry_point_applies_one_domains_rule(call, bad):
+    # One rule, `_domain_list`: a non-empty list or tuple. An empty one would
+    # give evaluate an empty table and anchor_corpus an empty corpus.
+    dataset, anchors, params = build_setup(n_clips=2)
+    calls = {
+        "config": lambda: TrainConfig(domains=bad),
+        "build_batch": lambda: build_batch(dataset, anchors, 2, 0, domains=bad),
+        "anchor_corpus": lambda: anchor_corpus(dataset, domains=bad),
+        "evaluate": lambda: evaluate(dataset, anchors, params, domains=bad),
+    }
+    message = ("domains must not be empty" if bad == () else
+               f"domains must be a list or tuple of task ids, got {re.escape(repr(bad))}")
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        calls[call]()
+
+
 def test_anchor_corpus_layout_and_determinism():
     dataset, _, _ = build_setup(n_clips=3)
     a = anchor_corpus(dataset, domains=("pe", "mr"), seed=5)
@@ -206,22 +228,33 @@ def test_weight_decay_only_shrink_is_exact():
 
 
 class _ReferenceAdamW(AdamWState):
-    """AdamW written as whole-array expressions, one temporary per operation."""
+    """AdamW written as whole-array expressions, one temporary per operation;
+    each moved row of a soft table is stepped as a tensor of its own."""
 
-    def update(self, params, grads, lr, weight_decay):
+    def update(self, params, grads, lr, weight_decay, rows=None):
         b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-        for name, g in grads.items():
-            p = params.tensors[name].array
-            if name not in self.m:
-                self.m[name], self.v[name] = np.zeros_like(p), np.zeros_like(p)
-            m, v = self.m[name], self.v[name]
-            t = self.t.get(name, 0) + 1
-            self.t[name] = t
+
+        def step(p, g, m, v, t):
             m[...] = b1 * m + (1.0 - b1) * g
             v[...] = b2 * v + (1.0 - b2) * g * g
             m_hat = m / (1.0 - b1 ** t)
             v_hat = v / (1.0 - b2 ** t)
-            new = p - lr * weight_decay * p - lr * m_hat / (np.sqrt(v_hat) + eps)
+            return p - lr * weight_decay * p - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+        for name, g in grads.items():
+            p = params.tensors[name].array
+            if name not in self.m:
+                self.m[name], self.v[name] = np.zeros_like(p), np.zeros_like(p)
+                self.t[name] = np.zeros(len(p), np.int64) if name in SOFT_TABLES else 0
+            if name in SOFT_TABLES:
+                new = p.copy()
+                for r in range(len(p)) if rows is None else rows:
+                    self.t[name][r] += 1
+                    new[r] = step(p[r], g[r], self.m[name][r], self.v[name][r],
+                                  int(self.t[name][r]))
+            else:
+                self.t[name] += 1
+                new = step(p, g, self.m[name], self.v[name], self.t[name])
             params.tensors[name] = NdBuffer(new)
 
 
@@ -232,17 +265,23 @@ def test_adamw_in_place_update_bitwise_equal_to_reference_formula():
     ref_params = params.copy()  # shares every buffer with params
     cfg = TrainConfig(learning_rate=1e-3, weight_decay=0.05, domains=("pe",), batch_size=2)
     state, ref_state = AdamWState(), _ReferenceAdamW()
-    # soft.2 is retrieved at the second and fifth steps only, so its step count
-    # lags the network's.
-    for step, index in enumerate((1, 2, 1, 1, 2)):
-        a = anchors.anchors[index]
-        prompt = RetrievedPrompt(hard_input=a.input, hard_target=a.target, index=index,
-                                 similarity=0.0)
-        batch = [(derive_task(dataset[c], "pe", rng_seed=step), prompt) for c in (0, 2)]
+    # Row 1 is retrieved at every step, row 2 at three of the nine, so its
+    # step count lags; past step 7 numpy's array power would differ from the
+    # Python float power the bias corrections use.
+    for step, second in enumerate((1, 2, 1, 1, 2, 1, 1, 1, 2)):
+        prompts = [RetrievedPrompt(hard_input=anchors.anchors[i].input,
+                                   hard_target=anchors.anchors[i].target, index=i, similarity=0.0)
+                   for i in (1, second)]
+        batch = [(derive_task(dataset[c], "pe", rng_seed=step), prompt)
+                 for c, prompt in zip((0, 2), prompts)]
         train_step(batch, params, state, cfg, cfg.learning_rate)
         train_step(batch, ref_params, ref_state, cfg, cfg.learning_rate)
-    assert state.t["soft.2.w1"] == 2 and state.t["soft.1.w1"] == 3 and state.t["head.pos.w"] == 5
-    assert state.t == ref_state.t
+    assert state.t["head.pos.w"] == ref_state.t["head.pos.w"] == 9
+    for name in SOFT_TABLES:
+        assert state.t[name].tolist() == ref_state.t[name].tolist() == \
+            [0, 9, 3] + [0] * (len(anchors) - 3)
+    assert state.t.keys() == ref_state.t.keys() == params.tensors.keys()
+    assert all(state.t[k] == ref_state.t[k] for k in state.t if k not in SOFT_TABLES)
     for name, value in params.tensors.items():
         assert value.array.tobytes() == ref_params.tensors[name].array.tobytes(), name
     for name in state.m:
@@ -274,14 +313,17 @@ def test_only_retrieved_soft_anchors_update():
     a = anchors.anchors[1]
     prompt = RetrievedPrompt(hard_input=a.input, hard_target=a.target, index=1, similarity=0.0)
     cfg = TrainConfig(learning_rate=1e-3, domains=("pe",), batch_size=1)
-    train_step([(sample, prompt)], params, AdamWState(), cfg, cfg.learning_rate)
-    assert not np.array_equal(params.tensors["soft.1.w1"].array, before["soft.1.w1"])
-    assert not np.array_equal(params.tensors["soft.1.w2"].array, before["soft.1.w2"])
-    for i in range(len(anchors)):
-        if i == 1:
-            continue
-        assert np.array_equal(params.tensors[f"soft.{i}.w1"].array, before[f"soft.{i}.w1"]), i
-        assert np.array_equal(params.tensors[f"soft.{i}.w2"].array, before[f"soft.{i}.w2"]), i
+    state = AdamWState()
+    train_step([(sample, prompt)], params, state, cfg, cfg.learning_rate)
+    for name in SOFT_TABLES:
+        after = params.tensors[name].array
+        assert after.shape == before[name].shape == (len(anchors),) + after.shape[1:]
+        assert not np.array_equal(after[1], before[name][1]), name
+        for i in range(len(anchors)):
+            if i != 1:
+                assert np.array_equal(after[i], before[name][i]), (name, i)
+        assert state.t[name].tolist() == [0, 1] + [0] * (len(anchors) - 2)
+        assert not state.m[name][np.arange(len(anchors)) != 1].any()
     assert not np.array_equal(params.tensors["head.pos.w"].array, before["head.pos.w"])
 
 
