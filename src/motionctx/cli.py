@@ -23,13 +23,14 @@ import numpy as np
 
 from . import fileio, nd
 from .errors import ConfigError, DomainError, FormatError, MotionCtxError, NumericError
-from .motion import DOMAIN_ORDER, DOMAINS, derive_task, parse_domain
+from .motion import DOMAIN_ORDER, DOMAINS, check_type, derive_task, parse_domain, unify_pose3d
 from .network import (DEFAULT_HIDDEN, SOFT_TABLES, LossWeights, NetConfig, XFusionParams,
-                      forward, init_params, loss, param_layout)
-from .prompting import (DEFAULT_ANCHOR_COUNT, cluster_sample, random_sample, retrieve_with_margin,
-                        soft_anchor_value, sps_sample)
+                      init_params, param_layout)
+from .prompting import (DEFAULT_ANCHOR_COUNT, RetrievedPrompt, cluster_sample, random_sample,
+                        retrieve_with_margin, sps_sample)
 from .synth import SynthConfig, make_dataset
-from .training import TrainConfig, anchor_corpus, corpus_entry, evaluate, seeded_task, train
+from .training import (TrainConfig, anchor_corpus, corpus_entry, evaluate, objective,
+                       seeded_task, train)
 
 GRADCHECK_THRESHOLD = 1e-4
 
@@ -310,26 +311,21 @@ def cmd_gradcheck(args) -> int:
 
 
 def run_gradient_check(net: NetConfig, seed: int) -> "nd.GradCheckReport":
-    """Full forward+loss analytic-vs-numeric comparison over every parameter,
-    the soft tables included: their one row is the rest pose's pair at its
-    training init."""
+    """Analytic vs numeric gradients of `training.objective`, soft-row gather
+    included, on one "pe" sample whose prompt, a seeded random pose pair, is
+    anchor 0: the tables' one row, the rest pose's pair at its training init."""
+    check_type(net, NetConfig, "net")
     synth = SynthConfig(clips=2, frames=net.frames, joints=net.joints,
                         native_pose_joints=max(1, net.joints - 1), seed=seed)
     sample = derive_task(make_dataset(synth)[0], "pe", rng_seed=seed)
     rng = np.random.default_rng(seed + 1)
-    p_in = nd.NdBuffer(rng.normal(size=(net.frames, net.joints, 3)))
-    p_gt = nd.NdBuffer(rng.normal(size=(net.frames, net.joints, 3)))
+    pair = [unify_pose3d(rng.normal(size=(net.frames, net.joints, 3))) for _ in range(2)]
+    batch = [(sample, RetrievedPrompt(*pair, index=0, similarity=0.0))]
     anchors = sps_sample([(sample.query_input, sample.query_target, sample.domain)], 1, net.hidden)
     params = init_params(net, seed, anchors=anchors)
-
-    def f(leaves):
-        u = soft_anchor_value(*(nd.reshape(leaves[name], leaves[name].shape[1:])
-                                for name in SOFT_TABLES))
-        result = forward(sample.query_input, p_in, p_gt, u, XFusionParams(net, leaves))
-        total, _ = loss(result.prediction, result.betas, sample)
-        return total
-
-    return nd.grad_check(f, {k: v.array for k, v in params.tensors.items()})
+    return nd.grad_check(lambda leaves: objective(batch, XFusionParams(net, leaves),
+                                                  LossWeights())[0],
+                         {k: v.array for k, v in params.tensors.items()})
 
 
 def build_parser() -> _Parser:

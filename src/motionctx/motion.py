@@ -13,6 +13,8 @@ Frames and joints are stored 0-based; the root joint is index 0.
 from __future__ import annotations
 
 import enum
+import numbers
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +38,24 @@ def is_count(value, minimum: int = 1) -> bool:
     """An int or numpy integer, not a bool, of at least `minimum`."""
     return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             and value >= minimum)
+
+
+def is_real(value, low: float = 0.0, high: float = np.inf, open_low: bool = False) -> bool:
+    """A real number, not a bool, that is finite as a float64 and lies in
+    [low, high], or (low, high] when `open_low`; NaN lies in no range."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond float64
+        return False
+    return (low < value if open_low else low <= value) and value <= high and value < np.inf
+
+
+def check_type(value, cls: type, what: str):
+    """Raises a ConfigError naming the type of a `value` that is not a `cls`."""
+    if not isinstance(value, cls):
+        raise ConfigError(f"{what} must be a {cls.__name__}, got {type(value).__name__}")
 
 
 def _frozen(values) -> np.ndarray:
@@ -135,9 +155,17 @@ class MotionClip:
         return getattr(self, modality.value)  # fields are named by modality value
 
 
+def _float_array(values, what: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DimensionError(f"{what} must be a numeric array, got "
+                             f"{reprlib.repr(values)}") from None
+
+
 def unify_pose2d(values) -> MotionSequence:
     """Lift (F, N, 2) keypoints into the unified layout with z = 0."""
-    arr = np.asarray(values, dtype=np.float64)
+    arr = _float_array(values, "pose2d input")
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise DimensionError(f"pose2d input must be (F, N, 2), got {arr.shape}")
     if arr.shape[0] == 0 or arr.shape[1] == 0:
@@ -147,7 +175,7 @@ def unify_pose2d(values) -> MotionSequence:
 
 
 def unify_pose3d(values) -> MotionSequence:
-    arr = np.asarray(values, dtype=np.float64)
+    arr = _float_array(values, "pose3d input")
     if arr.ndim != 3 or arr.shape[2] != CHANNELS:
         raise DimensionError(f"pose3d input must be (F, N, 3), got {arr.shape}")
     return MotionSequence(NdBuffer(arr), Modality.POSE3D, arr.shape[1])
@@ -155,12 +183,12 @@ def unify_pose3d(values) -> MotionSequence:
 
 def reorganize_mesh_params(theta, betas) -> MotionSequence:
     """Group per-frame rotation vectors (F, 3J) into (F, J, 3)."""
-    arr = np.asarray(theta, dtype=np.float64)
+    arr = _float_array(theta, "mesh params")
     if arr.ndim != 2 or arr.shape[1] % 3 != 0 or arr.shape[1] == 0:
         raise DimensionError(f"mesh params must be (F, 3J) with 3J divisible by 3, got {arr.shape}")
     j = arr.shape[1] // 3
     grouped = arr.reshape(arr.shape[0], j, 3)
-    return MotionSequence(NdBuffer(grouped), Modality.MESH, j, betas=np.asarray(betas, dtype=np.float64))
+    return MotionSequence(NdBuffer(grouped), Modality.MESH, j, betas=_float_array(betas, "betas"))
 
 
 def flatten_mesh_params(seq: MotionSequence) -> np.ndarray:
@@ -172,8 +200,8 @@ def flatten_mesh_params(seq: MotionSequence) -> np.ndarray:
 
 def pad_virtual_joints(seq: MotionSequence, target_joints: int) -> MotionSequence:
     """Append all-zero virtual joints up to target_joints; native count is kept."""
-    if target_joints < seq.joints:
-        raise DimensionError(f"cannot pad {seq.joints} joints down to {target_joints}")
+    if not is_count(target_joints, seq.joints):
+        raise DimensionError(f"cannot pad {seq.joints} joints to {target_joints}")
     if target_joints == seq.joints:
         return seq
     pad = np.zeros((seq.frames, target_joints - seq.joints, CHANNELS))
@@ -183,7 +211,7 @@ def pad_virtual_joints(seq: MotionSequence, target_joints: int) -> MotionSequenc
 
 def canonical_tbody(frames: int, joints: int) -> MotionSequence:
     """Rest-pose anchor: zero rotations duplicated over all frames."""
-    if frames < 1 or joints < 1:
+    if not (is_count(frames) and is_count(joints)):
         raise DimensionError(f"canonical body needs positive extents, got F={frames}, J={joints}")
     return MotionSequence(NdBuffer(np.zeros((frames, joints, CHANNELS))), Modality.MESH, joints)
 
@@ -200,9 +228,9 @@ def make_time_mask(frames: int, ratio: float, rng_seed) -> np.ndarray:
     """Binary keep-mask over frames: exactly min(floor(ratio*F), F-2) zeros,
     drawn uniformly without replacement from the interior; the first and last
     frames are always kept."""
-    if frames < 2:
+    if not is_count(frames, 2):
         raise DimensionError(f"time mask needs F >= 2, got F={frames}")
-    if not 0.0 <= ratio <= 1.0:
+    if not is_real(ratio, 0.0, 1.0):
         raise DomainError(f"mask ratio must be in [0, 1], got {ratio}")
     zeros = min(int(np.floor(ratio * frames)), frames - 2)
     mask = np.ones(frames)
@@ -218,13 +246,15 @@ def make_joint_mask(joints: int, root_index: int, ratio: float, rng_seed,
     """Binary keep-mask over joints: min(floor(ratio*J), J-1) zeros clamped to
     the eligible positions; the root joint is always kept and virtual joints
     are never selected when the native count is supplied."""
-    if joints < 1:
+    if not is_count(joints):
         raise DimensionError(f"joint mask needs J >= 1, got J={joints}")
-    if not 0 <= root_index < joints:
+    if not (is_count(root_index, 0) and root_index < joints):
         raise DimensionError(f"root index {root_index} out of range for J={joints}")
-    if not 0.0 <= ratio <= 1.0:
+    if not is_real(ratio, 0.0, 1.0):
         raise DomainError(f"mask ratio must be in [0, 1], got {ratio}")
     limit = joints if native_joint_count is None else native_joint_count
+    if not (is_count(limit) and limit <= joints):
+        raise DimensionError(f"native joint count {limit} out of range for J={joints}")
     eligible = np.array([j for j in range(limit) if j != root_index])
     zeros = min(int(np.floor(ratio * joints)), joints - 1, eligible.size)
     mask = np.ones(joints)
@@ -266,6 +296,8 @@ DOMAIN_ORDER: tuple[str, ...] = tuple(row.task_id for row in _ROWS)
 
 def parse_domain(name: str) -> str:
     """Accept canonical ids (mp_p) or display names (MP(P)), case-insensitive."""
+    if not isinstance(name, str):
+        raise DomainError(f"task domain must be a string, got {reprlib.repr(name)}")
     key = name.strip().lower()
     if key in DOMAINS:
         return key

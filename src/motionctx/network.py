@@ -35,7 +35,7 @@ import numpy as np
 from . import nd
 from .errors import ConfigError, DimensionError, DomainError, StateError
 from .motion import (CHANNELS, ROOT_JOINT, SHAPE_PARAMS, Modality, MotionSequence, TaskSample,
-                     _as_rng, is_count)
+                     _as_rng, check_type, is_count, is_real)
 from .nd import NdBuffer
 
 VIEWS = ("temporal", "spatial")
@@ -171,6 +171,7 @@ def param_layout(cfg: NetConfig, anchors=None) -> dict:
 def init_params(cfg: NetConfig, rng_seed: int, anchors=None) -> XFusionParams:
     """Seeded parameter initialization: `param_layout`'s draws in its order.
     An anchor set must have the config's frames, joints and hidden width."""
+    check_type(cfg, NetConfig, "cfg")
     rng = _as_rng(rng_seed)
     want = (cfg.frames, cfg.joints, cfg.hidden)
     if anchors is not None:
@@ -391,7 +392,7 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("position", "velocity", "shape"):
-            if not 0.0 <= getattr(self, name) < np.inf:
+            if not is_real(getattr(self, name)):
                 raise DomainError(f"loss weight {name} must be >= 0, got {getattr(self, name)}")
 
 
@@ -413,6 +414,7 @@ def loss(prediction: NdBuffer, betas_hat: NdBuffer, samples,
     The target positions and betas, that per-joint scale and the mesh mask
     enter as constant float64 arrays, so backward forms no gradient for them.
     """
+    check_type(weights, LossWeights, "weights")
     single = isinstance(samples, TaskSample)
     batch = [samples] if single else list(samples)
     if not batch:

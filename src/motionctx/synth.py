@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .motion import (SHAPE_PARAMS, MotionClip, is_count, pad_virtual_joints,
+from .motion import (SHAPE_PARAMS, MotionClip, is_count, is_real, pad_virtual_joints,
                      reorganize_mesh_params, unify_pose2d, unify_pose3d)
 
 
@@ -43,9 +43,9 @@ class SynthConfig:
             ("clusters", is_count(self.clusters) and self.clusters <= self.clips),
             ("outliers", is_count(self.outliers, 0) and self.outliers <= self.clips),
             ("seed", is_count(self.seed, 0)),
-            ("amplitude", 0.0 < self.amplitude < np.inf),
-            ("cluster_spread", 0.0 <= self.cluster_spread < np.inf),
-            ("beta_scale", 0.0 <= self.beta_scale < np.inf),
+            ("amplitude", is_real(self.amplitude, open_low=True)),
+            ("cluster_spread", is_real(self.cluster_spread)),
+            ("beta_scale", is_real(self.beta_scale)),
         ]
         for name, ok in checks:
             if not ok:

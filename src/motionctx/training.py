@@ -2,16 +2,16 @@
 
 Each step samples (clip, domain) pairs uniformly, derives task samples,
 retrieves the most similar hard anchor per query (scoring all queries of the
-batch in one pass), and backpropagates the mean batch loss through the
-network and the retrieved anchors' soft factors. The whole batch runs as one
-taped forward pass with a leading batch axis; evaluation runs untaped passes
-over chunks of EVAL_CHUNK samples. Every other task sample (anchor corpus,
-`evaluate`, the CLI) comes from `seeded_task`, one seed per (clip, domain).
-Updates use decoupled weight decay. The soft factors are two tables with one
-row per anchor; a step moves only the rows of the anchors it retrieved, each
-row with its own step count, and leaves the others untouched. Hard anchors
-are frozen data and never change. Given the same config, dataset, and anchor
-set, training is bitwise reproducible.
+batch in one pass), and backpropagates `objective`, the mean batch loss of one
+taped pass with a leading batch axis, through the network and the retrieved
+anchors' soft factors; `motionctx gradcheck` checks that same function.
+Evaluation runs untaped passes over chunks of EVAL_CHUNK samples. Every other
+task sample (anchor corpus, `evaluate`, the CLI) comes from `seeded_task`, one
+seed per (clip, domain). Updates use decoupled weight decay. The soft factors
+are two tables with one row per anchor; a step moves only the rows of the
+anchors it retrieved, each row with its own step count, and leaves the others
+untouched. Hard anchors are frozen data and never change. Given the same
+config, dataset, and anchor set, training is bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nd
-from .errors import ConfigError, NumericError, StateError
+from .errors import ConfigError, DimensionError, DomainError, NumericError, StateError
 from .motion import (DOMAIN_ORDER, DOMAINS, Modality, MotionClip, TaskSample, _as_rng,
-                     derive_task, is_count)
+                     check_type, derive_task, is_count, is_real)
 from .nd import NdBuffer, Tape
 from .network import (SOFT_TABLES, ForwardResult, LossWeights, XFusionParams, forward, loss,
                       mean_param_error, mpjpe)
@@ -48,9 +48,9 @@ class TrainConfig:
     domains: tuple[str, ...] = DOMAIN_ORDER
 
     def __post_init__(self):
-        if not 0.0 <= self.learning_rate < np.inf:
+        if not is_real(self.learning_rate):
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if not 0.0 < self.lr_decay <= 1.0:
+        if not is_real(self.lr_decay, 0.0, 1.0, open_low=True):
             raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if not is_count(self.epochs):
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
@@ -59,7 +59,8 @@ class TrainConfig:
             raise ConfigError(f"steps_per_epoch must be an integer >= 1, got {steps!r}")
         if not is_count(self.batch_size):
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0.0 <= self.weight_decay < np.inf:
+        check_type(self.weights, LossWeights, "weights")
+        if not is_real(self.weight_decay):
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not is_count(self.seed, 0):
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
@@ -77,6 +78,10 @@ def derive_seed(base: int, clip_index: int, domain: str) -> int:
     seed is any integer, negative ones included; the result is reduced mod 2^63."""
     if not is_count(base, -np.inf):
         raise ConfigError(f"seed must be an integer, got {base!r}")
+    if not is_count(clip_index, 0):
+        raise DimensionError(f"clip index must be an integer >= 0, got {clip_index!r}")
+    if not isinstance(domain, str):
+        raise DomainError(f"task domain must be a string, got {domain!r}")
     tag = sum((i + 1) * ord(c) for i, c in enumerate(domain))
     return (int(base) * 1_000_003 + clip_index * 8_191 + tag * 131) % (2 ** 63)
 
@@ -215,23 +220,29 @@ def _batch_forward(batch, params: XFusionParams) -> ForwardResult:
                    stacked(prompt.hard_target for _, prompt in batch), u, params)
 
 
+def objective(batch, params: XFusionParams, weights: LossWeights) -> tuple[NdBuffer, dict]:
+    """The mean loss of (sample, prompt) pairs, with its components, from one
+    `_batch_forward`: what `train_step` minimizes and gradcheck differentiates."""
+    result = _batch_forward(batch, params)
+    return loss(result.prediction, result.betas, [sample for sample, _ in batch], weights)
+
+
 def train_step(batch, params: XFusionParams, state: AdamWState, config: TrainConfig,
                lr: float, batch_id: str = "batch") -> dict[str, float]:
-    """One optimizer step at learning rate lr on the mean batch loss; mutates
-    params and state.
+    """One optimizer step at learning rate lr on `objective`; mutates params
+    and state.
 
     The batch runs as one taped pass. Network parameters always participate;
     of the soft tables only the rows of anchors retrieved in this batch move.
     Hard anchors are inputs, not parameters, so they cannot change.
     """
+    check_type(config, TrainConfig, "config")
     if not batch:
         raise StateError("train_step needs a non-empty batch")
     keys = list(params.tensors)
 
     with Tape() as tape:
-        result = _batch_forward(batch, params)
-        batch_loss, comps = loss(result.prediction, result.betas,
-                                 [sample for sample, _ in batch], config.weights)
+        batch_loss, comps = objective(batch, params, config.weights)
     value = batch_loss.item()
     if not np.isfinite(value):
         raise NumericError(f"non-finite loss in {batch_id}")
@@ -246,6 +257,7 @@ def train_step(batch, params: XFusionParams, state: AdamWState, config: TrainCon
 def train(dataset: list[MotionClip], anchors: AnchorSet, params: XFusionParams,
           config: TrainConfig) -> list[dict[str, float]]:
     """Epoch loop with per-epoch decayed learning rate; returns step records."""
+    check_type(config, TrainConfig, "config")
     if not dataset:
         raise StateError("train needs a non-empty dataset")
     steps = config.steps_per_epoch

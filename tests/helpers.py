@@ -6,7 +6,7 @@ from motionctx import nd, prompting
 from motionctx.motion import (MotionClip, pad_virtual_joints, reorganize_mesh_params,
                               unify_pose2d, unify_pose3d)
 from motionctx.nd import NdBuffer
-from motionctx.network import SOFT_TABLES
+from motionctx.network import SOFT_TABLES, forward, loss
 
 
 def loaded_sequences(kind: str, loaded) -> list:
@@ -92,3 +92,14 @@ def soft_pair(params, index: int) -> tuple[NdBuffer, NdBuffer]:
     """Anchor `index`'s soft factors (w1, w2): row `index` of each soft table,
     read on the tape, so a pass through them reaches the tables' gradients."""
     return tuple(take_axis(params[name], index, axis=0) for name in SOFT_TABLES)
+
+
+def unbatched_objective(sample, prompt, params) -> NdBuffer:
+    """One sample's loss as the gradient check assembled it before it scored
+    through `training.objective`: the soft tables' one row by `nd.reshape`,
+    then the unbatched `forward`, then the one-sample `loss`."""
+    u = prompting.soft_anchor_value(*(nd.reshape(params[name], params[name].shape[1:])
+                                      for name in SOFT_TABLES))
+    result = forward(sample.query_input, prompt.hard_input.values, prompt.hard_target.values,
+                     u, params)
+    return loss(result.prediction, result.betas, sample)[0]

@@ -7,16 +7,17 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import pick_anchors, query_similarities
-from motionctx import cli, fileio, network, prompting, training
+from helpers import pick_anchors, query_similarities, unbatched_objective
+from motionctx import cli, fileio, nd, network, prompting, training
 from motionctx.cli import main
 from motionctx.fileio import load_anchors, load_checkpoint, load_dataset
 from motionctx.motion import derive_task
-from motionctx.nd import NdBuffer
-from motionctx.network import LossWeights, NetConfig, init_params
+from motionctx.nd import NdBuffer, Tape
+from motionctx.network import SOFT_TABLES, LossWeights, NetConfig, XFusionParams, init_params
 from motionctx.prompting import retrieve_prompt, similarity, sps_sample
 from motionctx.synth import SynthConfig, make_dataset
-from motionctx.training import TrainConfig, anchor_corpus, derive_seed, seeded_task
+from motionctx.training import (TrainConfig, anchor_corpus, derive_seed, objective,
+                                seeded_task)
 
 
 def run(capsys, *argv):
@@ -371,6 +372,46 @@ def test_gradcheck_passes_at_toy_shapes(tmp_path, capsys):
     code, out, _ = run(capsys, "gradcheck", "--config", cfg, "--seed", "0")
     assert code == 0
     assert "PASS" in out
+
+
+def test_the_gradient_check_sees_the_soft_row_gather(monkeypatch):
+    # A gather whose backward forgets the soft rows: training would never move them.
+    def take_rows_without_gradient(a, rows):
+        return nd._emit("take_rows", a.array[np.asarray(rows)],
+                        lambda g: [(a, np.zeros(a.shape))])
+
+    monkeypatch.setattr(nd, "take_rows", take_rows_without_gradient)
+    report = cli.run_gradient_check(NetConfig(2, 2, 3, 1), 0)
+    assert report.max_rel_err >= cli.GRADCHECK_THRESHOLD
+    assert report.worst_param in SOFT_TABLES
+
+
+def test_objective_on_a_batch_of_one_is_the_unbatched_pass(monkeypatch):
+    """At gradcheck's seeded point, `objective` on its batch of one gives the
+    loss and tape gradients of the soft-row reshape, unbatched `forward` and
+    one-sample `loss`. `np.array_equal` counts -0.0 equal to +0.0: the
+    gather's backward adds into zeros, so a zero's sign may differ."""
+    net, seen = NetConfig(4, 5, 8, 2), {}
+
+    def spy(batch, params, weights):
+        seen["batch"] = batch
+        return objective(batch, params, weights)
+
+    monkeypatch.setattr(cli, "objective", spy)
+    monkeypatch.setattr(nd, "grad_check", lambda f, arrays: seen.update(f=f, arrays=arrays))
+    cli.run_gradient_check(net, 0)
+    leaves = {k: NdBuffer(v) for k, v in seen["arrays"].items()}
+    with Tape() as tape:
+        got = seen["f"](leaves)
+    got_grads = tape.grad(got, list(leaves.values()))
+    [(sample, prompt)] = seen["batch"]
+    assert prompt.index == 0
+    with Tape() as tape:
+        want = unbatched_objective(sample, prompt, XFusionParams(net, leaves))
+    want_grads = tape.grad(want, list(leaves.values()))
+    assert got.array.tobytes() == want.array.tobytes()
+    for name, g, w in zip(leaves, got_grads, want_grads):
+        assert np.array_equal(g, w), name
 
 
 def test_config_class_failures_exit_1(pipeline, capsys):

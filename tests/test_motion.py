@@ -11,6 +11,7 @@ from motionctx.motion import (DOMAIN_ORDER, DOMAINS, Modality, MotionClip, Motio
                               parse_domain, reorganize_mesh_params, unify_pose2d,
                               unify_pose3d)
 from motionctx.nd import NdBuffer
+from motionctx.training import derive_seed
 
 
 def test_unify_pose2d_appends_zero_z():
@@ -187,6 +188,31 @@ def test_derive_task_is_deterministic_per_seed():
 def test_derive_task_unknown_domain():
     with pytest.raises(DomainError):
         derive_task(make_clip(), "walk", 0)
+
+
+JUNK = {
+    "time mask frames str": (lambda: make_time_mask("x", 0.4, 0), DimensionError),
+    "time mask frames float": (lambda: make_time_mask(6.0, 0.4, 0), DimensionError),
+    "time mask ratio str": (lambda: make_time_mask(6, "x", 0), DomainError),
+    "joint mask joints str": (lambda: make_joint_mask("x", 0, 0.4, 0), DimensionError),
+    "joint mask root str": (lambda: make_joint_mask(6, "x", 0.4, 0), DimensionError),
+    "joint mask ratio str": (lambda: make_joint_mask(6, 0, "x", 0), DomainError),
+    "joint mask native str": (lambda: make_joint_mask(6, 0, 0.4, 0, native_joint_count="x"),
+                              DimensionError),
+    "tbody frames float": (lambda: canonical_tbody(2.0, 3), DimensionError),
+    "pad target str": (lambda: pad_virtual_joints(make_clip().pose3d, "x"), DimensionError),
+    "pose3d str": (lambda: unify_pose3d("x"), DimensionError),
+    "parse_domain int": (lambda: parse_domain(5), DomainError),
+    "derive_seed domain int": (lambda: derive_seed(0, 0, 5), DomainError),
+    "derive_seed clip str": (lambda: derive_seed(0, "x", "pe"), DimensionError),
+    "derive_seed clip float": (lambda: derive_seed(0, 2.5, "pe"), DimensionError),
+}
+
+
+@pytest.mark.parametrize("call,error", JUNK.values(), ids=JUNK)
+def test_motion_helpers_reject_junk_extents_and_ids_typed(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_parse_domain_accepts_display_names():

@@ -108,6 +108,11 @@ def test_cluster_betas_shared_within_cluster():
     ("seed", 2.5),
     ("seed", True),
     ("seed", -1),
+    ("amplitude", "x"),
+    ("amplitude", True),
+    ("cluster_spread", None),
+    ("beta_scale", "x"),
+    ("amplitude", 10 ** 400),
 ])
 def test_config_validation_names_the_field(field, value):
     kwargs = {"clips": 4, "frames": 4, "joints": 6, "native_pose_joints": 5}

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import soft_pair
-from motionctx.errors import ConfigError, NumericError, StateError
+from motionctx.cli import run_gradient_check
+from motionctx.errors import ConfigError, DomainError, NumericError, StateError
 from motionctx.motion import (DOMAIN_ORDER, DOMAINS, Modality, MotionSequence, TaskSample,
                               derive_task, is_count)
 from motionctx.nd import NdBuffer
@@ -79,10 +80,45 @@ def test_config_defaults():
     {"seed": 2.5},
     {"seed": True},
     {"seed": -1},
+    {"learning_rate": None},
+    {"learning_rate": "x"},
+    {"learning_rate": True},
+    {"lr_decay": "x"},
+    {"weight_decay": "x"},
+    {"weights": None},
+    {"weights": {"position": 1.0}},
+    {"learning_rate": 10 ** 400},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ConfigError):
         TrainConfig(**kwargs)
+
+
+def _loss_with(weights):
+    sample = derive_task(make_dataset(SynthConfig(clips=1, clusters=1))[0], "pe", 0)
+    shape = sample.query_target.values.shape
+    return loss(NdBuffer(np.zeros(shape)), NdBuffer(np.zeros(10)), sample, weights)
+
+
+# (call, error class, message pattern): a loss weight's error names the
+# weight, a config object of the wrong type names that type. TrainConfig's and
+# SynthConfig's fields are in their own validation tests.
+WRONG_TYPES = {
+    "position str": (lambda: LossWeights(position="x"), DomainError, "position"),
+    "position None": (lambda: LossWeights(position=None), DomainError, "position"),
+    "shape bool": (lambda: LossWeights(shape=True), DomainError, "shape"),
+    "train config None": (lambda: train(*build_setup(), config=None), ConfigError,
+                          "NoneType"),
+    "init_params None": (lambda: init_params(None, 0), ConfigError, "NoneType"),
+    "loss weights None": (lambda: _loss_with(None), ConfigError, "NoneType"),
+    "gradcheck None": (lambda: run_gradient_check(None, 0), ConfigError, "NoneType"),
+}
+
+
+@pytest.mark.parametrize("call,error,pattern", WRONG_TYPES.values(), ids=WRONG_TYPES)
+def test_config_values_of_the_wrong_type_end_in_a_package_error(call, error, pattern):
+    with pytest.raises(error, match=pattern):
+        call()
 
 
 def test_zero_learning_rate_is_accepted():
