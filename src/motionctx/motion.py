@@ -79,6 +79,9 @@ class MotionSequence:
     betas: np.ndarray = field(default_factory=lambda: _frozen(np.zeros(SHAPE_PARAMS)))
 
     def __post_init__(self):
+        if not isinstance(self.modality, Modality):
+            raise DomainError(f"sequence modality must be a Modality, got "
+                              f"{reprlib.repr(self.modality)}")
         if not isinstance(self.values, NdBuffer):
             object.__setattr__(self, "values", NdBuffer(self.values))
         if self.values.ndim != 3 or self.values.shape[2] != CHANNELS:
@@ -350,7 +353,7 @@ def derive_task(clip: MotionClip, domain: str, rng_seed) -> TaskSample:
     Masked domains draw a fresh MASK_RATIO mask from rng_seed and apply it to
     the input by elementwise product; the others leave rng_seed unused.
     """
-    spec = DOMAINS.get(domain)
+    spec = DOMAINS.get(domain) if isinstance(domain, str) else None
     if spec is None:
         raise DomainError(f"unknown task domain {domain!r}; known: {', '.join(DOMAIN_ORDER)}")
     half = clip.window

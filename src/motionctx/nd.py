@@ -1,15 +1,19 @@
 """Dense float64 arrays with a reverse-mode gradient tape.
 
 `NdBuffer` is an immutable dense array: float64, C-order, finite at
-construction. Operators live at module level (`add`, `matmul`, `scan`, ...);
-each one returns a fresh buffer and, when a `Tape` is active, appends one
-record. A record holds the operation name, the output buffer, and a backward
-closure that holds the input buffers and maps the output gradient to
-per-input contributions. Numbers and float64 arrays may stand as constant
-operands. An op's backward hands its (operand, gradient thunk) pairs to one
-rule, `_contribs`, which runs no constant's thunk, so backward forms no
-gradient for a constant. Error messages name an operation as
-`name#record_index`.
+construction. Each buffer carries a `GradKey`, its identity for gradients,
+which knows its shape and outlives the data. Operators live at module level
+(`add`, `matmul`, `scan`, ...); each one returns a fresh buffer and, when a
+`Tape` is active, appends one record. A record holds the operation name, its
+output's key, and a backward closure that maps the output gradient to
+(input key, contribution) pairs. The closure holds its inputs' keys and only
+the arrays its backward reads, so the tape keeps no buffer: an output no
+backward reads (an `add`'s, a `layer_norm`'s, a `level_fusion`'s) is freed
+once the forward drops it. Numbers and float64 arrays may stand as constant
+operands. A backward keeps no array that only a constant's gradient would
+read (`_kept`), and hands its (key, gradient thunk) pairs to one rule,
+`_contribs`, which runs no constant's thunk, so backward forms no gradient
+for a constant. Error messages name an operation as `name#record_index`.
 
 `scan` runs a whole diagonal linear recurrence along one axis as a single
 record, with a reverse-scan backward. `matmul` with a 2-D right operand folds
@@ -20,14 +24,14 @@ the chains of elementwise records they stand for, so their values equal
 those chains' bitwise. `linear` (matmul then bias add), `mul_add` (a*x + b*y)
 and `layer_norm` with a `skip` operand (the residual add before the norm) go
 further: their gradients too repeat their chains' arithmetic and equal them
-bitwise. Every record keeps its output alive until backward, so each fused
-record also drops the activation-sized outputs of the steps it folds in.
+bitwise, and each writes one record where its chain wrote two or three.
 
 `Tape.grad` replays records in reverse, accumulating fan-out contributions
-additively, and is O(number of records). It drops each output gradient once
-that record's backward has run (unless the buffer was asked for in `wrt`), so
-peak memory is the tape plus the live frontier of gradients. `grad_check`
-compares it with central differences; a non-finite comparison fails it.
+additively by key, and is O(number of records). It drops each output gradient
+once that record's backward has run (unless the buffer was asked for in
+`wrt`), so peak memory is the arrays the backward closures read plus the live
+frontier of gradients. `grad_check` compares it with central differences; a
+non-finite comparison fails it.
 
 All state is per thread: the stack of active tapes, a fork-branch flag and
 the `debug_checks` switch. `fork` runs two independent branches at once, the
@@ -52,6 +56,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -93,15 +98,25 @@ def debug_checks():
         local.checks = prev
 
 
+class GradKey:
+    """A buffer's identity for gradients: its shape, and nothing that keeps
+    the buffer's data alive. Tape records and backward closures hold keys."""
+
+    __slots__ = ("shape",)
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.shape = shape
+
+
 class NdBuffer:
     """Immutable dense float64 array.
 
     The wrapped ndarray is C-ordered and marked read-only; `array` exposes it
-    without copying. Zero-sized extents are rejected, non-finite values are
-    rejected at construction.
+    without copying, and `key` is the buffer's `GradKey`. Zero-sized extents
+    are rejected, non-finite values are rejected at construction.
     """
 
-    __slots__ = ("_array",)
+    __slots__ = ("_array", "key")
 
     def __init__(self, values):
         try:
@@ -114,6 +129,7 @@ class NdBuffer:
             raise NumericError("non-finite value in buffer construction")
         arr.setflags(write=False)
         self._array = arr
+        self.key = GradKey(arr.shape)
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, name: str = "wrap") -> "NdBuffer":
@@ -127,6 +143,7 @@ class NdBuffer:
         arr.setflags(write=False)
         out = object.__new__(cls)
         out._array = arr
+        out.key = GradKey(arr.shape)
         return out
 
     @property
@@ -158,7 +175,7 @@ class Tape:
     """Context manager recording operator applications for reverse replay."""
 
     def __init__(self):
-        self._records: list[tuple[str, NdBuffer, Callable]] = []
+        self._records: list[tuple[str, GradKey, Callable]] = []
         # (start, mid, end) per `fork`: [start, mid) is the first branch's
         # records and [mid, end) the second's.
         self._pairs: list[tuple[int, int, int]] = []
@@ -185,12 +202,12 @@ class Tape:
         """
         if output.shape != ():
             raise DimensionError(f"grad needs a scalar output, got shape {output.shape}")
-        keep = {id(buf) for buf in wrt}
-        grads: dict[int, np.ndarray] = {id(output): np.ones(())}
-        # Ids whose gradient array this sweep allocated itself. Only those are
+        keep = {buf.key for buf in wrt}
+        grads: dict[GradKey, np.ndarray] = {output.key: np.ones(())}
+        # Keys whose gradient array this sweep allocated itself. Only those are
         # summed into in place; any other may be a view of a gradient that is
         # still live (add passes g through, reshape and transpose view it).
-        owned: set[int] = set()
+        owned: set[GradKey] = set()
         hi = len(self._records)
         for start, mid, end in reversed(self._pairs):
             self._sweep(end, hi, grads, owned, keep)
@@ -199,32 +216,30 @@ class Tape:
         self._sweep(0, hi, grads, owned, keep)
         out_list = []
         for buf in wrt:
-            g = grads.get(id(buf))
+            g = grads.get(buf.key)
             if g is None:
                 out_list.append(np.zeros(buf.shape))
             else:
-                out_list.append(np.ascontiguousarray(g) if id(buf) in owned
+                out_list.append(np.ascontiguousarray(g) if buf.key in owned
                                 else np.array(g, order="C"))
         return out_list
 
     def _sweep(self, lo: int, hi: int, grads: dict, owned: set, keep: set,
                log: list | None = None, local: set = frozenset()) -> None:
         # Backward of records hi-1 down to lo. With a log, a contribution to a
-        # buffer outside `local` is appended to it instead of summed.
+        # key outside `local` is appended to it instead of summed.
         records = self._records
         for index in range(hi - 1, lo - 1, -1):
-            name, out, backward = records[index]
-            key = id(out)
+            name, key, backward = records[index]
             g = grads.get(key) if key in keep else grads.pop(key, None)
             if g is None:
                 continue
-            for buf, contrib in backward(g):
-                if contrib.shape != buf.shape:
+            for key, contrib in backward(g):
+                if contrib.shape != key.shape:
                     raise DimensionError(
                         f"backward of {name}#{index} produced gradient shape {contrib.shape} "
-                        f"for input shape {buf.shape}"
+                        f"for input shape {key.shape}"
                     )
-                key = id(buf)
                 if log is not None and key not in local:
                     log.append((key, contrib))
                 else:
@@ -236,12 +251,12 @@ class Tape:
         # order: [mid, end) here, [start, mid) on the branch thread. A
         # segment's records read no output of the other, so each takes the
         # gradients of its own outputs that later records gave, and logs every
-        # contribution to a buffer made before the pair. The logs are summed
+        # contribution to a key made before the pair. The logs are summed
         # in afterwards, the first segment's first: the order of the
         # sequential sweep.
         segments = []
         for lo, hi in ((mid, end), (start, mid)):
-            local = {id(out) for _, out, _ in self._records[lo:hi]}
+            local = {key for _, key, _ in self._records[lo:hi]}
             seg_grads = {key: grads.pop(key) for key in local if key in grads}
             segments.append((lo, hi, local, seg_grads, owned & seg_grads.keys(), []))
         _join(*(functools.partial(self._sweep, lo, hi, seg_grads, seg_owned, keep, log, local)
@@ -253,7 +268,7 @@ class Tape:
             owned |= seg_owned
 
 
-def _accumulate(grads: dict, owned: set, key: int, contrib: np.ndarray) -> None:
+def _accumulate(grads: dict, owned: set, key: GradKey, contrib: np.ndarray) -> None:
     # The first contribution is stored as given; the second is summed into a
     # fresh array that the sweep owns; later ones are added into it in place.
     prev = grads.get(key)
@@ -361,14 +376,15 @@ def _emit(name, out_arr, backward) -> NdBuffer:
     out = NdBuffer._wrap(out_arr, name)
     tape = _active_tape()
     if tape is not None:
-        tape._records.append((name, out, backward))
+        tape._records.append((name, out.key, backward))
     return out
 
 
-def _as_operand(x) -> tuple[np.ndarray, NdBuffer | None]:
-    # NdBuffer participates in gradients; bare numbers and float64 arrays are constants.
+def _as_operand(x) -> tuple[np.ndarray, GradKey | None]:
+    # NdBuffer participates in gradients, by its key; bare numbers and float64
+    # arrays are constants, with no key.
     if isinstance(x, NdBuffer):
-        return x.array, x
+        return x.array, x.key
     if isinstance(x, (int, float)):
         return np.float64(x), None
     if isinstance(x, np.ndarray) and x.dtype == np.float64:
@@ -384,10 +400,20 @@ def _array(name: str, x) -> np.ndarray:
     return x.array
 
 
-def _contribs(*pairs) -> list[tuple[NdBuffer, np.ndarray]]:
-    # The one constant-operand rule: (buffer, thunk) pairs in the backward's
-    # order; a None buffer is a constant, and its thunk is never run.
-    return [(buf, grad()) for buf, grad in pairs if buf is not None]
+def _contribs(*pairs) -> list[tuple[GradKey, np.ndarray]]:
+    # The one constant-operand rule: (key, thunk) pairs in the backward's
+    # order; a None key is a constant, and its thunk is never run.
+    return [(key, grad()) for key, grad in pairs if key is not None]
+
+
+def _kept(key: GradKey | None, x):
+    # What a backward reads only for the gradient of `key`: None for a
+    # constant, so the record does not keep it.
+    return None if key is None else x
+
+
+def _pass(g):
+    return g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -400,34 +426,38 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _elementwise_pair(name, a, b, fwd, back_a, back_b) -> NdBuffer:
-    arr_a, buf_a = _as_operand(a)
-    arr_b, buf_b = _as_operand(b)
+def _elementwise_pair(name, a, b, fwd, grads) -> NdBuffer:
+    # grads(x, y, out) gives a's and b's maps g -> gradient before
+    # unbroadcasting; the record keeps each map, and what it reads, only for
+    # a buffer operand.
+    arr_a, key_a = _as_operand(a)
+    arr_b, key_b = _as_operand(b)
     try:
         out = fwd(arr_a, arr_b)
     except ValueError:
         raise DimensionError(f"{name}: shapes {np.shape(arr_a)} and {np.shape(arr_b)} do not broadcast") from None
+    back_a, back_b = grads(arr_a, arr_b, out)
+    back_a, back_b = _kept(key_a, back_a), _kept(key_b, back_b)
 
     def backward(g):
-        return _contribs((buf_a, lambda: _unbroadcast(back_a(g, arr_a, arr_b, out), buf_a.shape)),
-                         (buf_b, lambda: _unbroadcast(back_b(g, arr_a, arr_b, out), buf_b.shape)))
+        return _contribs((key_a, lambda: _unbroadcast(back_a(g), key_a.shape)),
+                         (key_b, lambda: _unbroadcast(back_b(g), key_b.shape)))
 
     return _emit(name, out, backward)
 
 
 def add(a, b) -> NdBuffer:
-    return _elementwise_pair("add", a, b, lambda x, y: x + y,
-                             lambda g, x, y, o: g, lambda g, x, y, o: g)
+    return _elementwise_pair("add", a, b, lambda x, y: x + y, lambda x, y, o: (_pass, _pass))
 
 
 def sub(a, b) -> NdBuffer:
     return _elementwise_pair("sub", a, b, lambda x, y: x - y,
-                             lambda g, x, y, o: g, lambda g, x, y, o: -g)
+                             lambda x, y, o: (_pass, operator.neg))
 
 
 def mul(a, b) -> NdBuffer:
     return _elementwise_pair("mul", a, b, lambda x, y: x * y,
-                             lambda g, x, y, o: g * y, lambda g, x, y, o: g * x)
+                             lambda x, y, o: (lambda g: g * y, lambda g: g * x))
 
 
 def _check_matmul(name, arr_a, arr_b) -> None:
@@ -437,37 +467,41 @@ def _check_matmul(name, arr_a, arr_b) -> None:
         raise DimensionError(f"{name} inner dimensions differ: {arr_a.shape} @ {arr_b.shape}")
 
 
-def _folded_gemm(arr_a, buf_a, arr_w, buf_w):
+def _folded_gemm(arr_a, key_a, arr_w, key_w):
     # (..., K) @ (K, N) is one (prod(...), K) @ (K, N) GEMM, one row when a is
     # 1-D; the weight gradient then needs no sum over batch axes. Returns the
     # fresh, writable product and its backward.
     flat_a = arr_a.reshape(-1, arr_a.shape[-1])
     out = (flat_a @ arr_w).reshape(arr_a.shape[:-1] + arr_w.shape[-1:])
+    # a's gradient reads w, and w's reads a.
+    shape_a, arr_w, flat_a = arr_a.shape, _kept(key_a, arr_w), _kept(key_w, flat_a)
 
     def backward(g):
         flat_g = g.reshape(-1, g.shape[-1])
-        return _contribs((buf_a, lambda: (flat_g @ arr_w.T).reshape(arr_a.shape)),
-                         (buf_w, lambda: flat_a.T @ flat_g))
+        return _contribs((key_a, lambda: (flat_g @ arr_w.T).reshape(shape_a)),
+                         (key_w, lambda: flat_a.T @ flat_g))
 
     return out, backward
 
 
 def matmul(a: NdBuffer, b: NdBuffer) -> NdBuffer:
-    arr_a, buf_a = _as_operand(a)
-    arr_b, buf_b = _as_operand(b)
+    arr_a, key_a = _as_operand(a)
+    arr_b, key_b = _as_operand(b)
     _check_matmul("matmul", arr_a, arr_b)
     if arr_b.ndim == 2:
-        out, backward = _folded_gemm(arr_a, buf_a, arr_b, buf_b)
+        out, backward = _folded_gemm(arr_a, key_a, arr_b, key_b)
     else:
         try:
             out = arr_a @ arr_b
         except ValueError:
             raise DimensionError(f"matmul batch dimensions do not broadcast: {arr_a.shape} @ {arr_b.shape}") from None
+        # a's gradient reads b, and b's reads a: the graph level's A @ h keeps no h.
+        arr_a, arr_b = _kept(key_b, arr_a), _kept(key_a, arr_b)
 
         def backward(g):
             return _contribs(
-                (buf_a, lambda: _unbroadcast(g @ np.swapaxes(arr_b, -1, -2), buf_a.shape)),
-                (buf_b, lambda: _unbroadcast(np.swapaxes(arr_a, -1, -2) @ g, buf_b.shape)))
+                (key_a, lambda: _unbroadcast(g @ np.swapaxes(arr_b, -1, -2), key_a.shape)),
+                (key_b, lambda: _unbroadcast(np.swapaxes(arr_a, -1, -2) @ g, key_b.shape)))
 
     return _emit("matmul", out, backward)
 
@@ -480,20 +514,20 @@ def linear(x, w, b) -> NdBuffer:
     broadcast to the product's shape. The backward gives b the reduction
     `add` gives it and x and w the two GEMMs `matmul` gives them, b first.
     """
-    arr_x, buf_x = _as_operand(x)
-    arr_w, buf_w = _as_operand(w)
-    arr_b, buf_b = _as_operand(b)
+    arr_x, key_x = _as_operand(x)
+    arr_w, key_w = _as_operand(w)
+    arr_b, key_b = _as_operand(b)
     if arr_x.ndim < 1 or arr_w.ndim != 2 or arr_x.shape[-1] != arr_w.shape[0]:
         raise DimensionError(f"linear needs (..., K) @ (K, N), got shapes {np.shape(arr_x)} "
                              f"and {np.shape(arr_w)}")
-    out, gemm_backward = _folded_gemm(arr_x, buf_x, arr_w, buf_w)
+    out, gemm_backward = _folded_gemm(arr_x, key_x, arr_w, key_w)
     try:
         out += arr_b
     except ValueError:
         raise DimensionError(f"linear: bias {np.shape(arr_b)} does not broadcast to {out.shape}") from None
 
     def backward(g):
-        return _contribs((buf_b, lambda: _unbroadcast(g, buf_b.shape))) + gemm_backward(g)
+        return _contribs((key_b, lambda: _unbroadcast(g, key_b.shape))) + gemm_backward(g)
 
     return _emit("linear", out, backward)
 
@@ -506,7 +540,7 @@ def mul_add(a, x, b, y) -> NdBuffer:
     shape. The backward returns the contributions in the order that chain's
     reverse replay produced them: b, y, a, x.
     """
-    (arr_a, buf_a), (arr_x, buf_x), (arr_b, buf_b), (arr_y, buf_y) = map(_as_operand, (a, x, b, y))
+    (arr_a, key_a), (arr_x, key_x), (arr_b, key_b), (arr_y, key_y) = map(_as_operand, (a, x, b, y))
     try:
         out = np.multiply(arr_a, arr_x)
         out += arr_b * arr_y
@@ -515,11 +549,13 @@ def mul_add(a, x, b, y) -> NdBuffer:
                              f"{np.shape(arr_b)} * {np.shape(arr_y)} do not broadcast "
                              f"to the shape of the first product") from None
 
+    reads = [(key, _kept(key, other)) for key, other in ((key_b, arr_y), (key_y, arr_b),
+                                                          (key_a, arr_x), (key_x, arr_a))]
+
     def backward(g):
         # Default arguments bind each thunk to its own operand.
-        return _contribs(*((buf, lambda buf=buf, other=other: _unbroadcast(g * other, buf.shape))
-                           for buf, other in ((buf_b, arr_y), (buf_y, arr_b),
-                                              (buf_a, arr_x), (buf_x, arr_a))))
+        return _contribs(*((key, lambda key=key, other=other: _unbroadcast(g * other, key.shape))
+                           for key, other in reads))
 
     return _emit("mul_add", out, backward)
 
@@ -532,9 +568,9 @@ def scan(a, b, u, axis: int) -> NdBuffer:
     backward pass is the reverse scan r_t = g_t + a*r_{t+1}, giving du = b*r,
     db = sum_t r_t*u_t and da = sum_{t>=1} r_t*s_{t-1}.
     """
-    arr_a, buf_a = _as_operand(a)
-    arr_b, buf_b = _as_operand(b)
-    arr_u, buf_u = _as_operand(u)
+    arr_a, key_a = _as_operand(a)
+    arr_b, key_b = _as_operand(b)
+    arr_u, key_u = _as_operand(u)
     if arr_u.ndim < 1:
         raise DimensionError("scan needs an input with at least one axis")
     ax = axis % arr_u.ndim
@@ -554,6 +590,8 @@ def scan(a, b, u, axis: int) -> NdBuffer:
     s[0] = drive[0]
     for t in range(1, s.shape[0]):
         s[t] = arr_a * s[t - 1] + drive[t]
+    # The reverse scan reads a; a's gradient reads s, b's u and u's b.
+    s, u_t, arr_b = _kept(key_a, s), _kept(key_b, u_t), _kept(key_u, arr_b)
 
     def backward(g):
         g_t = np.moveaxis(g, ax, 0)
@@ -561,9 +599,9 @@ def scan(a, b, u, axis: int) -> NdBuffer:
         r[-1] = g_t[-1]
         for t in range(r.shape[0] - 2, -1, -1):
             r[t] = g_t[t] + arr_a * r[t + 1]
-        return _contribs((buf_a, lambda: _unbroadcast(r[1:] * s[:-1], buf_a.shape)),
-                         (buf_b, lambda: _unbroadcast(r * u_t, buf_b.shape)),
-                         (buf_u, lambda: np.moveaxis(arr_b * r, 0, ax)))
+        return _contribs((key_a, lambda: _unbroadcast(r[1:] * s[:-1], key_a.shape)),
+                         (key_b, lambda: _unbroadcast(r * u_t, key_b.shape)),
+                         (key_u, lambda: np.moveaxis(arr_b * r, 0, ax)))
 
     return _emit("scan", out, backward)
 
@@ -573,10 +611,10 @@ def transpose(a: NdBuffer, axes: Sequence[int]) -> NdBuffer:
     if sorted(axes) != list(range(a.ndim)):
         raise DimensionError(f"transpose axes {axes} are not a permutation for shape {a.shape}")
     inverse = tuple(int(i) for i in np.argsort(axes))
-    out = np.transpose(_array("transpose", a), axes)
+    out, key = np.transpose(_array("transpose", a), axes), a.key
 
     def backward(g):
-        return [(a, np.transpose(g, inverse))]
+        return [(key, np.transpose(g, inverse))]
 
     return _emit("transpose", out, backward)
 
@@ -585,10 +623,10 @@ def reshape(a: NdBuffer, shape: Sequence[int]) -> NdBuffer:
     shape = tuple(int(n) for n in shape)
     if int(np.prod(shape, dtype=np.int64)) != a.size:
         raise DimensionError(f"cannot reshape {a.shape} to {shape}")
-    out = _array("reshape", a).reshape(shape)
+    out, key = _array("reshape", a).reshape(shape), a.key
 
     def backward(g):
-        return [(a, g.reshape(a.shape))]
+        return [(key, g.reshape(key.shape))]
 
     return _emit("reshape", out, backward)
 
@@ -604,9 +642,10 @@ def concat(parts: Sequence[NdBuffer], axis: int) -> NdBuffer:
         raise DimensionError(f"concat along axis {axis}: {[p.shape for p in parts]}: {exc}") from None
     ax = axis % out.ndim
     cuts = np.cumsum([a.shape[ax] for a in arrs[:-1]])
+    keys = [p.key for p in parts]
 
     def backward(g):
-        return [(p, piece) for p, piece in zip(parts, np.split(g, cuts, axis=ax))]
+        return list(zip(keys, np.split(g, cuts, axis=ax)))
 
     return _emit("concat", out, backward)
 
@@ -621,15 +660,15 @@ def take_rows(a: NdBuffer, rows) -> NdBuffer:
                              f"leading axis, got {rows.dtype} {rows.shape} for shape {a.shape}")
     if rows.min() < 0 or rows.max() >= a.shape[0]:
         raise DimensionError(f"take_rows index out of range for leading axis of shape {a.shape}")
-    out = _array("take_rows", a)[rows]
+    out, key = _array("take_rows", a)[rows], a.key
 
     def backward(g):
         # A loop over whole rows: np.add.at walks elements and ran 5-15x
         # slower on batch-sized gathers.
-        z = np.zeros(a.shape)
+        z = np.zeros(key.shape)
         for src, dst in enumerate(rows):
             z[dst] += g[src]
-        return [(a, z)]
+        return [(key, z)]
 
     return _emit("take_rows", out, backward)
 
@@ -640,12 +679,12 @@ def slice_axis(a: NdBuffer, axis: int, start: int, stop: int) -> NdBuffer:
         raise DimensionError(f"slice [{start}:{stop}] invalid for axis {ax} of shape {a.shape}")
     sl = [slice(None)] * a.ndim
     sl[ax] = slice(start, stop)
-    out = _array("slice_axis", a)[tuple(sl)]
+    out, key = _array("slice_axis", a)[tuple(sl)], a.key
 
     def backward(g):
-        z = np.zeros(a.shape)
+        z = np.zeros(key.shape)
         z[tuple(sl)] = g
-        return [(a, z)]
+        return [(key, z)]
 
     return _emit("slice_axis", out, backward)
 
@@ -660,12 +699,12 @@ def _norm_axes(axis, ndim) -> tuple[int, ...]:
 
 def reduce_sum(a: NdBuffer, axis=None, keepdims: bool = False) -> NdBuffer:
     axes = _norm_axes(axis, a.ndim)
-    out = _array("reduce_sum", a).sum(axis=axes, keepdims=keepdims)
+    out, key = _array("reduce_sum", a).sum(axis=axes, keepdims=keepdims), a.key
 
     def backward(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return [(a, np.broadcast_to(g, a.shape))]
+        return [(key, np.broadcast_to(g, key.shape))]
 
     return _emit("reduce_sum", out, backward)
 
@@ -673,26 +712,26 @@ def reduce_sum(a: NdBuffer, axis=None, keepdims: bool = False) -> NdBuffer:
 def mean(a: NdBuffer, axis=None, keepdims: bool = False) -> NdBuffer:
     axes = _norm_axes(axis, a.ndim)
     count = int(np.prod([a.shape[i] for i in axes], dtype=np.int64)) if axes else 1
-    out = _array("mean", a).mean(axis=axes, keepdims=keepdims)
+    out, key = _array("mean", a).mean(axis=axes, keepdims=keepdims), a.key
 
     def backward(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return [(a, np.broadcast_to(g / count, a.shape))]
+        return [(key, np.broadcast_to(g / count, key.shape))]
 
     return _emit("mean", out, backward)
 
 
 def square(a: NdBuffer) -> NdBuffer:
-    arr = _array("square", a)
-    return _emit("square", arr * arr, lambda g: [(a, g * 2.0 * arr)])
+    arr, key = _array("square", a), a.key
+    return _emit("square", arr * arr, lambda g: [(key, g * 2.0 * arr)])
 
 
 def sqrt(a: NdBuffer) -> NdBuffer:
     """Elementwise square root. The backward pass takes the zero subgradient
     at exactly-zero entries (the symmetric-kink choice, which also matches
     central differences there); negative inputs are rejected."""
-    arr = _array("sqrt", a)
+    arr, key = _array("sqrt", a), a.key
     if np.any(arr < 0.0):
         raise NumericError(f"sqrt of negative value (min {arr.min()})")
     out = np.sqrt(arr)
@@ -700,14 +739,14 @@ def sqrt(a: NdBuffer) -> NdBuffer:
     def backward(g):
         zero = out == 0.0
         denom = np.where(zero, 1.0, out)
-        return [(a, np.where(zero, 0.0, g * 0.5 / denom))]
+        return [(key, np.where(zero, 0.0, g * 0.5 / denom))]
 
     return _emit("sqrt", out, backward)
 
 
 def tanh(a: NdBuffer) -> NdBuffer:
-    out = np.tanh(_array("tanh", a))
-    return _emit("tanh", out, lambda g: [(a, g * (1.0 - out * out))])
+    out, key = np.tanh(_array("tanh", a)), a.key
+    return _emit("tanh", out, lambda g: [(key, g * (1.0 - out * out))])
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -734,8 +773,8 @@ def layer_norm(x: NdBuffer, gamma, beta, skip: NdBuffer | None = None) -> NdBuff
     g over the leading axes; skip and x both receive the one dx array.
     """
     arr = _array("layer_norm", x)
-    arr_g, buf_g = _as_operand(gamma)
-    arr_b, buf_b = _as_operand(beta)
+    arr_g, key_g = _as_operand(gamma)
+    arr_b, key_b = _as_operand(beta)
     width = arr.shape[-1:]
     if arr.ndim < 1 or np.shape(arr_g) != width or np.shape(arr_b) != width:
         raise DimensionError(f"layer_norm of {arr.shape} needs gain and shift of shape "
@@ -752,14 +791,14 @@ def layer_norm(x: NdBuffer, gamma, beta, skip: NdBuffer | None = None) -> NdBuff
     x_hat *= inv
     np.multiply(x_hat, arr_g, out=out)
     out += arr_b
-    residual = [x] if skip is None else [skip, x]
+    residual = [x.key] if skip is None else [skip.key, x.key]
 
     def backward(g):
         g = np.ascontiguousarray(g).reshape(-1, width[0])
         flat_hat = x_hat.reshape(g.shape)
         gx = g * flat_hat
         # Taken now: gx is reused below as scratch for dx.
-        params = _contribs((buf_g, lambda: gx.sum(axis=0)), (buf_b, lambda: g.sum(axis=0)))
+        params = _contribs((key_g, lambda: gx.sum(axis=0)), (key_b, lambda: g.sum(axis=0)))
         # mean(d) and mean(d * x_hat) are matrix-vector products with gamma.
         mean_d = (g @ arr_g)[:, None] / width[0]
         mean_dx = (gx @ arr_g)[:, None] / width[0]
@@ -767,8 +806,8 @@ def layer_norm(x: NdBuffer, gamma, beta, skip: NdBuffer | None = None) -> NdBuff
         dx -= mean_d
         dx -= np.multiply(flat_hat, mean_dx, out=gx)
         dx *= inv.reshape(-1, 1)
-        dx = dx.reshape(x.shape)
-        return [(buf, dx) for buf in residual] + params
+        dx = dx.reshape(x_hat.shape)
+        return [(key, dx) for key in residual] + params
 
     return _emit("layer_norm", out, backward)
 
@@ -791,12 +830,13 @@ def attention(q: NdBuffer, k: NdBuffer, v: NdBuffer, scale: float) -> NdBuffer:
     scale = np.float64(scale)
     p = _softmax((arr_q @ np.ascontiguousarray(np.swapaxes(arr_k, -1, -2))) * scale)
     out = p @ arr_v
+    keys = q.key, k.key, v.key
 
     def backward(g):
         ds = _softmax_back(p, g @ np.swapaxes(arr_v, -1, -2))
         ds *= scale
-        return [(q, ds @ arr_k), (k, np.swapaxes(ds, -1, -2) @ arr_q),
-                (v, np.swapaxes(p, -1, -2) @ g)]
+        return list(zip(keys, (ds @ arr_k, np.swapaxes(ds, -1, -2) @ arr_q,
+                               np.swapaxes(p, -1, -2) @ g)))
 
     return _emit("attention", out, backward)
 
@@ -832,6 +872,7 @@ def level_fusion(parts: Sequence[NdBuffer], w: NdBuffer,
     term = np.empty(shape)
     for l in range(1, n):
         out += np.multiply(alpha[..., l:l + 1], arrs[l], out=term)
+    keys, key_w, key_b = [p.key for p in parts], w.key, b.key
 
     def backward(g):
         d_alpha = np.empty(alpha.shape)
@@ -839,13 +880,13 @@ def level_fusion(parts: Sequence[NdBuffer], w: NdBuffer,
             d_alpha[..., l] = np.einsum("...h,...h->...", g, a)
         d_logits = _softmax_back(alpha, d_alpha).reshape(-1, n)
         contribs, d_w, term = [], np.empty((n, n * width)), np.empty(shape)
-        for l, (p, a) in enumerate(zip(parts, arrs)):
+        for l, (key, a) in enumerate(zip(keys, arrs)):
             block = slice(l * width, (l + 1) * width)
             d_part = (d_logits @ arr_w[:, block]).reshape(shape)
             d_part += np.multiply(alpha[..., l:l + 1], g, out=term)
-            contribs.append((p, d_part))
+            contribs.append((key, d_part))
             d_w[:, block] = d_logits.T @ a.reshape(-1, width)
-        return contribs + [(w, d_w), (b, d_logits.sum(axis=0))]
+        return contribs + [(key_w, d_w), (key_b, d_logits.sum(axis=0))]
 
     return _emit("level_fusion", out, backward), alpha
 

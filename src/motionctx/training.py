@@ -70,6 +70,9 @@ class TrainConfig:
 
 
 def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
+    check_type(config, TrainConfig, "config")
+    if not is_count(epoch, 0):
+        raise ConfigError(f"epoch must be an integer >= 0, got {epoch!r}")
     return config.learning_rate * config.lr_decay ** epoch
 
 
@@ -88,7 +91,10 @@ def derive_seed(base: int, clip_index: int, domain: str) -> int:
 
 def seeded_task(clips: list[MotionClip], i: int, domain: str, seed: int) -> TaskSample:
     """Clip i's task sample in `domain` under base seed `seed`."""
-    return derive_task(clips[i], domain, derive_seed(seed, i, domain))
+    task_seed = derive_seed(seed, i, domain)
+    if i >= len(clips):
+        raise DimensionError(f"clip index {i} out of range for {len(clips)} clips")
+    return derive_task(clips[i], domain, task_seed)
 
 
 def _domain_list(domains):
@@ -104,6 +110,9 @@ def _domain_list(domains):
 def corpus_entry(clips: list[MotionClip], domains, seed: int, s: int) -> TaskSample:
     """Entry s of the anchor corpus, derived alone. Entries run domain-major:
     entry s is clip s % len(clips) in domain domains[s // len(clips)]."""
+    n = len(clips) * len(_domain_list(domains))
+    if not (is_count(s, 0) and s < n):
+        raise DimensionError(f"corpus entry must be an integer in [0, {n}), got {s!r}")
     return seeded_task(clips, s % len(clips), domains[s // len(clips)], seed)
 
 
@@ -236,6 +245,8 @@ def train_step(batch, params: XFusionParams, state: AdamWState, config: TrainCon
     of the soft tables only the rows of anchors retrieved in this batch move.
     Hard anchors are inputs, not parameters, so they cannot change.
     """
+    check_type(params, XFusionParams, "params")
+    check_type(state, AdamWState, "state")
     check_type(config, TrainConfig, "config")
     if not batch:
         raise StateError("train_step needs a non-empty batch")

@@ -1,5 +1,8 @@
 """Shared test builders."""
 
+import functools
+import types
+
 import numpy as np
 
 from motionctx import nd, prompting
@@ -7,6 +10,48 @@ from motionctx.motion import (MotionClip, pad_virtual_joints, reorganize_mesh_pa
                               unify_pose2d, unify_pose3d)
 from motionctx.nd import NdBuffer
 from motionctx.network import SOFT_TABLES, forward, loss
+
+
+def tape_holdings(records) -> list:
+    """Every object the tape records `records` keep alive, each once: the
+    records, their keys and backward closures, and whatever those reach
+    through closure cells, default arguments, partials, containers and
+    buffers. Module globals and builtins are not followed."""
+    seen, found, todo = set(), [], list(records)
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        if isinstance(obj, (list, tuple, set, frozenset)):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif isinstance(obj, functools.partial):
+            todo += [obj.func, *obj.args, *obj.keywords.values()]
+        elif isinstance(obj, types.FunctionType):
+            todo += [*(obj.__defaults__ or ()), *(obj.__kwdefaults__ or {}).values()]
+            for cell in obj.__closure__ or ():
+                try:
+                    todo.append(cell.cell_contents)
+                except ValueError:  # a cell not yet bound
+                    pass
+        elif isinstance(obj, NdBuffer):
+            todo.append(obj.array)
+    return found
+
+
+def memory_blocks(objects) -> dict:
+    """id -> array for each distinct memory block under the arrays among
+    `objects`: a view counts as the array that owns its data."""
+    blocks = {}
+    for obj in objects:
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            blocks[id(obj)] = obj
+    return blocks
 
 
 def loaded_sequences(kind: str, loaded) -> list:
@@ -55,18 +100,19 @@ def make_clip(half=4, joints=6, native_pose=4, seed=0, clip_id="c0"):
 
 def div(a, b) -> NdBuffer:
     return nd._elementwise_pair("div", a, b, lambda x, y: x / y,
-                                lambda g, x, y, o: g / y, lambda g, x, y, o: -g * o / y)
+                                lambda x, y, o: (lambda g: g / y, lambda g: -g * o / y))
 
 
 def exp(a: NdBuffer) -> NdBuffer:
     out = np.exp(a.array)
-    return nd._emit("exp", out, lambda g: [(a, g * out)])
+    return nd._emit("exp", out, lambda g, key=a.key: [(key, g * out)])
 
 
 def softmax_lastdim(a: NdBuffer) -> NdBuffer:
     """Max-shifted softmax over the last axis."""
     out = nd._softmax(a.array)
-    return nd._emit("softmax_lastdim", out, lambda g: [(a, nd._softmax_back(out, g))])
+    return nd._emit("softmax_lastdim", out,
+                    lambda g, key=a.key: [(key, nd._softmax_back(out, g))])
 
 
 def swap_last2(a: NdBuffer) -> NdBuffer:

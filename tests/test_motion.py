@@ -1,5 +1,7 @@
 """Unified motion representation, masks, and task derivation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,18 @@ def test_derive_task_unknown_domain():
         derive_task(make_clip(), "walk", 0)
 
 
+@pytest.mark.parametrize("betas", [0.0, 0.5])
+def test_sequence_modality_must_be_a_modality_member(betas):
+    # Consumers test `modality is Modality.MESH`, so a string "mesh" would be
+    # scored as a pose; with nonzero betas the betas check read `.value` off it.
+    values = np.zeros((2, 3, 3))
+    for bad in ("mesh", "pose3d", None):
+        with pytest.raises(DomainError, match=f"^sequence modality must be a Modality, "
+                                              f"got {re.escape(repr(bad))}$"):
+            MotionSequence(values, bad, 3, betas=np.full(10, betas))
+    assert MotionSequence(values, Modality.MESH, 3, betas=np.full(10, betas)).modality is Modality.MESH
+
+
 JUNK = {
     "time mask frames str": (lambda: make_time_mask("x", 0.4, 0), DimensionError),
     "time mask frames float": (lambda: make_time_mask(6.0, 0.4, 0), DimensionError),
@@ -206,6 +220,7 @@ JUNK = {
     "derive_seed domain int": (lambda: derive_seed(0, 0, 5), DomainError),
     "derive_seed clip str": (lambda: derive_seed(0, "x", "pe"), DimensionError),
     "derive_seed clip float": (lambda: derive_seed(0, 2.5, "pe"), DimensionError),
+    "derive_task domain list": (lambda: derive_task(make_clip(), ["pe"], 0), DomainError),
 }
 
 

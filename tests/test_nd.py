@@ -5,11 +5,13 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
-from helpers import div, exp, softmax_lastdim, stack, swap_last2, take_axis
+from helpers import (div, exp, memory_blocks, softmax_lastdim, stack, swap_last2, take_axis,
+                     tape_holdings)
 from motionctx import nd
 from motionctx.errors import DimensionError, NumericError
 from motionctx.nd import NdBuffer, Tape
@@ -144,7 +146,7 @@ def _bumped_identity(a: NdBuffer, indices, bump: float) -> NdBuffer:
     def backward(g):
         grad = np.array(g, dtype=np.float64)
         grad.reshape(-1)[list(indices)] += bump
-        return [(a, grad)]
+        return [(a.key, grad)]
     return nd._emit("bumped_identity", a.array.copy(), backward)
 
 
@@ -551,7 +553,8 @@ def test_array_operand_is_a_constant():
         y = nd.matmul(a, x)
         loss = nd.reduce_sum(y)
     name, out, backward = tape._records[0]
-    assert [buf for buf, _ in backward(np.ones(y.shape))] == [x]
+    assert out is y.key
+    assert [key for key, _ in backward(np.ones(y.shape))] == [x.key]
     assert np.array_equal(tape.grad(loss, [x])[0], np.repeat(a.sum(axis=0)[:, None], 2, axis=1))
     with pytest.raises(DimensionError):
         nd.add(x, np.ones((3, 2), dtype=np.int64))
@@ -617,12 +620,13 @@ def test_constant_operand_takes_no_gradient(op, constant, monkeypatch):
         offered, ran = [], []
 
         def spy(*pairs, real=nd._contribs):
-            offered.extend(buf for buf, _ in pairs)
-            return real(*((buf, lambda buf=buf, grad=grad: ran.append(buf) or grad())
-                          for buf, grad in pairs))
+            offered.extend(key for key, _ in pairs)
+            return real(*((key, lambda key=key, grad=grad: ran.append(key) or grad())
+                          for key, grad in pairs))
 
         monkeypatch.setattr(nd, "_contribs", spy)
-        contribs = [(leaves.index(buf), grad) for buf, grad in backward(g)]
+        keys = [leaf.key for leaf in leaves]
+        contribs = [(keys.index(key), grad) for key, grad in backward(g)]
         monkeypatch.undo()
         runs.append((out.array, contribs, offered, ran))
     (out_all, all_contribs, _, _), (out_c, contribs, offered, ran) = runs
@@ -633,6 +637,63 @@ def test_constant_operand_takes_no_gradient(op, constant, monkeypatch):
     assert [i for i, _ in contribs] == [i for i, _ in want]
     for (_, got), (_, expected) in zip(contribs, want):
         assert np.array_equal(got, expected)
+
+
+def _float_blocks(tape) -> dict:
+    # The float64 memory blocks a tape's records keep, by id.
+    return {k: a for k, a in memory_blocks(tape_holdings(tape._records)).items()
+            if a.dtype == np.float64}
+
+
+@pytest.mark.parametrize("op", sorted(set(BUFFER_ONLY_OPS) | set(CONSTANT_OPS)))
+def test_records_hold_keys_not_buffers(op):
+    # Every op, its operands all buffers: the record names its output by key,
+    # and neither it nor its backward closure reaches any buffer.
+    if op in CONSTANT_OPS:
+        fn, shapes = CONSTANT_OPS[op]
+        rng = np.random.default_rng(61)
+        run = lambda: fn(*(NdBuffer(rng.normal(size=s)) for s in shapes))
+    else:
+        run = lambda: BUFFER_ONLY_OPS[op](NdBuffer(np.full((2, 3), 0.5)))
+    with Tape() as tape:
+        out = run()
+    out = out[0] if isinstance(out, tuple) else out
+    (_, key, _), = tape._records
+    assert key is out.key and isinstance(key, nd.GradKey) and key.shape == out.shape
+    assert not any(isinstance(obj, NdBuffer) for obj in tape_holdings(tape._records))
+
+
+def test_shape_only_backwards_keep_no_array():
+    # These backwards read only shapes, so the tape keeps no float64 array of
+    # their operands or outputs: each is freed once the forward drops it.
+    rng = np.random.default_rng(62)
+    x, y = (NdBuffer(rng.normal(size=(4, 3))) for _ in range(2))
+    with Tape() as tape:
+        outs = [nd.add(x, y), nd.sub(x, y), nd.transpose(x, (1, 0)), nd.reshape(x, (12,)),
+                nd.concat([x, y], 0), nd.take_rows(x, [3, 0]), nd.slice_axis(x, 1, 0, 2),
+                nd.reduce_sum(x, axis=0), nd.mean(x, axis=1)]
+        loss = nd.add(nd.reduce_sum(nd.add(x, np.ones((4, 3)))), 2.0)
+    assert len(tape) == len(outs) + 3 and _float_blocks(tape) == {}
+    refs = [weakref.ref(buf.array) for buf in outs]
+    del outs
+    assert all(ref() is None for ref in refs)
+    assert np.array_equal(tape.grad(loss, [x])[0], np.ones((4, 3)))
+
+
+@pytest.mark.parametrize("other_shape", [(4, 3), (2, 4, 3)], ids=["2d", "batched"])
+def test_gemm_keeps_no_array_only_a_constant_gradient_reads(other_shape):
+    # The graph level's A @ h: h's gradient reads only the constant A, so the
+    # record keeps A and neither h nor the product; h @ W with W constant
+    # keeps only W.
+    rng = np.random.default_rng(63)
+    a, w = rng.normal(size=(4, 4)), rng.normal(size=(3, 5))
+    h = NdBuffer(rng.normal(size=other_shape))
+    for const, fn in ((a, lambda: nd.matmul(a, h)), (w, lambda: nd.matmul(h, w))):
+        with Tape() as tape:
+            out = fn()
+        kept = list(_float_blocks(tape).values())
+        assert kept and all(np.shares_memory(block, const) for block in kept)
+        assert not any(np.shares_memory(block, x.array) for block in kept for x in (h, out))
 
 
 # Fused records whose gradients repeat their chains' arithmetic: outputs and
@@ -663,7 +724,8 @@ def test_linear_of_a_1d_x_is_the_one_row_gemm_of_x_none():
         with Tape() as tape:
             out = nd.linear(*leaves)
         (_, _, backward), = tape._records
-        runs.append((out.array, {leaves.index(buf): grad for buf, grad in backward(g_in)}))
+        keys = [leaf.key for leaf in leaves]
+        runs.append((out.array, {keys.index(key): grad for key, grad in backward(g_in)}))
     (out_1d, grads_1d), (out_2d, grads_2d) = runs
     assert out_1d.shape == (5,) and np.array_equal(out_1d, out_2d[0])
     assert sorted(grads_1d) == sorted(grads_2d) == [0, 1, 2]
@@ -713,7 +775,7 @@ def test_layer_norm_skip_matches_add_then_norm_bitwise(shape):
         fused(*leaves)
     (_, out, backward), = tape._records
     (b_skip, dx_skip), (b_x, dx_x) = backward(np.ones(out.shape))[:2]
-    assert b_skip is leaves[0] and b_x is leaves[1] and dx_skip is dx_x
+    assert b_skip is leaves[0].key and b_x is leaves[1].key and dx_skip is dx_x
 
 
 def test_take_rows_gathers_and_sums_repeated_rows():
@@ -725,8 +787,8 @@ def test_take_rows_gathers_and_sums_repeated_rows():
     assert np.array_equal(out.array, a.array[rows])
     assert [name for name, _, _ in tape._records] == ["take_rows"]
     g = rng.normal(size=out.shape)
-    ((buf, grad),) = tape._records[0][2](g)
-    assert buf is a
+    ((key, grad),) = tape._records[0][2](g)
+    assert key is a.key
     # Row 1 is never taken; row 2 sums its three uses in index order.
     want = np.zeros(a.shape)
     want[0], want[2], want[3] = g[1], g[0] + g[2] + g[4], g[3]

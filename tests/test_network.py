@@ -1,12 +1,14 @@
 """Fusion network: encoding, levels, fusion, forward, losses, metrics."""
 
 import hashlib
+import math
 import re
+import weakref
 
 import numpy as np
 import pytest
 
-from helpers import make_clip
+from helpers import make_clip, memory_blocks, tape_holdings
 from motionctx import network, nd
 from motionctx.errors import ConfigError, DimensionError, DomainError, NumericError
 from motionctx.motion import SHAPE_PARAMS, Modality, MotionSequence, derive_task, unify_pose3d
@@ -184,7 +186,7 @@ def test_graph_adjacency_is_a_constant(view, lead):
     assert not cached.flags.writeable and np.array_equal(cached, fresh)
     grads = []
     for _, rec_out, backward in tape._records:
-        grads += [buf.shape for buf, _ in backward(np.ones(rec_out.shape))]
+        grads += [key.shape for key, _ in backward(np.ones(rec_out.shape))]
     assert (t_len, t_len) not in grads and len(grads) == 3  # h, w, and the mixed tracks
 
 
@@ -195,19 +197,28 @@ def test_init_params_rejects_what_is_not_an_anchor_set(bad):
         init_params(small_cfg(layers=1), 0, anchors=bad)
 
 
-def _count_step_records(monkeypatch, net, batch_size, seed):
+def _step_tapes(monkeypatch, net, batch_size, seed):
+    # The tapes a train step takes gradients on.
     clips = make_dataset(SynthConfig(clips=8, frames=net.frames, joints=net.joints,
                                      native_pose_joints=net.joints - 1, seed=1))
     anchors = random_sample(anchor_corpus(clips, seed=0), 8, 0, hidden_dim=net.hidden)
     params = init_params(net, 1, anchors=anchors)
     batch = build_batch(clips, anchors, batch_size, seed)
     assert any(s.query_target.modality is Modality.MESH for s, _ in batch)
-    lengths = []
+    tapes = []
     grad = Tape.grad
-    monkeypatch.setattr(Tape, "grad", lambda self, *a: lengths.append(len(self)) or grad(self, *a))
+    monkeypatch.setattr(Tape, "grad", lambda self, *a: tapes.append(self) or grad(self, *a))
     cfg = TrainConfig(batch_size=batch_size)
     train_step(batch, params, AdamWState(), cfg, cfg.learning_rate)
-    return lengths
+    return tapes
+
+
+def _count_step_records(monkeypatch, net, batch_size, seed):
+    return [len(tape) for tape in _step_tapes(monkeypatch, net, batch_size, seed)]
+
+
+def _held_bytes(tape) -> int:
+    return sum(a.nbytes for a in memory_blocks(tape_holdings(tape._records)).values())
 
 
 def test_tape_records_per_pass(monkeypatch):
@@ -236,6 +247,69 @@ def test_tape_records_per_pass(monkeypatch):
     assert len(tape) == 128
 
 
+def test_tape_holds_keys_and_pinned_bytes(monkeypatch):
+    # Records and backward closures hold gradient keys and only the arrays
+    # backward reads, never a buffer, so no op can keep its inputs or output
+    # alive unread. The pinned bytes are those of the distinct memory blocks
+    # they reach (weights included) for the two steps of
+    # test_tape_records_per_pass; holding every record's output and its
+    # operand buffers, as the tape once did, reached 3,098,904 and 2,710,464.
+    # The paper-layered step runs again with the blocks forked.
+    toy = NetConfig(frames=8, joints=6, hidden=16, layers=1)
+    paper_layers = NetConfig(frames=4, joints=5, hidden=8, layers=8)
+    [toy_tape] = _step_tapes(monkeypatch, toy, 8, 1)
+    [paper_tape] = _step_tapes(monkeypatch, paper_layers, 4, 1)
+    monkeypatch.setattr(nd, "fork_pays", lambda work: True)
+    [forked_tape] = _step_tapes(monkeypatch, paper_layers, 4, 1)
+    assert forked_tape._pairs
+    for tape in (toy_tape, paper_tape, forked_tape):
+        held = tape_holdings(tape._records)
+        assert not any(isinstance(obj, NdBuffer) for obj in held)
+        assert all(isinstance(key, nd.GradKey) for _, key, _ in tape._records)
+    assert [_held_bytes(tape) for tape in (toy_tape, paper_tape, forked_tape)] == [
+        2_199_064, 2_274_232, 2_274_232]
+
+
+def test_fused_outputs_are_freed_during_the_taped_forward(monkeypatch):
+    # No backward reads a level_fusion or a layer_norm output (the norm keeps
+    # its x_hat, the swap and the injection add only shapes), so each is
+    # collected once the forward drops it, while the tape lives on; the
+    # gradients are those of a pass that kept every output alive.
+    cfg = NetConfig(frames=4, joints=5, hidden=8, layers=2)
+    params = init_params(cfg, 3)
+    rng = np.random.default_rng(42)
+    q, p, gt = (NdBuffer(rng.normal(size=(2, cfg.frames, cfg.joints, 3))) for _ in range(3))
+    u = NdBuffer(rng.normal(size=(2, cfg.frames, cfg.joints, cfg.hidden)))
+    leaves = list(params.tensors.values())
+
+    def taped():
+        with Tape() as tape:
+            result = forward(q, p, gt, u, params)
+            total = nd.reduce_sum(nd.square(result.prediction))
+        return tape, total
+
+    held, refs = [], {"level_fusion": [], "layer_norm": []}
+    for name, found in refs.items():
+        def watched(*args, op=getattr(nd, name), found=found, **kwargs):
+            out = op(*args, **kwargs)
+            buf = out[0] if isinstance(out, tuple) else out
+            found.append(weakref.ref(buf.array))
+            if held:  # the first pass holds every output
+                held.append(buf)
+            return out
+        monkeypatch.setattr(nd, name, watched)
+    held.append(None)
+    tape, total = taped()
+    want = tape.grad(total, leaves)
+    held.clear()
+    tape, total = taped()
+    calls = 2 * 2 * cfg.layers  # branches x views x layers
+    assert [len(found) for found in refs.values()] == [2 * calls] * 2
+    assert all(ref() is None for found in refs.values() for ref in found)
+    for got, expected in zip(tape.grad(total, leaves), want, strict=True):
+        assert np.array_equal(got, expected)
+
+
 def test_view_pass_op_sequence():
     cfg = small_cfg(layers=1)
     tracks = NdBuffer(np.random.default_rng(40).normal(size=(2, cfg.joints, cfg.frames, 6)))
@@ -257,19 +331,26 @@ def test_taped_forward_keeps_13_activations_per_view_pass(monkeypatch):
     q, p, gt = (NdBuffer(rng.normal(size=(b, cfg.frames, cfg.joints, 3))) for _ in range(3))
     u = NdBuffer(rng.normal(size=(b, cfg.frames, cfg.joints, cfg.hidden)))
     activation = b * cfg.frames * cfg.joints * cfg.hidden
-    per_block = []
+    per_block, kept = [], []
     block = network.xfusion_block
 
     def counted(h, *args):
         start = len(tape)
         result = block(h, *args)
-        per_block.append(sum(out.size == activation for _, out, _ in tape._records[start:]))
+        records = tape._records[start:]
+        per_block.append(sum(math.prod(out.shape) == activation for _, out, _ in records))
+        kept.append(sum(a.size == activation
+                        for a in memory_blocks(tape_holdings(records)).values()))
         return result
 
     monkeypatch.setattr(network, "xfusion_block", counted)
     with Tape() as tape:
         forward(q, p, gt, u, init_params(cfg, 0))
     assert per_block == [2 * 13] * (2 * cfg.layers)
+    # Of those, backward reads 11 (all but the level fusion and the norm),
+    # plus the norm's x_hat: 12 kept per view pass. Keeping every output and
+    # the block's input buffer kept 29 per block.
+    assert kept == [2 * 12] * (2 * cfg.layers)
 
 
 def test_ssm_degenerates_to_passthrough():

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from helpers import soft_pair
 from motionctx.cli import run_gradient_check
-from motionctx.errors import ConfigError, DomainError, NumericError, StateError
+from motionctx.errors import (ConfigError, DimensionError, DomainError, MotionCtxError,
+                              NumericError, StateError)
 from motionctx.motion import (DOMAIN_ORDER, DOMAINS, Modality, MotionSequence, TaskSample,
                               derive_task, is_count)
 from motionctx.nd import NdBuffer
@@ -21,8 +22,8 @@ from motionctx.prompting import (RetrievedPrompt, cluster_sample, random_sample,
                                  retrieve_prompt, soft_anchor_value, sps_sample)
 from motionctx.synth import SynthConfig, make_dataset
 from motionctx.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamWState, TrainConfig,
-                                anchor_corpus, build_batch, derive_seed, evaluate, lr_at_epoch,
-                                train, train_step)
+                                anchor_corpus, build_batch, corpus_entry, derive_seed, evaluate,
+                                lr_at_epoch, seeded_task, train, train_step)
 
 HALF, JOINTS, NATIVE, HIDDEN = 4, 6, 5, 8
 
@@ -361,6 +362,28 @@ def test_only_retrieved_soft_anchors_update():
         assert state.t[name].tolist() == [0, 1] + [0] * (len(anchors) - 2)
         assert not state.m[name][np.arange(len(anchors)) != 1].any()
     assert not np.array_equal(params.tensors["head.pos.w"].array, before["head.pos.w"])
+
+
+JUNK_CALLS = {
+    "seeded_task index str": lambda clips, anchors, params: seeded_task(clips, "x", "pe", 0),
+    "seeded_task index past the clips": lambda clips, anchors, params: seeded_task(clips, 3, "pe", 0),
+    "corpus_entry entry str": lambda clips, anchors, params: corpus_entry(clips, ("pe",), 0, "x"),
+    "corpus_entry entry past the corpus": lambda clips, anchors, params: corpus_entry(clips, ("pe",), 0, 3),
+    "lr_at_epoch epoch str": lambda clips, anchors, params: lr_at_epoch(TrainConfig(), "x"),
+    "lr_at_epoch config None": lambda clips, anchors, params: lr_at_epoch(None, 0),
+    "train_step params None": lambda clips, anchors, params: train_step(
+        build_batch(clips, anchors, 1, 0), None, AdamWState(), TrainConfig(), 2e-4),
+    "train_step state None": lambda clips, anchors, params: train_step(
+        build_batch(clips, anchors, 1, 0), params, None, TrainConfig(), 2e-4),
+}
+
+
+@pytest.mark.parametrize("call", JUNK_CALLS.values(), ids=JUNK_CALLS)
+def test_training_entry_points_reject_junk_typed(call):
+    # Each raised a raw TypeError or AttributeError before it was checked.
+    with pytest.raises(MotionCtxError) as caught:
+        call(*build_setup())
+    assert type(caught.value) in (ConfigError, DimensionError)
 
 
 def test_train_step_empty_batch_raises():
