@@ -29,6 +29,7 @@ import json
 import math
 import os
 import re
+import reprlib
 import struct
 import sys
 import tempfile
@@ -293,6 +294,20 @@ def _load_sequence(values: np.ndarray, entry: dict, key: str, betas: np.ndarray,
     return _sequence(values, modality, _field(meta, "native", int, where), betas, facts, where)
 
 
+def _meta(meta: dict | None) -> dict:
+    """A saver's `meta`, checked before its file is written: a dict that the
+    canonical JSON manifest can hold, without NaN or infinity; None is {}."""
+    if meta is None:
+        return {}
+    if not isinstance(meta, dict):
+        raise ConfigError(f"meta must be a dict or None, got {reprlib.repr(meta)}")
+    try:
+        json.dumps(meta, sort_keys=True, allow_nan=False)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"meta {reprlib.repr(meta)} cannot be stored as JSON: {err}") from None
+    return meta
+
+
 def save_anchors(path: str, anchors: AnchorSet, meta: dict | None = None) -> None:
     """Hard anchors as 32-bit floats, soft factor pairs as 64-bit floats."""
     a, f, j, h = len(anchors), anchors.frames, anchors.joints, anchors.hidden
@@ -304,7 +319,7 @@ def save_anchors(path: str, anchors: AnchorSet, meta: dict | None = None) -> Non
         "anchors": [{"domain": x.domain, "source_index": x.source_index,
                      "input": _sequence_meta(x.input), "target": _sequence_meta(x.target)}
                     for x in anchors.anchors],
-        "meta": meta or {},
+        "meta": _meta(meta),
     }
     write_file(path, manifest,
                _f32_block(anchors.stacked_inputs()),
@@ -358,7 +373,7 @@ def save_checkpoint(path: str, params: XFusionParams, meta: dict | None = None) 
         "kind": "checkpoint",
         "config": vars(params.config),
         "tensors": [{"name": n, "shape": list(params.tensors[n].shape)} for n in names],
-        "meta": meta or {},
+        "meta": _meta(meta),
     }
     write_file(path, manifest, *(_f64_block(params.tensors[n].array) for n in names))
 

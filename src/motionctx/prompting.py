@@ -11,16 +11,22 @@ serves the sampler and the retriever. Max-min sampling skips members whose
 bound shows the newest anchor cannot raise their best similarity, which
 leaves the selection bitwise that of scoring every member. All three
 samplers check a request the same way: an anchor count and a hidden width
-of at least 1, and one input shape across the corpus. Each anchor carries
-its task target and the initial value of its low-rank soft factor pair.
-Retrieval is one scorer (`_contenders`) that every caller reads:
-`retrieve_prompts` (the most similar anchor per query, optionally among one
-task domain's), `retrieve_prompt`, `retrieve_with_margin` (and the runner-up
-margin) and `coverage`. A stack that fits in one kernel block is scored
-whole; a larger one only where the bound over the set's first anchors cannot
-rule an anchor out of the best one, or two for a margin, so picks,
-similarities and margins are bitwise those of scoring every anchor. All ties
-break toward the lowest index so every path is deterministic.
+of at least 1, a corpus of (input, target, domain) triples, and one input
+shape across it. Their k differs: the rest pose counts toward
+`sps_sample`'s k, while `random_sample` and `cluster_sample` pick k members
+and prepend it, k + 1 anchors. Each anchor carries its task target and the
+initial value of its low-rank soft factor pair.
+Retrieval is one scorer (`_contenders`) that `retrieve_prompts` (the most
+similar anchor per query, optionally among one task domain's),
+`retrieve_prompt` and `coverage` read. A stack that fits in one kernel
+block is scored whole, and so are one domain's anchors of a larger one.
+Only unfiltered retrieval over a larger stack, one big set queried over
+and over, is pruned: an anchor is scored only where the bound over the
+set's first anchors cannot rule it out of the best one, so picks and
+similarities are bitwise those of scoring every anchor.
+`retrieve_with_margin` (the pick and its runner-up margin) scans its
+candidates whole. All ties break toward the lowest index so every path is
+deterministic.
 """
 
 from __future__ import annotations
@@ -63,6 +69,9 @@ CorpusEntry = tuple[MotionSequence, MotionSequence, str]
 
 def similarity(x: MotionSequence, y: MotionSequence) -> float:
     """Negated mean per-frame, per-joint Euclidean distance between x and y."""
+    for seq in (x, y):
+        if not isinstance(seq, MotionSequence):
+            raise DimensionError(f"similarity needs MotionSequences, got {reprlib.repr(seq)}")
     if x.values.shape != y.values.shape:
         raise DimensionError(f"similarity needs matching shapes, got {x.values.shape} and {y.values.shape}")
     dists = np.sqrt(((x.values.array - y.values.array) ** 2).sum(axis=-1))
@@ -237,7 +246,20 @@ class AnchorSet:
         return self._cached("_by_domain", build).get(domain, np.empty(0, dtype=np.intp))
 
 
+def _check_corpus(corpus: list[CorpusEntry]) -> None:
+    """Reject a corpus that is not a list of (input, target, domain) triples."""
+    if not isinstance(corpus, (list, tuple)):
+        raise DimensionError(f"a corpus must be a list of entries, got {reprlib.repr(corpus)}")
+    for entry in corpus:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 3
+                and isinstance(entry[0], MotionSequence) and isinstance(entry[1], MotionSequence)
+                and isinstance(entry[2], str)):
+            raise DimensionError("a corpus entry must be an (input, target, domain) triple, "
+                                 f"got {reprlib.repr(entry)}")
+
+
 def corpus_fingerprint(corpus: list[CorpusEntry]) -> str:
+    _check_corpus(corpus)
     h = hashlib.sha256()
     for inp, tgt, domain in corpus:
         h.update(domain.encode())
@@ -255,6 +277,7 @@ def _check_request(corpus: list[CorpusEntry], k: int, hidden_dim: int, *,
     k may not exceed the corpus size."""
     if not is_count(k):
         raise DomainError(f"anchor count must be >= 1, got {k}")
+    _check_corpus(corpus)
     if draws and k > len(corpus):
         raise DomainError(f"anchor count {k} exceeds corpus size {len(corpus)}")
     if not is_count(hidden_dim):
@@ -289,8 +312,9 @@ def sps_sample(corpus: list[CorpusEntry], k: int, hidden_dim: int = DEFAULT_HIDD
     Starts from the rest pose, then repeatedly adds the unsampled member whose
     best similarity to the current anchors is smallest, keeping similarities
     incrementally against only the newest anchor. Stops when k anchors exist
-    (the rest pose counts) or the corpus is exhausted. Deterministic; ties go
-    to the lowest corpus index.
+    (the rest pose counts, so k - 1 members are picked, where `random_sample`
+    and `cluster_sample` pick k) or the corpus is exhausted. Deterministic;
+    ties go to the lowest corpus index.
 
     The rest pose and the first PIVOTS picks are pivots: each scores every
     member and keeps its distances. A later pick scores only the members
@@ -340,7 +364,8 @@ def sps_sample(corpus: list[CorpusEntry], k: int, hidden_dim: int = DEFAULT_HIDD
 
 def random_sample(corpus: list[CorpusEntry], k: int, rng_seed: int,
                   hidden_dim: int = DEFAULT_HIDDEN) -> AnchorSet:
-    """k corpus members uniformly without replacement, rest pose prepended."""
+    """k corpus members uniformly without replacement, rest pose prepended:
+    k + 1 anchors, where `sps_sample`'s k counts the rest pose."""
     rest = _check_request(corpus, k, hidden_dim, draws=True)
     rng = _as_rng(rng_seed)
     picked = [int(i) for i in rng.choice(len(corpus), size=k, replace=False)]
@@ -382,7 +407,8 @@ def _nearest_centroid(flat: np.ndarray, centroids: np.ndarray,
 def cluster_sample(corpus: list[CorpusEntry], k: int, rng_seed: int,
                    hidden_dim: int = DEFAULT_HIDDEN) -> AnchorSet:
     """k-means in flattened value space; anchors are the members nearest each
-    centroid. At most `KMEANS_ITERATIONS` iterations, seeded member
+    centroid, rest pose prepended: k + 1 anchors, where `sps_sample`'s k
+    counts the rest pose. At most `KMEANS_ITERATIONS` iterations, seeded member
     initialization, empty clusters keep their previous centroid; fully
     deterministic per seed. The loop stops once an assignment repeats the
     previous one: the update would rebuild the same centroids bitwise, so
@@ -448,23 +474,21 @@ def _candidates(anchors: AnchorSet, domain_filter: str | None) -> np.ndarray | N
     return candidates
 
 
-def _contenders(queries: list[MotionSequence], anchors: AnchorSet, domain_filter: str | None,
-                keep: int = 1) -> list[tuple[np.ndarray | None, np.ndarray]]:
+def _contenders(queries: list[MotionSequence], anchors: AnchorSet,
+                domain_filter: str | None) -> list[tuple[np.ndarray | None, np.ndarray]]:
     """Per query, ascending candidate indices (None: every anchor, in order)
-    and their similarities, holding every candidate that could be among the
-    query's `keep` (1 or 2) best, so the first maximum and the two largest
-    values are bitwise the full scan's.
+    and their similarities, holding every candidate that could be the
+    query's best, so the first maximum is bitwise the full scan's.
 
-    A stack within one kernel block is scored whole. A larger one is scored
-    against its pivots (the first P anchors), and every other candidate is
-    bounded from `pivot_distances`: one whose bound exceeds the `keep`-th
-    nearest candidate pivot's distance is computed farther than `keep`
-    candidates, so it neither ranks among them nor ties. With fewer than
-    `keep` candidate pivots every candidate is scored. The pruned path costs
-    a second kernel call and the bound: on a 2-core x86 host one query took
-    about twice as long pruned against 64 toy anchors (74 KB), 0.6 times as
-    long against 800 paper anchors (7.4 MB); the two crossed between about
-    220 and 740 KB of stack."""
+    A stack within one kernel block, or one domain's rows of a larger one,
+    is scored whole. Only unfiltered retrieval over a larger stack is
+    pruned: the queries are scored against the pivots (the first P
+    anchors), and an anchor whose bound from `pivot_distances` exceeds the
+    nearest pivot's distance is computed farther than that pivot, so it
+    neither wins nor ties. The pruned path costs a second kernel call and
+    the bound: on a 2-core x86 host one query took about twice as long
+    pruned against 64 toy anchors (74 KB), 0.6 times as long against 800
+    paper anchors (7.4 MB); the two crossed between about 220 and 740 KB."""
     block = _query_block(queries, anchors)
     candidates = _candidates(anchors, domain_filter)
     stacked = anchors.stacked_inputs()
@@ -472,18 +496,16 @@ def _contenders(queries: list[MotionSequence], anchors: AnchorSet, domain_filter
         sims = _sims_to_many(stacked, block)
         # Unfiltered rows are taken as they are: indexing every column copies.
         return [(candidates, row) for row in (sims if candidates is None else sims[:, candidates])]
-    found = np.arange(len(stacked)) if candidates is None else candidates
+    if candidates is not None:
+        return [(candidates, row) for row in _sims_to_many(stacked, block, candidates)]
     table = anchors.pivot_distances()
     p = len(table)
-    own, rest = found[found < p], found[found >= p]
-    to_pivots = _sims_to_many(stacked[:p], block)  # (Q, P) similarities
-    d = table[:, rest]
+    pivots, rest, d = np.arange(p), np.arange(p, len(stacked)), table[:, p:]
     kept = []
-    for q, row in enumerate(to_pivots):
-        near = np.sort(np.append(-row[own], [np.inf] * keep))[keep - 1]  # inf if < keep pivots
-        score = rest[~(_pivot_bound(d, -row[:, None]) > near)]
-        kept.append((np.concatenate([own, score]),
-                     np.concatenate([row[own], _sims_to_many(stacked, block[q:q + 1], score)[0]])))
+    for q, row in enumerate(_sims_to_many(stacked[:p], block)):  # (Q, P) similarities
+        score = rest[~(_pivot_bound(d, -row[:, None]) > -row.max())]
+        kept.append((np.concatenate([pivots, score]),
+                     np.concatenate([row, _sims_to_many(stacked, block[q:q + 1], score)[0]])))
     return kept
 
 
@@ -509,12 +531,14 @@ def retrieve_prompt(query_input: MotionSequence, anchors: AnchorSet,
 
 def retrieve_with_margin(query_input: MotionSequence, anchors: AnchorSet,
                          domain_filter: str | None = None) -> tuple[RetrievedPrompt, float]:
-    """`retrieve_prompt` and its runner-up margin, from one pass that keeps
-    the best two: the pick's similarity less the second largest candidate
+    """`retrieve_prompt` and its runner-up margin, from one whole scan of the
+    candidates: the pick's similarity less the second largest candidate
     similarity (0 on a tie), inf when one anchor is a candidate."""
-    (found, sims), = _contenders([query_input], anchors, domain_filter, keep=2)
+    block = _query_block([query_input], anchors)
+    candidates = _candidates(anchors, domain_filter)
+    sims = _sims_to_many(anchors.stacked_inputs(), block, candidates)[0]
     top = np.sort(sims)[::-1]
-    return _first_best(anchors, found, sims), (top[0] - top[1] if top.size > 1 else float("inf"))
+    return _first_best(anchors, candidates, sims), (top[0] - top[1] if top.size > 1 else float("inf"))
 
 
 def soft_anchor_value(w1, w2) -> NdBuffer:

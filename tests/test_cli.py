@@ -171,16 +171,23 @@ def test_fingerprint_warns_when_one_stored_anchor_input_is_edited(pipeline, caps
 
 @pytest.mark.parametrize("flag", [[], ["--domain-filter-retrieval"]])
 def test_retrieve_scores_the_query_once(pipeline, capsys, monkeypatch, flag):
+    # One kernel call scores the query against every candidate: each anchor,
+    # or the filter's domain members gathered by row.
     _, data, anchors = pipeline
+    anchor_set = load_anchors(anchors)[0]
+    candidates = anchor_set.domain_indices("mp_p") if flag else np.arange(len(anchor_set))
     shapes = []
     inner = prompting._sims_to_many
-    monkeypatch.setattr(prompting, "_sims_to_many",
-                        lambda stacked, queries: shapes.append(
-                            (len(queries), len(stacked))) or inner(stacked, queries))
+
+    def spy(stacked, queries, rows=None):
+        shapes.append((len(queries), list(range(len(stacked))) if rows is None else list(rows)))
+        return inner(stacked, queries, rows)
+
+    monkeypatch.setattr(prompting, "_sims_to_many", spy)
     code, out, _ = run(capsys, "retrieve", "--dataset", data, "--anchors", anchors,
                        "--domains", "mp_p", *flag)
     assert code == 0 and "runner-up margin" in out
-    assert shapes == [(1, len(load_anchors(anchors)[0]))]
+    assert shapes == [(1, candidates.tolist())]
 
 
 def test_derive_writes_report(pipeline, capsys):
@@ -298,6 +305,8 @@ def test_retrieve_beyond_one_kernel_block_prints_the_full_scan_report(tmp_path, 
     monkeypatch.setattr(prompting, "_sims_to_many",
                         lambda stacked, queries, *sel: rows.append((len(stacked), len(queries)))
                         or inner(stacked, queries, *sel))
+    monkeypatch.setattr(prompting.AnchorSet, "pivot_distances",
+                        lambda self: pytest.fail("a CLI query built the pivot table"))
     for clip, domain in [(c, d) for c in range(0, 64, 7) for d in ("pe", "mp_p", "mr")]:
         for filtered in (False, True):
             if filtered and not anchors.domain_indices(domain).size:
@@ -307,7 +316,7 @@ def test_retrieve_beyond_one_kernel_block_prints_the_full_scan_report(tmp_path, 
                     str(clip), "--domains", domain, "--seed", "3"]
             code, out, err = run(capsys, *argv, *(["--domain-filter-retrieval"] * filtered))
             assert code == 0 and err == ""
-            assert (prompting.PIVOTS + 1, 1) in rows  # the pruned path scores the pivots
+            assert rows == [(len(anchors), 1)]  # one scan of the candidates, no pivot pass
             assert out == full_scan_report(clips, anchors, clip, domain, 3, filtered)
 
 

@@ -175,6 +175,43 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
         assert np.array_equal(loaded.tensors[name].array, buf.array), name
 
 
+SAVERS = {
+    "anchors": lambda path, meta: save_anchors(path, build_anchors(), meta=meta),
+    "checkpoint": lambda path, meta: save_checkpoint(
+        path, init_params(NetConfig(frames=4, joints=5, hidden=8, layers=1), rng_seed=0),
+        meta=meta),
+}
+LOAD_META = {"anchors": lambda path: load_anchors(path)[1],
+             "checkpoint": lambda path: load_checkpoint(path)[1]}
+
+
+@pytest.mark.parametrize("meta,message", [
+    (5, "meta must be a dict or None, got 5"),
+    ([1, 2], r"meta must be a dict or None, got \[1, 2\]"),
+    (0, "meta must be a dict or None, got 0"),
+    ([], r"meta must be a dict or None, got \[\]"),
+    ("", "meta must be a dict or None, got ''"),
+    ({"a": float("nan")}, "cannot be stored as JSON: Out of range float"),
+    ({"a": [1.0, float("-inf")]}, "cannot be stored as JSON: Out of range float"),
+    ({"a": {1, 2}}, "cannot be stored as JSON: Object of type set"),
+    ({"a": np.float32(1.0)}, "cannot be stored as JSON: Object of type float32"),
+    ({1: "x", "b": "y"}, "cannot be stored as JSON"),
+], ids=["int", "list", "zero", "empty-list", "empty-str", "nan", "inf", "set", "numpy-float32",
+        "mixed-keys"])
+@pytest.mark.parametrize("kind", list(SAVERS))
+def test_meta_the_loader_would_reject_is_refused_before_writing(tmp_path, kind, meta, message):
+    with pytest.raises(ConfigError, match=message):
+        SAVERS[kind](str(tmp_path / "f.bin"), meta)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("kind", list(SAVERS))
+def test_meta_none_is_stored_as_an_empty_dict(tmp_path, kind):
+    path = str(tmp_path / "f.bin")
+    SAVERS[kind](path, None)
+    assert LOAD_META[kind](path) == {}
+
+
 def test_checkpoint_with_fixed_design_keys_still_loads(tmp_path):
     # Older checkpoints also store shape_params and view_order; both are constants now.
     cfg = NetConfig(frames=4, joints=5, hidden=8, layers=1)

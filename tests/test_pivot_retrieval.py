@@ -1,5 +1,6 @@
-"""Retrieval through the pivot bound: a stack larger than one kernel block is
-scored only where the bound cannot rule an anchor out, and every pick and
+"""Retrieval through the pivot bound: unfiltered retrieval over a stack
+larger than one kernel block scores only where the bound cannot rule an
+anchor out, a domain filter scores its members whole, and every pick and
 similarity is bitwise that of scoring every anchor."""
 
 import numpy as np
@@ -13,7 +14,8 @@ from motionctx.errors import StateError
 from motionctx.motion import Modality, MotionSequence
 from motionctx.nd import NdBuffer
 from motionctx.prompting import (Anchor, AnchorSet, cluster_sample, random_sample,
-                                 retrieve_prompt, retrieve_prompts, sps_sample)
+                                 retrieve_prompt, retrieve_prompts, retrieve_with_margin,
+                                 sps_sample)
 from motionctx.synth import SynthConfig, make_dataset
 from motionctx.training import anchor_corpus
 
@@ -126,19 +128,40 @@ def test_domain_without_a_pivot_scores_every_member(monkeypatch):
     many = prompting._sims_to_many
 
     def spy(stacked, queries, selected=None):
-        rows.append(len(stacked) if selected is None else len(selected))
+        rows.append((len(queries), None if selected is None else selected.tolist()))
         return many(stacked, queries, selected)
 
     queries = queries_for(anchors, rng)
     sims = query_similarities(queries, anchors)
     want = pick_anchors(sims, anchors, "mr").tolist()
-    anchors.pivot_distances()  # built outside the spy
     monkeypatch.setattr(prompting, "_sims_to_many", spy)
     got = [retrieve_prompt(x, anchors, domain_filter="mr") for x in queries]
     assert [g.index for g in got] == want
     assert bits(g.similarity for g in got) == bits(sims[q, i] for q, i in enumerate(want))
-    assert rows[1::2] == [members.size] * len(queries)  # the pivot pass, then every member
+    assert rows == [(1, members.tolist())] * len(queries)  # one gathered call of every member
     assert has_tie(sims, anchors, "mr")
+
+
+def test_only_unfiltered_retrieval_builds_the_pivot_table(monkeypatch):
+    rng = np.random.default_rng(6)
+    anchors = sps_sample(corpus_of(clustered_values(rng, 90)), 91, hidden_dim=4)
+    assert anchors.stacked_inputs().nbytes > prompting._SIM_BLOCK_BYTES
+    built = []
+    table = prompting.AnchorSet.pivot_distances
+    monkeypatch.setattr(prompting.AnchorSet, "pivot_distances",
+                        lambda self: built.append(self) or table(self))
+    queries = queries_for(anchors, rng)
+    sims = query_similarities(queries, anchors)
+    for domain_filter in ("pe", "mr", "jc_m"):
+        want = pick_anchors(sims, anchors, domain_filter).tolist()
+        assert [g.index for g in retrieve_prompts(queries, anchors, domain_filter)] == want
+        assert [retrieve_with_margin(x, anchors, domain_filter)[0].index
+                for x in queries] == want
+    want = pick_anchors(sims, anchors, None).tolist()
+    assert [retrieve_with_margin(x, anchors)[0].index for x in queries] == want
+    assert built == [] and "_pivot_distances" not in vars(anchors)
+    assert [g.index for g in retrieve_prompts(queries, anchors)] == want
+    assert len(built) == 1 and built[0] is anchors
 
 
 def test_sims_to_many_calls_within_one_block_and_beyond(monkeypatch):

@@ -1,6 +1,7 @@
-"""One retrieval path: every caller reads the one scorer, whose kept set
-holds each candidate that could rank among a query's best one or two. The
-full scan in tests/helpers.py is the reference its picks, top-two
+"""One retrieval path: `retrieve_prompts`, `retrieve_prompt` and `coverage`
+read the one scorer, whose kept set holds each candidate that could be a
+query's best; `retrieve_with_margin` scans its candidates whole. The full
+scan in tests/helpers.py is the reference their picks, top-two
 similarities, margins and coverage must equal bitwise."""
 
 import numpy as np
@@ -13,9 +14,9 @@ from motionctx import prompting
 from motionctx.errors import MotionCtxError
 from motionctx.motion import Modality, MotionSequence
 from motionctx.nd import NdBuffer
-from motionctx.prompting import (Anchor, AnchorSet, cluster_sample, coverage, random_sample,
-                                 retrieve_prompt, retrieve_prompts, retrieve_with_margin,
-                                 sps_sample)
+from motionctx.prompting import (Anchor, AnchorSet, cluster_sample, corpus_fingerprint, coverage,
+                                 random_sample, retrieve_prompt, retrieve_prompts,
+                                 retrieve_with_margin, similarity, sps_sample)
 from motionctx.synth import SynthConfig, make_dataset
 from motionctx.training import anchor_corpus
 
@@ -58,7 +59,7 @@ def full_scan_top2(queries, anchors, domain_filter):
 @given(seed=st.integers(0, 2 ** 32 - 1), clusters=st.integers(2, 8),
        spread=st.sampled_from([0.0, 1e-3, 0.05]), scale=st.sampled_from([1e-3, 1.0, 1e3]),
        domain_filter=st.sampled_from([None, "pe", "jc_m", "mp_p"]))
-def test_kept_set_holds_the_full_scans_top_two(seed, clusters, spread, scale, domain_filter):
+def test_kept_set_and_margin_equal_the_full_scan(seed, clusters, spread, scale, domain_filter):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(60, 120))
     # Two pivots per cluster (the rest pose is the 17th), so a query near a
@@ -85,7 +86,7 @@ def test_kept_set_holds_the_full_scans_top_two(seed, clusters, spread, scale, do
     queries += [anchors.anchors[0].input]
 
     sims, want, top, margins = full_scan_top2(queries, anchors, domain_filter)
-    kept = prompting._contenders(queries, anchors, domain_filter, keep=2)
+    kept = prompting._contenders(queries, anchors, domain_filter)
     candidates = (np.arange(len(anchors)) if domain_filter is None
                   else anchors.domain_indices(domain_filter))
     for q, (found, got) in enumerate(kept):
@@ -93,9 +94,12 @@ def test_kept_set_holds_the_full_scans_top_two(seed, clusters, spread, scale, do
         assert np.isin(found, candidates).all()
         assert bits(got) == bits(sims[q, found])
         assert found[got.argmax()] == want[q]
-        assert bits(np.sort(got)[::-1][:2]) == bits(top[q])
+        assert bits(got.max(keepdims=True)) == bits(top[q][:1])
         if domain_filter is None and q < len(near):
-            assert len(found) < len(anchors)
+            assert len(found) < len(anchors)  # pruned
+        elif domain_filter is not None:  # scored whole: the top two are held
+            assert np.array_equal(found, candidates)
+            assert bits(np.sort(got)[::-1][:2]) == bits(top[q])
         prompt, margin = retrieve_with_margin(queries[q], anchors, domain_filter)
         assert prompt.index == want[q] and bits([prompt.similarity]) == bits(top[q][:1])
         assert bits([margin]) == bits([margins[q]])
@@ -149,8 +153,18 @@ def typed_input_anchors():
     (lambda q, a: retrieve_prompts([q], a, ["pe"]), "['pe']"),
     (lambda q, a: retrieve_prompt(None, a), "None"),
     (lambda q, a: coverage(["x"], a), "'x'"),
+    (lambda q, a: similarity(q, "x"), "'x'"),
+    (lambda q, a: similarity(None, q), "None"),
+    (lambda q, a: corpus_fingerprint(None), "None"),
+    (lambda q, a: corpus_fingerprint([1]), "triple, got 1"),
+    (lambda q, a: corpus_fingerprint([(q, q)]), "triple, got (MotionSequenc"),
+    (lambda q, a: sps_sample([1, 2], 3), "triple, got 1"),
+    (lambda q, a: random_sample([(q, q, 0)], 1, 0), "triple, got (MotionSequenc"),
+    (lambda q, a: cluster_sample("abc", 1, 0), "a corpus must be a list of entries, got 'abc'"),
 ], ids=["str-query", "array-query", "no-anchor-set", "list-filter", "none-query",
-        "coverage-str-query"])
+        "coverage-str-query", "similarity-str", "similarity-none", "fingerprint-none",
+        "fingerprint-int-entry", "fingerprint-pair-entry", "sps-int-entries",
+        "random-int-domain", "cluster-str-corpus"])
 def test_typed_junk_at_the_retrieval_entry_is_a_package_error(call, named):
     query, anchors = typed_input_anchors()
     with pytest.raises(MotionCtxError) as caught:
