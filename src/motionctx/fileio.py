@@ -4,11 +4,10 @@ Every file starts with the magic bytes "HICM", a little-endian u16 format
 version, and a little-endian u32 manifest length, followed by a canonical
 JSON manifest (sorted keys, no whitespace) and a raw payload. Motion data is
 stored as little-endian 32-bit floats; soft-anchor factors and checkpoint
-tensors as 64-bit floats. A checkpoint that keeps one soft-factor pair per
-anchor, the layout before the two soft tables, loads into the tables. Writes
-go to a temporary file in the target directory and are renamed into place,
-so a crash never leaves a truncated file under the final name; each payload
-block is written from its own array, without a joined copy.
+tensors as 64-bit floats. A checkpoint's config holds exactly the fields of
+NetConfig. Writes go to a temporary file in the target directory and are
+renamed into place, so a crash never leaves a truncated file under the final
+name; each payload block is written from its own array, without a joined copy.
 
 Reads check the payload length against the manifest before any block is
 read, then read each block straight from the file into its own array. Values
@@ -28,7 +27,6 @@ import dataclasses
 import json
 import math
 import os
-import re
 import reprlib
 import struct
 import sys
@@ -38,9 +36,9 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import ConfigError, DimensionError, FormatError, NumericError, StateError
-from .motion import SHAPE_PARAMS, Modality, MotionClip, MotionSequence, is_count
+from .motion import SHAPE_PARAMS, Modality, MotionClip, MotionSequence, check_type, is_count
 from .nd import NdBuffer
-from .network import SOFT_TABLES, VIEWS, NetConfig, XFusionParams
+from .network import NetConfig, XFusionParams
 from .prompting import TIE_BREAK, Anchor, AnchorSet
 
 MAGIC = b"HICM"
@@ -232,6 +230,8 @@ def save_dataset(path: str, clips: list[MotionClip]) -> None:
     """One (clips, modality, 2F, J, 3) motion block of 32-bit floats, then a beta block."""
     if not clips:
         raise DimensionError("cannot save an empty dataset")
+    for clip in clips:
+        check_type(clip, MotionClip, "each dataset clip")
     half, joints = clips[0].window, clips[0].joints
     meta = []
     for clip in clips:
@@ -296,20 +296,24 @@ def _load_sequence(values: np.ndarray, entry: dict, key: str, betas: np.ndarray,
 
 def _meta(meta: dict | None) -> dict:
     """A saver's `meta`, checked before its file is written: a dict that the
-    canonical JSON manifest can hold, without NaN or infinity; None is {}."""
+    canonical JSON manifest can hold, without NaN or infinity, and that loads
+    back equal (string keys, lists rather than tuples); None is {}."""
     if meta is None:
         return {}
     if not isinstance(meta, dict):
         raise ConfigError(f"meta must be a dict or None, got {reprlib.repr(meta)}")
     try:
-        json.dumps(meta, sort_keys=True, allow_nan=False)
+        back = json.loads(json.dumps(meta, sort_keys=True, allow_nan=False))
     except (TypeError, ValueError) as err:
         raise ConfigError(f"meta {reprlib.repr(meta)} cannot be stored as JSON: {err}") from None
+    if back != meta:
+        raise ConfigError(f"meta {reprlib.repr(meta)} would load back as {reprlib.repr(back)}")
     return meta
 
 
 def save_anchors(path: str, anchors: AnchorSet, meta: dict | None = None) -> None:
     """Hard anchors as 32-bit floats, soft factor pairs as 64-bit floats."""
+    check_type(anchors, AnchorSet, "anchors")
     a, f, j, h = len(anchors), anchors.frames, anchors.joints, anchors.hidden
     manifest = {
         "kind": "anchors", "frames": f, "joints": j, "hidden": h, "count": a,
@@ -368,6 +372,7 @@ def load_anchors(path: str) -> tuple[AnchorSet, dict]:
 
 def save_checkpoint(path: str, params: XFusionParams, meta: dict | None = None) -> None:
     """All tensors as 64-bit floats in sorted name order."""
+    check_type(params, XFusionParams, "params")
     names = sorted(params.tensors)
     manifest = {
         "kind": "checkpoint",
@@ -383,13 +388,11 @@ def load_checkpoint(path: str) -> tuple[XFusionParams, dict]:
         manifest, offset = _read_head(file)
         _expect_kind(manifest, "checkpoint")
         c = _field(manifest, "config", dict)
-        cfg = NetConfig(**{f.name: _field(c, f.name, int, "checkpoint config")
-                           for f in dataclasses.fields(NetConfig)})
-        # Older checkpoints also record these two fixed design choices.
-        for key, fixed in (("shape_params", SHAPE_PARAMS), ("view_order", list(VIEWS))):
-            if c.get(key, fixed) != fixed:
-                raise FormatError(f"checkpoint config {key}={c[key]!r}; "
-                                  f"only {fixed!r} is supported")
+        fields = [f.name for f in dataclasses.fields(NetConfig)]
+        for key in c:
+            if key not in fields:
+                raise FormatError(f"checkpoint config key {key!r} is not one of {fields}")
+        cfg = NetConfig(**{key: _field(c, key, int, "checkpoint config") for key in fields})
         entries = [(_field(e, "name", str, "tensor entry", index=i),
                     _field(e, "shape", tuple, "tensor entry", index=i))
                    for i, e in enumerate(_field(manifest, "tensors", list))]
@@ -406,40 +409,7 @@ def load_checkpoint(path: str) -> tuple[XFusionParams, dict]:
         else:
             with _built_from(f"tensor {name!r}"):
                 tensors[name] = NdBuffer(values)  # raises the constructor's fault
-    return XFusionParams(cfg, _fold_soft_anchors(tensors)), _field(manifest, "meta", dict)
-
-
-def _fold_soft_anchors(tensors: dict) -> dict:
-    """Checkpoints written before the soft tables hold anchor i's factors as
-    the tensors `soft.{i}.w1` and `soft.{i}.w2`; they become row i of
-    SOFT_TABLES, which follow the other tensors as in a file written now.
-    Each factor must name every anchor 0..A-1 once."""
-    rows: dict[str, dict[int, str]] = {"w1": {}, "w2": {}}
-    folded = {}
-    for name, buf in tensors.items():
-        found = re.fullmatch(r"soft\.(\d+)\.(w[12])", name)
-        if found is None:
-            folded[name] = buf
-        elif (taken := rows[found[2]].setdefault(int(found[1]), name)) != name:
-            raise FormatError(f"tensors {taken!r} and {name!r} name the same anchor")
-    if len(folded) == len(tensors):
-        return tensors
-    if any(name in folded for name in SOFT_TABLES):
-        raise FormatError(f"checkpoint holds both the soft tables {SOFT_TABLES} and "
-                          f"per-anchor soft factors")
-    count = 1 + max(i for index in rows.values() for i in index)
-    for table, (factor, index) in zip(SOFT_TABLES, rows.items()):
-        missing = next((i for i in range(count) if i not in index), None)
-        if missing is not None:
-            raise FormatError(f"checkpoint lacks the soft factor 'soft.{missing}.{factor}' "
-                              f"of anchors 0..{count - 1}")
-        parts = [tensors[index[i]].array for i in range(count)]
-        try:
-            folded[table] = NdBuffer._wrap(np.stack(parts))
-        except ValueError:
-            raise FormatError(f"soft factors {factor} disagree on shape: "
-                              f"{sorted({p.shape for p in parts})}") from None
-    return folded
+    return XFusionParams(cfg, tensors), _field(manifest, "meta", dict)
 
 
 def load_config(path: str) -> dict:

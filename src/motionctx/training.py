@@ -248,6 +248,8 @@ def train_step(batch, params: XFusionParams, state: AdamWState, config: TrainCon
     check_type(params, XFusionParams, "params")
     check_type(state, AdamWState, "state")
     check_type(config, TrainConfig, "config")
+    if not is_real(lr):
+        raise ConfigError(f"lr must be a finite number >= 0, got {lr!r}")
     if not batch:
         raise StateError("train_step needs a non-empty batch")
     keys = list(params.tensors)
@@ -296,6 +298,7 @@ def evaluate(dataset: list[MotionClip], anchors: AnchorSet, params: XFusionParam
     mesh-output domains report mean parameter-space error. The network sees
     each domain's clips in untaped batches of EVAL_CHUNK.
     """
+    check_type(params, XFusionParams, "params")
     if not dataset:
         raise StateError("evaluate needs a non-empty dataset")
     table: dict[str, float] = {}

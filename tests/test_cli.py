@@ -736,8 +736,8 @@ def test_eval_checks_the_pairing_without_drawing_parameters(pipeline, capsys, mo
 
 @pytest.mark.parametrize("k,hidden", [(12, 8), (4, 8), (6, 4)])
 def test_eval_rejects_soft_factors_of_another_anchor_file(pipeline, capsys, k, hidden):
-    # The checkpoint holds soft.0..5 for the 6-anchor pipeline file; a file
-    # with other anchors, or the same count at another width, does not pair.
+    # The checkpoint's soft tables hold 6 rows for the 6-anchor pipeline file;
+    # a file with other anchors, or the same count at another width, does not pair.
     tmp_path, data, anchors = pipeline
     ck = _paired_checkpoint(tmp_path, anchors)
     other = str(tmp_path / "other.bin")

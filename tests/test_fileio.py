@@ -74,6 +74,19 @@ def test_save_empty_or_ragged_dataset_rejected(tmp_path):
         save_dataset(str(tmp_path / "m.bin"), mixed)
 
 
+@pytest.mark.parametrize("save,message", [
+    (lambda path: save_checkpoint(path, "x"), "params must be a XFusionParams, got str"),
+    (lambda path: save_anchors(path, "x"), "anchors must be a AnchorSet, got str"),
+    (lambda path: save_dataset(path, [1]), "each dataset clip must be a MotionClip, got int"),
+    (lambda path: save_dataset(path, "x"), "each dataset clip must be a MotionClip, got str"),
+], ids=["checkpoint-str", "anchors-str", "dataset-int", "dataset-str"])
+def test_savers_refuse_objects_of_the_wrong_type_before_writing(tmp_path, save, message):
+    # Each raised a raw AttributeError before it was checked.
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        save(str(tmp_path / "f.bin"))
+    assert os.listdir(tmp_path) == []
+
+
 def build_anchors(hidden=8, k=4):
     clips = small_dataset()
     corpus = anchor_corpus(clips, domains=("pe", "mp_m"), seed=0)
@@ -196,8 +209,10 @@ LOAD_META = {"anchors": lambda path: load_anchors(path)[1],
     ({"a": {1, 2}}, "cannot be stored as JSON: Object of type set"),
     ({"a": np.float32(1.0)}, "cannot be stored as JSON: Object of type float32"),
     ({1: "x", "b": "y"}, "cannot be stored as JSON"),
+    ({1: "x"}, r"meta \{1: 'x'\} would load back as \{'1': 'x'\}"),
+    ({"b": (1, 2)}, r"meta \{'b': \(1, 2\)\} would load back as \{'b': \[1, 2\]\}"),
 ], ids=["int", "list", "zero", "empty-list", "empty-str", "nan", "inf", "set", "numpy-float32",
-        "mixed-keys"])
+        "mixed-keys", "int-key", "tuple"])
 @pytest.mark.parametrize("kind", list(SAVERS))
 def test_meta_the_loader_would_reject_is_refused_before_writing(tmp_path, kind, meta, message):
     with pytest.raises(ConfigError, match=message):
@@ -210,21 +225,6 @@ def test_meta_none_is_stored_as_an_empty_dict(tmp_path, kind):
     path = str(tmp_path / "f.bin")
     SAVERS[kind](path, None)
     assert LOAD_META[kind](path) == {}
-
-
-def test_checkpoint_with_fixed_design_keys_still_loads(tmp_path):
-    # Older checkpoints also store shape_params and view_order; both are constants now.
-    cfg = NetConfig(frames=4, joints=5, hidden=8, layers=1)
-    params = init_params(cfg, rng_seed=1)
-    path = str(tmp_path / "old.bin")
-    save_checkpoint(path, params)
-    manifest, payload, _ = read_file(path)
-    manifest["config"].update(shape_params=10, view_order=["temporal", "spatial"])
-    write_file(path, manifest, payload)
-    loaded, _ = load_checkpoint(path)
-    assert loaded.config == cfg
-    for name, buf in params.tensors.items():
-        assert np.array_equal(loaded.tensors[name].array, buf.array), name
 
 
 def test_checkpoint_with_a_repeated_tensor_name_rejected(tmp_path):
@@ -344,61 +344,29 @@ def test_written_files_keep_their_bytes(tmp_path):
             for kind, path in paths.items()} == FILE_SHA256
 
 
-def per_anchor(params: XFusionParams) -> XFusionParams:
-    """The soft-factor layout before the soft tables: anchor i's factors as
-    the tensors soft.{i}.w1 and soft.{i}.w2."""
+def test_unknown_checkpoint_config_key_is_a_format_error_naming_it(tmp_path):
+    path = write_each_kind(tmp_path)["checkpoint"]
+    manifest, payload, _ = read_file(path)
+    manifest["config"]["dropout"] = 0
+    write_file(path, manifest, payload)
+    with pytest.raises(FormatError, match=r"^checkpoint config key 'dropout' is not one of "
+                                          r"\['frames', 'joints', 'hidden', 'layers'\]$"):
+        load_checkpoint(path)
+
+
+def test_a_checkpoint_of_per_anchor_soft_factors_is_refused_in_one_line(tmp_path, capsys):
+    # The layout before the soft tables: anchor i's factors as soft.{i}.w1 and soft.{i}.w2.
+    paths = write_each_kind(tmp_path)
+    params, _ = load_checkpoint(paths["checkpoint"])
     tensors = {k: v for k, v in params.tensors.items() if k not in SOFT_TABLES}
-    w1, w2 = (params.tensors[name].array for name in SOFT_TABLES)
-    for i in range(len(w1)):
-        tensors[f"soft.{i}.w1"], tensors[f"soft.{i}.w2"] = NdBuffer(w1[i]), NdBuffer(w2[i])
-    return XFusionParams(params.config, tensors)
-
-
-# FILE_SHA256's checkpoint when soft factors were stored per anchor.
-PER_ANCHOR_CHECKPOINT_SHA256 = "a24c3f6625b7f73480bc37ea94815904f904d93372147071661010cd63637f13"
-
-
-def test_a_checkpoint_of_per_anchor_soft_factors_loads_into_the_tables(tmp_path, capsys):
-    paths = write_each_kind(tmp_path)
-    tables, meta = load_checkpoint(paths["checkpoint"])
-    legacy = str(tmp_path / "per_anchor.bin")
-    save_checkpoint(legacy, per_anchor(tables), meta=meta)
-    assert hashlib.sha256(open(legacy, "rb").read()).hexdigest() == PER_ANCHOR_CHECKPOINT_SHA256
-    folded, folded_meta = load_checkpoint(legacy)
-    assert (folded.config, folded_meta) == (tables.config, meta)
-    assert list(folded.tensors) == list(tables.tensors)
-    for name, buf in tables.tensors.items():
-        assert folded.tensors[name].array.tobytes() == buf.array.tobytes(), name
-        assert not folded.tensors[name].array.flags.writeable
-    tables_out = []
-    for path in (paths["checkpoint"], legacy):
-        assert main(["eval", "--dataset", paths["dataset"], "--anchors", paths["anchors"],
-                     "--checkpoint", path, "--domains", "pe,mp_m"]) == 0
-        tables_out.append(capsys.readouterr().out)
-    assert tables_out[0] == tables_out[1] and tables_out[0].count("\n") == 2
-
-
-@pytest.mark.parametrize("edit,message", [
-    (lambda t: [t.pop(f"soft.1.{w}") for w in ("w1", "w2")],
-     "checkpoint lacks the soft factor 'soft.1.w1' of anchors 0..3"),
-    (lambda t: t.pop("soft.3.w2"), "checkpoint lacks the soft factor 'soft.3.w2' of anchors 0..3"),
-    (lambda t: t.update({"soft.01.w1": t["soft.1.w1"]}),
-     "tensors 'soft.01.w1' and 'soft.1.w1' name the same anchor"),
-    (lambda t: t.update({"soft.w1": t["soft.1.w1"]}),
-     "checkpoint holds both the soft tables ('soft.w1', 'soft.w2') and per-anchor soft factors"),
-    (lambda t: t.update({"soft.2.w2": NdBuffer(np.ones(3))}),
-     "soft factors w2 disagree on shape: [(1, 1, 8), (3,)]"),
-], ids=["gap", "one-factor-short", "duplicate", "tables-too", "shapes"])
-def test_per_anchor_soft_factors_must_name_each_anchor_once(tmp_path, capsys, edit, message):
-    paths = write_each_kind(tmp_path)
-    params = per_anchor(load_checkpoint(paths["checkpoint"])[0])
-    edit(params.tensors)
-    save_checkpoint(paths["checkpoint"], params)
-    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
-        load_checkpoint(paths["checkpoint"])
+    for name, factor in zip(SOFT_TABLES, ("w1", "w2")):
+        for i, row in enumerate(params.tensors[name].array):
+            tensors[f"soft.{i}.{factor}"] = NdBuffer(row)
+    save_checkpoint(paths["checkpoint"], XFusionParams(params.config, tensors))
     assert main(["eval", "--dataset", paths["dataset"], "--anchors", paths["anchors"],
                  "--checkpoint", paths["checkpoint"]]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: checkpoint tensor 'soft.0.w1' ")
 
 
 def test_overlong_manifest_length_rejected(tmp_path):

@@ -375,6 +375,7 @@ JUNK_CALLS = {
         build_batch(clips, anchors, 1, 0), None, AdamWState(), TrainConfig(), 2e-4),
     "train_step state None": lambda clips, anchors, params: train_step(
         build_batch(clips, anchors, 1, 0), params, None, TrainConfig(), 2e-4),
+    "evaluate params None": lambda clips, anchors, params: evaluate(clips, anchors, None),
 }
 
 
@@ -384,6 +385,19 @@ def test_training_entry_points_reject_junk_typed(call):
     with pytest.raises(MotionCtxError) as caught:
         call(*build_setup())
     assert type(caught.value) in (ConfigError, DimensionError)
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1.0, "x", True],
+                         ids=["nan", "inf", "negative", "str", "bool"])
+def test_train_step_rejects_a_bad_learning_rate_before_the_pass(lr):
+    # nan and inf left every parameter non-finite, -1.0 ascended, "x" ended in numpy.
+    dataset, anchors, params = build_setup()
+    before = dict(params.tensors)
+    state = AdamWState()
+    with pytest.raises(ConfigError, match=f"^lr must be a finite number >= 0, "
+                                          f"got {re.escape(repr(lr))}$"):
+        train_step(build_batch(dataset, anchors, 2, 0), params, state, TrainConfig(), lr)
+    assert all(params.tensors[k] is v for k, v in before.items()) and state.m == {}
 
 
 def test_train_step_empty_batch_raises():
